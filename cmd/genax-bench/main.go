@@ -25,9 +25,8 @@
 // write pprof profiles of the selected experiment (see EXPERIMENTS.md for
 // the profiling workflow); -allocbudget N measures steady-state AlignBatch
 // heap allocations per read after the experiment and exits non-zero when
-// they exceed N; -stages prints the per-stage wall-clock and
-// queue-occupancy breakdown of the staged pipeline (the Fig 11 seed/extend
-// lane balance); -compare-index aligns the workload over one v2 index
+// they exceed N; -stages prints the per-stage busy-time breakdown of the
+// pipeline (the Fig 11 seed/extend lane balance); -compare-index aligns the workload over one v2 index
 // cache through the heap, zero-copy mapped, and sharded (bounded
 // residency) backings and writes cold-start/peak-RSS/result-hash rows to
 // BENCH_index.json; -mmap maps the -indexcache file instead of
@@ -81,7 +80,7 @@ func run() int {
 	allocbudget := flag.Float64("allocbudget", 0,
 		"after the experiment, measure steady-state AlignBatch allocations per read and fail if above this budget (0 disables)")
 	stages := flag.Bool("stages", false,
-		"after the experiment, print the per-stage wall-clock and queue-occupancy breakdown (Fig 11 lane balance)")
+		"after the experiment, print the per-stage busy-time breakdown (Fig 11 lane balance)")
 	indexCache := flag.String("indexcache", "",
 		"keep the segmented index in an on-disk cache under this directory: the first run builds and writes it, later runs load it instead of rebuilding (empty disables)")
 	flag.Usage = func() {
@@ -353,10 +352,8 @@ func runCompareIndex(spec bench.WorkloadSpec, shards int) int {
 // runCompareServe serves the workload over HTTP in all three serving
 // modes, prints the comparison, writes BENCH_serve.json, and fails when
 // any mode's served results diverge from offline AlignBatch — or, on the
-// full workload, when the coalesced mode's sustained throughput is below
-// bench.ServeSpeedupFloor over the per-request-session baseline, its p99
-// at the shared offered rate is worse than the saturated baseline's, or
-// the overloaded baseline failed to shed with 429 + Retry-After. The
+// full workload, when the overloaded server failed to shed with 429 +
+// Retry-After. Capacities and latencies are reported, not gated. The
 // -quick variant gates hash identity only: its rate phases are too short
 // to be stable.
 func runCompareServe(quick bool) int {
@@ -382,15 +379,6 @@ func runCompareServe(quick bool) int {
 	}
 	if quick {
 		return 0
-	}
-	if !cmp.CapacityGate {
-		fmt.Fprintf(os.Stderr, "genax-bench: coalesced capacity %.2fx vs sessions is below the %.2fx floor\n",
-			cmp.SpeedupVsSession, bench.ServeSpeedupFloor)
-		return 1
-	}
-	if !cmp.P99Gate {
-		fmt.Fprintf(os.Stderr, "genax-bench: coalesced p99 is worse than the saturated per-session baseline\n")
-		return 1
 	}
 	if !cmp.ShedGate {
 		fmt.Fprintf(os.Stderr, "genax-bench: overloaded baseline did not shed with 429 + Retry-After\n")

@@ -1,6 +1,6 @@
 // Command genaxd serves alignment over HTTP: many concurrent single-read
 // requests are coalesced into pipeline batches per genome (the batching
-// the GenAx lane pool is fast at), against a registry of mmap-backed index
+// the GenAx lanes are fast at), against a registry of mmap-backed index
 // caches with LRU residency and warm preloading.
 //
 // Usage:

@@ -1,4 +1,4 @@
-// Stream: align reads through the staged streaming pipeline — reads go in
+// Stream: align reads through the streaming pipeline — reads go in
 // on a channel, results come back on a channel in input order, and only a
 // bounded window is ever in flight. This is the shape to use when the
 // read set does not fit in memory (or arrives from a sequencer in real
@@ -21,12 +21,14 @@ func main() {
 		sim.ReadProfile{Length: 101, Coverage: 0.5, ErrorRate: 0.02, ReverseFraction: 0.5})
 
 	// 2. A GenAx instance with a small streaming window so several windows
-	//    rotate through the pipeline even on this toy read set. The chip's
-	//    128:4 seeding:extension lane split (§VI) is scaled to the host by
-	//    default; set SeedLanes/ExtendLanes to pin it. Extension runs on
-	//    the bit-parallel engine by default; cfg.Engine selects
-	//    core.EngineSillaX or core.EngineBanded for byte-identical results
-	//    from the cycle model or the software baseline.
+	//    rotate through the pipeline even on this toy read set. Every
+	//    window runs on cfg.Workers fused lanes (default GOMAXPROCS), each
+	//    seeding, filtering and extending its share of the reads; the
+	//    chip's 128:4 seeding:extension split (§VI) is different silicon,
+	//    which a host core is not. Extension runs on the bit-parallel
+	//    engine by default; cfg.Engine selects core.EngineSillaX or
+	//    core.EngineBanded for byte-identical results from the cycle model
+	//    or the software baseline.
 	cfg := core.DefaultConfig()
 	cfg.SegmentLen = 32_768
 	cfg.StreamWindow = 64

@@ -16,13 +16,11 @@ type StageRow struct {
 	BusyShare float64 // fraction of summed stage busy time
 	Batches   int64
 	Items     int64 // candidates seeded / surviving / extended
-	AvgQueue  float64
-	MaxQueue  int64
 }
 
-// StageBreakdown reports per-stage wall-clock and queue occupancy for one
-// aligned workload — the software mirror of the paper's Fig 11 discussion
-// of seeding-lane vs SillaX-lane utilization and the hit-FIFO fill level.
+// StageBreakdown reports per-stage busy time for one aligned workload —
+// the software mirror of the paper's Fig 11 discussion of seeding-lane vs
+// SillaX-lane utilization.
 type StageBreakdown struct {
 	Reads  int
 	Total  time.Duration // wall clock of the whole AlignBatch
@@ -52,11 +50,10 @@ func (b StageBreakdown) String() string {
 	} else {
 		sb.WriteString("index build 0s (loaded from cache)\n")
 	}
-	fmt.Fprintf(&sb, "%-8s %12s %6s %9s %9s %9s %6s\n",
-		"stage", "busy", "share", "batches", "items", "avgqueue", "maxq")
+	fmt.Fprintf(&sb, "%-8s %12s %6s %9s %9s\n", "stage", "busy", "share", "batches", "items")
 	for _, r := range b.Stages {
-		fmt.Fprintf(&sb, "%-8s %12v %5.1f%% %9d %9d %9.2f %6d\n",
-			r.Name, r.Busy.Round(time.Microsecond), 100*r.BusyShare, r.Batches, r.Items, r.AvgQueue, r.MaxQueue)
+		fmt.Fprintf(&sb, "%-8s %12v %5.1f%% %9d %9d\n",
+			r.Name, r.Busy.Round(time.Microsecond), 100*r.BusyShare, r.Batches, r.Items)
 	}
 	if b.Routing.Total() > 0 {
 		fmt.Fprintf(&sb, "engine cascade routing (%d extensions, %d certified by a cheap leg):\n",
@@ -74,8 +71,7 @@ func (b StageBreakdown) String() string {
 	if b.EngineFallbacks > 0 {
 		fmt.Fprintf(&sb, "cycle-model fallbacks: %d (degraded engine configuration)\n", b.EngineFallbacks)
 	}
-	sb.WriteString("queue depths are sampled at each send into the downstream stage")
-	return sb.String()
+	return strings.TrimSuffix(sb.String(), "\n")
 }
 
 // Stages runs the workload through an instrumented aligner and returns the
@@ -134,8 +130,6 @@ func Stages(spec WorkloadSpec) (StageBreakdown, error) {
 			BusyShare: share,
 			Batches:   r.m.Batches.Load(),
 			Items:     r.m.Items.Load(),
-			AvgQueue:  r.m.AvgQueue(),
-			MaxQueue:  r.m.QueueMax.Load(),
 		})
 	}
 	return out, nil

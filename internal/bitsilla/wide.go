@@ -130,8 +130,8 @@ func (m *Machine) initWide() {
 }
 
 // ensureWide picks the pass's effective window and sizes the trail ring
-// and the checkpoint list for maxCycle+1 cycles. Growth-only: steady state
-// reuses every buffer.
+// and the checkpoint list for maxCycle+1 cycles. Steady state reuses every
+// buffer.
 func (m *Machine) ensureWide(maxCycle int) {
 	wd := m.wide
 	slotWords := m.w * planeWords * wd.nw
@@ -155,7 +155,17 @@ func (m *Machine) ensureWide(maxCycle int) {
 	wd.win = win
 	ringLen := 2 * win * slotWords
 	if cap(wd.trail) < ringLen {
-		wd.trail = make([]uint64, ringLen)
+		// An auto-sized ring is allocated once, at the largest window auto
+		// mode can pick. Machines live as long as the pipeline lane that
+		// owns them, and which lane meets the longest pass first depends on
+		// scheduling: an exact-fit ring regrown pass by pass would leave
+		// a run-dependent number of dead rings behind. Untouched slots of
+		// a fresh ring cost address space, not memory.
+		alloc := ringLen
+		if wd.winC == 0 {
+			alloc = 2 * max(wideTrailBudget/(16*slotWords), wideWindow) * slotWords
+		}
+		wd.trail = make([]uint64, alloc)
 	}
 	wd.trail = wd.trail[:ringLen]
 	nSnaps := maxCycle/win + 1

@@ -184,6 +184,28 @@ func TestBitsillaWideSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestBitsillaWideRingAllocatedOnce pins what makes a pooled machine's
+// memory independent of the order it meets its inputs in: the auto-sized
+// trail ring is allocated on the first pass and kept, whether later passes
+// need the floor window, a whole-pass window or the budget-capped one.
+func TestBitsillaWideRingAllocatedOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(98))
+	bm := New(80, align.BWAMEMDefaults())
+	var ring *uint64
+	for _, n := range []int{60, 1200, 3000, 300} {
+		ref := randSeq(r, n)
+		bm.Extend(ref, mutate(r, ref, 4))
+		if ring == nil {
+			ring = &bm.wide.trail[:1][0]
+		} else if ring != &bm.wide.trail[:1][0] {
+			t.Fatalf("a %d-base pass reallocated the trail ring", n)
+		}
+	}
+	if got := cap(bm.wide.trail) * 8; got > wideTrailBudget {
+		t.Fatalf("ring holds %d bytes, over the %d budget", got, wideTrailBudget)
+	}
+}
+
 // TestBitsillaWideMachineReuse alternates disparate inputs through one
 // machine; stale liveness or trail bits from a prior call would surface as
 // oracle divergence.

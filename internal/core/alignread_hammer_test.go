@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestAlignReadConcurrentHammer drives the pooled AlignRead fast path —
-// the serve layer's per-request fallback when coalescing is off — from
-// many goroutines at once against a shared Aligner. Run under -race this
-// is the data-race gate for the singleLane pool; in every build each
-// result must match the AlignBatch oracle, so lane state bleeding between
+// TestAlignReadConcurrentHammer drives AlignRead — the serve layer's
+// per-request fallback when coalescing is off — from many goroutines at
+// once against a shared Aligner. Run under -race this is the data-race
+// gate for the lane and window free lists; in every build each result
+// must match the AlignBatch oracle, so lane state bleeding between
 // concurrent calls cannot hide.
 func TestAlignReadConcurrentHammer(t *testing.T) {
 	wl, reads := poolWorkload(t, 120)
@@ -25,8 +25,6 @@ func TestAlignReadConcurrentHammer(t *testing.T) {
 	}
 	const workers = 16
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr string
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -37,25 +35,9 @@ func TestAlignReadConcurrentHammer(t *testing.T) {
 					// share pooled lanes at the same instant.
 					idx := (i*7 + w*13 + it) % len(reads)
 					res, ok := a.AlignRead(reads[idx])
-					if ok != want[idx].Aligned {
-						mu.Lock()
-						if firstErr == "" {
-							firstErr = "aligned flag diverged from the batch oracle under concurrency"
-						}
-						mu.Unlock()
-						return
-					}
-					if !ok {
-						continue
-					}
-					o := want[idx].Result
-					if res.Score != o.Score || res.RefPos != o.RefPos || res.Reverse != o.Reverse ||
-						res.Cigar.String() != o.Cigar.String() {
-						mu.Lock()
-						if firstErr == "" {
-							firstErr = "alignment diverged from the batch oracle under concurrency"
-						}
-						mu.Unlock()
+					if ok != want[idx].Aligned || res.String() != want[idx].Result.String() {
+						t.Errorf("read %d diverged from the batch oracle under concurrency: %v (aligned %v), want %v",
+							idx, res, ok, want[idx].Result)
 						return
 					}
 				}
@@ -63,13 +45,10 @@ func TestAlignReadConcurrentHammer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if firstErr != "" {
-		t.Fatal(firstErr)
-	}
 }
 
-// TestAlignReadConcurrentAllocs pins the pooled fast path's steady-state
-// allocation cost after a concurrent burst has populated the lane pool:
+// TestAlignReadConcurrentAllocs pins AlignRead's steady-state allocation
+// cost after a concurrent burst has populated the free lists:
 // ≤ ~2.5 allocations per call on a mixed read set (the documented figure —
 // only adopted result cigars allocate). A regression here multiplies
 // straight into per-request serving cost.
@@ -82,7 +61,7 @@ func TestAlignReadConcurrentAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Concurrent warmup: grow the singleLane pool the way serve traffic
+	// Concurrent warmup: fill the lane free list the way serve traffic
 	// does, so the measurement below reuses warm lanes rather than
 	// crediting first-call scratch growth to the steady state.
 	var wg sync.WaitGroup

@@ -1,11 +1,10 @@
 // Package core is the GenAx top level (§VI): it binds a reference and its
-// per-segment tables to the staged execution engine in internal/pipeline,
-// which couples the seeding lanes (package seed) to the SillaX extension
-// lanes (package sillax via package extend) through bounded queues —
-// exactly like the chip streams per-segment tables into SRAM and drains
-// the hit buffers through four traceback machines. This package is the
-// stable API surface; the stage graph, lane pools, backpressure, and
-// result merging all live in internal/pipeline.
+// per-segment tables to the execution engine in internal/pipeline, whose
+// fused lanes stream the per-segment tables like the chip streams them
+// into SRAM, and seed (package seed), filter and extend (package extend)
+// each chunk of reads in place. This package is the stable API surface;
+// the lanes, their free list, the segment barrier and result merging all
+// live in internal/pipeline.
 package core
 
 import (
@@ -26,8 +25,7 @@ type Stats = pipeline.Stats
 // ReadResult is the outcome for one read in a batch.
 type ReadResult = pipeline.ReadResult
 
-// Instrument collects per-stage busy time and queue occupancy; see
-// pipeline.Instrument.
+// Instrument collects per-stage busy time; see pipeline.Instrument.
 type Instrument = pipeline.Instrument
 
 // StageMetrics is one stage's share of an Instrument.
@@ -72,13 +70,10 @@ type Config struct {
 	Seeding seed.Options
 	// MinScore suppresses alignments below the BWA-MEM reporting floor.
 	MinScore int
-	// Workers is the total lane budget across the seed and extend pools
-	// (0 = GOMAXPROCS), split in the chip's 128:4 proportion unless
-	// SeedLanes/ExtendLanes override it.
+	// Workers is the number of fused lanes — each seeds, filters and
+	// extends — a window of reads runs on (0 = GOMAXPROCS). Results and
+	// work counters do not depend on it.
 	Workers int
-	// SeedLanes and ExtendLanes pin the per-stage worker counts
-	// explicitly (0 = derive from Workers via pipeline.SplitLanes).
-	SeedLanes, ExtendLanes int
 	// MaxCandidates caps extension candidates per (read, strand, segment)
 	// after deduplication (0 = unlimited).
 	MaxCandidates int
@@ -103,7 +98,7 @@ type Config struct {
 	// never silently misalign reads.
 	Index *seed.SegmentedIndex
 	// Residency, when non-nil, lets a mapped index bound how many shard
-	// groups of its tables are resident while the seed stage walks the
+	// groups of its tables are resident while the lanes walk the
 	// segments (indexio.ShardResidency). Results are byte-identical with
 	// or without it; see pipeline.Residency.
 	Residency pipeline.Residency
@@ -130,8 +125,7 @@ type Aligner struct {
 	pipe  *pipeline.Pipeline
 }
 
-// New builds the per-segment tables for ref and the staged pipeline over
-// them.
+// New builds the per-segment tables for ref and the pipeline over them.
 func New(ref dna.Seq, cfg Config) (*Aligner, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("core: edit bound %d must be positive", cfg.K)
@@ -167,8 +161,6 @@ func New(ref dna.Seq, cfg Config) (*Aligner, error) {
 		Seeding:       cfg.Seeding,
 		MinScore:      cfg.MinScore,
 		Workers:       cfg.Workers,
-		SeedLanes:     cfg.SeedLanes,
-		ExtendLanes:   cfg.ExtendLanes,
 		MaxCandidates: cfg.MaxCandidates,
 		ChainMinLen:   cfg.ChainMinLen,
 		CycleFallback: cfg.CycleFallback,
@@ -221,8 +213,8 @@ func (a *Aligner) AlignStream(ctx context.Context, in <-chan dna.Seq) (<-chan Re
 	return a.pipe.AlignStream(ctx, in)
 }
 
-// AlignRead maps a single read (both strands, all segments) through a
-// pooled fused lane — no per-call pipeline construction.
+// AlignRead maps a single read (both strands, all segments) as a
+// one-read window on one lane, inline on the caller's goroutine.
 func (a *Aligner) AlignRead(read dna.Seq) (align.Result, bool) {
 	return a.pipe.AlignRead(read)
 }

@@ -25,6 +25,21 @@ func testWorkload(seed int64, n int, errRate float64) *sim.Workload {
 		sim.ReadProfile{Length: 101, Coverage: 2, ErrorRate: errRate, ReverseFraction: 0.5})
 }
 
+// sameResults asserts two result lists are byte-identical: the aligned
+// flag, position, strand, score and cigar of every read.
+func sameResults(t *testing.T, label string, got, want []ReadResult) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Aligned != want[i].Aligned || got[i].Result.String() != want[i].Result.String() {
+			t.Fatalf("%s: read %d: %v (aligned %v), want %v (aligned %v)",
+				label, i, got[i].Result, got[i].Aligned, want[i].Result, want[i].Aligned)
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	ref := make(dna.Seq, 1000)
 	cfg := smallConfig()
@@ -270,12 +285,5 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	a4, _ := New(wl.Ref, cfg4)
 	r1, _ := a1.AlignBatch(reads)
 	r4, _ := a4.AlignBatch(reads)
-	for i := range reads {
-		if r1[i].Aligned != r4[i].Aligned {
-			t.Fatalf("read %d aligned flag differs across worker counts", i)
-		}
-		if r1[i].Aligned && (r1[i].Result.Score != r4[i].Result.Score || r1[i].Result.RefPos != r4[i].Result.RefPos) {
-			t.Fatalf("read %d result differs across worker counts: %v vs %v", i, r1[i].Result, r4[i].Result)
-		}
-	}
+	sameResults(t, "4 workers vs 1", r4, r1)
 }

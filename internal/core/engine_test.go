@@ -31,19 +31,7 @@ func TestEngineConfigPlumbing(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := def.AlignBatch(reads)
-	for i := range want {
-		if got[i].Aligned != want[i].Aligned {
-			t.Fatalf("read %d: aligned %v vs %v", i, got[i].Aligned, want[i].Aligned)
-		}
-		if !want[i].Aligned {
-			continue
-		}
-		g, w := got[i].Result, want[i].Result
-		if g.Score != w.Score || g.RefPos != w.RefPos || g.Reverse != w.Reverse ||
-			g.Cigar.String() != w.Cigar.String() {
-			t.Fatalf("read %d: bitsilla %v vs sillax %v", i, g, w)
-		}
-	}
+	sameResults(t, "bitsilla vs sillax", got, want)
 
 	cfg = smallConfig()
 	cfg.Engine = "fpga"

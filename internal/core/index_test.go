@@ -45,22 +45,7 @@ func TestPrebuiltIndexMatchesInProcessBuild(t *testing.T) {
 	}
 	want, wantStats := built.AlignBatch(reads)
 	got, gotStats := cached.AlignBatch(reads)
-	if len(got) != len(want) {
-		t.Fatalf("%d results vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Aligned != want[i].Aligned {
-			t.Fatalf("read %d: aligned %v vs %v", i, got[i].Aligned, want[i].Aligned)
-		}
-		if !want[i].Aligned {
-			continue
-		}
-		g, w := got[i].Result, want[i].Result
-		if g.RefPos != w.RefPos || g.Score != w.Score || g.Reverse != w.Reverse || g.Cigar.String() != w.Cigar.String() {
-			t.Fatalf("read %d: (%d,%d,%v,%s) vs (%d,%d,%v,%s)",
-				i, g.RefPos, g.Score, g.Reverse, g.Cigar, w.RefPos, w.Score, w.Reverse, w.Cigar)
-		}
-	}
+	sameResults(t, "cached vs built", got, want)
 	if gotStats.IndexLookups != wantStats.IndexLookups || gotStats.CAMLookups != wantStats.CAMLookups {
 		t.Errorf("work counters diverged: cached %d/%d vs built %d/%d",
 			gotStats.IndexLookups, gotStats.CAMLookups, wantStats.IndexLookups, wantStats.CAMLookups)

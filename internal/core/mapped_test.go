@@ -53,22 +53,7 @@ func TestMappedIndexMatchesHeap(t *testing.T) {
 			t.Fatalf("%s: New: %v", name, err)
 		}
 		got, gotStats := a.AlignBatch(reads)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d results vs %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Aligned != want[i].Aligned {
-				t.Fatalf("%s read %d: aligned %v vs %v", name, i, got[i].Aligned, want[i].Aligned)
-			}
-			if !want[i].Aligned {
-				continue
-			}
-			g, w := got[i].Result, want[i].Result
-			if g.RefPos != w.RefPos || g.Score != w.Score || g.Reverse != w.Reverse || g.Cigar.String() != w.Cigar.String() {
-				t.Fatalf("%s read %d: (%d,%d,%v,%s) vs (%d,%d,%v,%s)",
-					name, i, g.RefPos, g.Score, g.Reverse, g.Cigar, w.RefPos, w.Score, w.Reverse, w.Cigar)
-			}
-		}
+		sameResults(t, name, got, want)
 		if gotStats.IndexLookups != wantStats.IndexLookups || gotStats.CAMLookups != wantStats.CAMLookups {
 			t.Errorf("%s: work counters diverged: %d/%d vs heap %d/%d",
 				name, gotStats.IndexLookups, gotStats.CAMLookups, wantStats.IndexLookups, wantStats.CAMLookups)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -24,10 +25,10 @@ func poolWorkload(t *testing.T, n int) (*sim.Workload, []dna.Seq) {
 	return wl, reads
 }
 
-// TestAlignBatchDeterministic asserts dynamic work claiming and the
-// decoupled extend lanes cannot change output: results must be
-// byte-identical (position, score, strand, cigar) between a single-lane
-// pipeline and a wide one.
+// TestAlignBatchDeterministic asserts dynamic work claiming cannot change
+// output through the façade: results must be byte-identical (position,
+// score, strand, cigar) between a one-lane aligner and a wide one. The
+// full worker × path × index grid is pipeline.TestDeterminismMatrix.
 func TestAlignBatchDeterministic(t *testing.T) {
 	wl, reads := poolWorkload(t, 60)
 	cfg1 := smallConfig()
@@ -44,19 +45,7 @@ func TestAlignBatchDeterministic(t *testing.T) {
 	}
 	r1, s1 := a1.AlignBatch(reads)
 	r8, s8 := a8.AlignBatch(reads)
-	for i := range reads {
-		if r1[i].Aligned != r8[i].Aligned {
-			t.Fatalf("read %d: aligned flag differs across worker counts", i)
-		}
-		if !r1[i].Aligned {
-			continue
-		}
-		x, y := r1[i].Result, r8[i].Result
-		if x.Score != y.Score || x.RefPos != y.RefPos || x.Reverse != y.Reverse ||
-			x.Cigar.String() != y.Cigar.String() {
-			t.Fatalf("read %d: %v vs %v", i, x, y)
-		}
-	}
+	sameResults(t, "8 workers vs 1", r8, r1)
 	// Work counters are claim-order independent too.
 	if s1 != s8 {
 		t.Errorf("stats differ across worker counts:\n1: %+v\n8: %+v", s1, s8)
@@ -64,9 +53,9 @@ func TestAlignBatchDeterministic(t *testing.T) {
 }
 
 // TestAlignBatchConcurrentBatches exercises the atomic work cursors, the
-// segment barrier, and the stage queues under the race detector: several
-// batches run concurrently over one (read-only) Aligner, and every one
-// must produce the same results.
+// segment barrier, and the lane and window free lists under the race
+// detector: several batches run concurrently over one Aligner, and every
+// one must produce the same results.
 func TestAlignBatchConcurrentBatches(t *testing.T) {
 	wl, reads := poolWorkload(t, 48)
 	cfg := smallConfig()
@@ -88,13 +77,6 @@ func TestAlignBatchConcurrentBatches(t *testing.T) {
 	}
 	wg.Wait()
 	for b := 0; b < batches; b++ {
-		for i := range reads {
-			if got[b][i].Aligned != want[i].Aligned {
-				t.Fatalf("batch %d read %d: aligned flag diverged", b, i)
-			}
-			if want[i].Aligned && got[b][i].Result.String() != want[i].Result.String() {
-				t.Fatalf("batch %d read %d: %v vs %v", b, i, got[b][i].Result, want[i].Result)
-			}
-		}
+		sameResults(t, fmt.Sprintf("concurrent batch %d", b), got[b], want)
 	}
 }

@@ -1,36 +1,38 @@
 // Package stagecontract implements the genaxvet analyzer that enforces
-// the staged-pipeline discipline in genax/internal/pipeline.
+// the channel and goroutine discipline of genax/internal/pipeline and
+// genax/internal/serve.
 //
-// The pipeline's memory bound and clean shutdown rest on three structural
-// rules (DESIGN.md §7, §11):
+// Their memory bounds and clean shutdown rest on three structural rules
+// (DESIGN.md §7, §11, §14):
 //
 //  1. Bounded channels. Every make(chan …) must state a capacity; the
-//     stage graph's memory ceiling is the sum of those bounds plus the
-//     credit pool. The one exception is chan struct{}: zero-size signal
-//     channels that are closed for broadcast (window.done) carry no data
-//     and impose no buffer.
+//     memory ceiling is the sum of those bounds. The one exception is
+//     chan struct{}: zero-size signal channels that are closed for
+//     broadcast carry no data and impose no buffer.
 //  2. Accounted goroutines. Every go statement must be either tracked by
 //     a sync.WaitGroup — the spawned body's first statement is
-//     `defer wg.Done()`, so shutdown's close-cascade / Wait sequencing can
-//     see it — or handed a context.Context, making it cancel-bounded.
-//     The package is deliberately select-free (the determinism analyzer
-//     forbids multi-way selects), so "respects the stage context" means
-//     close-cascade + WaitGroup or explicit ctx, not a select loop.
-//  3. Credit-traceable sends. A send of a pointer-typed element (a
-//     *batch, a *window) is a hand-off of owned storage; its value must be
-//     traceable to a credit acquire — received from a channel (<-pl.free
-//     or a range over the upstream stage), passed in by the caller who
+//     `defer wg.Done()`, so whoever waits (a window joining its lanes, a
+//     stream its executing window, a server its dispatchers) can see it —
+//     or handed a context.Context, making it cancel-bounded. The pipeline
+//     is deliberately select-free (the determinism analyzer forbids
+//     multi-way selects), so "respects the context" means WaitGroup
+//     accounting or explicit ctx, not a select loop.
+//  3. Credit-traceable sends. A send of a pointer-typed element is a
+//     hand-off of owned storage; its value must be traceable to a credit
+//     acquire — received from a channel, passed in by the caller who
 //     already holds it, or freshly minted in the same function that makes
-//     the channel (the constructor seeding the credit pool). Anything
-//     else fabricates capacity the bound does not account for.
+//     the channel (a constructor seeding a credit pool). Anything else
+//     fabricates capacity the bound does not account for. (The pipeline's
+//     fused lanes never send a pointer — a batch stays in its lane — so
+//     today this rule bites in the serving layer.)
 //
-// The same discipline governs genax/internal/serve: the admission queue,
-// waiter channels, and registry build slots are all bounded channels, the
-// dispatcher and build goroutines are WaitGroup-tracked so StartDrain can
-// sequence shutdown, and request hand-offs into the intake queue follow
-// the same ownership rules as window hand-offs. The analyzer therefore
-// runs over both packages' non-test files: tests legitimately build
-// unbuffered admission channels to exercise backpressure.
+// In genax/internal/serve the admission queue, waiter channels, and
+// registry build slots are all bounded channels, the dispatcher and build
+// goroutines are WaitGroup-tracked so StartDrain can sequence shutdown,
+// and request hand-offs into the intake queue follow the ownership rule.
+// The analyzer runs over both packages' non-test files: tests
+// legitimately build unbuffered admission channels to exercise
+// backpressure.
 package stagecontract
 
 import (

@@ -22,43 +22,29 @@ type cand struct {
 	flags              uint8
 }
 
-// batch is the unit flowing through the stage queues: every candidate both
-// strands of one chunk of reads produced against one segment. Batches are
-// drawn from a fixed free list (the pipeline's backpressure credits) and
-// recycled after extension, so steady-state flow does not allocate.
+// batch is a lane's working set for one claim: every candidate both
+// strands of one chunk of reads produced against one segment. It lives in
+// its lane and is reset per claim, so steady-state flow does not allocate
+// and at most one batch per lane is ever in flight.
 type batch struct {
 	win   *window
 	seg   int32
-	lane  int32 // destination extend lane (chunk-affine: one writer per slot)
 	cands []cand
 	// work holds one hw.LaneWork per (read, strand) seeded into this batch
-	// when the window is traced: SeedOps filled by the seed stage, ExtJobs
-	// appended by the extend stage.
+	// when the window is traced: SeedOps filled by seedOne, ExtJobs
+	// appended by process.
 	work []hw.LaneWork
 }
 
-// reset rebinds a recycled batch to a window and segment.
+// reset rebinds the batch to a window and segment. Traced ExtJobs slices
+// were handed to the window's trace, so the old items are dropped rather
+// than reused.
 //
 //genax:hotpath
 func (b *batch) reset(w *window, seg int32) {
 	b.win = w
 	b.seg = seg
-	b.lane = 0
 	b.cands = b.cands[:0]
+	clear(b.work)
 	b.work = b.work[:0]
-}
-
-// recycle marks the batch finished against its window and returns it to
-// the free list. Traced ExtJobs slices have been handed to the lane trace,
-// so they are dropped (not reused) to avoid aliasing.
-func (b *batch) recycle(free chan<- *batch) {
-	w := b.win
-	b.cands = b.cands[:0]
-	for i := range b.work {
-		b.work[i] = hw.LaneWork{}
-	}
-	b.work = b.work[:0]
-	b.win = nil
-	free <- b
-	w.finishBatch()
 }

@@ -1,10 +1,8 @@
 package pipeline
 
 import (
-	"context"
 	"testing"
 
-	"genax/internal/dna"
 	"genax/internal/seed"
 	"genax/internal/sim"
 )
@@ -35,12 +33,13 @@ func longParams() Params {
 }
 
 // TestChainingSerialParallelIdentical is the chaining determinism gate:
-// anchor chains collapse identically no matter how many lanes ran or how
-// batches interleaved — serial batch, parallel batch and small-window
-// stream must agree byte for byte, including the chain work counters.
+// anchor chains collapse identically however chunks fall to lanes — one
+// lane in one batch and four lanes over small stream windows must agree
+// byte for byte, including the chain work counters. (TestDeterminismMatrix
+// sweeps the rest of the worker × path × index grid.)
 func TestChainingSerialParallelIdentical(t *testing.T) {
 	p := longParams()
-	p.SeedLanes, p.ExtendLanes, p.FilterLanes = 1, 1, 1
+	p.Workers = 1
 	base, wl := longReadPipeline(t, p, 420)
 	reads := workloadReads(wl, 18)
 	want, wantStats := base.AlignBatch(reads)
@@ -50,53 +49,13 @@ func TestChainingSerialParallelIdentical(t *testing.T) {
 	if wantStats.ChainKept >= wantStats.ChainAnchors {
 		t.Fatalf("chaining collapsed nothing: %d anchors -> %d kept", wantStats.ChainAnchors, wantStats.ChainKept)
 	}
-
-	for _, tc := range []struct {
-		name                   string
-		seedLanes, extendLanes int
-		window                 int // 0 = batch
-	}{
-		{"4x2-batch", 4, 2, 0},
-		{"4x2-window8", 4, 2, 8},
-	} {
-		pp := longParams()
-		pp.SeedLanes, pp.ExtendLanes = tc.seedLanes, tc.extendLanes
-		if tc.window > 0 {
-			pp.Window = tc.window
-		}
-		pl, err := New(base.ref, base.index, pp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []ReadResult
-		var stats Stats
-		if tc.window == 0 {
-			got, stats = pl.AlignBatch(reads)
-		} else {
-			in := make(chan dna.Seq, len(reads))
-			for _, r := range reads {
-				in <- r
-			}
-			close(in)
-			out, sp := pl.AlignStream(context.Background(), in)
-			for rr := range out {
-				got = append(got, rr)
-			}
-			stats = *sp
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d results, want %d", tc.name, len(got), len(want))
-		}
-		for i := range want {
-			sameResult(t, tc.name, i, got[i], want[i])
-		}
-		if stats.ChainGroups != wantStats.ChainGroups ||
-			stats.ChainAnchors != wantStats.ChainAnchors ||
-			stats.ChainKept != wantStats.ChainKept {
-			t.Errorf("%s: chain stats (%d %d %d), want (%d %d %d)", tc.name,
-				stats.ChainGroups, stats.ChainAnchors, stats.ChainKept,
-				wantStats.ChainGroups, wantStats.ChainAnchors, wantStats.ChainKept)
-		}
+	p.Workers, p.Window = 4, 8
+	got, stats := runPath(t, base, p, "stream", reads)
+	for i := range want {
+		sameResult(t, "4-lane stream", i, got[i], want[i])
+	}
+	if stats != wantStats {
+		t.Errorf("4-lane stream stats %+v, want %+v", stats, wantStats)
 	}
 }
 

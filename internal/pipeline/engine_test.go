@@ -1,19 +1,16 @@
 package pipeline
 
 import (
-	"context"
 	"testing"
 
-	"genax/internal/dna"
 	"genax/internal/extend"
 )
 
 // TestEngineByteIdentity is the engine-equivalence gate: the bit-parallel
 // engine, the GenASM engine and the adaptive cascade must all reproduce
 // the cycle-level oracle's AlignBatch and AlignStream output byte for
-// byte — every position, score, strand and cigar — across lane splits, so
-// swapping any of these engines is invisible to every consumer of the
-// pipeline.
+// byte — every position, score, strand and cigar — so swapping any of
+// these engines is invisible to every consumer of the pipeline.
 func TestEngineByteIdentity(t *testing.T) {
 	p := smallParams()
 	p.Engine = EngineSillaX
@@ -21,25 +18,12 @@ func TestEngineByteIdentity(t *testing.T) {
 	reads := workloadReads(wl, 80)
 	want, wantStats := oracle.AlignBatch(reads)
 
-	cases := []struct {
-		name                   string
-		seedLanes, extendLanes int
-	}{
-		{"default-split", 0, 0},
-		{"1x1", 1, 1},
-		{"6x3", 6, 3},
-	}
 	for _, eng := range []Engine{EngineBitSilla, EngineGenasm, EngineCascade} {
-		for _, tc := range cases {
-			bp := smallParams()
-			bp.Engine = eng
-			bp.SeedLanes, bp.ExtendLanes = tc.seedLanes, tc.extendLanes
-			pl, err := New(oracle.ref, oracle.index, bp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotStats := pl.AlignBatch(reads)
-			label := string(eng) + "/" + tc.name
+		bp := smallParams()
+		bp.Engine, bp.Workers, bp.Window = eng, 3, 17
+		for _, path := range []string{"batch", "stream"} {
+			got, gotStats := runPath(t, oracle, bp, path, reads)
+			label := string(eng) + "/" + path
 			for i := range want {
 				sameResult(t, label, i, got[i], want[i])
 			}
@@ -72,29 +56,6 @@ func TestEngineByteIdentity(t *testing.T) {
 					t.Errorf("%s: non-cascading engine produced routing %+v", label, gotStats.Routing)
 				}
 			}
-		}
-
-		// Streaming path against the oracle's batch.
-		sp := smallParams()
-		sp.Engine = eng
-		sp.SeedLanes, sp.ExtendLanes, sp.Window = 4, 2, 17
-		pl, err := New(oracle.ref, oracle.index, sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := make(chan dna.Seq, len(reads))
-		for _, r := range reads {
-			in <- r
-		}
-		close(in)
-		out, _ := pl.AlignStream(context.Background(), in)
-		i := 0
-		for rr := range out {
-			sameResult(t, string(eng)+"/stream", i, rr, want[i])
-			i++
-		}
-		if i != len(want) {
-			t.Fatalf("%s/stream: %d results, want %d", eng, i, len(want))
 		}
 	}
 }

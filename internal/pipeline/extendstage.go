@@ -6,7 +6,6 @@ import (
 	"genax/internal/dna"
 	"genax/internal/extend"
 	"genax/internal/genasm"
-	"genax/internal/hw"
 	"genax/internal/sillax"
 	"genax/internal/sw"
 )
@@ -34,20 +33,20 @@ func (e countingEngine) Extend(ref, query dna.Seq) extend.Extension {
 	return res
 }
 
-// extendLane is one ExtendStage worker's persistent state: the extension
-// engine selected by Params.Engine, the stitcher with its reversal
-// scratch, work counters, and — when tracing — the lane-local hw.LaneWork
-// list.
+// extendLane is a lane's extension half: the engine selected by
+// Params.Engine behind the stitcher with its reversal scratch. At a
+// multi-word K the engine is the expensive part of a lane — a wide
+// bitsilla machine with its trail ring — which is why lanes are kept on
+// the Pipeline instead of built per call.
 type extendLane struct {
 	p     *Pipeline
 	st    extend.Stitcher
-	stats Stats
-	trace []hw.LaneWork
+	stats *Stats // the owning lane's work counters
 }
 
 // newEngine builds one lane's extension engine per Params.Engine, wiring
 // the engine's work counters (and, for the cascading engines, the routing
-// histogram) into the lane-local stats that merge at drain time.
+// histogram) into the lane's stats.
 func (p *Pipeline) newEngine(stats *Stats) extend.Engine {
 	k, sc := p.params.K, p.params.Scoring
 	var inner extend.Engine
@@ -68,12 +67,6 @@ func (p *Pipeline) newEngine(stats *Stats) extend.Engine {
 		}
 	}
 	return countingEngine{inner: inner, cycles: &stats.ExtensionCycles, reruns: &stats.ReRuns, fallbacks: &stats.EngineFallbacks}
-}
-
-func (p *Pipeline) newExtendLane() *extendLane {
-	l := &extendLane{p: p}
-	l.st = extend.Stitcher{Eng: p.newEngine(&l.stats)}
-	return l
 }
 
 // exactCigar materializes the single-run cigar of a whole-read exact match.
@@ -103,10 +96,11 @@ func betterThan(res align.Result, rank int64, sl *slot) bool {
 	return rank < sl.rank
 }
 
-// process runs every candidate of a batch through the SillaX lane and
-// merges outcomes into the window's slots. Slot writes need no lock: all
-// batches of a chunk route to one extend lane, so each slot has a single
-// writer. Exact-match candidates skip extension — their score is the full
+// process runs every candidate of a batch through the extension engine
+// and merges outcomes into the window's slots. Slot writes need no lock:
+// within a segment a read belongs to exactly one claimed chunk, and the
+// segment barrier orders the claims of successive segments, so each slot
+// has a single writer at a time. Exact-match candidates skip extension — their score is the full
 // match and the cigar is materialized only on adoption, keeping the fast
 // path allocation-free for out-scored positions.
 //
@@ -144,29 +138,4 @@ func (l *extendLane) process(b *batch) {
 			sl.res, sl.rank, sl.aligned = res, rank, true
 		}
 	}
-	if w.traced {
-		l.trace = append(l.trace, b.work...)
-	}
-}
-
-// extendWorker is one ExtendStage goroutine: it drains its private
-// candidate queue — extend lanes always drain, which is what makes the
-// credit-based backpressure deadlock-free — processes each batch, and
-// recycles it to the free list.
-func (p *Pipeline) extendWorker(pl *pool, in <-chan *batch) {
-	l := p.newExtendLane()
-	inst := p.params.Instrument
-	for b := range in {
-		t0 := inst.now()
-		n := int64(len(b.cands))
-		l.process(b)
-		if inst != nil {
-			inst.Extend.record(t0, inst.now(), 1, n)
-		}
-		b.recycle(pl.free)
-	}
-	pl.mu.Lock()
-	pl.stats.merge(l.stats)
-	pl.trace = append(pl.trace, l.trace...)
-	pl.mu.Unlock()
 }

@@ -2,9 +2,8 @@ package pipeline
 
 import "genax/internal/chain"
 
-// filterLane is one FilterStage worker's persistent state: the anchor
-// dedup set and the long-read chainer, reused across batches, plus the
-// lane-local work counters merged into the pipeline stats at drain time.
+// filterLane is a lane's filtering half: the anchor dedup set and the
+// long-read chainer, reused across batches.
 type filterLane struct {
 	anchors map[int64]struct{}
 	max     int // hit-set threshold per (read, strand); 0 = unlimited
@@ -15,14 +14,7 @@ type filterLane struct {
 	chainMin int
 	maxGap   int32
 	chainer  chain.Chainer
-	stats    Stats
-}
-
-func (p *Pipeline) newFilterLane() *filterLane {
-	f := &filterLane{anchors: make(map[int64]struct{}), max: p.params.MaxCandidates}
-	f.chainMin = p.params.ChainMinLen
-	f.maxGap = int32(p.params.K)
-	return f
+	stats    *Stats // the owning lane's work counters
 }
 
 // filter compacts a batch in place: exact-match candidates short-circuit
@@ -109,36 +101,4 @@ func (f *filterLane) chainGroups(b *batch) {
 		g0 = g1
 	}
 	b.cands = out
-}
-
-// filterWorker is one FilterStage goroutine: it drains seed-stage batches,
-// filters them, and forwards survivors to the batch's extend lane. A batch
-// filtered down to nothing returns its credit immediately — unless the
-// window is traced, in which case it still travels to the extend stage so
-// its hw.LaneWork items reach the trace.
-func (p *Pipeline) filterWorker(pl *pool) {
-	f := p.newFilterLane()
-	inst := p.params.Instrument
-	for b := range pl.seedOut {
-		t0 := inst.now()
-		f.filter(b)
-		if inst != nil {
-			inst.Filter.record(t0, inst.now(), 1, int64(len(b.cands)))
-		}
-		if len(b.cands) == 0 && !b.win.traced {
-			b.recycle(pl.free)
-			continue
-		}
-		// Capture the lane before the send: once the batch crosses the
-		// queue the extend stage may recycle it and a seed worker may
-		// reset it, so b must not be touched afterwards.
-		lane := b.lane
-		pl.extendIn[lane] <- b
-		if inst != nil {
-			inst.Filter.sample(len(pl.extendIn[lane]))
-		}
-	}
-	pl.mu.Lock()
-	pl.stats.merge(f.stats)
-	pl.mu.Unlock()
 }

@@ -5,16 +5,11 @@ import "sync/atomic"
 // StageMetrics accumulates one stage's activity. BusyNanos is wall time
 // spent inside the stage's hot call (units are whatever the injected
 // clock returns — nanoseconds with the usual wall clock); Batches and
-// Items count processed batches and candidates; QueueSum/QueueMax/Samples
-// describe downstream queue occupancy sampled at each send, the software
-// analogue of the chip's hit-FIFO fill level (Fig 11).
+// Items count processed batches and candidates.
 type StageMetrics struct {
 	BusyNanos atomic.Int64
 	Batches   atomic.Int64
 	Items     atomic.Int64
-	QueueSum  atomic.Int64
-	QueueMax  atomic.Int64
-	Samples   atomic.Int64
 }
 
 // record charges one processed batch to the stage.
@@ -24,27 +19,11 @@ func (m *StageMetrics) record(t0, t1, batches, items int64) {
 	m.Items.Add(items)
 }
 
-// sample records the downstream queue depth observed after a send.
-func (m *StageMetrics) sample(depth int) {
-	d := int64(depth)
-	m.QueueSum.Add(d)
-	m.Samples.Add(1)
-	for {
-		cur := m.QueueMax.Load()
-		if d <= cur || m.QueueMax.CompareAndSwap(cur, d) {
-			return
-		}
-	}
-}
-
-// AvgQueue returns the mean sampled queue depth.
-func (m *StageMetrics) AvgQueue() float64 {
-	n := m.Samples.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(m.QueueSum.Load()) / float64(n)
-}
+// AvgQueue reads 0: fused lanes hand a batch from stage to stage in
+// place, so there is no inter-stage queue to sample. It is kept only
+// because benchmark/ (which a change claiming a gain may not edit) still
+// reports the staged pool's queue averages; it goes when those metrics do.
+func (m *StageMetrics) AvgQueue() float64 { return 0 }
 
 // Instrument collects per-stage metrics for a Pipeline. The pipeline
 // itself never reads a clock (the package is on genaxvet's determinism
@@ -52,9 +31,9 @@ func (m *StageMetrics) AvgQueue() float64 {
 // reader, tests can pass a counter.
 type Instrument struct {
 	// Now returns the current time in nanoseconds. Nil disables timing
-	// but still counts batches, items, and queue depths. Every stage
-	// worker calls it concurrently, so it must be safe for concurrent
-	// use (time.Now().UnixNano is; a test counter needs an atomic).
+	// but still counts batches and items. Every lane calls it
+	// concurrently, so it must be safe for concurrent use
+	// (time.Now().UnixNano is; a test counter needs an atomic).
 	Now func() int64
 
 	Seed, Filter, Extend StageMetrics
@@ -74,8 +53,8 @@ func (i *Instrument) now() int64 {
 
 // ClockNow reads the injected clock, tolerating a nil Instrument or clock
 // (both read as 0). It exists so code outside the pipeline — the index
-// build in core.New — can time itself against the same clock the stage
-// workers use.
+// build in core.New — can time itself against the same clock the lanes
+// use.
 func (i *Instrument) ClockNow() int64 { return i.now() }
 
 // RecordIndexBuild charges one index construction spanning [t0,t1] (clock

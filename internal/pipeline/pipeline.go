@@ -1,33 +1,38 @@
-// Package pipeline is the staged execution engine behind core.Aligner,
-// shaped like the GenAx chip's decoupled datapath (§VI): seeding lanes and
-// SillaX extension lanes are separate pools of persistent workers joined
-// by bounded queues, not phases of one fused loop.
+// Package pipeline is the execution engine behind core.Aligner. The GenAx
+// chip (§VI) decouples 128 seeding lanes from 4 SillaX lanes because they
+// are different silicon; on a host every core can do both jobs, and a
+// worker pinned to one stage idles whenever the other is the bottleneck.
+// So the package runs one kind of worker, the fused lane: a seeder, a
+// filter and an extension engine wired back to back around one lane-local
+// candidate batch. The 128:4 geometry survives only as a model
+// (SplitLanes, hw.SimulateLanes fed by the work trace).
 //
-// The stage graph is
+// Reads are admitted in windows: the whole batch for AlignBatch, a
+// bounded slice of the stream for AlignStream, one read for AlignRead.
+// All three call runWindow, which checks lanes out of the Pipeline's free
+// list and has each walk the reference segment by segment:
 //
-//	SeedStage ──bounded chan──▶ FilterStage ──bounded chans──▶ ExtendStage
-//	(lane pool, per-segment     (exact-match short-circuit,    (SillaX lanes
-//	 tables stream in,           diagonal dedup, hit-set        consuming
-//	 chunked read claiming)      thresholding)                  candidates)
+//	Acquire(s) → bind segment s → claim a chunk of reads off cursors[s]
+//	  → seed both strands → filter (dedup, threshold, chain) → extend,
+//	    merging into the window's slots → claim the next chunk …
+//	→ barrier → Release(s) → segment s+1
 //
-// Reads are admitted in windows (AlignStream) or as one whole batch
-// (AlignBatch); within a window the seed lanes walk the reference segment
-// by segment behind a barrier — the chip's table-streaming boundary —
-// while filter and extend lanes run free, consuming candidate batches as
-// they appear. Backpressure is credit-based: a candidate batch must be
-// drawn from a fixed free list before a seed lane may fill it, so total
-// in-flight memory is bounded and a slow extend pool stalls seeding
-// instead of growing queues.
+// The barrier between segments is the chip's table-streaming boundary. It
+// gives every result slot a single writer at a time (one claimant per
+// chunk per segment, segments ordered by the barrier) and lets a mapped
+// index retire a shard group the moment its last segment drains. Memory
+// in flight is bounded by construction: one batch per lane, two windows
+// per stream.
 //
 // Determinism holds by construction, not by ordering: every candidate
 // carries a canonical rank (segment-major, forward strand before reverse,
 // emission order within a batch), and a candidate replaces the incumbent
 // best alignment only if it scores strictly better under align.Result's
 // total order or ties it with a lower rank. That merge is associative and
-// commutative, so any interleaving of extend lanes reproduces the fused
-// sequential loop byte for byte. The package is on genaxvet's determinism
-// list: no map iteration, wall-clock reads, or multi-channel selects —
-// every channel operation is a single blocking send or receive.
+// commutative, so any assignment of chunks to lanes reproduces the
+// one-lane sequential loop byte for byte. The package is on genaxvet's
+// determinism list: no map iteration, wall-clock reads, or multi-channel
+// selects — every channel operation is a single blocking send or receive.
 package pipeline
 
 import (
@@ -96,14 +101,10 @@ type Params struct {
 	// is applied in exactly one place (finalizeSlot), after all segments
 	// merged, for batch, stream and single-read paths alike.
 	MinScore int
-	// Workers is the total lane budget (0 = GOMAXPROCS). When SeedLanes
-	// or ExtendLanes is zero the budget is split in the chip's 128:4
-	// proportion by SplitLanes.
+	// Workers is the number of fused lanes a window runs on
+	// (0 = GOMAXPROCS); a window with fewer chunks than that uses one
+	// lane per chunk.
 	Workers int
-	// SeedLanes and ExtendLanes override the derived stage worker counts.
-	SeedLanes, ExtendLanes int
-	// FilterLanes sizes the filter stage (0 = one per extend lane).
-	FilterLanes int
 	// MaxCandidates, when positive, caps the extension candidates kept per
 	// (read, strand, segment) after deduplication — the filter stage's
 	// hit-set threshold. 0 keeps every candidate.
@@ -122,34 +123,35 @@ type Params struct {
 	CycleFallback bool
 	// Window bounds reads in flight per AlignStream window (0 = DefaultWindow).
 	Window int
-	// Instrument, when non-nil, collects per-stage busy time and queue
-	// occupancy. The pipeline never reads a clock itself; bench code
-	// injects one (the package stays on the determinism list).
+	// Instrument, when non-nil, collects per-stage busy time. The
+	// pipeline never reads a clock itself; bench code injects one (the
+	// package stays on the determinism list).
 	Instrument *Instrument
-	// Residency, when non-nil, is notified as seed lanes enter and leave
-	// each segment so a mapped index can bound how many shard groups are
+	// Residency, when non-nil, is notified as lanes enter and leave each
+	// segment so a mapped index can bound how many shard groups are
 	// resident at once (indexio.ShardResidency). Purely advisory for
 	// correctness — results are byte-identical with or without it — it
 	// exists to bound the working set when the index is larger than RAM.
-	// The single-read fast path (AlignRead) bypasses it: one read touches
-	// every segment anyway, so there is nothing to stream.
 	Residency Residency
 }
 
-// Residency is the seed stage's segment-residency protocol: Acquire(seg)
-// is called by each seed lane before it binds segment seg's tables,
-// Release(seg) after the per-segment barrier. Acquire may block to bound
-// the number of simultaneously resident segment groups; Release must
-// never block. Implementations must tolerate every lane calling both for
-// every segment, in ascending segment order per window.
+// Residency is the segment-residency protocol: Acquire(seg) is called by
+// each lane before it binds segment seg's tables, Release(seg) after the
+// per-segment barrier. Acquire may block to bound the number of
+// simultaneously resident segment groups; Release must never block.
+// Implementations must tolerate every lane calling both for every
+// segment, in ascending segment order per window. A stream executes one
+// window at a time, so a bound of one resident group stays live.
 type Residency interface {
 	Acquire(seg int)
 	Release(seg int)
 }
 
-// SplitLanes splits a worker budget between the seed and extend pools in
-// the chip's 128:4 proportion, keeping at least one lane per pool. The
-// chip's own budget of 132 maps exactly to (128, 4).
+// SplitLanes splits a lane budget in the chip's 128:4 seed:extend
+// proportion, keeping at least one lane on each side; the chip's own
+// budget of 132 maps exactly to (128, 4). It describes the chip, not the
+// host: the hw lane model and utilization denominators use it, and it no
+// longer schedules anything here — every host lane is fused.
 func SplitLanes(budget int) (seedLanes, extendLanes int) {
 	if budget < 1 {
 		budget = 1
@@ -165,20 +167,31 @@ func SplitLanes(budget int) (seedLanes, extendLanes int) {
 	return seedLanes, extendLanes
 }
 
-// Pipeline is a staged aligner bound to one reference and its segmented
-// index. It is immutable after New and safe for concurrent use; each
-// AlignBatch/AlignStream call spins up its own lane pools.
+// Pipeline is an aligner bound to one reference and its segmented index,
+// safe for concurrent use. Its configuration is immutable after New; the
+// only mutable state is the free lists below, so no call builds lanes or
+// windows once the pipeline is warm.
 type Pipeline struct {
 	params Params
 	ref    dna.Seq
 	index  *seed.SegmentedIndex
 
-	// singles pools fused single-read lanes for AlignRead.
-	singles sync.Pool
+	// mu guards the free lists. They are plain slices, not the sync
+	// package's collector-emptied pool: a garbage collection must not
+	// drop them, or every GC would cost a wide extension engine per lane
+	// and peak memory would vary run to run.
+	mu sync.Mutex
+	// lanes holds idle fused lanes, at most Workers: more could not run
+	// at once, so a burst's surplus is dropped on return.
+	lanes []*lane
+	// wins holds idle windows, at most Workers+1: one per call that can
+	// make progress at once, plus the one a stream fills meanwhile.
+	wins []*window
 }
 
-// New builds a Pipeline over ref and its index, resolving lane-count
-// defaults. The index must have been built from ref.
+// New builds a Pipeline over ref and its index, resolving defaults. No
+// lane is built until the first window runs. The index must have been
+// built from ref.
 func New(ref dna.Seq, index *seed.SegmentedIndex, p Params) (*Pipeline, error) {
 	if p.K < 1 {
 		return nil, fmt.Errorf("pipeline: edit bound %d must be positive", p.K)
@@ -200,19 +213,8 @@ func New(ref dna.Seq, index *seed.SegmentedIndex, p Params) (*Pipeline, error) {
 	default:
 		return nil, fmt.Errorf("pipeline: unknown scan mode %q", p.Seeding.Scan)
 	}
-	budget := p.Workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	ds, de := SplitLanes(budget)
-	if p.SeedLanes <= 0 {
-		p.SeedLanes = ds
-	}
-	if p.ExtendLanes <= 0 {
-		p.ExtendLanes = de
-	}
-	if p.FilterLanes <= 0 {
-		p.FilterLanes = p.ExtendLanes
+	if p.Workers <= 0 {
+		p.Workers = runtime.GOMAXPROCS(0)
 	}
 	if p.Window <= 0 {
 		p.Window = DefaultWindow
@@ -220,9 +222,7 @@ func New(ref dna.Seq, index *seed.SegmentedIndex, p Params) (*Pipeline, error) {
 	if p.ChainMinLen == 0 {
 		p.ChainMinLen = DefaultChainMinLen
 	}
-	pl := &Pipeline{params: p, ref: ref, index: index}
-	pl.singles.New = func() any { return newSingleLane(pl) }
-	return pl, nil
+	return &Pipeline{params: p, ref: ref, index: index}, nil
 }
 
 // Params returns the resolved configuration.
@@ -243,9 +243,8 @@ func (p *Pipeline) Warnings() []string {
 func (p *Pipeline) NumSegments() int { return p.index.NumSegments() }
 
 // claimChunk sizes the work-claiming granule: small enough that one lane
-// stuck on expensive reads cannot strand a long tail behind it, large
-// enough that the atomic cursor stays uncontended and each candidate
-// batch amortizes its queue hop.
+// stuck on expensive reads cannot strand a long tail behind it at the
+// segment barrier, large enough that the atomic cursor stays uncontended.
 //
 //genax:hotpath
 func claimChunk(reads, workers int) int64 {
@@ -261,23 +260,21 @@ func claimChunk(reads, workers int) int64 {
 
 // barrier is a reusable synchronization point: every party blocks in await
 // until all parties of the current generation have arrived, then all are
-// released together. The seed pool places one between segments so no lane
-// starts claiming segment s+1 while another still seeds reads in s —
-// exactly the chip's table-streaming boundary. Extend lanes are not
-// parties: they drain candidates across segment boundaries freely, which
-// is what makes the stages decoupled.
+// released together. A window places one between segments so no lane
+// starts claiming segment s+1 while another still works on s — exactly
+// the chip's table-streaming boundary.
 type barrier struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    sync.Cond
 	parties int
 	arrived int
 	gen     int
 }
 
-func newBarrier(parties int) *barrier {
-	b := &barrier{parties: parties}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+// reset sizes an idle barrier (no party inside await) for the next run.
+func (b *barrier) reset(parties int) {
+	b.cond.L = &b.mu
+	b.parties = parties
 }
 
 //genax:hotpath

@@ -2,13 +2,16 @@ package pipeline
 
 import (
 	"context"
+	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"genax/internal/align"
 	"genax/internal/dna"
+	"genax/internal/hw"
 	"genax/internal/seed"
 	"genax/internal/sim"
 )
@@ -67,62 +70,13 @@ func sameResult(t *testing.T, label string, i int, got, want ReadResult) {
 	}
 }
 
-// TestStreamMatchesBatch is the golden equivalence of the refactor:
-// AlignStream must produce byte-identical results to AlignBatch, in input
-// order, for every window size and lane split — including windows far
-// smaller than the batch and a deliberately starved extend stage.
-func TestStreamMatchesBatch(t *testing.T) {
-	base, wl := testPipeline(t, smallParams(), 410, 30000, 0.02)
-	reads := workloadReads(wl, 90)
-	want, wantStats := base.AlignBatch(reads)
-
-	cases := []struct {
-		name                   string
-		seedLanes, extendLanes int
-		window                 int
-	}{
-		{"1x1-window7", 1, 1, 7},
-		{"4x2-window16", 4, 2, 16},
-		{"8x1-window32", 8, 1, 32},
-		{"2x4-wholebatch", 2, 4, 1024},
-	}
-	for _, tc := range cases {
-		p := smallParams()
-		p.SeedLanes, p.ExtendLanes, p.Window = tc.seedLanes, tc.extendLanes, tc.window
-		pl, err := New(base.ref, base.index, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := make(chan dna.Seq, len(reads))
-		for _, r := range reads {
-			in <- r
-		}
-		close(in)
-		out, stats := pl.AlignStream(context.Background(), in)
-		i := 0
-		for rr := range out {
-			if i >= len(want) {
-				t.Fatalf("%s: more results than reads", tc.name)
-			}
-			sameResult(t, tc.name, i, rr, want[i])
-			i++
-		}
-		if i != len(want) {
-			t.Fatalf("%s: %d results, want %d", tc.name, i, len(want))
-		}
-		if *stats != wantStats {
-			t.Errorf("%s: stream stats %+v, want %+v", tc.name, *stats, wantStats)
-		}
-	}
-}
-
-// TestStreamOrderAdversarialTiming starves the extend stage (one lane,
-// noisy reads) while many seed lanes race ahead, and trickles the input so
-// window boundaries land at awkward points. Results must still arrive in
-// input order, byte-identical to the batch path.
+// TestStreamOrderAdversarialTiming runs more lanes than a window has
+// chunks on noisy reads and trickles the input so window boundaries land
+// at awkward points. Results must still arrive in input order,
+// byte-identical to the batch path.
 func TestStreamOrderAdversarialTiming(t *testing.T) {
 	p := smallParams()
-	p.SeedLanes, p.ExtendLanes, p.Window = 8, 1, 13
+	p.Workers, p.Window = 9, 13
 	pl, wl := testPipeline(t, p, 411, 25000, 0.04)
 	reads := workloadReads(wl, 70)
 	want, _ := pl.AlignBatch(reads)
@@ -182,68 +136,86 @@ func TestStreamCancel(t *testing.T) {
 	}
 }
 
-// TestStreamCancelReleasesWorkersAndCredits pins what the serve layer's
-// admission dispatcher depends on: a cancelled AlignStream session tears
-// the whole stage graph down — every lane goroutine exits (no leak across
-// repeated sessions) and every batch credit returns to the free list —
-// and the session's Stats stay mergeable into a long-lived aggregate.
-func TestStreamCancelReleasesWorkersAndCredits(t *testing.T) {
+// TestLaneLifecycle pins what long-lived callers (the serve layer's
+// dispatcher) depend on: whatever path a window took — a batch, a stream
+// that completed, was cancelled mid-window or had its input closed
+// mid-window, a hammer of concurrent AlignRead callers — afterwards no
+// goroutine is left, every lane checked out is back on the free list, and
+// the list never holds more than Workers lanes however wide the burst.
+func TestLaneLifecycle(t *testing.T) {
 	p := smallParams()
-	p.Window = 8
+	p.Workers, p.Window = 3, 8
 	pl, wl := testPipeline(t, p, 414, 25000, 0.02)
 	reads := workloadReads(wl, 300)
-
 	base := runtime.NumGoroutine()
-	var agg Stats
-	for iter := 0; iter < 5; iter++ {
-		in := make(chan dna.Seq, len(reads))
-		for _, r := range reads {
+	settled := func(label string, wantIdle int) {
+		t.Helper()
+		// Lane goroutines are joined before a call returns, but a stream's
+		// own goroutine unwinds after out closes; poll, bounded by sleep
+		// count rather than a wall-clock deadline (~5s worst case).
+		for try := 0; runtime.NumGoroutine() > base; try++ {
+			if try >= 1000 {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%s: goroutines leaked: %d at start, %d now\n%s",
+					label, base, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		pl.mu.Lock()
+		idle, wins := len(pl.lanes), len(pl.wins)
+		pl.mu.Unlock()
+		if idle != wantIdle {
+			t.Errorf("%s: %d idle lanes, want %d", label, idle, wantIdle)
+		}
+		if wins > p.Workers+1 {
+			t.Errorf("%s: %d idle windows, want at most %d", label, wins, p.Workers+1)
+		}
+	}
+	stream := func(n, cancelAfter int) {
+		in := make(chan dna.Seq, n)
+		for _, r := range reads[:n] {
 			in <- r
 		}
 		close(in)
 		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
 		out, stats := pl.AlignStream(ctx, in)
 		got := 0
 		for range out {
-			got++
-			if got == 3 {
+			if got++; got == cancelAfter {
 				cancel()
 			}
 		}
-		cancel()
-		if stats.Reads != got {
-			t.Fatalf("iter %d: stats.Reads = %d, emitted %d", iter, stats.Reads, got)
+		if stats.Reads != got || (cancelAfter == 0 && got != n) {
+			t.Fatalf("stream(%d, %d): emitted %d, stats.Reads %d", n, cancelAfter, got, stats.Reads)
 		}
-		agg.Merge(*stats)
-	}
-	if agg.IndexLookups == 0 {
-		t.Error("merged aggregate has no work counters; Merge lost the session stats")
-	}
-	// The stage goroutines unwind asynchronously after out closes; poll
-	// back to the baseline instead of asserting an instant. Bounded
-	// sleep count rather than a wall-clock deadline: ~5s worst case.
-	for try := 0; runtime.NumGoroutine() > base; try++ {
-		if try >= 1000 {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("stage workers leaked across cancelled sessions: %d goroutines at start, %d now\n%s",
-				base, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Credits: after a pool serves a window and shuts down, every batch
-	// credit must be back on the free list — a lane that exited without
-	// returning one would strangle later windows' admission.
-	pool := pl.startPool()
-	w := newWindow()
-	w.reads = reads[:8]
-	w.prepare(pl, false)
-	pool.submit(w)
-	<-w.done
-	pool.shutdown()
-	if len(pool.free) != cap(pool.free) {
-		t.Errorf("batch credits leaked: %d of %d returned", len(pool.free), cap(pool.free))
+	pl.AlignRead(reads[0])
+	settled("one read", 1) // the high-water mark, not Workers
+	pl.AlignBatch(reads[:2])
+	settled("two chunks", 2)
+	pl.AlignBatch(reads)
+	settled("batch", p.Workers)
+	stream(296, 0)
+	settled("stream completed", p.Workers)
+	stream(300, 0)
+	settled("input closed mid-window", p.Workers)
+	stream(300, 3)
+	settled("cancelled mid-window", p.Workers)
+
+	var wg sync.WaitGroup
+	for c := 0; c < max(16, 4*p.Workers); c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, r := range reads[:40] {
+				pl.AlignRead(r)
+			}
+		}()
 	}
+	wg.Wait()
+	settled("AlignRead burst", p.Workers)
 }
 
 // TestStreamBoundedAdmission pins the bounded-memory contract: with a
@@ -325,42 +297,55 @@ func TestClaimChunk(t *testing.T) {
 	}
 }
 
-// TestTracedParity checks the hw.LaneWork trace against the work counters:
-// one item per (read, strand, segment), SeedOps summing to the lookup
-// counters and ExtJobs to the extension count — and tracing must not
-// perturb the results.
+// TestTracedParity checks the hw.LaneWork trace against the work counters
+// at one lane and at several: one item per (read, strand, segment),
+// SeedOps summing to the lookup counters and ExtJobs to the extension
+// count, in the same segment-major order whichever lane claimed what —
+// and tracing must not perturb the results.
 func TestTracedParity(t *testing.T) {
-	p := smallParams()
-	p.Workers = 4
-	pl, wl := testPipeline(t, p, 414, 25000, 0.02)
+	base, wl := testPipeline(t, smallParams(), 414, 25000, 0.02)
 	reads := workloadReads(wl, 50)
-	want, wantStats := pl.AlignBatch(reads)
-	got, stats, work := pl.AlignBatchTraced(reads)
-	for i := range want {
-		sameResult(t, "traced", i, got[i], want[i])
-	}
-	if stats != wantStats {
-		t.Errorf("traced stats %+v, want %+v", stats, wantStats)
-	}
-	if len(work) != 2*len(reads)*pl.NumSegments() {
-		t.Fatalf("%d work items, want %d", len(work), 2*len(reads)*pl.NumSegments())
-	}
-	var seedOps, extJobs, extCycles int64
-	for _, wk := range work {
-		seedOps += wk.SeedOps
-		extJobs += int64(len(wk.ExtJobs))
-		for _, c := range wk.ExtJobs {
-			extCycles += c
+	want, wantStats := base.AlignBatch(reads)
+	var wantWork []hw.LaneWork
+	for _, workers := range []int{1, 3} {
+		p := smallParams()
+		p.Workers = workers
+		pl, err := New(base.ref, base.index, p)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if seedOps != stats.IndexLookups+stats.CAMLookups {
-		t.Errorf("trace SeedOps %d, want %d", seedOps, stats.IndexLookups+stats.CAMLookups)
-	}
-	if extJobs != stats.Extensions {
-		t.Errorf("trace ExtJobs %d, want %d extensions", extJobs, stats.Extensions)
-	}
-	if extCycles != stats.ExtensionCycles {
-		t.Errorf("trace cycles %d, want %d", extCycles, stats.ExtensionCycles)
+		got, stats, work := pl.AlignBatchTraced(reads)
+		for i := range want {
+			sameResult(t, "traced", i, got[i], want[i])
+		}
+		if stats != wantStats {
+			t.Errorf("workers %d: traced stats %+v, want %+v", workers, stats, wantStats)
+		}
+		if len(work) != 2*len(reads)*pl.NumSegments() {
+			t.Fatalf("workers %d: %d work items, want %d", workers, len(work), 2*len(reads)*pl.NumSegments())
+		}
+		if wantWork == nil {
+			wantWork = work
+		} else if !reflect.DeepEqual(work, wantWork) {
+			t.Errorf("workers %d: trace differs from the one-lane trace", workers)
+		}
+		var seedOps, extJobs, extCycles int64
+		for _, wk := range work {
+			seedOps += wk.SeedOps
+			extJobs += int64(len(wk.ExtJobs))
+			for _, c := range wk.ExtJobs {
+				extCycles += c
+			}
+		}
+		if seedOps != stats.IndexLookups+stats.CAMLookups {
+			t.Errorf("workers %d: trace SeedOps %d, want %d", workers, seedOps, stats.IndexLookups+stats.CAMLookups)
+		}
+		if extJobs != stats.Extensions {
+			t.Errorf("workers %d: trace ExtJobs %d, want %d extensions", workers, extJobs, stats.Extensions)
+		}
+		if extCycles != stats.ExtensionCycles {
+			t.Errorf("workers %d: trace cycles %d, want %d", workers, extCycles, stats.ExtensionCycles)
+		}
 	}
 }
 
@@ -388,9 +373,8 @@ func TestInstrumentCounts(t *testing.T) {
 	}
 }
 
-// TestAlignReadAllocs is the satellite-1 regression: a warm pooled single
-// lane may allocate only the adopted result cigars per call — a small
-// constant, nothing like the old build-a-batch-pipeline-per-call cost.
+// TestAlignReadAllocs: a warm AlignRead — window and lane both off the
+// free lists — may allocate only the adopted result cigars per call.
 func TestAlignReadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
@@ -412,8 +396,8 @@ func TestAlignReadAllocs(t *testing.T) {
 	t.Logf("AlignRead allocs: %.2f per call (budget %.1f)", avg, budget)
 }
 
-// TestAlignReadMatchesBatch checks the fused single-read path against the
-// staged batch path on a read mix covering exact and noisy cases.
+// TestAlignReadMatchesBatch checks the one-read window against the batch
+// path on a read mix covering exact and noisy cases.
 func TestAlignReadMatchesBatch(t *testing.T) {
 	pl, wl := testPipeline(t, smallParams(), 417, 25000, 0.02)
 	reads := workloadReads(wl, 30)
@@ -429,20 +413,19 @@ func TestAlignReadMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestSingleLaneSteadyStateAllocs pins the allocation budget of the fused
-// stage path (the port of the old core steady-state test): with every
-// lane buffer warm, aligning a read through seed → filter → extend may
-// allocate only the adopted result cigars.
+// TestSingleLaneSteadyStateAllocs pins the allocation budget of one fused
+// lane on a noisy read mix: with every lane buffer warm, aligning a read
+// through seed → filter → extend may allocate only the adopted result
+// cigars.
 func TestSingleLaneSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
 	}
 	pl, wl := testPipeline(t, smallParams(), 418, 30000, 0.02)
 	reads := workloadReads(wl, 30)
-	l := newSingleLane(pl)
 	sweep := func() {
 		for i := range reads {
-			l.alignRead(reads[i])
+			pl.AlignRead(reads[i])
 		}
 	}
 	sweep() // warm the lane's scratch buffers

@@ -6,22 +6,20 @@ import (
 	"genax/internal/seed"
 )
 
-// seedLane is one SeedStage worker's persistent state: the seeding
-// hardware (CAM, scratch, counters) lives as long as the pool and is
-// rebound to each segment's tables with bind, exactly like the chip
-// streams per-segment tables into a lane's SRAM.
+// seedLane is a lane's seeding half: the seeding hardware (CAM, scratch,
+// counters) lives as long as the lane and is rebound to each segment's
+// tables with bind, exactly like the chip streams per-segment tables into
+// a lane's SRAM.
 type seedLane struct {
-	p     *Pipeline
+	opts  seed.Options
 	sd    *seed.Seeder
-	stats Stats
+	stats *Stats // the owning lane's work counters
 }
-
-func (p *Pipeline) newSeedLane() *seedLane { return &seedLane{p: p} }
 
 // bind points the lane's seeding hardware at a segment's tables.
 func (l *seedLane) bind(si *seed.SegmentIndex) {
 	if l.sd == nil {
-		l.sd = seed.NewSeeder(si, l.p.params.Seeding)
+		l.sd = seed.NewSeeder(si, l.opts)
 	} else {
 		l.sd.Reset(si)
 	}
@@ -30,9 +28,9 @@ func (l *seedLane) bind(si *seed.SegmentIndex) {
 // seedOne seeds one oriented read against the bound segment and appends
 // its extension candidates to b in canonical order (seed order, then hit
 // order). The seeder's result is scratch-backed and valid only until the
-// next Seed call, so every hit is copied into the batch here, before the
-// batch crosses a queue. Exact-match reads short-circuit: their hits are
-// flagged candExact so the extend stage skips SillaX entirely (§V).
+// next Seed call, so every hit is copied into the batch here. Exact-match
+// reads short-circuit: their hits are flagged candExact so process skips
+// SillaX entirely (§V).
 //
 //genax:hotpath
 func (l *seedLane) seedOne(q dna.Seq, readIdx int32, reverse bool, w *window, b *batch) {
@@ -51,7 +49,7 @@ func (l *seedLane) seedOne(q dna.Seq, readIdx int32, reverse bool, w *window, b 
 		w.exact[readIdx] = true
 	}
 	workIdx := int32(-1)
-	if w.traced {
+	if w.trace != nil {
 		b.work = append(b.work, hw.LaneWork{
 			SeedOps: int64(after.IndexLookups-before.IndexLookups) +
 				int64(after.CAMLookups-before.CAMLookups),
@@ -77,70 +75,4 @@ func (l *seedLane) seedOne(q dna.Seq, readIdx int32, reverse bool, w *window, b 
 			})
 		}
 	}
-}
-
-// seedWorker is one SeedStage goroutine. Each worker receives every
-// window on its private channel (so lanes never steal each other's copy),
-// walks the reference segment by segment behind the window's barrier, and
-// claims chunks of reads off the segment cursor. A chunk's candidates for
-// one segment form one batch, drawn from the free list — the credit that
-// implements backpressure — and routed to the extend lane owning that
-// chunk's result slots.
-func (p *Pipeline) seedWorker(pl *pool, winCh <-chan *window) {
-	l := p.newSeedLane()
-	inst := p.params.Instrument
-	res := p.params.Residency
-	for w := range winCh {
-		for s, si := range p.index.Samples {
-			// Announce the segment before touching its tables so a sharded
-			// mapped index can admit the shard group (and block us while
-			// the residency budget is spent elsewhere). The matching
-			// Release sits after the barrier: by then every lane is done
-			// reading segment s, so the group can be retired the moment
-			// its last segment drains.
-			if res != nil {
-				res.Acquire(s)
-			}
-			l.bind(si)
-			for {
-				start := w.cursors[s].Add(w.chunk) - w.chunk
-				if start >= int64(len(w.reads)) {
-					break
-				}
-				end := start + w.chunk
-				if end > int64(len(w.reads)) {
-					end = int64(len(w.reads))
-				}
-				b := <-pl.free
-				b.reset(w, int32(s))
-				b.lane = int32((start / w.chunk) % int64(p.params.ExtendLanes))
-				t0 := inst.now()
-				for i := start; i < end; i++ {
-					l.seedOne(w.reads[i], int32(i), false, w, b)
-					l.seedOne(w.revs[i], int32(i), true, w, b)
-				}
-				if inst != nil {
-					inst.Seed.record(t0, inst.now(), 1, int64(len(b.cands)))
-				}
-				if len(b.cands) == 0 && !w.traced {
-					// Nothing to extend: return the credit directly.
-					pl.free <- b
-					continue
-				}
-				w.pending.Add(1)
-				pl.seedOut <- b
-				if inst != nil {
-					inst.Seed.sample(len(pl.seedOut))
-				}
-			}
-			w.bar.await()
-			if res != nil {
-				res.Release(s)
-			}
-		}
-		w.seederDone()
-	}
-	pl.mu.Lock()
-	pl.stats.merge(l.stats)
-	pl.mu.Unlock()
 }

@@ -11,7 +11,7 @@ import (
 // totals no matter how many lanes ran or how batches interleaved.
 type Stats struct {
 	// Reads, Aligned and ExactReads are per-window outcome tallies, folded
-	// by emitWindow/emitStream as each window completes — never by merge,
+	// by window.emit as each window completes — never by merge,
 	// which only folds lane-local work counters.
 	//
 	//genax:nomerge

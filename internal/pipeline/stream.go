@@ -5,121 +5,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"genax/internal/align"
 	"genax/internal/dna"
 	"genax/internal/hw"
 )
-
-// pool is one running instance of the stage graph: the lane goroutines,
-// the queues between them, and the free list of batch credits. A pool
-// serves one AlignBatch call or one AlignStream session and is torn down
-// by shutdown's stage-ordered cascade.
-type pool struct {
-	p *Pipeline
-
-	// winChs delivers each window to every seed lane exactly once (one
-	// private channel per lane — a shared channel could hand one lane two
-	// copies and starve another, deadlocking the window barrier).
-	winChs []chan *window
-	// seedOut and extendIn are the bounded inter-stage queues.
-	seedOut  chan *batch
-	extendIn []chan *batch
-	// free holds the batch credits: a seed lane must draw one per chunk,
-	// so at most cap(free) batches exist and a stalled extend stage
-	// propagates backpressure all the way to admission.
-	free chan *batch
-
-	seedWG, filterWG, extendWG sync.WaitGroup
-
-	mu    sync.Mutex
-	stats Stats
-	trace []hw.LaneWork
-}
-
-// startPool launches the stage goroutines and pre-allocates the credits.
-func (p *Pipeline) startPool() *pool {
-	ns, nf, ne := p.params.SeedLanes, p.params.FilterLanes, p.params.ExtendLanes
-	pl := &pool{p: p}
-	pl.winChs = make([]chan *window, ns)
-	for i := range pl.winChs {
-		pl.winChs[i] = make(chan *window, 2)
-	}
-	pl.seedOut = make(chan *batch, ns+ne)
-	pl.extendIn = make([]chan *batch, ne)
-	for i := range pl.extendIn {
-		pl.extendIn[i] = make(chan *batch, 2)
-	}
-	credits := 2 * (ns + ne + nf)
-	pl.free = make(chan *batch, credits)
-	for i := 0; i < credits; i++ {
-		pl.free <- &batch{}
-	}
-	for i := 0; i < ns; i++ {
-		ch := pl.winChs[i]
-		pl.seedWG.Add(1)
-		go func() {
-			defer pl.seedWG.Done()
-			p.seedWorker(pl, ch)
-		}()
-	}
-	for i := 0; i < nf; i++ {
-		pl.filterWG.Add(1)
-		go func() {
-			defer pl.filterWG.Done()
-			p.filterWorker(pl)
-		}()
-	}
-	for i := 0; i < ne; i++ {
-		ch := pl.extendIn[i]
-		pl.extendWG.Add(1)
-		go func() {
-			defer pl.extendWG.Done()
-			p.extendWorker(pl, ch)
-		}()
-	}
-	return pl
-}
-
-// submit hands a prepared window to every seed lane.
-func (pl *pool) submit(w *window) {
-	for _, ch := range pl.winChs {
-		ch <- w
-	}
-}
-
-// shutdown tears the stages down in graph order — close admission, wait
-// for seeding, close the seed queue, wait for filtering, close the
-// extension queues, wait for extension — then leaves the merged stats and
-// trace in pl.stats / pl.trace.
-func (pl *pool) shutdown() {
-	for _, ch := range pl.winChs {
-		close(ch)
-	}
-	pl.seedWG.Wait()
-	close(pl.seedOut)
-	pl.filterWG.Wait()
-	for _, ch := range pl.extendIn {
-		close(ch)
-	}
-	pl.extendWG.Wait()
-}
-
-// emitWindow finalizes a completed window's slots in read order, applying
-// the MinScore gate, appending to results, and folding the per-read
-// tallies into stats.
-func emitWindow(w *window, minScore int, stats *Stats, results []ReadResult) []ReadResult {
-	for i := range w.slots {
-		rr := finalizeSlot(&w.slots[i], minScore)
-		if rr.Aligned {
-			stats.Aligned++
-		}
-		if w.exact[i] {
-			stats.ExactReads++
-		}
-		results = append(results, rr)
-	}
-	stats.Reads += len(w.slots)
-	return results
-}
 
 // AlignBatch maps all reads, processing the reference segment-major like
 // the chip: for each segment, every read is seeded against that segment's
@@ -137,29 +26,46 @@ func (p *Pipeline) AlignBatchTraced(reads []dna.Seq) ([]ReadResult, Stats, []hw.
 }
 
 func (p *Pipeline) alignBatch(reads []dna.Seq, traced bool) ([]ReadResult, Stats, []hw.LaneWork) {
-	var stats Stats
-	stats.Segments = p.index.NumSegments()
+	stats := Stats{Segments: p.index.NumSegments()}
 	results := make([]ReadResult, 0, len(reads))
 	if len(reads) == 0 {
 		return results, stats, nil
 	}
-	pl := p.startPool()
-	w := newWindow()
+	w := p.getWindow()
 	w.reads = reads
 	w.prepare(p, traced)
-	pl.submit(w)
-	<-w.done
-	results = emitWindow(w, p.params.MinScore, &stats, results)
-	pl.shutdown()
-	stats.merge(pl.stats)
-	return results, stats, pl.trace
+	p.runWindow(w)
+	w.emit(p.params.MinScore, &stats, func(rr ReadResult) { results = append(results, rr) })
+	trace := w.trace
+	p.putWindow(w)
+	return results, stats, trace
+}
+
+// AlignRead maps a single read (both strands, all segments): a one-read
+// window on one lane, run inline on the caller's goroutine. Safe for
+// concurrent use; steady state allocates only the adopted result cigars.
+func (p *Pipeline) AlignRead(read dna.Seq) (align.Result, bool) {
+	rr, _ := p.alignRead(read)
+	return rr.Result, rr.Aligned
+}
+
+// alignRead is AlignRead plus the lane's work counters for the read.
+func (p *Pipeline) alignRead(read dna.Seq) (ReadResult, Stats) {
+	w := p.getWindow()
+	w.admit = append(w.admit[:0], read)
+	w.reads = w.admit
+	w.prepare(p, false)
+	p.runWindow(w)
+	rr, stats := finalizeSlot(&w.slots[0], p.params.MinScore), w.stats
+	p.putWindow(w)
+	return rr, stats
 }
 
 // AlignStream maps reads arriving on in, emitting one ReadResult per read
 // on the returned channel in input order. Reads are admitted in windows
-// of at most Params.Window; at most two windows are in flight at once
-// (one filling while one processes), so memory stays bounded no matter
-// how long the stream runs. The returned Stats is populated when the
+// of at most Params.Window; a session holds two windows (one filling
+// while the other executes), so memory stays bounded no matter how long
+// the stream runs. The returned Stats is populated when the
 // result channel closes and must not be read before then.
 //
 // Cancelling ctx stops admission: it is observed between receives on in,
@@ -180,35 +86,43 @@ func (p *Pipeline) streamRun(ctx context.Context, in <-chan dna.Seq, out chan<- 
 	stopWatch := context.AfterFunc(ctx, func() { stopped.Store(true) })
 	defer stopWatch()
 
-	pl := p.startPool()
+	// Two windows ping-pong: while one executes, the other fills from the
+	// input — the reorder buffer that keeps emission in input order is
+	// simply the window itself. Only one window executes at a time, so
+	// the lanes of window n+1 never contend with those of window n for
+	// cores or for a mapped index's resident shard group.
+	wins := [2]*window{p.getWindow(), p.getWindow()}
 	defer func() {
-		pl.shutdown()
-		stats.merge(pl.stats)
+		p.putWindow(wins[0])
+		p.putWindow(wins[1])
 	}()
-
-	// Two windows ping-pong: while prev is in the stage graph, cur fills
-	// from the input — the reorder buffer that keeps emission in input
-	// order is simply the window itself.
-	wins := [2]*window{newWindow(), newWindow()}
-	var prev *window
-	cur := 0
-	for {
+	emit := func(w *window) {
+		w.emit(p.params.MinScore, stats, func(rr ReadResult) { out <- rr })
+	}
+	var running sync.WaitGroup // the executing window's runWindow call
+	var prev *window           // executed or executing, not yet emitted
+	for cur := 0; ; cur ^= 1 {
 		w := wins[cur]
-		cur ^= 1
 		n := fillWindow(w, in, &stopped, p.params.Window)
 		if n > 0 {
 			w.prepare(p, false)
-			pl.submit(w)
+		}
+		running.Wait()
+		if n > 0 {
+			running.Add(1)
+			go func() {
+				defer running.Done()
+				p.runWindow(w)
+			}()
 		}
 		if prev != nil {
-			<-prev.done
-			emitStream(prev, p.params.MinScore, stats, out)
+			emit(prev)
 		}
 		if n < p.params.Window {
 			// Input closed or stream cancelled; drain the last window.
+			running.Wait()
 			if n > 0 {
-				<-w.done
-				emitStream(w, p.params.MinScore, stats, out)
+				emit(w)
 			}
 			return
 		}
@@ -220,8 +134,8 @@ func (p *Pipeline) streamRun(ctx context.Context, in <-chan dna.Seq, out chan<- 
 // Cancellation is checked between receives — each receive is a single
 // blocking channel operation, keeping the package select-free.
 func fillWindow(w *window, in <-chan dna.Seq, stopped *atomic.Bool, max int) int {
-	w.reads = w.reads[:0]
-	for len(w.reads) < max {
+	w.admit = w.admit[:0]
+	for len(w.admit) < max {
 		if stopped.Load() {
 			break
 		}
@@ -229,22 +143,8 @@ func fillWindow(w *window, in <-chan dna.Seq, stopped *atomic.Bool, max int) int
 		if !ok {
 			break
 		}
-		w.reads = append(w.reads, r)
+		w.admit = append(w.admit, r)
 	}
-	return len(w.reads)
-}
-
-// emitStream sends a completed window's results downstream in read order.
-func emitStream(w *window, minScore int, stats *Stats, out chan<- ReadResult) {
-	for i := range w.slots {
-		rr := finalizeSlot(&w.slots[i], minScore)
-		if rr.Aligned {
-			stats.Aligned++
-		}
-		if w.exact[i] {
-			stats.ExactReads++
-		}
-		out <- rr
-	}
-	stats.Reads += len(w.slots)
+	w.reads = w.admit
+	return len(w.admit)
 }

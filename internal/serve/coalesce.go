@@ -54,9 +54,9 @@ type batcher struct {
 	maxBatch  atomic.Int64 // largest flush so far
 	depth     atomic.Int64 // current queue depth (admitted, not yet collected)
 
-	// pstats accumulates pipeline.Stats across flushes (and per-request
-	// calls contribute nothing — AlignRead's fused lane keeps its own
-	// counters out of the hot path by design).
+	// pstats accumulates pipeline.Stats across flushes. Per-request calls
+	// contribute nothing: AlignRead returns no Stats, so its lane's
+	// counters are dropped when the lane goes back on the free list.
 	mu     sync.Mutex
 	pstats core.Stats
 }
@@ -120,8 +120,9 @@ func (b *batcher) collect(ctx context.Context, first pending) []pending {
 	return batch
 }
 
-// flush runs one coalesced batch through a fresh AlignStream session and
-// fans the in-order results back to the waiting requests. Requests whose
+// flush runs one coalesced batch through its own AlignStream session —
+// cheap: the session borrows warm lanes and windows from the aligner's
+// free lists — and fans the in-order results back to the waiting requests. Requests whose
 // context is already done are dropped before alignment (their slot in the
 // batch would be wasted work nobody collects). When every live request
 // carries a deadline the session's context expires at the latest of them,
@@ -211,7 +212,7 @@ func latestDeadline(live []pending) (time.Time, bool) {
 }
 
 // alignOne is the per-request path (coalescing disabled): acquire the
-// genome, run the pooled single-read fast lane, release. The slots channel
+// genome, run AlignRead (one lane, inline), release. The slots channel
 // caps concurrency at the same admission limit the queue would.
 func (b *batcher) alignOne(ctx context.Context, read dna.Seq) (core.ReadResult, error) {
 	select {
@@ -233,9 +234,9 @@ func (b *batcher) alignOne(ctx context.Context, read dna.Seq) (core.ReadResult, 
 }
 
 // alignSession is the uncoalesced baseline path (Config.PerRequestSession):
-// every request spins up its own one-read AlignStream session, paying pool
-// construction, the per-segment streaming sweep, and teardown alone. It
-// exists so -compare-serve can measure exactly the overhead coalescing
+// every request spins up its own one-read AlignStream session, paying the
+// session goroutine, the result channel and the per-segment sweep alone.
+// It exists so -compare-serve can measure exactly the overhead coalescing
 // amortizes; production per-request serving uses alignOne instead.
 func (b *batcher) alignSession(ctx context.Context, read dna.Seq) (core.ReadResult, error) {
 	select {

@@ -1,6 +1,6 @@
 // Package serve is the alignment-as-a-service front end over core.Aligner:
 // it turns many small concurrent requests — the traffic shape of "millions
-// of users" — into the large batches the staged pipeline is fast at, and
+// of users" — into the large batches the pipeline is fast at, and
 // serves multiple reference genomes from one process via a registry of
 // mmap-backed index caches.
 //
@@ -14,10 +14,11 @@
 //     max-batch-size or max-delay (whichever comes first), runs the batch
 //     through one core.Aligner.AlignStream session, and fans the in-order
 //     results back out to the waiting requests. Per-request overhead
-//     (pool spin-up, per-segment table streaming, cache residency)
-//     amortizes across the whole batch. With CoalesceWindow zero the
-//     layer degrades to per-request serving on the pooled AlignRead fast
-//     path, bounded by the same admission limit.
+//     (the session, per-segment table streaming, cache residency)
+//     amortizes across the whole batch, and a batch spreads over every
+//     lane where a lone read occupies one. With CoalesceWindow zero the
+//     layer degrades to per-request serving on AlignRead, bounded by the
+//     same admission limit.
 //
 //   - Genome registry. Genomes are named at construction; each resolves
 //     to a content-addressed GAXI v2 index cache (indexio.CachePath) that
@@ -106,13 +107,13 @@ type Config struct {
 	// CoalesceWindow is the flush delay bound: the first queued request
 	// waits at most this long before its batch is dispatched, full or
 	// not. Zero disables coalescing entirely — every request runs alone
-	// on the pooled AlignRead fast path (the -compare-serve baseline).
+	// on AlignRead (the -compare-serve baseline).
 	CoalesceWindow time.Duration
 	// PerRequestSession, with CoalesceWindow zero, serves each request
-	// through its own one-read AlignStream session instead of the pooled
-	// AlignRead fast path. This is the "pipeline per request" architecture
-	// the coalescing layer replaces — every request pays pool spin-up and
-	// the per-segment streaming sweep alone — and exists so `genax-bench
+	// through its own one-read AlignStream session instead of AlignRead.
+	// This is the "pipeline per request" architecture the coalescing
+	// layer replaces — every request pays a session and the per-segment
+	// streaming sweep alone — and exists so `genax-bench
 	// -compare-serve` can measure exactly what coalescing amortizes.
 	// Ignored when coalescing is on.
 	PerRequestSession bool
