@@ -389,9 +389,6 @@ func cmdAlign(args []string) error {
 	if err != nil {
 		return err
 	}
-	for _, w := range aligner.Warnings() {
-		fmt.Fprintf(os.Stderr, "genax: warning: %s\n", w)
-	}
 	reads := make([]dna.Seq, len(recs))
 	for i, r := range recs {
 		reads[i] = r.Seq
@@ -433,10 +430,6 @@ func cmdAlign(args []string) error {
 		if st.ChainGroups > 0 {
 			fmt.Fprintf(os.Stderr, "anchor chaining: groups=%d anchors=%d kept=%d\n",
 				st.ChainGroups, st.ChainAnchors, st.ChainKept)
-		}
-		if st.EngineFallbacks > 0 {
-			fmt.Fprintf(os.Stderr, "cycle-model fallbacks=%d (degraded engine; see warnings)\n",
-				st.EngineFallbacks)
 		}
 		if st.Routing.Total() > 0 {
 			fmt.Fprintf(os.Stderr, "cascade routing: total=%d certified=%d", st.Routing.Total(), st.Routing.Certified())

@@ -39,9 +39,6 @@ func Fig15(spec WorkloadSpec) Fig15Result {
 	// The throughput model consumes cycles-per-extension including the
 	// §IV-C re-runs, which only the cycle-level machine counts.
 	cfg.Engine = core.EngineSillaX
-	if err := spec.ApplyIndexCache(wl.Ref, &cfg); err != nil {
-		panic(err)
-	}
 	aligner, err := core.New(wl.Ref, cfg)
 	if err != nil {
 		panic(err)

@@ -26,8 +26,7 @@ type StageBreakdown struct {
 	Total  time.Duration // wall clock of the whole AlignBatch
 	Stages []StageRow
 	// IndexBuild is segmented-index construction time, spent before the
-	// pipeline ran (not part of Total); zero when the index was loaded
-	// from the on-disk cache instead of built.
+	// pipeline ran (not part of Total).
 	IndexBuild    time.Duration
 	IndexSegments int64
 	// Routing is the cascade's per-leg extension histogram; all-zero for
@@ -36,20 +35,13 @@ type StageBreakdown struct {
 	// ChainGroups/ChainAnchors/ChainKept report the long-read anchor
 	// chaining collapse; all-zero (and omitted) for short-read workloads.
 	ChainGroups, ChainAnchors, ChainKept int64
-	// EngineFallbacks counts cycle-model engine invocations — nonzero only
-	// under the deliberately degraded CycleFallback configuration.
-	EngineFallbacks int64
 }
 
 func (b StageBreakdown) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "pipeline stage breakdown (%d reads, wall %v)\n", b.Reads, b.Total.Round(time.Millisecond))
-	if b.IndexBuild > 0 {
-		fmt.Fprintf(&sb, "index build %v (%d segments, before the pipeline; cached loads report 0)\n",
-			b.IndexBuild.Round(time.Microsecond), b.IndexSegments)
-	} else {
-		sb.WriteString("index build 0s (loaded from cache)\n")
-	}
+	fmt.Fprintf(&sb, "index build %v (%d segments, before the pipeline)\n",
+		b.IndexBuild.Round(time.Microsecond), b.IndexSegments)
 	fmt.Fprintf(&sb, "%-8s %12s %6s %9s %9s\n", "stage", "busy", "share", "batches", "items")
 	for _, r := range b.Stages {
 		fmt.Fprintf(&sb, "%-8s %12v %5.1f%% %9d %9d\n",
@@ -68,9 +60,6 @@ func (b StageBreakdown) String() string {
 		fmt.Fprintf(&sb, "anchor chaining: %d groups, %d anchors -> %d extensions kept\n",
 			b.ChainGroups, b.ChainAnchors, b.ChainKept)
 	}
-	if b.EngineFallbacks > 0 {
-		fmt.Fprintf(&sb, "cycle-model fallbacks: %d (degraded engine configuration)\n", b.EngineFallbacks)
-	}
 	return strings.TrimSuffix(sb.String(), "\n")
 }
 
@@ -83,9 +72,6 @@ func Stages(spec WorkloadSpec) (StageBreakdown, error) {
 	cfg := CoreConfig(spec)
 	inst := &core.Instrument{Now: func() int64 { return time.Now().UnixNano() }}
 	cfg.Instrument = inst
-	if err := spec.ApplyIndexCache(wl.Ref, &cfg); err != nil {
-		return StageBreakdown{}, err
-	}
 	aligner, err := core.New(wl.Ref, cfg)
 	if err != nil {
 		return StageBreakdown{}, err
@@ -96,15 +82,14 @@ func Stages(spec WorkloadSpec) (StageBreakdown, error) {
 		return StageBreakdown{}, fmt.Errorf("bench: AlignBatch dropped reads")
 	}
 	out := StageBreakdown{
-		Reads:           len(reads),
-		Total:           time.Since(start),
-		IndexBuild:      time.Duration(inst.IndexBuild.BusyNanos.Load()),
-		IndexSegments:   inst.IndexBuild.Items.Load(),
-		Routing:         stats.Routing,
-		ChainGroups:     stats.ChainGroups,
-		ChainAnchors:    stats.ChainAnchors,
-		ChainKept:       stats.ChainKept,
-		EngineFallbacks: stats.EngineFallbacks,
+		Reads:         len(reads),
+		Total:         time.Since(start),
+		IndexBuild:    time.Duration(inst.IndexBuild.BusyNanos.Load()),
+		IndexSegments: inst.IndexBuild.Items.Load(),
+		Routing:       stats.Routing,
+		ChainGroups:   stats.ChainGroups,
+		ChainAnchors:  stats.ChainAnchors,
+		ChainKept:     stats.ChainKept,
 	}
 	rows := []struct {
 		name string

@@ -28,9 +28,6 @@ func Validate(spec WorkloadSpec) ValidateResult {
 	wl := spec.Build()
 	reads := ReadSeqs(wl)
 	cfg := CoreConfig(spec)
-	if err := spec.ApplyIndexCache(wl.Ref, &cfg); err != nil {
-		panic(err)
-	}
 	aligner, err := core.New(wl.Ref, cfg)
 	if err != nil {
 		panic(err)

@@ -6,12 +6,8 @@
 package bench
 
 import (
-	"runtime"
-
 	"genax/internal/core"
 	"genax/internal/dna"
-	"genax/internal/indexio"
-	"genax/internal/seed"
 	"genax/internal/sim"
 )
 
@@ -32,35 +28,6 @@ type WorkloadSpec struct {
 	// default). Figure reproductions that need the cycle model's re-run
 	// accounting pin core.EngineSillaX regardless of this field.
 	Engine core.Engine
-	// IndexCacheDir, when set, makes the experiment drivers keep the
-	// segmented index in an on-disk cache keyed by reference and geometry
-	// (see ApplyIndexCache): the first build writes the file, every later
-	// run loads it instead of rebuilding.
-	IndexCacheDir string
-	// IndexWorkers is the worker count for the parallel index build that
-	// CompareSeed measures against the serial build (0 = GOMAXPROCS).
-	IndexWorkers int
-	// MmapIndex makes ApplyIndexCache map the cache file zero-copy
-	// (indexio.OpenMapped) instead of heap-deserializing it. Stale or
-	// pre-v2 caches are rebuilt and rewritten first; the mapping stays
-	// open for the life of the process, which satisfies the borrowed-view
-	// contract (munmap only after every lane drains) trivially.
-	MmapIndex bool
-	// Shards partitions cache files written by ApplyIndexCache into this
-	// many shard groups and, with MmapIndex set, bounds table residency to
-	// one group at a time via indexio.ShardResidency (0 = one group, no
-	// residency bound).
-	Shards int
-}
-
-// ResolveIndexWorkers returns the effective parallel-build worker count —
-// the number CompareSeed records, so the recorded speedup is labeled with
-// the parallelism that actually ran rather than a flag default.
-func (w WorkloadSpec) ResolveIndexWorkers() int {
-	if w.IndexWorkers > 0 {
-		return w.IndexWorkers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // DefaultWorkload is the standard experiment input.
@@ -88,72 +55,6 @@ func ReadSeqs(wl *sim.Workload) []dna.Seq {
 		out[i] = r.Seq
 	}
 	return out
-}
-
-// ApplyIndexCache populates cfg.Index from the workload's on-disk index
-// cache when IndexCacheDir is set: a valid cache file is loaded, anything
-// else (missing, corrupt, stale) is replaced by a fresh build that is
-// written back, so repeated bench runs pay the table construction once.
-// With MmapIndex set the cache is mapped zero-copy instead of
-// heap-deserialized (and Shards > 0 additionally installs a one-group
-// residency bound). With IndexCacheDir empty it is a no-op and core.New
-// builds in-process.
-func (w WorkloadSpec) ApplyIndexCache(ref dna.Seq, cfg *core.Config) error {
-	if w.IndexCacheDir == "" {
-		return nil
-	}
-	path, err := indexio.CachePath(w.IndexCacheDir, ref, cfg.KmerLen, cfg.SegmentLen, cfg.Overlap)
-	if err != nil {
-		return err
-	}
-	if !w.MmapIndex {
-		if sx, err := indexio.ReadFile(path, ref); err == nil {
-			cfg.Index = sx
-			return nil
-		}
-		sx, err := w.buildAndWriteCache(ref, cfg, path)
-		if err != nil {
-			return err
-		}
-		cfg.Index = sx
-		return nil
-	}
-	// Mapped path: a Probe-fresh v2 file can be bound directly; anything
-	// else (missing, stale, corrupt, or a v1 file — readable but not
-	// mappable) is rebuilt in the current format first.
-	usable := indexio.Probe(path, ref, cfg.KmerLen, cfg.SegmentLen, cfg.Overlap) == ""
-	if usable {
-		v, err := indexio.FileVersion(path)
-		usable = err == nil && v == indexio.Version
-	}
-	if !usable {
-		if _, err := w.buildAndWriteCache(ref, cfg, path); err != nil {
-			return err
-		}
-	}
-	m, err := indexio.OpenMapped(path)
-	if err != nil {
-		return err
-	}
-	cfg.Index = m.Index()
-	if w.Shards > 0 {
-		cfg.Residency = indexio.NewShardResidency(m, 1)
-	}
-	return nil
-}
-
-// buildAndWriteCache rebuilds the segmented index for ref and writes it to
-// path in the current format, partitioned per w.Shards.
-func (w WorkloadSpec) buildAndWriteCache(ref dna.Seq, cfg *core.Config, path string) (*seed.SegmentedIndex, error) {
-	sx, err := seed.BuildSegmentedIndex(ref, cfg.SegmentLen, cfg.Overlap, cfg.KmerLen)
-	if err != nil {
-		return nil, err
-	}
-	gs := indexio.GroupSizeForShards(sx.NumSegments(), w.Shards)
-	if err := indexio.WriteFileShards(path, sx, ref, gs); err != nil {
-		return nil, err
-	}
-	return sx, nil
 }
 
 // CoreConfig scales the GenAx configuration to the workload (segment size

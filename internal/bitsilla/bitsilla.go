@@ -49,9 +49,7 @@ import (
 // one uint64 per grid row holds all K+1 diagonal offsets. Larger bounds
 // route to the multi-word datapath (wide.go): the same semantics with
 // state striped across ceil((K+1)/64) words per row — the §IV-D tile
-// composition, with cross-word shifts counted as mux crossings. The
-// cycle-level degrade that used to serve K > MaxWordK remains available
-// explicitly via NewCycleFallback.
+// composition, with cross-word shifts counted as mux crossings.
 const MaxWordK = 63
 
 // Register planes. Layer l's closed/insertion/deletion planes are
@@ -100,9 +98,6 @@ type Result struct {
 	// sillax.ComposedEditMachine.MuxCrossings. Zero on the single-word
 	// datapath (one word per row — no boundaries to cross).
 	MuxCrossings int64
-	// Fallback reports that this call was served by the cycle-level
-	// machine (NewCycleFallback) instead of a bit-parallel datapath.
-	Fallback bool
 }
 
 // Machine is the bit-parallel Silla extension engine.
@@ -138,9 +133,6 @@ type Machine struct {
 
 	// wide is the multi-word datapath state for k > MaxWordK (wide.go).
 	wide *wideState
-
-	// fallback is the cycle-level machine behind NewCycleFallback.
-	fallback *sillax.TracebackMachine
 }
 
 // New builds a bit-parallel machine with edit bound k.
@@ -160,25 +152,6 @@ func New(k int, sc align.Scoring) *Machine {
 	m.nxt = make([]int32, numPlanes*m.wn)
 	m.live = make([]uint64, numPlanes*m.w)
 	m.nlive = make([]uint64, numPlanes*m.w)
-	return m
-}
-
-// NewCycleFallback builds a machine that serves every Extend with the
-// cycle-level traceback model — the pre-multi-word degrade path for
-// K > MaxWordK, kept constructible so the fallback cost stays measurable
-// (genax-bench -compare-longread baselines against it) and so deployments
-// can pin the cycle model without switching engines. Results are
-// byte-identical to the bit-parallel datapaths; Result.Fallback is set so
-// the pipeline can count how much work ran at model speed.
-func NewCycleFallback(k int, sc align.Scoring) *Machine {
-	if k < 0 {
-		panic("bitsilla: negative edit bound")
-	}
-	if err := sc.Validate(); err != nil {
-		panic(err)
-	}
-	m := &Machine{k: k, w: k + 1, wn: (k + 1) * (k + 1), sc: sc, cs: sillax.NewCosts(sc)}
-	m.fallback = sillax.NewTracebackMachine(k, sc)
 	return m
 }
 
@@ -273,10 +246,6 @@ func (m *Machine) trailCode(p, t, i, d int) int {
 //
 //genax:hotpath
 func (m *Machine) Extend(ref, query dna.Seq) Result {
-	if m.fallback != nil {
-		tr := m.fallback.Extend(ref, query)
-		return Result{Score: tr.Score, Cigar: tr.Cigar, QueryLen: tr.QueryLen, RefLen: tr.RefLen, Cycles: tr.Cycles, Fallback: true}
-	}
 	if m.wide != nil {
 		return m.extendWide(ref, query)
 	}

@@ -199,35 +199,6 @@ func TestBitsillaMachineReuse(t *testing.T) {
 	}
 }
 
-// TestBitsillaCycleFallback pins the explicit cycle-model escape hatch:
-// NewCycleFallback routes every Extend through the sillax oracle (marked
-// via Result.Fallback so the pipeline can count the degrade), while New
-// at the same bound takes the multi-word fast path and must not set the
-// flag.
-func TestBitsillaCycleFallback(t *testing.T) {
-	r := rand.New(rand.NewSource(65))
-	sc := align.BWAMEMDefaults()
-	for _, k := range []int{8, MaxWordK + 1} {
-		fb := NewCycleFallback(k, sc)
-		fast := New(k, sc)
-		tm := sillax.NewTracebackMachine(k, sc)
-		for trial := 0; trial < 10; trial++ {
-			ref := randSeq(r, 120)
-			query := mutate(r, ref, r.Intn(20))
-			got := fb.Extend(ref, query)
-			if !got.Fallback {
-				t.Fatalf("k=%d: cycle-fallback machine did not set Result.Fallback", k)
-			}
-			checkSame(t, k, ref, query, got, tm.Extend(ref, query))
-			direct := fast.Extend(ref, query)
-			if direct.Fallback {
-				t.Fatalf("k=%d: New() machine reported Fallback", k)
-			}
-			checkSame(t, k, ref, query, direct, tm.Extend(ref, query))
-		}
-	}
-}
-
 func TestBitsillaCycleAccounting(t *testing.T) {
 	sc := align.BWAMEMDefaults()
 	k := 4

@@ -161,9 +161,6 @@ func TestBitsillaWideCycleAccounting(t *testing.T) {
 	if res.Cycles != want {
 		t.Fatalf("Cycles = %d, want %d", res.Cycles, want)
 	}
-	if res.Fallback {
-		t.Fatal("wide path reported Fallback")
-	}
 }
 
 // TestBitsillaWideSteadyStateAllocs pins the warm wide path: once the

@@ -81,11 +81,6 @@ type Config struct {
 	// (0 = pipeline.DefaultChainMinLen, negative = disabled); see
 	// pipeline.Params.ChainMinLen.
 	ChainMinLen int
-	// CycleFallback forces the bitsilla engine onto the cycle-level
-	// model; kept for benchmarking the degrade the multi-word datapath
-	// replaced. Counted in Stats.EngineFallbacks and surfaced by
-	// Warnings.
-	CycleFallback bool
 	// StreamWindow bounds reads in flight per AlignStream window
 	// (0 = pipeline.DefaultWindow).
 	StreamWindow int
@@ -163,7 +158,6 @@ func New(ref dna.Seq, cfg Config) (*Aligner, error) {
 		Workers:       cfg.Workers,
 		MaxCandidates: cfg.MaxCandidates,
 		ChainMinLen:   cfg.ChainMinLen,
-		CycleFallback: cfg.CycleFallback,
 		Window:        cfg.StreamWindow,
 		Instrument:    cfg.Instrument,
 		Residency:     cfg.Residency,
@@ -176,10 +170,6 @@ func New(ref dna.Seq, cfg Config) (*Aligner, error) {
 
 // Config returns the configuration.
 func (a *Aligner) Config() Config { return a.cfg }
-
-// Warnings reports configuration hazards worth a log line (degraded
-// engines and the like); empty for a healthy configuration.
-func (a *Aligner) Warnings() []string { return a.pipe.Warnings() }
 
 // Ref returns the reference.
 func (a *Aligner) Ref() dna.Seq { return a.ref }

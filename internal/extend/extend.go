@@ -30,11 +30,6 @@ type Extension struct {
 	// Every engine fills Cycles so the stage instrumentation sees
 	// uniform busy counters regardless of Params.Engine.
 	Cycles, ReRuns int
-	// Fallback marks a call served by the cycle-level model instead of a
-	// bit-parallel datapath (bitsilla.NewCycleFallback); the pipeline
-	// tallies these into Stats.EngineFallbacks so a degraded engine is
-	// never silent.
-	Fallback bool
 }
 
 // Engine runs one anchored, clipped extension. Implementations must treat
@@ -80,7 +75,7 @@ type BitSillaEngine struct{ M *bitsilla.Machine }
 //genax:hotpath
 func (e BitSillaEngine) Extend(ref, query dna.Seq) Extension {
 	res := e.M.Extend(ref, query)
-	return Extension{Score: res.Score, QueryLen: res.QueryLen, RefLen: res.RefLen, Cigar: res.Cigar, Cycles: res.Cycles, Fallback: res.Fallback}
+	return Extension{Score: res.Score, QueryLen: res.QueryLen, RefLen: res.RefLen, Cigar: res.Cigar, Cycles: res.Cycles}
 }
 
 // Stitcher runs anchored seed extensions through one engine, reusing

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"genax/internal/dna"
 	"genax/internal/extend"
 )
 
@@ -10,50 +11,69 @@ import (
 // engine, the GenASM engine and the adaptive cascade must all reproduce
 // the cycle-level oracle's AlignBatch and AlignStream output byte for
 // byte — every position, score, strand and cigar — so swapping any of
-// these engines is invisible to every consumer of the pipeline.
+// these engines is invisible to every consumer of the pipeline. The K=80
+// input puts kilobase reads on the multi-word wide datapath, the one
+// wide-vs-oracle identity check that runs through the whole pipeline.
 func TestEngineByteIdentity(t *testing.T) {
-	p := smallParams()
-	p.Engine = EngineSillaX
-	oracle, wl := testPipeline(t, p, 440, 30000, 0.03)
-	reads := workloadReads(wl, 80)
-	want, wantStats := oracle.AlignBatch(reads)
+	short := smallParams()
+	short.Engine = EngineSillaX
+	shortOracle, swl := testPipeline(t, short, 440, 30000, 0.03)
+	long := smallParams()
+	long.K, long.Engine = 80, EngineSillaX
+	longOracle, lwl := longReadPipeline(t, long, 442)
 
-	for _, eng := range []Engine{EngineBitSilla, EngineGenasm, EngineCascade} {
-		bp := smallParams()
-		bp.Engine, bp.Workers, bp.Window = eng, 3, 17
-		for _, path := range []string{"batch", "stream"} {
-			got, gotStats := runPath(t, oracle, bp, path, reads)
-			label := string(eng) + "/" + path
-			for i := range want {
-				sameResult(t, label, i, got[i], want[i])
-			}
-			// Work counters that do not depend on engine internals must
-			// also agree; cycle counts legitimately differ (the bit-vector
-			// engines have no re-runs), so they are excluded.
-			if got, want := gotStats.Extensions, wantStats.Extensions; got != want {
-				t.Errorf("%s: %d extensions, want %d", label, got, want)
-			}
-			if got, want := gotStats.Aligned, wantStats.Aligned; got != want {
-				t.Errorf("%s: %d aligned, want %d", label, got, want)
-			}
-			if gotStats.ReRuns != 0 {
-				t.Errorf("%s: bit-vector engine reported %d re-runs, want 0", label, gotStats.ReRuns)
-			}
-			switch eng {
-			case EngineCascade:
-				// The routing histogram must cover every extension and
-				// show a nonzero certified share on this easy workload.
-				if gotStats.Routing.Total() == 0 || gotStats.Routing.Certified() == 0 {
-					t.Errorf("%s: routing total=%d certified=%d, want both nonzero",
-						label, gotStats.Routing.Total(), gotStats.Routing.Certified())
+	for _, in := range []struct {
+		name    string
+		oracle  *Pipeline
+		reads   []dna.Seq
+		engines []Engine
+		paths   []string
+		easy    bool // the cascade's cheap legs certify some extensions
+	}{
+		{"short", shortOracle, workloadReads(swl, 80), []Engine{EngineBitSilla, EngineGenasm, EngineCascade}, []string{"batch", "stream"}, true},
+		{"k80", longOracle, kilobaseReads(lwl, 2), []Engine{EngineBitSilla, EngineCascade}, []string{"batch"}, false},
+	} {
+		want, wantStats := in.oracle.AlignBatch(in.reads)
+		if wantStats.Extensions == 0 {
+			t.Fatalf("%s: oracle ran no extensions", in.name)
+		}
+		for _, eng := range in.engines {
+			bp := in.oracle.Params()
+			bp.Engine, bp.Workers, bp.Window = eng, 3, 17
+			for _, path := range in.paths {
+				got, gotStats := runPath(t, in.oracle, bp, path, in.reads)
+				label := in.name + "/" + string(eng) + "/" + path
+				for i := range want {
+					sameResult(t, label, i, got[i], want[i])
 				}
-			case EngineGenasm:
-				if gotStats.Routing.Legs[extend.LegGenasm].Routed == 0 {
-					t.Errorf("%s: genasm leg routed 0 extensions", label)
+				// Work counters that do not depend on engine internals must
+				// also agree; cycle counts legitimately differ (the bit-vector
+				// engines have no re-runs), so they are excluded.
+				if got, want := gotStats.Extensions, wantStats.Extensions; got != want {
+					t.Errorf("%s: %d extensions, want %d", label, got, want)
 				}
-			default:
-				if gotStats.Routing != (extend.Routing{}) {
-					t.Errorf("%s: non-cascading engine produced routing %+v", label, gotStats.Routing)
+				if got, want := gotStats.Aligned, wantStats.Aligned; got != want {
+					t.Errorf("%s: %d aligned, want %d", label, got, want)
+				}
+				if gotStats.ReRuns != 0 {
+					t.Errorf("%s: bit-vector engine reported %d re-runs, want 0", label, gotStats.ReRuns)
+				}
+				switch eng {
+				case EngineCascade:
+					// The routing histogram must cover every extension and
+					// show a nonzero certified share on an easy workload.
+					if gotStats.Routing.Total() == 0 || (in.easy && gotStats.Routing.Certified() == 0) {
+						t.Errorf("%s: routing total=%d certified=%d, want nonzero",
+							label, gotStats.Routing.Total(), gotStats.Routing.Certified())
+					}
+				case EngineGenasm:
+					if gotStats.Routing.Legs[extend.LegGenasm].Routed == 0 {
+						t.Errorf("%s: genasm leg routed 0 extensions", label)
+					}
+				default:
+					if gotStats.Routing != (extend.Routing{}) {
+						t.Errorf("%s: non-cascading engine produced routing %+v", label, gotStats.Routing)
+					}
 				}
 			}
 		}

@@ -16,10 +16,9 @@ import (
 // banded baseline bypassed it and was invisible in the -stages busy and
 // cycle counters.
 type countingEngine struct {
-	inner     extend.Engine
-	cycles    *int64
-	reruns    *int64
-	fallbacks *int64
+	inner  extend.Engine
+	cycles *int64
+	reruns *int64
 }
 
 //genax:hotpath
@@ -27,9 +26,6 @@ func (e countingEngine) Extend(ref, query dna.Seq) extend.Extension {
 	res := e.inner.Extend(ref, query)
 	*e.cycles += int64(res.Cycles)
 	*e.reruns += int64(res.ReRuns)
-	if res.Fallback {
-		*e.fallbacks++
-	}
 	return res
 }
 
@@ -60,13 +56,9 @@ func (p *Pipeline) newEngine(stats *Stats) extend.Engine {
 	case EngineCascade:
 		inner = extend.NewCascade(k, sc, &stats.Routing)
 	default: // EngineBitSilla
-		if p.params.CycleFallback {
-			inner = extend.BitSillaEngine{M: bitsilla.NewCycleFallback(k, sc)}
-		} else {
-			inner = extend.BitSillaEngine{M: bitsilla.New(k, sc)}
-		}
+		inner = extend.BitSillaEngine{M: bitsilla.New(k, sc)}
 	}
-	return countingEngine{inner: inner, cycles: &stats.ExtensionCycles, reruns: &stats.ReRuns, fallbacks: &stats.EngineFallbacks}
+	return countingEngine{inner: inner, cycles: &stats.ExtensionCycles, reruns: &stats.ReRuns}
 }
 
 // exactCigar materializes the single-run cigar of a whole-read exact match.

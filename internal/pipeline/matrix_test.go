@@ -59,19 +59,13 @@ func TestDeterminismMatrix(t *testing.T) {
 	sp.K, lp.K = 40, 80
 	short, swl := testPipeline(t, sp, 410, 30000, 0.02)
 	long, lwl := longReadPipeline(t, lp, 424)
-	var kilobase []dna.Seq
-	for _, r := range lwl.Reads {
-		if len(r.Seq) >= 1000 && len(kilobase) < 6 {
-			kilobase = append(kilobase, r.Seq)
-		}
-	}
 	for _, fx := range []struct {
 		name  string
 		base  *Pipeline
 		reads []dna.Seq
 	}{
 		{"short-K40", short, workloadReads(swl, 90)},
-		{"long-K80", long, kilobase},
+		{"long-K80", long, kilobaseReads(lwl, 6)},
 	} {
 		want, wantStats := fx.base.AlignBatch(fx.reads)
 		if fx.base == long && wantStats.ChainGroups < int64(len(fx.reads)) {

@@ -116,11 +116,6 @@ type Params struct {
 	// enough that short-read workloads are untouched byte for byte;
 	// negative disables chaining entirely.
 	ChainMinLen int
-	// CycleFallback forces the bitsilla engine onto the cycle-level model
-	// (bitsilla.NewCycleFallback) — the pre-multi-word degrade path, kept
-	// for benchmarking the fallback cost and counted per extension in
-	// Stats.EngineFallbacks. Ignored by other engines.
-	CycleFallback bool
 	// Window bounds reads in flight per AlignStream window (0 = DefaultWindow).
 	Window int
 	// Instrument, when non-nil, collects per-stage busy time. The
@@ -206,13 +201,6 @@ func New(ref dna.Seq, index *seed.SegmentedIndex, p Params) (*Pipeline, error) {
 	default:
 		return nil, fmt.Errorf("pipeline: unknown engine %q", p.Engine)
 	}
-	switch p.Seeding.Scan {
-	case "":
-		p.Seeding.Scan = seed.ScanRolling
-	case seed.ScanRolling, seed.ScanPerProbe:
-	default:
-		return nil, fmt.Errorf("pipeline: unknown scan mode %q", p.Seeding.Scan)
-	}
 	if p.Workers <= 0 {
 		p.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -227,17 +215,6 @@ func New(ref dna.Seq, index *seed.SegmentedIndex, p Params) (*Pipeline, error) {
 
 // Params returns the resolved configuration.
 func (p *Pipeline) Params() Params { return p.params }
-
-// Warnings reports configuration hazards worth a log line: conditions
-// that keep results correct but silently cost large constant factors.
-// Computed from the resolved params, so it is stable across calls.
-func (p *Pipeline) Warnings() []string {
-	var w []string
-	if p.params.CycleFallback && (p.params.Engine == EngineBitSilla || p.params.Engine == "") {
-		w = append(w, fmt.Sprintf("engine %q degraded to the cycle-level model (CycleFallback): expect ~25x slower extension; fallbacks are counted in Stats.EngineFallbacks", p.params.Engine))
-	}
-	return w
-}
 
 // NumSegments returns the segment count of the bound index.
 func (p *Pipeline) NumSegments() int { return p.index.NumSegments() }

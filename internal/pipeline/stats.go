@@ -25,12 +25,6 @@ type Stats struct {
 	Extensions                int64
 	ExtensionCycles           int64
 	ReRuns                    int64
-	// EngineFallbacks counts engine invocations served by the cycle-level
-	// model instead of a bit-parallel datapath (the stitcher makes up to
-	// two per extension: left and right legs) — nonzero only when the
-	// engine was explicitly degraded (Params.CycleFallback). Silent
-	// nonzero here is the ~25x slowdown PR 9 killed; keep it visible.
-	EngineFallbacks int64
 	// ChainGroups / ChainAnchors / ChainKept tally the long-read anchor
 	// chaining stage: groups chained, anchors fed in, representatives kept.
 	// Anchors minus kept is extension work avoided.
@@ -57,7 +51,6 @@ func (t *Stats) merge(s Stats) {
 	t.Extensions += s.Extensions
 	t.ExtensionCycles += s.ExtensionCycles
 	t.ReRuns += s.ReRuns
-	t.EngineFallbacks += s.EngineFallbacks
 	t.ChainGroups += s.ChainGroups
 	t.ChainAnchors += s.ChainAnchors
 	t.ChainKept += s.ChainKept

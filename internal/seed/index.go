@@ -400,20 +400,6 @@ func (si *SegmentIndex) Lookup(km dna.Kmer) []int32 {
 	return si.tab.Positions[lo:hi]
 }
 
-// lookupDense is Lookup without the presence pre-filter: both loads go to
-// the full start table. It is the pre-overhaul probe kept for the
-// ScanPerProbe baseline that -compare-seed measures against.
-//
-//genax:borrowed
-//genax:hotpath
-func (si *SegmentIndex) lookupDense(km dna.Kmer) []int32 {
-	lo, hi := si.tab.Start[km], si.tab.Start[km+1]
-	if lo < 0 || hi < lo || int(hi) > len(si.tab.Positions) {
-		return nil
-	}
-	return si.tab.Positions[lo:hi]
-}
-
 // LookupAt encodes the k-mer of read at pos and returns its hits. ok is
 // false when the window does not fit in the read. The returned slice is
 // subject to the same borrow contract as Lookup: it aliases the shared

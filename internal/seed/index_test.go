@@ -2,6 +2,7 @@ package seed
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"genax/internal/dna"
@@ -318,8 +319,8 @@ func TestPresenceBitmapFiltersAbsentKmers(t *testing.T) {
 		if present != (len(hits) > 0) {
 			t.Fatalf("kmer %d: presence bit %v but %d hits", km, present, len(hits))
 		}
-		if len(hits) != len(si.lookupDense(km)) {
-			t.Fatalf("kmer %d: Lookup and lookupDense disagree", km)
+		if dense := si.tab.Positions[si.tab.Start[km]:si.tab.Start[km+1]]; !slices.Equal(hits, dense) {
+			t.Fatalf("kmer %d: Lookup returned %v, start table holds %v", km, hits, dense)
 		}
 	}
 }
@@ -381,7 +382,6 @@ func TestLookupBorrowContract(t *testing.T) {
 		{MinSeedLen: 10, CAMSize: 8, SMEMFilter: true, BinaryExtension: true, Probing: true, ExactFastPath: true},
 		{MinSeedLen: 10, CAMSize: 512, SMEMFilter: true, BinaryExtension: true, BinarySearch: false},
 		{MinSeedLen: 10, CAMSize: 512, SMEMFilter: false},
-		{MinSeedLen: 10, CAMSize: 512, SMEMFilter: true, Scan: ScanPerProbe},
 	} {
 		sd := NewSeeder(si, opts)
 		for trial := 0; trial < 25; trial++ {

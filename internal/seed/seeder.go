@@ -2,23 +2,6 @@ package seed
 
 import "genax/internal/dna"
 
-// ScanMode selects how a lane turns read windows into k-mers.
-type ScanMode string
-
-const (
-	// ScanRolling encodes the whole read once via KmerCodec.AppendScan and
-	// memoizes the per-position k-mers, so RMEM restarts, probe re-reads,
-	// and refine re-probes all hit the memo instead of re-running the O(k)
-	// Encode loop. Lookups also take the presence-bitmap pre-filter. This
-	// is the default.
-	ScanRolling ScanMode = "rolling"
-	// ScanPerProbe re-encodes every probed window from scratch and goes
-	// straight to the dense start table — the pre-overhaul seed path, kept
-	// as the honest baseline for genax-bench -compare-seed. Results and
-	// Stats are identical to ScanRolling; only the work per probe differs.
-	ScanPerProbe ScanMode = "perprobe"
-)
-
 // Options select the seeding optimizations of §V so each can be ablated
 // for the Fig 16 experiments.
 type Options struct {
@@ -45,8 +28,6 @@ type Options struct {
 	ExactFastPath bool
 	// MaxHits, when positive, caps the hits reported per seed.
 	MaxHits int
-	// Scan selects the window-encoding strategy; empty means ScanRolling.
-	Scan ScanMode
 }
 
 // DefaultOptions returns the full GenAx configuration.
@@ -98,9 +79,6 @@ type Seeder struct {
 	// Stats accumulates across Seed calls; reset it directly.
 	Stats Stats
 
-	// perProbe caches opts.Scan == ScanPerProbe for the hot path.
-	perProbe bool
-
 	// Lane-owned scratch. curBuf double-buffers the candidate sets flowing
 	// through intersect: writes always go to the buffer live does NOT name,
 	// and adopt flips live when the caller keeps a result, so an input set
@@ -127,10 +105,7 @@ func NewSeeder(si *SegmentIndex, opts Options) *Seeder {
 	if opts.CAMSize < 1 {
 		opts.CAMSize = 512
 	}
-	if opts.Scan == "" {
-		opts.Scan = ScanRolling
-	}
-	return &Seeder{si: si, cam: NewCAM(opts.CAMSize), opts: opts, perProbe: opts.Scan == ScanPerProbe}
+	return &Seeder{si: si, cam: NewCAM(opts.CAMSize), opts: opts}
 }
 
 // Reset rebinds the lane to another segment's tables in place, mirroring
@@ -151,23 +126,13 @@ func (sd *Seeder) Options() Options { return sd.opts }
 func (sd *Seeder) adopt() { sd.live ^= 1 }
 
 // lookup charges an index-table access and returns the (sorted, local)
-// hits of the window at read position q. In ScanRolling mode the k-mer
-// comes from the per-read memo and the probe takes the presence-bitmap
-// pre-filter; in ScanPerProbe mode it is re-encoded and goes straight to
-// the dense table. Both modes charge IndexLookups identically — the model
-// counts one table access per in-bounds window either way.
+// hits of the window at read position q. The k-mer comes from the per-read
+// memo Seed filled and the probe takes the presence-bitmap pre-filter; the
+// model counts one table access per in-bounds window.
 //
 //genax:borrowed
 //genax:hotpath
-func (sd *Seeder) lookup(read dna.Seq, q int) ([]int32, bool) {
-	if sd.perProbe {
-		km, ok := sd.si.codec.Encode(read, q)
-		if !ok {
-			return nil, false
-		}
-		sd.Stats.IndexLookups++
-		return sd.si.lookupDense(km), true
-	}
+func (sd *Seeder) lookup(q int) ([]int32, bool) {
 	if q < 0 || q >= len(sd.scan) {
 		return nil, false
 	}
@@ -180,14 +145,7 @@ func (sd *Seeder) lookup(read dna.Seq, q int) ([]int32, bool) {
 //
 //genax:borrowed
 //genax:hotpath
-func (sd *Seeder) hitsAt(read dna.Seq, q int) []int32 {
-	if sd.perProbe {
-		km, ok := sd.si.codec.Encode(read, q)
-		if !ok {
-			return nil
-		}
-		return sd.si.lookupDense(km)
-	}
+func (sd *Seeder) hitsAt(q int) []int32 {
 	if q < 0 || q >= len(sd.scan) {
 		return nil
 	}
@@ -268,7 +226,7 @@ func minOf(vs ...int) int {
 func (sd *Seeder) rmem(read dna.Seq, p int) (int, []int32) {
 	k := sd.si.K()
 	m := len(read)
-	h1, ok := sd.lookup(read, p)
+	h1, ok := sd.lookup(p)
 	if !ok || len(h1) == 0 {
 		return 0, nil
 	}
@@ -283,7 +241,7 @@ func (sd *Seeder) rmem(read dna.Seq, p int) (int, []int32) {
 			if q <= p || q > m-k {
 				continue
 			}
-			h, ok := sd.lookup(read, q)
+			h, ok := sd.lookup(q)
 			if !ok {
 				continue
 			}
@@ -292,7 +250,7 @@ func (sd *Seeder) rmem(read dna.Seq, p int) (int, []int32) {
 			}
 		}
 		if bestQ > 0 {
-			h := sd.hitsAt(read, bestQ) // already charged above
+			h := sd.hitsAt(bestQ) // already charged above
 			next := sd.intersect(cur, h, int32(bestQ-p))
 			if len(next) == 0 {
 				// The probed window mismatched; fall back to refining
@@ -309,7 +267,7 @@ func (sd *Seeder) rmem(read dna.Seq, p int) (int, []int32) {
 		if q > m-k {
 			break
 		}
-		h, ok := sd.lookup(read, q)
+		h, ok := sd.lookup(q)
 		if !ok {
 			break
 		}
@@ -337,7 +295,7 @@ func (sd *Seeder) refine(read dna.Seq, p, last int, cur []int32) (int, []int32) 
 			if q > m-k {
 				continue
 			}
-			h, ok := sd.lookup(read, q)
+			h, ok := sd.lookup(q)
 			if !ok {
 				continue
 			}
@@ -367,12 +325,10 @@ func (sd *Seeder) Seed(read dna.Seq) []Seed {
 	if m < k {
 		return nil
 	}
-	if !sd.perProbe {
-		// Encode every window of the read once; all probes below hit this
-		// memo, including RMEM restarts and refine re-probes of the same
-		// position.
-		sd.scan = sd.si.codec.AppendScan(sd.scan[:0], read)
-	}
+	// Encode every window of the read once; all probes below hit this
+	// memo, including RMEM restarts and refine re-probes of the same
+	// position.
+	sd.scan = sd.si.codec.AppendScan(sd.scan[:0], read)
 	if !sd.opts.SMEMFilter {
 		return sd.naiveSeeds(read)
 	}
@@ -451,7 +407,7 @@ func (sd *Seeder) exactMatch(read dna.Seq) ([]Seed, bool) {
 	for q := 0; ; q += k {
 		if q > m-k {
 			if last := m - k; last > wins[len(wins)-1].q {
-				h, ok := sd.lookup(read, last)
+				h, ok := sd.lookup(last)
 				if !ok || len(h) == 0 {
 					sd.winBuf = wins
 					return nil, false
@@ -460,7 +416,7 @@ func (sd *Seeder) exactMatch(read dna.Seq) ([]Seed, bool) {
 			}
 			break
 		}
-		h, ok := sd.lookup(read, q)
+		h, ok := sd.lookup(q)
 		if !ok || len(h) == 0 {
 			sd.winBuf = wins
 			return nil, false
@@ -513,7 +469,7 @@ func (sd *Seeder) naiveSeeds(read dna.Seq) []Seed {
 	m := len(read)
 	out := sd.seedBuf[:0]
 	for q := 0; q+k <= m; q += k {
-		h, ok := sd.lookup(read, q)
+		h, ok := sd.lookup(q)
 		if !ok || len(h) == 0 {
 			continue
 		}

@@ -324,55 +324,6 @@ func TestSeederSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestScanModesProduceIdenticalResultsAndStats pins the -compare-seed
-// equivalence at the lane level: the rolling memoized scan and the
-// per-probe re-encoding baseline must report the same seeds, the same hit
-// sets, and the same work counters for every read.
-func TestScanModesProduceIdenticalResultsAndStats(t *testing.T) {
-	r := rand.New(rand.NewSource(119))
-	ref := randSeq(r, 12000)
-	for _, opts := range []Options{
-		DefaultOptions(),
-		{MinSeedLen: 10, CAMSize: 64, SMEMFilter: true, BinaryExtension: true, Probing: true, ExactFastPath: true, BinarySearch: true},
-		{MinSeedLen: 10, CAMSize: 512, SMEMFilter: false},
-	} {
-		si, err := BuildSegmentIndex(ref, 0, 0, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rollOpts, probeOpts := opts, opts
-		rollOpts.Scan = ScanRolling
-		probeOpts.Scan = ScanPerProbe
-		roll := NewSeeder(si, rollOpts)
-		probe := NewSeeder(si, probeOpts)
-		for trial := 0; trial < 40; trial++ {
-			start := r.Intn(len(ref) - 120)
-			read := mutate(r, ref[start:start+101].Clone(), r.Intn(5))
-			a := roll.Seed(read)
-			b := probe.Seed(read)
-			if len(a) != len(b) {
-				t.Fatalf("trial %d: %d seeds rolling vs %d perprobe", trial, len(a), len(b))
-			}
-			for i := range a {
-				if a[i].Start != b[i].Start || a[i].End != b[i].End {
-					t.Fatalf("trial %d seed %d: span [%d,%d) vs [%d,%d)", trial, i, a[i].Start, a[i].End, b[i].Start, b[i].End)
-				}
-				if len(a[i].Positions) != len(b[i].Positions) {
-					t.Fatalf("trial %d seed %d: %d hits vs %d", trial, i, len(a[i].Positions), len(b[i].Positions))
-				}
-				for j := range a[i].Positions {
-					if a[i].Positions[j] != b[i].Positions[j] {
-						t.Fatalf("trial %d seed %d hit %d: %d vs %d", trial, i, j, a[i].Positions[j], b[i].Positions[j])
-					}
-				}
-			}
-		}
-		if roll.Stats != probe.Stats {
-			t.Errorf("work counters diverged: rolling %+v vs perprobe %+v", roll.Stats, probe.Stats)
-		}
-	}
-}
-
 // TestArenaIsolationAcrossSegments is the arena-lifetime satellite: a lane
 // seeded against segment A, Reset to segment B, must emit hit lists drawn
 // only from B (no stale arena bytes from A can surface), byte-identical to

@@ -115,7 +115,6 @@ func TestValidateTablesAndClampedLookups(t *testing.T) {
 		}
 		for km := dna.Kmer(0); int(km) < view.codec.NumKmers(); km++ {
 			_ = view.Lookup(km) // must not panic
-			_ = view.lookupDense(km)
 		}
 	}
 	// The clean view must validate.

@@ -233,49 +233,6 @@ func (b *batcher) alignOne(ctx context.Context, read dna.Seq) (core.ReadResult, 
 	return core.ReadResult{Result: res, Aligned: ok}, nil
 }
 
-// alignSession is the uncoalesced baseline path (Config.PerRequestSession):
-// every request spins up its own one-read AlignStream session, paying the
-// session goroutine, the result channel and the per-segment sweep alone.
-// It exists so -compare-serve can measure exactly the overhead coalescing
-// amortizes; production per-request serving uses alignOne instead.
-func (b *batcher) alignSession(ctx context.Context, read dna.Seq) (core.ReadResult, error) {
-	select {
-	case b.slots <- struct{}{}:
-		defer func() { <-b.slots }()
-		b.admitted.Add(1)
-	default:
-		b.rejected.Add(1)
-		return core.ReadResult{}, errOverloaded
-	}
-	e, err := b.srv.reg.acquire(ctx, b.name)
-	if err != nil {
-		return core.ReadResult{}, err
-	}
-	defer b.srv.reg.release(e)
-	in := make(chan dna.Seq, 1)
-	in <- read
-	close(in)
-	out, stats := e.aligner.AlignStream(ctx, in)
-	var rr core.ReadResult
-	got := false
-	for r := range out {
-		rr, got = r, true
-	}
-	b.mu.Lock()
-	b.pstats.Merge(*stats)
-	b.mu.Unlock()
-	if !got {
-		err := ctx.Err()
-		if err == nil {
-			err = context.Canceled
-		}
-		b.expired.Add(1)
-		return core.ReadResult{}, fmt.Errorf("session cancelled: %w", err)
-	}
-	b.completed.Add(1)
-	return rr, nil
-}
-
 // errOverloaded marks admission-limit rejections; the HTTP layer maps it
 // to 429 + Retry-After.
 var errOverloaded = fmt.Errorf("serve: admission queue full")

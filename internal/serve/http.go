@@ -68,14 +68,10 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	b := s.batchers[name]
 
 	var res result
-	switch {
-	case s.cfg.CoalesceWindow <= 0 && s.cfg.PerRequestSession:
-		rr, err := b.alignSession(r.Context(), read)
-		res = result{rr: rr, err: err}
-	case s.cfg.CoalesceWindow <= 0:
+	if s.cfg.CoalesceWindow <= 0 {
 		rr, err := b.alignOne(r.Context(), read)
 		res = result{rr: rr, err: err}
-	default:
+	} else {
 		p := pending{ctx: r.Context(), read: read, res: make(chan result, 1)}
 		if !b.enqueue(p) {
 			s.reject(w)

@@ -338,9 +338,6 @@ func (r *registry) doLoad(name, fasta string) (*core.Aligner, *indexio.Mapped, e
 		_ = m.Close()
 		return nil, nil, err
 	}
-	for _, w := range al.Warnings() {
-		r.logf("serve: genome %q: %s", name, w)
-	}
 	return al, m, nil
 }
 

@@ -44,7 +44,7 @@
 // WaitGroup-tracked or context-bounded. Unlike the kernel packages it is
 // not on the determinism list — coalescing is inherently timer-driven —
 // but the *results* it serves are byte-identical to offline AlignBatch,
-// which `genax-bench -compare-serve` gates by hash.
+// which the benchmark's serve_err2 correctness gate checks answer by answer.
 package serve
 
 import (
@@ -107,16 +107,8 @@ type Config struct {
 	// CoalesceWindow is the flush delay bound: the first queued request
 	// waits at most this long before its batch is dispatched, full or
 	// not. Zero disables coalescing entirely — every request runs alone
-	// on AlignRead (the -compare-serve baseline).
+	// on AlignRead.
 	CoalesceWindow time.Duration
-	// PerRequestSession, with CoalesceWindow zero, serves each request
-	// through its own one-read AlignStream session instead of AlignRead.
-	// This is the "pipeline per request" architecture the coalescing
-	// layer replaces — every request pays a session and the per-segment
-	// streaming sweep alone — and exists so `genax-bench
-	// -compare-serve` can measure exactly what coalescing amortizes.
-	// Ignored when coalescing is on.
-	PerRequestSession bool
 	// QueueLimit bounds requests admitted per genome — queued requests in
 	// coalescing mode, in-flight requests in per-request mode. Admission
 	// beyond it is rejected with 429 + Retry-After (0 = 4*MaxBatch).

@@ -230,58 +230,77 @@ func TestServeBadBody400(t *testing.T) {
 	}
 }
 
-// TestServeOverloadSheds verifies the admission limit: with a tiny queue
-// and a dispatcher deliberately stalled in its coalescing window, excess
-// requests get 429 with a Retry-After hint instead of queuing unboundedly.
+// TestServeOverloadSheds verifies the admission limit on both serving
+// paths — the coalescing queue and the per-request slots of alignOne
+// (CoalesceWindow 0): excess requests get 429 with a Retry-After hint and
+// are counted, instead of queuing unboundedly.
 func TestServeOverloadSheds(t *testing.T) {
-	wl := testWorkload(t, 46)
-	s := newTestServer(t, Config{
-		MaxBatch:       4,
-		CoalesceWindow: 100 * time.Millisecond,
-		QueueLimit:     2,
-	}, wl)
-	// The genome stays cold: the first flush then spends milliseconds
-	// building the index, so the burst meets a busy dispatcher and a full
-	// queue however fast a warm flush is.
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	const n = 12
-	var wg sync.WaitGroup
-	codes := make([]int, n)
-	retryAfter := make([]string, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, _ := postRead(t, ts.Client(), ts.URL+"/align/g0", wl.Reads[0].Seq)
-			codes[i] = resp.StatusCode
-			retryAfter[i] = resp.Header.Get("Retry-After")
-		}()
-	}
-	wg.Wait()
-	ok, shed := 0, 0
-	for i, c := range codes {
-		switch c {
-		case http.StatusOK:
-			ok++
-		case http.StatusTooManyRequests:
-			shed++
-			if retryAfter[i] == "" {
-				t.Fatal("429 without Retry-After header")
+	for _, window := range []time.Duration{100 * time.Millisecond, 0} {
+		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
+			wl := testWorkload(t, 46)
+			s := newTestServer(t, Config{
+				MaxBatch:       4,
+				CoalesceWindow: window,
+				QueueLimit:     2,
+			}, wl)
+			// The genome stays cold and the test holds the registry's load
+			// gate, so no admitted request can finish before the whole burst
+			// has met the admission limit, however the goroutines schedule.
+			for i := 0; i < cap(s.reg.loadSem); i++ {
+				s.reg.loadSem <- struct{}{}
 			}
-		default:
-			t.Fatalf("unexpected status %d", c)
-		}
-	}
-	if shed == 0 {
-		t.Fatalf("queue limit 2 with %d concurrent requests shed nothing", n)
-	}
-	if ok == 0 {
-		t.Fatal("every request was shed; admitted requests should still complete")
-	}
-	if got := s.Snapshot().Genomes[0].Rejected; got != int64(shed) {
-		t.Fatalf("rejected counter %d, want %d", got, shed)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			const n = 12
+			var wg sync.WaitGroup
+			codes := make([]int, n)
+			retryAfter := make([]string, n)
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resp, _ := postRead(t, ts.Client(), ts.URL+"/align/g0", wl.Reads[0].Seq)
+					codes[i] = resp.StatusCode
+					retryAfter[i] = resp.Header.Get("Retry-After")
+				}()
+			}
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				if g := s.Snapshot().Genomes[0]; g.Admitted+g.Rejected == n {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("burst never reached admission")
+				}
+			}
+			for i := 0; i < cap(s.reg.loadSem); i++ {
+				<-s.reg.loadSem
+			}
+			wg.Wait()
+			ok, shed := 0, 0
+			for i, c := range codes {
+				switch c {
+				case http.StatusOK:
+					ok++
+				case http.StatusTooManyRequests:
+					shed++
+					if retryAfter[i] == "" {
+						t.Fatal("429 without Retry-After header")
+					}
+				default:
+					t.Fatalf("unexpected status %d", c)
+				}
+			}
+			if shed == 0 {
+				t.Fatalf("queue limit 2 with %d concurrent requests shed nothing", n)
+			}
+			if ok == 0 {
+				t.Fatal("every request was shed; admitted requests should still complete")
+			}
+			if got := s.Snapshot().Genomes[0].Rejected; got != int64(shed) {
+				t.Fatalf("rejected counter %d, want %d", got, shed)
+			}
+		})
 	}
 }
 
