@@ -193,11 +193,7 @@ func cmdIndex(args []string) error {
 		if err != nil {
 			return fmt.Errorf("index: cache %s failed verification: %w", path, err)
 		}
-		v, err := indexio.FileVersion(path)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("index cache %s OK (v%d, %d segments, hash %016x)\n", path, v, sx.NumSegments(), sx.Hash())
+		fmt.Printf("index cache %s OK (v%d, %d segments, hash %016x)\n", path, indexio.Version, sx.NumSegments(), sx.Hash())
 		return nil
 	}
 	// Probe before building: a cache that already matches the reference,
@@ -207,11 +203,7 @@ func cmdIndex(args []string) error {
 	if path != "" {
 		reason := indexio.Probe(path, ref, cfg.KmerLen, cfg.SegmentLen, cfg.Overlap)
 		if reason == "" {
-			if v, verr := indexio.FileVersion(path); verr != nil {
-				reason = verr.Error()
-			} else if v != indexio.Version {
-				reason = fmt.Sprintf("format version %d (current %d)", v, indexio.Version)
-			} else if m, merr := indexio.OpenMapped(path); merr != nil {
+			if m, merr := indexio.OpenMapped(path); merr != nil {
 				reason = merr.Error()
 			} else {
 				numSegs := len(m.Index().Samples)
@@ -325,7 +317,7 @@ func cmdAlign(args []string) error {
 	stream := fs.Bool("stream", false, "align via the streaming pipeline (bounded memory, results emitted as windows complete)")
 	indexFlag := fs.String("index", "auto",
 		`index cache: "auto" loads the genax-index cache next to -ref when present, "" always rebuilds, anything else is an explicit cache path`)
-	mmapFlag := fs.Bool("mmap", false, "open the index cache in place (zero-copy mmap) instead of deserializing it; requires a v2 cache written by genax index")
+	mmapFlag := fs.Bool("mmap", false, "open the index cache in place (zero-copy mmap) instead of deserializing it; requires a cache written by genax index")
 	shardsFlag := fs.Int("shards", 0, "with -mmap, bound residency to N shard groups at a time (0 = unbounded); the cache must have been written with a shard partition")
 	if err := fs.Parse(args); err != nil {
 		return err

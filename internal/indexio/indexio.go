@@ -1,49 +1,22 @@
 // Package indexio serializes a seed.SegmentedIndex to a versioned,
 // checksummed binary file so multi-run workloads stop paying the index
-// rebuild: `genax index -out` writes the cache, and `genax align` /
-// genax-bench load it back after validating that it matches the reference
-// and geometry in hand.
+// rebuild: `genax index -out` writes the cache, and `genax align`, genaxd
+// and the benchmark load it back after validating that it matches the
+// reference and geometry in hand.
 //
-// Two formats coexist for one release:
+// There is one format, GAXI v3 (format.go): page-aligned, little-endian,
+// fixed-width sections holding seed.Tables exactly as the seed stage reads
+// them — presence bitmap, rank prefix, compressed start table, positions —
+// plus the reference itself, so a mapped index is self-contained and the
+// genome never needs a heap copy. OpenMapped uses the file in place; Read
+// decodes it into fresh heap. A file of any other version is rejected with
+// "unsupported format version N (current 3)", which callers treat as a
+// stale cache and rebuild.
 //
-//   - GAXI v2 (current, written by Write): page-aligned, little-endian,
-//     fixed-width sections directly usable in place — see v2.go for the
-//     layout and OpenMapped for the zero-copy load path. v2 stores the
-//     reference itself, so a mapped index is self-contained and the genome
-//     never needs a heap copy (out-of-core operation).
-//
-//   - GAXI v1 (legacy, still read): compact uvarint sparse runs, reference
-//     NOT stored. Layout (all integers little-endian unless marked
-//     uvarint):
-//
-//     offset  size  field
-//     0       4     magic "GAXI"
-//     4       4     format version (1)
-//     8       4     k-mer length k
-//     12      8     segment length
-//     20      8     overlap
-//     28      8     reference length (bases)
-//     36      8     FNV-1a hash of the reference bases
-//     44      8     number of segments
-//     52      ...   per-segment run blocks (see below)
-//     end-4   4     CRC-32 (IEEE) of everything before it
-//
-//     Each v1 segment block stores the index's sparse runs — only the
-//     k-mers that occur, not the 4^k table:
-//
-//     uvarint       number of runs R
-//     R times:      k-mer delta (uvarint: first k-mer, then gap-1 to the
-//     previous — runs are strictly ascending), occurrence
-//     count (uvarint)
-//     uvarint       number of positions P (must equal the window count)
-//     P times:      position delta (uvarint: per run, first position, then
-//     gap-1 — each run's positions are strictly ascending)
-//
-// Both formats are self-validating — a cache built from a different
-// reference, geometry, or code version is rejected, never silently used —
-// and both check the trailing CRC before decoding any length-prefixed
-// structure, so a corrupt length field can never drive a table-sized
-// allocation.
+// The file is self-validating — a cache built from a different reference,
+// geometry, or code version is rejected, never silently used — and every
+// length that sizes an allocation or a view is bounds-checked against the
+// file size first.
 package indexio
 
 import (
@@ -61,17 +34,8 @@ import (
 // Magic identifies an index cache file.
 const Magic = "GAXI"
 
-// Version is the current format version, written by Write. Read accepts
-// this and VersionV1; everything else is rejected.
-const Version = 2
-
-// VersionV1 is the legacy uvarint sparse-run format, kept readable for one
-// release. Only Read understands it; Write always emits the current
-// version.
-const VersionV1 = 1
-
-// headerSize is the fixed-size prefix before the v1 segment blocks.
-const headerSize = 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8
+// Version is the one format version this package reads and writes.
+const Version = 3
 
 // RefHash returns the FNV-1a digest of the reference bases — the identity
 // the cache header pins, so a file can never be loaded against a different
@@ -93,63 +57,11 @@ func RefHash(ref dna.Seq) uint64 {
 	return h.Sum64()
 }
 
-// Write serializes sx, built from ref, to w in the current (v2) format
-// with a single shard group. Use WriteShards to partition the segments
-// into shard groups for bounded-residency streaming.
+// Write serializes sx, built from ref, to w with a single shard group. Use
+// WriteShards to partition the segments into shard groups for
+// bounded-residency streaming.
 func Write(w io.Writer, sx *seed.SegmentedIndex, ref dna.Seq) error {
 	return WriteShards(w, sx, ref, 0)
-}
-
-// writeV1 serializes sx in the legacy v1 format. It is retained so the
-// v1→v2 coexistence tests can mint legacy inputs (and regenerate the
-// checked-in fixture) without carrying handwritten binaries; production
-// code always writes the current version.
-func writeV1(w io.Writer, sx *seed.SegmentedIndex, ref dna.Seq) error {
-	if sx == nil {
-		return fmt.Errorf("indexio: nil index")
-	}
-	if sx.RefLen != len(ref) {
-		return fmt.Errorf("indexio: index covers %d bases, reference has %d", sx.RefLen, len(ref))
-	}
-	buf := make([]byte, 0, headerSize)
-	buf = append(buf, Magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, VersionV1)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(sx.K))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(sx.SegLen))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(sx.Overlap))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(sx.RefLen))
-	buf = binary.LittleEndian.AppendUint64(buf, RefHash(ref))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(sx.NumSegments()))
-	var kmers []dna.Kmer
-	var counts []int32
-	for _, si := range sx.Samples {
-		kmers, counts = si.AppendRuns(kmers[:0], counts[:0])
-		buf = binary.AppendUvarint(buf, uint64(len(kmers)))
-		prevKm := uint64(0)
-		for i, km := range kmers {
-			d := uint64(km)
-			if i > 0 {
-				d = uint64(km) - prevKm - 1
-			}
-			prevKm = uint64(km)
-			buf = binary.AppendUvarint(buf, d)
-			buf = binary.AppendUvarint(buf, uint64(counts[i]))
-		}
-		positions := si.PositionTable()
-		buf = binary.AppendUvarint(buf, uint64(len(positions)))
-		at := 0
-		for i := range kmers {
-			prev := int64(-1)
-			for _, p := range positions[at : at+int(counts[i])] {
-				buf = binary.AppendUvarint(buf, uint64(int64(p)-prev-1))
-				prev = int64(p)
-			}
-			at += int(counts[i])
-		}
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	_, err := w.Write(buf)
-	return err
 }
 
 // WriteFile writes the cache to path via a same-directory temp file and
@@ -191,33 +103,12 @@ func filepathDir(path string) string {
 	return "."
 }
 
-// decoder tracks a position in the payload with sticky error reporting.
-type decoder struct {
-	buf []byte
-	at  int
-	err error
-}
-
-func (d *decoder) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.at:])
-	if n <= 0 {
-		d.err = fmt.Errorf("indexio: truncated or malformed %s at byte %d", what, d.at)
-		return 0
-	}
-	d.at += n
-	return v
-}
-
 // Read parses an index cache and re-binds it to ref, which must be the
 // exact reference the cache was built from (verified by length and hash).
-// Both format versions load here; the returned index is always a fresh
-// heap copy validated segment by segment (use OpenMapped for the zero-copy
-// path). Any corruption the CRC or structural checks catch surfaces as an
-// error, never a panic, and the trailing CRC is verified before any
-// length-prefixed structure is decoded.
+// The returned index is a fresh heap copy validated segment by segment (use
+// OpenMapped for the zero-copy path). Any corruption the CRC or structural
+// checks catch surfaces as an error, never a panic, and the trailing CRC is
+// verified before any length field is trusted.
 func Read(r io.Reader, ref dna.Seq) (*seed.SegmentedIndex, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -230,133 +121,17 @@ func Read(r io.Reader, ref dna.Seq) (*seed.SegmentedIndex, error) {
 	if got := crc32.ChecksumIEEE(payload); got != sum {
 		return nil, fmt.Errorf("indexio: checksum mismatch (file %08x, computed %08x): cache is corrupt", sum, got)
 	}
-	if string(payload[:4]) != Magic {
-		return nil, fmt.Errorf("indexio: bad magic %q", payload[:4])
+	h, err := parseHeader(raw, int64(len(raw)))
+	if err != nil {
+		return nil, err
 	}
-	switch v := binary.LittleEndian.Uint32(payload[4:]); v {
-	case VersionV1:
-		return readV1(payload, ref)
-	case Version:
-		return readV2(raw, ref)
-	default:
-		return nil, fmt.Errorf("indexio: unsupported format version %d (want %d or %d)", v, VersionV1, Version)
+	if h.refLen != len(ref) {
+		return nil, fmt.Errorf("indexio: cache built for a %d-base reference, have %d bases", h.refLen, len(ref))
 	}
-}
-
-// readV1 decodes the legacy uvarint sparse-run format. payload is the file
-// minus its (already verified) CRC footer, with magic and version checked.
-func readV1(payload []byte, ref dna.Seq) (*seed.SegmentedIndex, error) {
-	if len(payload) < headerSize {
-		return nil, fmt.Errorf("indexio: v1 file too short (%d bytes)", len(payload))
+	if got := RefHash(ref); got != h.refHash {
+		return nil, fmt.Errorf("indexio: reference hash mismatch (cache %016x, have %016x): cache was built from a different reference", h.refHash, got)
 	}
-	k := int(binary.LittleEndian.Uint32(payload[8:]))
-	segLen := int(int64(binary.LittleEndian.Uint64(payload[12:])))
-	overlap := int(int64(binary.LittleEndian.Uint64(payload[20:])))
-	refLen := int(int64(binary.LittleEndian.Uint64(payload[28:])))
-	refHash := binary.LittleEndian.Uint64(payload[36:])
-	numSegs := binary.LittleEndian.Uint64(payload[44:])
-	if k < 1 || k > dna.MaxK {
-		return nil, fmt.Errorf("indexio: k-mer length %d out of range [1,%d]", k, dna.MaxK)
-	}
-	if segLen < 1 || overlap < 0 || refLen < 0 {
-		return nil, fmt.Errorf("indexio: invalid geometry (segLen %d, overlap %d, refLen %d)", segLen, overlap, refLen)
-	}
-	if refLen != len(ref) {
-		return nil, fmt.Errorf("indexio: cache built for a %d-base reference, have %d bases", refLen, len(ref))
-	}
-	if h := RefHash(ref); h != refHash {
-		return nil, fmt.Errorf("indexio: reference hash mismatch (cache %016x, have %016x): cache was built from a different reference", refHash, h)
-	}
-	wantSegs := 0
-	for off := 0; off < refLen; off += segLen {
-		wantSegs++
-	}
-	if numSegs != uint64(wantSegs) {
-		return nil, fmt.Errorf("indexio: %d segments in file, geometry implies %d", numSegs, wantSegs)
-	}
-	sx := &seed.SegmentedIndex{
-		RefLen:  refLen,
-		SegLen:  segLen,
-		Overlap: overlap,
-		K:       k,
-		Samples: make([]*seed.SegmentIndex, wantSegs),
-	}
-	d := &decoder{buf: payload, at: headerSize}
-	var kmers []dna.Kmer
-	var counts []int32
-	for id := 0; id < wantSegs; id++ {
-		off := id * segLen
-		end := off + segLen + overlap
-		if end > refLen {
-			end = refLen
-		}
-		runs := d.uvarint("run count")
-		if d.err != nil {
-			return nil, d.err
-		}
-		if runs > uint64(end-off) {
-			return nil, fmt.Errorf("indexio: segment %d claims %d runs for %d bases", id, runs, end-off)
-		}
-		kmers, counts = kmers[:0], counts[:0]
-		prevKm := uint64(0)
-		for i := uint64(0); i < runs; i++ {
-			d1 := d.uvarint("k-mer delta")
-			cnt := d.uvarint("run length")
-			if d.err != nil {
-				return nil, d.err
-			}
-			km := d1
-			if i > 0 {
-				km = prevKm + 1 + d1
-			}
-			prevKm = km
-			if km>>(2*uint(k)) != 0 || cnt == 0 || cnt > uint64(end-off) {
-				return nil, fmt.Errorf("indexio: segment %d run %d out of range (k-mer %d, count %d)", id, i, km, cnt)
-			}
-			kmers = append(kmers, dna.Kmer(km))
-			counts = append(counts, int32(cnt))
-		}
-		np := d.uvarint("position count")
-		if d.err != nil {
-			return nil, d.err
-		}
-		if np > uint64(end-off) {
-			return nil, fmt.Errorf("indexio: segment %d claims %d positions for %d bases", id, np, end-off)
-		}
-		positions := make([]int32, 0, np)
-		got := uint64(0)
-		for i := range kmers {
-			prev := int64(-1)
-			for j := int32(0); j < counts[i]; j++ {
-				if got >= np {
-					return nil, fmt.Errorf("indexio: segment %d run counts exceed position count %d", id, np)
-				}
-				dp := d.uvarint("position delta")
-				if d.err != nil {
-					return nil, d.err
-				}
-				p := prev + 1 + int64(dp)
-				if p >= int64(end-off) {
-					return nil, fmt.Errorf("indexio: segment %d position %d outside the segment", id, p)
-				}
-				positions = append(positions, int32(p))
-				prev = p
-				got++
-			}
-		}
-		if got != np {
-			return nil, fmt.Errorf("indexio: segment %d stores %d positions, runs account for %d", id, np, got)
-		}
-		si, err := seed.NewSegmentIndexFromRuns(ref[off:end], id, off, k, kmers, counts, positions)
-		if err != nil {
-			return nil, fmt.Errorf("indexio: segment %d: %w", id, err)
-		}
-		sx.Samples[id] = si
-	}
-	if d.at != len(payload) {
-		return nil, fmt.Errorf("indexio: %d trailing bytes after last segment", len(payload)-d.at)
-	}
-	return sx, nil
+	return h.bind(raw, ref, false)
 }
 
 // ReadFile loads the cache at path; see Read.
@@ -373,20 +148,11 @@ func ReadFile(path string, ref dna.Seq) (*seed.SegmentedIndex, error) {
 // version) triple inside dir:
 // genax-<refhash>-k<k>-s<segLen>-o<overlap>-v<version>.gaxi. The format
 // version is part of the content address, so caches written by different
-// releases can never collide: a v1 cache and a v2 cache of the same index
-// live at different names, and a version bump simply re-populates the dir.
-// Callers that let users pick an explicit path skip this; the auto-load
-// paths (genax align, genax-bench) use it so the cache key can never be
-// mismatched by hand.
+// releases can never collide: a version bump simply re-populates the dir
+// and the stale file is never opened. Callers that let users pick an
+// explicit path skip this; the auto-load paths (genax align, genaxd) use it
+// so the cache key can never be mismatched by hand.
 func CachePath(dir string, ref dna.Seq, k, segLen, overlap int) (string, error) {
-	if k < 1 || segLen < 1 {
-		return "", fmt.Errorf("indexio: invalid cache geometry (k=%d, segment=%d)", k, segLen)
-	}
-	return cachePathVersion(dir, ref, k, segLen, overlap, Version)
-}
-
-// cachePathVersion is CachePath pinned to an explicit format version.
-func cachePathVersion(dir string, ref dna.Seq, k, segLen, overlap, version int) (string, error) {
 	if k < 1 || k > dna.MaxK {
 		return "", fmt.Errorf("indexio: k-mer length %d out of range [1,%d]", k, dna.MaxK)
 	}
@@ -396,7 +162,7 @@ func cachePathVersion(dir string, ref dna.Seq, k, segLen, overlap, version int) 
 	if overlap < 0 {
 		return "", fmt.Errorf("indexio: negative overlap %d", overlap)
 	}
-	name := fmt.Sprintf("genax-%016x-k%d-s%d-o%d-v%d.gaxi", RefHash(ref), k, segLen, overlap, version)
+	name := fmt.Sprintf("genax-%016x-k%d-s%d-o%d-v%d.gaxi", RefHash(ref), k, segLen, overlap, Version)
 	if dir == "" {
 		return name, nil
 	}

@@ -2,7 +2,6 @@ package indexio
 
 import (
 	"bytes"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -95,7 +94,7 @@ func TestCorruptionDetected(t *testing.T) {
 	good := buf.Bytes()
 
 	// Every single-byte flip must be caught by the CRC.
-	for _, at := range []int{0, 5, 9, 40, headerSize + 3, len(good) / 2, len(good) - 5} {
+	for _, at := range []int{0, 5, 9, 40, fixedHeaderLen + 3, len(good) / 2, len(good) - 5} {
 		bad := append([]byte(nil), good...)
 		bad[at] ^= 0x5a
 		if _, err := Read(bytes.NewReader(bad), ref); err == nil {
@@ -103,7 +102,7 @@ func TestCorruptionDetected(t *testing.T) {
 		}
 	}
 	// Truncation at any point must fail, not panic.
-	for _, n := range []int{0, 3, headerSize - 1, headerSize + 4, len(good) - 1} {
+	for _, n := range []int{0, 3, fixedHeaderLen - 1, fixedHeaderLen + 4, len(good) - 1} {
 		if _, err := Read(bytes.NewReader(good[:n]), ref); err == nil {
 			t.Errorf("truncate to %d: Read succeeded", n)
 		}
@@ -128,19 +127,12 @@ func TestVersionAndMagicChecked(t *testing.T) {
 	if err := Write(&buf, sx, ref); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	reseal := func(mutate func([]byte)) []byte {
-		b := append([]byte(nil), buf.Bytes()...)
-		mutate(b)
-		// Recompute the CRC so the mutation reaches the semantic check.
-		crc := crc32.ChecksumIEEE(b[:len(b)-4])
-		b[len(b)-4], b[len(b)-3], b[len(b)-2], b[len(b)-1] = byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24)
-		return b
-	}
-	bad := reseal(func(b []byte) { copy(b, "NOPE") })
+	// Resealed, so the mutation reaches the semantic check.
+	bad := resealed(buf.Bytes(), func(b []byte) { copy(b, "NOPE") })
 	if _, err := Read(bytes.NewReader(bad), ref); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Errorf("bad magic: err = %v", err)
 	}
-	bad = reseal(func(b []byte) { b[4] = 99 })
+	bad = resealed(buf.Bytes(), func(b []byte) { b[4] = 99 })
 	if _, err := Read(bytes.NewReader(bad), ref); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("bad version: err = %v", err)
 	}

@@ -10,7 +10,7 @@ import (
 	"genax/internal/seed"
 )
 
-// Mapped is a v2 index opened in place. Index() and Ref() are zero-copy
+// Mapped is an index cache opened in place. Index() and Ref() are zero-copy
 // views into the mapping (or into one heap buffer on platforms without
 // mmap): nothing is deserialized, so opening costs O(header) regardless of
 // genome size, the OS demand-faults only the pages lookups touch, and
@@ -26,21 +26,19 @@ import (
 // teardown must join their pipelines first.
 type Mapped struct {
 	data   []byte
-	hdr    *v2Header
+	hdr    *header
 	sx     *seed.SegmentedIndex
 	ref    dna.Seq
 	mapped bool // true when data is an mmap, false when a heap fallback
 	closed bool
 }
 
-// OpenMapped opens the v2 cache at path for in-place use. The header CRC
-// and section-table bounds are verified; section bodies are NOT summed
-// (that would fault in every page and defeat the lazy load — call Verify
-// for a full check). Corruption in unsummed table bytes is contained by
-// the seed package's clamp-safe lookups and by the cheap per-segment
-// start/position consistency check done here. v1 files cannot be mapped —
-// their uvarint encoding requires decode — so they are rejected with a
-// pointer at Read.
+// OpenMapped opens the cache at path for in-place use. The header CRC and
+// section-table bounds are verified; section bodies are NOT summed or
+// scanned (that would fault in every page and defeat the lazy load — call
+// Verify for a full check). Corruption in unsummed table bytes is contained
+// by the seed package's clamp-safe lookup and by the one-load sentinel
+// check per segment done here (see the integrity ladder in format.go).
 //
 // The caller should compare RefHash()/geometry against its own inputs
 // before aligning; OpenMapped itself only proves internal consistency.
@@ -55,9 +53,6 @@ func OpenMapped(path string) (*Mapped, error) {
 		return nil, err
 	}
 	size := st.Size()
-	if size < v2FixedHeader+8 {
-		return nil, fmt.Errorf("indexio: file too short (%d bytes) to be a v2 index cache", size)
-	}
 	if size > int64(int(^uint(0)>>1)) {
 		return nil, fmt.Errorf("indexio: file size %d exceeds address space", size)
 	}
@@ -71,7 +66,7 @@ func OpenMapped(path string) (*Mapped, error) {
 	if !m.mapped {
 		// No mmap (platform) or no zero-copy views (byte order): fall back
 		// to one heap read. Views still borrow from this single buffer when
-		// the host is little-endian; otherwise tables are decoded below.
+		// the host is little-endian; otherwise bind decodes the tables.
 		m.data, err = io.ReadAll(f)
 		if err != nil {
 			return nil, err
@@ -81,63 +76,17 @@ func OpenMapped(path string) (*Mapped, error) {
 		_ = m.Close()
 		return nil, err
 	}
-	if len(m.data) >= 8 && string(m.data[:4]) == Magic {
-		if v := le32(m.data[4:]); v == VersionV1 {
-			return fail(fmt.Errorf("indexio: v1 caches cannot be mapped (uvarint encoding requires decode); load with Read or rebuild the cache"))
-		}
-	}
-	h, err := parseV2Header(m.data)
+	h, err := parseHeader(m.data, int64(len(m.data)))
 	if err != nil {
 		return fail(err)
 	}
 	m.hdr = h
-
-	refSec := h.refSection()
+	refSec := h.sections[0]
 	m.ref = seqView(m.data[refSec.off : refSec.off+refSec.len])
-	sx := &seed.SegmentedIndex{
-		RefLen:  h.refLen,
-		SegLen:  h.segLen,
-		Overlap: h.overlap,
-		K:       h.k,
-		Samples: make([]*seed.SegmentIndex, h.numSegs),
+	if m.sx, err = h.bind(m.data, m.ref, true); err != nil {
+		return fail(err)
 	}
-	for id := 0; id < h.numSegs; id++ {
-		start, positions, presence := h.segSections(id)
-		var tab seed.Tables
-		if hostLittleEndian {
-			tab = seed.Tables{
-				Start:     int32View(m.data[start.off : start.off+start.len]),
-				Positions: int32View(m.data[positions.off : positions.off+positions.len]),
-				Presence:  uint64View(m.data[presence.off : presence.off+presence.len]),
-			}
-		} else {
-			tab = seed.Tables{
-				Start:     decodeInt32s(m.data[start.off : start.off+start.len]),
-				Positions: decodeInt32s(m.data[positions.off : positions.off+positions.len]),
-				Presence:  decodeUint64s(m.data[presence.off : presence.off+presence.len]),
-			}
-		}
-		// One-load sanity check linking the two tables: the start table's
-		// final fill must equal the position count, or every lookup in the
-		// tail would clamp. Costs a single page fault, not a scan.
-		if n := len(tab.Start); n > 0 && int(tab.Start[n-1]) != len(tab.Positions) {
-			return fail(fmt.Errorf("indexio: segment %d start table fills %d positions, section holds %d", id, tab.Start[n-1], len(tab.Positions)))
-		}
-		off, end := segSpan(id, h.segLen, h.overlap, h.refLen)
-		si, err := seed.NewSegmentIndexFromTables(m.ref[off:end], id, off, h.k, tab, false)
-		if err != nil {
-			return fail(fmt.Errorf("indexio: segment %d: %w", id, err))
-		}
-		sx.Samples[id] = si
-	}
-	m.sx = sx
 	return m, nil
-}
-
-// le32 reads a little-endian uint32 without pulling binary into the hot
-// open path signature; kept tiny and local.
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 // Index returns the segmented index viewing the mapping. Borrowed: valid
@@ -180,9 +129,8 @@ func (m *Mapped) GroupOf(seg int) int { return seg / m.hdr.groupSize }
 func (m *Mapped) groupBytes(g int) []byte {
 	gs := m.hdr.groupSize
 	first, last := g*gs, min((g+1)*gs, m.hdr.numSegs)-1
-	lo, _, _ := m.hdr.segSections(first)
-	_, _, hi := m.hdr.segSections(last)
-	return m.data[lo.off:alignUp(int(hi.off+hi.len))]
+	lo, hi := m.hdr.segSections(first)[0], m.hdr.segSections(last)[sectionsPerSeg-1]
+	return m.data[lo.off:min(alignUp(int(hi.off+hi.len)), len(m.data))]
 }
 
 // adviseGroup passes residency advice for one shard group to the kernel.

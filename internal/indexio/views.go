@@ -7,31 +7,28 @@ import (
 	"genax/internal/dna"
 )
 
-// The v2 tables are stored little-endian and element-aligned (sections
-// start on 4 KiB boundaries), so on a little-endian host a stored table
-// can be *viewed* as its Go slice type without copying or decoding — the
-// whole point of the mapped load path. On a big-endian host the views
-// would read garbage, so every caller gates on hostLittleEndian and falls
-// back to the copying decoders below.
+// The tables are stored little-endian and element-aligned (sections start
+// on 4 KiB boundaries), so on a little-endian host a stored table can be
+// *viewed* as its Go slice type without copying or decoding — the whole
+// point of the mapped load path. On a big-endian host the views would read
+// garbage, so every caller gates on hostLittleEndian and falls back to the
+// copying decoder below.
 var hostLittleEndian = func() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// int32View reinterprets b (little-endian, 4-aligned) as []int32 in place.
-func int32View(b []byte) []int32 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
+// word is the element type of a stored table.
+type word interface{ int32 | uint32 | uint64 }
 
-// uint64View reinterprets b (little-endian, 8-aligned) as []uint64 in place.
-func uint64View(b []byte) []uint64 {
+func wordSize[T word]() int { return int(unsafe.Sizeof(*new(T))) }
+
+// viewWords reinterprets b (little-endian, element-aligned) as []T in place.
+func viewWords[T word](b []byte) []T {
 	if len(b) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8)
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/wordSize[T]())
 }
 
 // seqView reinterprets b as a dna.Seq in place; dna.Base is a byte code,
@@ -43,29 +40,21 @@ func seqView(b []byte) dna.Seq {
 	return unsafe.Slice((*dna.Base)(unsafe.Pointer(&b[0])), len(b))
 }
 
-// decodeInt32s copies b into a fresh heap []int32. On little-endian hosts
-// the copy is one memmove through a view of the source.
-func decodeInt32s(b []byte) []int32 {
-	out := make([]int32, len(b)/4)
+// decodeWords copies b into a fresh heap []T. On little-endian hosts the
+// copy is one memmove through a view of the source.
+func decodeWords[T word](b []byte) []T {
+	size := wordSize[T]()
+	out := make([]T, len(b)/size)
 	if hostLittleEndian {
-		copy(out, int32View(b))
+		copy(out, viewWords[T](b))
 		return out
 	}
 	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// decodeUint64s copies b into a fresh heap []uint64.
-func decodeUint64s(b []byte) []uint64 {
-	out := make([]uint64, len(b)/8)
-	if hostLittleEndian {
-		copy(out, uint64View(b))
-		return out
-	}
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[8*i:])
+		if size == 4 {
+			out[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
+		} else {
+			out[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
+		}
 	}
 	return out
 }

@@ -1,19 +1,18 @@
 // views.go pins the mapped-index accessor pattern introduced with the
-// GAXI v2 loader: thin view accessors that lend the index's backing
-// store wholesale (seed.SegmentIndex.StartTable / PositionTable /
-// PresenceWords) instead of a window of it, possibly aliasing an mmap-ed
-// file. The registry pre-pass keys on the //genax:borrowed annotation
+// GAXI loader: thin view accessors that lend the index's backing store
+// wholesale (seed.SegmentIndex.Tables) instead of a window of it, possibly
+// aliasing an mmap-ed file. The registry pre-pass keys on the //genax:borrowed annotation
 // alone, so new accessors join the contract with no analyzer changes —
 // this file is the regression proving the pre-pass picks them up, for a
 // second element type too.
 package borrowtest
 
-// startTable mimics StartTable: the whole backing array, not a window.
+// startTable mimics Tables().Start: the whole backing array, not a window.
 //
 //genax:borrowed
 func (ix *index) startTable() []int32 { return ix.start }
 
-// presence mimics PresenceWords: a different element type through the
+// presence mimics Tables().Presence: a different element type through the
 // same pre-pass.
 //
 //genax:borrowed
@@ -44,7 +43,7 @@ func scanWords(ix *index) int {
 	return n
 }
 
-// emitTables mirrors the v2 writer (indexio.WriteShards): the views flow
+// emitTables mirrors the cache writer (indexio.WriteShards): the views flow
 // down a call as arguments — a re-borrow in the callee's frame, not a
 // leak.
 func emitTables(ix *index) int32 {

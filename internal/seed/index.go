@@ -10,38 +10,43 @@ import (
 	"hash/fnv"
 	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"genax/internal/dna"
 )
 
-// Tables is the thin view a SegmentIndex reads through: the start table,
-// the position table, and the presence bitmap as plain slices. The backing
-// memory is either owned heap storage (the builders, the v1 cache loader)
-// or a borrowed window of a memory-mapped GAXI v2 file (indexio.OpenMapped)
-// — the lookup paths are identical either way, which is what keeps
-// SegmentedIndex.Hash and every seed result byte-identical across the
-// in-memory, mapped, and sharded paths.
+// Tables is the thin view a SegmentIndex reads through: the presence bitmap
+// with its rank prefix, the compressed start table, and the position table,
+// as plain slices. The backing memory is either owned heap storage (the
+// builders, indexio.Read) or a borrowed window of a memory-mapped GAXI file
+// (indexio.OpenMapped) — the lookup paths are identical either way, which
+// is what keeps SegmentedIndex.Hash and every seed result byte-identical
+// across the in-memory, mapped, and sharded paths.
+//
+// This is the host layout, sized by the segment's content. The chip's dense
+// 4(4^k+1)-byte index table is a model quantity only (IndexTableBytes,
+// Table II); nothing on the host allocates it.
 //
 // Mapped views outlive nothing: the slices alias the mapping, so the file
 // may be unmapped only after every lane that borrowed from the index has
 // drained (see indexio.Mapped.Close).
 type Tables struct {
-	// Start[km] .. Start[km+1] delimit positions of k-mer km.
+	// Start holds one offset into Positions per present k-mer, in k-mer
+	// order, plus a sentinel equal to len(Positions): the r-th present
+	// k-mer occurs at Positions[Start[r]:Start[r+1]].
 	Start []int32
 	// Positions is every occurrence list concatenated in k-mer order.
 	Positions []int32
-	// Presence is a sidecar bitmap: bit km is set iff the k-mer occurs in
-	// the segment (Start[km] < Start[km+1]). At 2 bits per table entry it
-	// is 32× smaller than the start table, so the common absent-k-mer probe
-	// (a read tested against a segment it does not belong to) resolves in a
-	// cache-resident structure instead of a miss on the 4(4^k+1)-byte start
-	// table. It is derived data — the chip keeps the whole table in SRAM
-	// and needs no such filter — and is excluded from the Table II SRAM
-	// model.
+	// Presence is a bitmap over the k-mer space: bit km is set iff the
+	// k-mer occurs in the segment. The common absent-k-mer probe (a read
+	// tested against a segment it does not belong to) resolves here and
+	// goes no further.
 	Presence []uint64
+	// Rank[w] is the number of set bits in Presence[:w], so the rank of a
+	// present k-mer km — its index into Start — is
+	// Rank[km>>6] + popcount(Presence[km>>6] & (1<<(km&63) - 1)).
+	Rank []uint32
 }
 
 // SegmentIndex is the index of one genome segment: for every k-mer, the
@@ -63,11 +68,10 @@ type SegmentIndex struct {
 
 // sparseBuildFactor selects the build strategy: when the windows of a
 // segment fill less than 1/sparseBuildFactor of the k-mer space, the index
-// is assembled by sorting (k-mer, position) pairs and run-filling the start
-// table, skipping the O(4^k) serially-dependent prefix-sum chain of the
-// dense counting build. Laptop-scale segments with k=12 are ~0.05% dense,
-// so this is their default path; paper-scale segments stay on the dense
-// counting build.
+// is assembled by radix-sorting window positions by k-mer, which never
+// allocates anything sized by 4^k except the bitmap and its rank prefix.
+// Laptop-scale segments with k=12 are ~0.05% dense, so this is their
+// default path; paper-scale segments stay on the dense counting build.
 const sparseBuildFactor = 32
 
 // BuildSegmentIndex indexes ref (one segment) with k-mer length k.
@@ -81,16 +85,15 @@ func BuildSegmentIndex(ref dna.Seq, id, offset, k int) (*SegmentIndex, error) {
 	}
 	si := &SegmentIndex{ID: id, Offset: offset, Ref: ref, codec: codec}
 	numKmers := codec.NumKmers()
-	si.tab.Presence = make([]uint64, presenceWords(numKmers))
 	n := len(ref) - k + 1
 	if n < 0 {
 		n = 0
 	}
 	kms := codec.AppendScan(make([]dna.Kmer, 0, n), ref)
 	if n*sparseBuildFactor < numKmers {
-		si.buildSparse(kms, numKmers)
+		si.tab = buildSparse(kms, k)
 	} else {
-		si.buildDense(kms, numKmers)
+		si.tab = buildDense(kms, numKmers)
 	}
 	return si, nil
 }
@@ -98,72 +101,74 @@ func BuildSegmentIndex(ref dna.Seq, id, offset, k int) (*SegmentIndex, error) {
 // presenceWords returns the bitmap length for a k-mer space.
 func presenceWords(numKmers int) int { return (numKmers + 63) / 64 }
 
-// markPresent sets km's presence bit.
-func (si *SegmentIndex) markPresent(km dna.Kmer) {
-	si.tab.Presence[km>>6] |= 1 << (km & 63)
+// markPresence returns the presence bitmap of the window scan kms, its
+// rank prefix, and the number of distinct k-mers.
+func markPresence(kms []dna.Kmer, numKmers int) (presence []uint64, rank []uint32, distinct int) {
+	presence = make([]uint64, presenceWords(numKmers))
+	for _, km := range kms {
+		presence[km>>6] |= 1 << (km & 63)
+	}
+	rank = make([]uint32, len(presence))
+	for w, word := range presence {
+		rank[w] = uint32(distinct)
+		distinct += bits.OnesCount64(word)
+	}
+	return presence, rank, distinct
 }
 
-// kmerAt pairs one window's k-mer with its position for the sparse build.
-type kmerAt struct {
-	km  dna.Kmer
-	pos int32
-}
-
-// buildSparse assembles the tables from the window scan by sorting
-// (k-mer, position) pairs. Sorting by (km, pos) reproduces the dense
-// build's layout exactly: positions grouped by k-mer, ascending within each
-// group. The start table is then run-filled — absent k-mers share their
-// successor's start value — which streams sequentially through the table at
-// memset-like speed instead of dragging a load-add-store dependency chain
-// across all 4^k entries.
-func (si *SegmentIndex) buildSparse(kms []dna.Kmer, numKmers int) {
-	pairs := make([]kmerAt, len(kms))
+// buildSparse assembles the tables from the window scan (kms[p] is the
+// k-mer at position p) with a stable two-pass LSD radix sort of the
+// positions, k bits of the k-mer per pass. Positions enter ascending and
+// both passes are stable, so the result is grouped by k-mer and ascending
+// within each group — the dense build's layout exactly.
+func buildSparse(kms []dna.Kmer, k int) Tables {
+	n := len(kms)
+	mask := dna.Kmer(1)<<uint(k) - 1
+	lo, hi := make([]int32, 1<<uint(k)), make([]int32, 1<<uint(k))
+	for _, km := range kms {
+		lo[km&mask]++
+		hi[km>>uint(k)]++
+	}
+	var sumLo, sumHi int32
+	for d := range lo {
+		lo[d], sumLo = sumLo, sumLo+lo[d]
+		hi[d], sumHi = sumHi, sumHi+hi[d]
+	}
+	byLow := make([]int32, n)
 	for p, km := range kms {
-		pairs[p] = kmerAt{km, int32(p)}
+		byLow[lo[km&mask]] = int32(p)
+		lo[km&mask]++
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].km != pairs[j].km {
-			return pairs[i].km < pairs[j].km
-		}
-		return pairs[i].pos < pairs[j].pos
-	})
-	start := make([]int32, numKmers+1)
-	positions := make([]int32, len(pairs))
-	cum := int32(0)
-	fillFrom := 0
-	for i := 0; i < len(pairs); {
-		km := pairs[i].km
-		j := i
-		for j < len(pairs) && pairs[j].km == km {
-			positions[j] = pairs[j].pos
-			j++
-		}
-		for x := fillFrom; x <= int(km); x++ {
-			start[x] = cum
-		}
-		fillFrom = int(km) + 1
-		cum += int32(j - i)
-		si.markPresent(km)
-		i = j
+	positions := make([]int32, n)
+	for _, p := range byLow {
+		d := kms[p] >> uint(k)
+		positions[hi[d]] = p
+		hi[d]++
 	}
-	for x := fillFrom; x <= numKmers; x++ {
-		start[x] = cum
+	presence, rank, distinct := markPresence(kms, 1<<(2*uint(k)))
+	start := make([]int32, distinct+1)
+	r := 0
+	for i, p := range positions {
+		if i == 0 || kms[p] != kms[positions[i-1]] {
+			start[r] = int32(i)
+			r++
+		}
 	}
-	si.tab.Start = start
-	si.tab.Positions = positions
+	start[distinct] = int32(n)
+	return Tables{Start: start, Positions: positions, Presence: presence, Rank: rank}
 }
 
 // buildDense is the counting build for segments that populate a large
 // fraction of the k-mer space: count occurrences, prefix-sum into offsets,
-// then scatter positions. The counts array doubles as the fill cursors
-// (the classic counting-sort trick), so the build allocates one table, not
-// two: occurrences are tallied two slots ahead, the prefix sum turns slot
-// km+1 into the km cursor, and after the scatter slot km holds start[km].
-func (si *SegmentIndex) buildDense(kms []dna.Kmer, numKmers int) {
+// scatter positions, then keep the offsets of the present k-mers. The
+// counts array doubles as the fill cursors (the classic counting-sort
+// trick): occurrences are tallied two slots ahead, the prefix sum turns
+// slot km+1 into the km cursor, and after the scatter slot km holds the
+// dense start[km]. That 4^k-sized array is a build-time intermediate only.
+func buildDense(kms []dna.Kmer, numKmers int) Tables {
 	c := make([]int32, numKmers+2)
 	for _, km := range kms {
 		c[km+2]++
-		si.markPresent(km)
 	}
 	for i := 2; i < len(c); i++ {
 		c[i] += c[i-1]
@@ -173,94 +178,26 @@ func (si *SegmentIndex) buildDense(kms []dna.Kmer, numKmers int) {
 		positions[c[km+1]] = int32(p)
 		c[km+1]++
 	}
-	si.tab.Start = c[: numKmers+1 : numKmers+1]
-	si.tab.Positions = positions
-}
-
-// NewSegmentIndexFromRuns rebuilds a SegmentIndex from its sparse run
-// representation — the format the on-disk index cache stores: kmers holds
-// the distinct k-mers present (strictly ascending), counts[i] how many
-// times kmers[i] occurs, and positions the occurrence lists concatenated in
-// k-mer order (each list strictly ascending). ref is the segment's
-// reference slice; the positions slice is adopted, not copied. The runs are
-// validated structurally (ordering, ranges, totals) so a corrupt or
-// mismatched file cannot produce an index that panics later.
-func NewSegmentIndexFromRuns(ref dna.Seq, id, offset, k int, kmers []dna.Kmer, counts, positions []int32) (*SegmentIndex, error) {
-	if k < 1 || k > dna.MaxK {
-		return nil, fmt.Errorf("seed: k-mer length %d out of range [1,%d]", k, dna.MaxK)
-	}
-	codec, err := dna.NewKmerCodec(k)
-	if err != nil {
-		return nil, err
-	}
-	if len(kmers) != len(counts) {
-		return nil, fmt.Errorf("seed: %d run k-mers vs %d counts", len(kmers), len(counts))
-	}
-	numKmers := codec.NumKmers()
-	n := len(ref) - k + 1
-	if n < 0 {
-		n = 0
-	}
-	if len(positions) != n {
-		return nil, fmt.Errorf("seed: %d positions for a %d-base segment (want %d windows)", len(positions), len(ref), n)
-	}
-	si := &SegmentIndex{ID: id, Offset: offset, Ref: ref, codec: codec}
-	si.tab.Presence = make([]uint64, presenceWords(numKmers))
-	start := make([]int32, numKmers+1)
-	cum := int32(0)
-	fillFrom := 0
-	prevKm := dna.Kmer(0)
-	for i, km := range kmers {
-		if int(km) >= numKmers {
-			return nil, fmt.Errorf("seed: run k-mer %d out of range for k=%d", km, k)
+	presence, rank, distinct := markPresence(kms, numKmers)
+	start := make([]int32, 0, distinct+1)
+	for km := 0; km < numKmers; km++ {
+		if c[km+1] > c[km] {
+			start = append(start, c[km])
 		}
-		if i > 0 && km <= prevKm {
-			return nil, fmt.Errorf("seed: run k-mers not strictly ascending at %d", i)
-		}
-		prevKm = km
-		cnt := counts[i]
-		if cnt <= 0 {
-			return nil, fmt.Errorf("seed: non-positive run count %d for k-mer %d", cnt, km)
-		}
-		if int(cum)+int(cnt) > len(positions) {
-			return nil, fmt.Errorf("seed: run counts overflow the position table")
-		}
-		run := positions[cum : cum+cnt]
-		for j, p := range run {
-			if p < 0 || int(p) >= n {
-				return nil, fmt.Errorf("seed: position %d of k-mer %d outside [0,%d)", p, km, n)
-			}
-			if j > 0 && run[j-1] >= p {
-				return nil, fmt.Errorf("seed: positions of k-mer %d not strictly ascending", km)
-			}
-		}
-		for x := fillFrom; x <= int(km); x++ {
-			start[x] = cum
-		}
-		fillFrom = int(km) + 1
-		cum += cnt
-		si.markPresent(km)
 	}
-	if int(cum) != len(positions) {
-		return nil, fmt.Errorf("seed: run counts sum to %d, position table holds %d", cum, len(positions))
-	}
-	for x := fillFrom; x <= numKmers; x++ {
-		start[x] = cum
-	}
-	si.tab.Start = start
-	si.tab.Positions = positions
-	return si, nil
+	start = append(start, int32(len(kms)))
+	return Tables{Start: start, Positions: positions, Presence: presence, Rank: rank}
 }
 
 // NewSegmentIndexFromTables binds a SegmentIndex directly over a table
-// view — the zero-copy path the mapped GAXI v2 loader uses: t's slices may
+// view — the zero-copy path the mapped GAXI loader uses: t's slices may
 // alias a read-only file mapping and are adopted, never copied. The length
-// invariants (start table sized for 4^k+1, positions matching the window
-// count, presence bitmap sized for the k-mer space) are always enforced;
-// validate additionally runs the full structural scan (monotone start
-// table, in-range ascending positions, presence/start agreement), which
+// invariants (bitmap and rank prefix sized for the k-mer space, positions
+// matching the window count, a start table of at least the sentinel and at
+// most one entry per window plus it) are always enforced; validate
+// additionally runs the full structural scan (ValidateTables), which
 // touches every table page and therefore defeats lazy residency — mapped
-// callers leave it false and rely on the clamped lookup paths plus the
+// callers leave it false and rely on the clamped lookup path plus the
 // file's checksums instead.
 func NewSegmentIndexFromTables(ref dna.Seq, id, offset, k int, t Tables, validate bool) (*SegmentIndex, error) {
 	if k < 1 || k > dna.MaxK {
@@ -275,14 +212,17 @@ func NewSegmentIndexFromTables(ref dna.Seq, id, offset, k int, t Tables, validat
 	if n < 0 {
 		n = 0
 	}
-	if len(t.Start) != numKmers+1 {
-		return nil, fmt.Errorf("seed: start table holds %d entries, k=%d needs %d", len(t.Start), k, numKmers+1)
+	if len(t.Presence) != presenceWords(numKmers) {
+		return nil, fmt.Errorf("seed: presence bitmap holds %d words, k=%d needs %d", len(t.Presence), k, presenceWords(numKmers))
+	}
+	if len(t.Rank) != len(t.Presence) {
+		return nil, fmt.Errorf("seed: rank prefix holds %d words for %d presence words", len(t.Rank), len(t.Presence))
 	}
 	if len(t.Positions) != n {
 		return nil, fmt.Errorf("seed: %d positions for a %d-base segment (want %d windows)", len(t.Positions), len(ref), n)
 	}
-	if len(t.Presence) != presenceWords(numKmers) {
-		return nil, fmt.Errorf("seed: presence bitmap holds %d words, k=%d needs %d", len(t.Presence), k, presenceWords(numKmers))
+	if len(t.Start) < 1 || len(t.Start) > n+1 {
+		return nil, fmt.Errorf("seed: start table holds %d entries, %d windows allow 1 to %d", len(t.Start), n, n+1)
 	}
 	si := &SegmentIndex{ID: id, Offset: offset, Ref: ref, codec: codec, tab: t}
 	if validate {
@@ -293,87 +233,70 @@ func NewSegmentIndexFromTables(ref dna.Seq, id, offset, k int, t Tables, validat
 	return si, nil
 }
 
-// ValidateTables runs the full structural scan over the table view: the
-// start table must begin at zero, stay monotone, and end at the position
-// count; every occurrence list must be strictly ascending and in range;
-// and the presence bitmap must agree with the start table bit for bit.
-// The scan touches every page of every table, so mapped indexes run it
-// only on demand (indexio's Verify paths), not on open.
+// ValidateTables runs the full structural scan over the table view: no
+// presence bit beyond the k-mer space, every rank word equal to the
+// popcount before it, exactly one start entry per presence bit, a start
+// table that begins at zero, increases strictly and ends at the position
+// count, and every occurrence list strictly ascending and in range. The
+// scan touches every page of every table, so mapped indexes run it only on
+// demand (indexio's Verify paths), not on open.
 func (si *SegmentIndex) ValidateTables() error {
 	t := &si.tab
 	numKmers := si.codec.NumKmers()
 	n := len(t.Positions)
+	if tail := uint(numKmers) & 63; tail != 0 && t.Presence[len(t.Presence)-1]>>tail != 0 {
+		return fmt.Errorf("seed: presence bits set beyond the %d k-mers of k=%d", numKmers, si.codec.K())
+	}
+	present := 0
+	for w, word := range t.Presence {
+		if int(t.Rank[w]) != present {
+			return fmt.Errorf("seed: rank prefix of presence word %d is %d, want %d", w, t.Rank[w], present)
+		}
+		present += bits.OnesCount64(word)
+	}
+	if present != len(t.Start)-1 {
+		return fmt.Errorf("seed: %d presence bits for %d start entries", present, len(t.Start)-1)
+	}
 	if t.Start[0] != 0 {
 		return fmt.Errorf("seed: start table begins at %d, want 0", t.Start[0])
 	}
-	if int(t.Start[numKmers]) != n {
-		return fmt.Errorf("seed: start table ends at %d, position table holds %d", t.Start[numKmers], n)
+	if int(t.Start[present]) != n {
+		return fmt.Errorf("seed: start table ends at %d, position table holds %d", t.Start[present], n)
 	}
-	for km := 0; km < numKmers; km++ {
-		lo, hi := t.Start[km], t.Start[km+1]
-		if hi < lo || lo < 0 || int(hi) > n {
-			return fmt.Errorf("seed: start table not monotone at k-mer %d (%d..%d)", km, lo, hi)
-		}
-		present := t.Presence[km>>6]&(1<<(uint(km)&63)) != 0
-		if present != (hi > lo) {
-			return fmt.Errorf("seed: presence bit for k-mer %d disagrees with start table", km)
+	for r := 0; r < present; r++ {
+		lo, hi := t.Start[r], t.Start[r+1]
+		if lo < 0 || hi <= lo || int(hi) > n {
+			return fmt.Errorf("seed: start table not strictly increasing at entry %d (%d..%d)", r, lo, hi)
 		}
 		for j := lo; j < hi; j++ {
 			p := t.Positions[j]
 			if p < 0 || int(p) >= n {
-				return fmt.Errorf("seed: position %d of k-mer %d outside [0,%d)", p, km, n)
+				return fmt.Errorf("seed: position %d of start entry %d outside [0,%d)", p, r, n)
 			}
 			if j > lo && t.Positions[j-1] >= p {
-				return fmt.Errorf("seed: positions of k-mer %d not strictly ascending", km)
+				return fmt.Errorf("seed: positions of start entry %d not strictly ascending", r)
 			}
 		}
 	}
 	return nil
 }
 
-// AppendRuns appends the index's sparse run representation to kmers and
-// counts (see NewSegmentIndexFromRuns) and returns the extended slices.
-// The walk skips absent k-mers through the presence bitmap, so the cost is
-// proportional to the distinct k-mers present plus one load per 64-k-mer
-// word, not to the 4^k table size.
-func (si *SegmentIndex) AppendRuns(kmers []dna.Kmer, counts []int32) ([]dna.Kmer, []int32) {
-	for w, word := range si.tab.Presence {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << b
-			km := dna.Kmer(w<<6 + b)
-			kmers = append(kmers, km)
-			counts = append(counts, si.tab.Start[km+1]-si.tab.Start[km])
-		}
-	}
-	return kmers, counts
-}
-
-// PositionTable returns the whole position table: every occurrence list
-// concatenated in k-mer order. The slice is the index's backing store —
-// read-only, like Lookup results.
+// Tables returns the index's table view. The slices are the index's
+// backing store — read-only like Lookup results, valid for the index's
+// lifetime, possibly aliasing a file mapping.
 //
 //genax:borrowed
-func (si *SegmentIndex) PositionTable() []int32 { return si.tab.Positions }
-
-// StartTable returns the dense start table (4^k+1 offsets). It is the
-// index's backing store under the same borrow contract as PositionTable:
-// a read-only view, valid for the index's lifetime, possibly aliasing a
-// file mapping.
-//
-//genax:borrowed
-func (si *SegmentIndex) StartTable() []int32 { return si.tab.Start }
-
-// PresenceWords returns the presence bitmap words under the same borrow
-// contract as PositionTable.
-//
-//genax:borrowed
-func (si *SegmentIndex) PresenceWords() []uint64 { return si.tab.Presence }
+func (si *SegmentIndex) Tables() Tables { return si.tab }
 
 // K returns the k-mer length.
 func (si *SegmentIndex) K() int { return si.codec.K() }
 
 // Lookup returns the sorted (strictly ascending) local positions of km.
+//
+// It is the presence test only, kept small enough to inline into
+// Seeder.lookup (CI checks `can inline (*SegmentIndex).Lookup`): most
+// probes are of absent k-mers and end here. A present k-mer tail-calls
+// hits for rank → offsets → clamp.
 //
 // BORROW CONTRACT: the returned slice aliases the index's shared position
 // table, which every lane bound to this segment reads concurrently. It is
@@ -389,15 +312,33 @@ func (si *SegmentIndex) Lookup(km dna.Kmer) []int32 {
 	if si.tab.Presence[km>>6]&(1<<(km&63)) == 0 {
 		return nil
 	}
-	lo, hi := si.tab.Start[km], si.tab.Start[km+1]
-	if lo < 0 || hi < lo || int(hi) > len(si.tab.Positions) {
-		// Clamp, never panic: a mapped view skips the full structural scan
-		// (it would fault every page), so a corrupt start table that slipped
-		// past the file checksums must degrade to "no hits", not a crash.
-		// Built and validated tables never take this branch.
+	return si.hits(km)
+}
+
+// hits returns the occurrence list of a k-mer whose presence bit is set:
+// rank → two adjacent start entries → a window of the position table. Out
+// of line so that Lookup stays inlinable.
+//
+// Clamp, never panic: a mapped view skips the full structural scan (it
+// would fault every page), so a corrupt rank word or start entry that
+// slipped past the file checksums must degrade to "no hits", not a crash.
+// Built and validated tables never take either clamp.
+//
+//go:noinline
+//genax:borrowed
+//genax:hotpath
+func (si *SegmentIndex) hits(km dna.Kmer) []int32 {
+	t := &si.tab
+	below := t.Presence[km>>6] & (1<<(km&63) - 1)
+	r := uint(t.Rank[km>>6]) + uint(bits.OnesCount64(below))
+	if r+1 >= uint(len(t.Start)) {
 		return nil
 	}
-	return si.tab.Positions[lo:hi]
+	lo, hi := t.Start[r], t.Start[r+1]
+	if lo < 0 || hi < lo || int(hi) > len(t.Positions) {
+		return nil
+	}
+	return t.Positions[lo:hi]
 }
 
 // LookupAt encodes the k-mer of read at pos and returns its hits. ok is
@@ -540,11 +481,11 @@ func BuildSegmentedIndexWith(ref dna.Seq, segLen, overlap, k, workers int) (*Seg
 func (sx *SegmentedIndex) NumSegments() int { return len(sx.Samples) }
 
 // Hash digests the index's logical content — geometry plus every segment's
-// sparse runs — so two builds (serial vs parallel, in-memory vs loaded from
-// the on-disk cache) can be compared with one integer. It deliberately
-// hashes the run representation rather than the 4(4^k+1)-byte start tables:
-// the runs determine the tables uniquely and are proportional to the data,
-// not the k-mer space.
+// sparse runs (each present k-mer with its occurrence count, then the
+// position table) — so two builds (serial vs parallel, in-memory vs loaded
+// from the on-disk cache) can be compared with one integer. The runs
+// determine the tables uniquely whatever their layout, which is why the
+// digest did not move when the start table was compressed.
 func (sx *SegmentedIndex) Hash() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -559,18 +500,18 @@ func (sx *SegmentedIndex) Hash() uint64 {
 	put(uint64(sx.Overlap))
 	put(uint64(sx.K))
 	put(uint64(len(sx.Samples)))
-	var kmers []dna.Kmer
-	var counts []int32
 	for _, si := range sx.Samples {
 		put(uint64(si.ID))
 		put(uint64(si.Offset))
 		put(uint64(len(si.Ref)))
 		put(uint64(si.K()))
-		kmers, counts = si.AppendRuns(kmers[:0], counts[:0])
-		put(uint64(len(kmers)))
-		for i, km := range kmers {
-			put(uint64(km))
-			put(uint64(uint32(counts[i])))
+		put(uint64(len(si.tab.Start) - 1))
+		for w, word := range si.tab.Presence {
+			for ; word != 0; word &= word - 1 {
+				km := dna.Kmer(w<<6 + bits.TrailingZeros64(word))
+				put(uint64(km))
+				put(uint64(len(si.Lookup(km))))
+			}
 		}
 		for _, p := range si.tab.Positions {
 			put(uint64(uint32(p)))

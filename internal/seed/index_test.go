@@ -275,52 +275,113 @@ func TestSparseAndDenseBuildsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := len(ref) - tc.k + 1
-		if n < 0 {
-			n = 0
-		}
 		kms := codec.AppendScan(nil, ref)
-		sparse := &SegmentIndex{Ref: ref, codec: codec, tab: Tables{Presence: make([]uint64, presenceWords(codec.NumKmers()))}}
-		sparse.buildSparse(append([]dna.Kmer(nil), kms...), codec.NumKmers())
-		dense := &SegmentIndex{Ref: ref, codec: codec, tab: Tables{Presence: make([]uint64, presenceWords(codec.NumKmers()))}}
-		dense.buildDense(kms, codec.NumKmers())
-		if len(sparse.tab.Start) != len(dense.tab.Start) || len(sparse.tab.Positions) != len(dense.tab.Positions) {
-			t.Fatalf("%+v: table sizes differ (start %d/%d, positions %d/%d)",
-				tc, len(sparse.tab.Start), len(dense.tab.Start), len(sparse.tab.Positions), len(dense.tab.Positions))
+		sparse := buildSparse(kms, tc.k)
+		dense := buildDense(kms, codec.NumKmers())
+		if !slices.Equal(sparse.Start, dense.Start) {
+			t.Fatalf("%+v: start tables differ (%d vs %d entries)", tc, len(sparse.Start), len(dense.Start))
 		}
-		for i := range sparse.tab.Start {
-			if sparse.tab.Start[i] != dense.tab.Start[i] {
-				t.Fatalf("%+v: start[%d] = %d sparse vs %d dense", tc, i, sparse.tab.Start[i], dense.tab.Start[i])
-			}
+		if !slices.Equal(sparse.Positions, dense.Positions) {
+			t.Fatalf("%+v: position tables differ", tc)
 		}
-		for i := range sparse.tab.Positions {
-			if sparse.tab.Positions[i] != dense.tab.Positions[i] {
-				t.Fatalf("%+v: positions[%d] = %d sparse vs %d dense", tc, i, sparse.tab.Positions[i], dense.tab.Positions[i])
-			}
+		if !slices.Equal(sparse.Presence, dense.Presence) || !slices.Equal(sparse.Rank, dense.Rank) {
+			t.Fatalf("%+v: presence bitmaps or rank prefixes differ", tc)
 		}
-		for i := range sparse.tab.Presence {
-			if sparse.tab.Presence[i] != dense.tab.Presence[i] {
-				t.Fatalf("%+v: presence word %d differs", tc, i)
-			}
+		if len(sparse.Start) != 1+len(uniqueKmers(kms)) {
+			t.Fatalf("%+v: %d start entries for %d distinct k-mers", tc, len(sparse.Start), len(uniqueKmers(kms)))
 		}
 	}
 }
 
-func TestPresenceBitmapFiltersAbsentKmers(t *testing.T) {
-	ref := dna.MustParseSeq("ACGTACGTAA")
-	si, err := BuildSegmentIndex(ref, 0, 0, 4)
-	if err != nil {
-		t.Fatal(err)
+// uniqueKmers returns the distinct k-mers of a window scan, ascending.
+func uniqueKmers(kms []dna.Kmer) []dna.Kmer {
+	u := slices.Clone(kms)
+	slices.Sort(u)
+	return slices.Compact(u)
+}
+
+// denseTables is the test's own reference: the chip's dense layout, one
+// start offset per k-mer of the whole 4^k space, built by a counting sort
+// that shares nothing with the package's builders.
+func denseTables(kms []dna.Kmer, numKmers int) (start, positions []int32) {
+	start = make([]int32, numKmers+1)
+	for _, km := range kms {
+		start[km+1]++
 	}
-	codec, _ := dna.NewKmerCodec(4)
-	for km := dna.Kmer(0); int(km) < codec.NumKmers(); km++ {
-		hits := si.Lookup(km)
-		present := si.tab.Presence[km>>6]&(1<<(km&63)) != 0
-		if present != (len(hits) > 0) {
-			t.Fatalf("kmer %d: presence bit %v but %d hits", km, present, len(hits))
+	for km := 0; km < numKmers; km++ {
+		start[km+1] += start[km]
+	}
+	positions = make([]int32, len(kms))
+	fill := make(map[dna.Kmer]int32, len(kms))
+	for p, km := range kms {
+		positions[start[km]+fill[km]] = int32(p)
+		fill[km]++
+	}
+	return start, positions
+}
+
+// checkAgainstDense compares one Lookup with the dense reference tables.
+func checkAgainstDense(t *testing.T, si *SegmentIndex, start, positions []int32, km dna.Kmer) {
+	t.Helper()
+	hits := si.Lookup(km)
+	if dense := positions[start[km]:start[km+1]]; !slices.Equal(hits, dense) {
+		t.Fatalf("k=%d kmer %d: Lookup returned %v, dense table holds %v", si.K(), km, hits, dense)
+	}
+	if present := si.tab.Presence[km>>6]&(1<<(km&63)) != 0; present != (len(hits) > 0) {
+		t.Fatalf("k=%d kmer %d: presence bit %v but %d hits", si.K(), km, present, len(hits))
+	}
+}
+
+// TestPresenceBitmapFiltersAbsentKmers is the differential test of the
+// rank-compressed layout: Lookup must answer every k-mer exactly as a
+// dense start table would, and the presence bit must be set exactly for
+// the k-mers that have hits. Small k-mer spaces are checked exhaustively;
+// k=12 is sampled at k-mer 0, 4^k-1, every present k-mer, and both sides
+// of every 64-bit presence-word boundary a present k-mer touches.
+func TestPresenceBitmapFiltersAbsentKmers(t *testing.T) {
+	r := rand.New(rand.NewSource(106))
+	for _, tc := range []struct {
+		k   int
+		ref dna.Seq
+	}{
+		{4, dna.MustParseSeq("ACGTACGTAA")},
+		{2, randSeq(r, 9)}, // a 16-k-mer space: one partial presence word
+		{2, randSeq(r, 400)},
+		{3, randSeq(r, 40)}, // exactly one full presence word
+		{3, randSeq(r, 700)},
+		{5, randSeq(r, 600)},
+		{5, make(dna.Seq, 300)}, // one k-mer, one long run
+		{8, randSeq(r, 3000)},   // sparse build
+		{8, randSeq(r, 70000)},  // dense build
+		{12, randSeq(r, 20000)},
+	} {
+		si, err := BuildSegmentIndex(tc.ref, 0, 0, tc.k)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if dense := si.tab.Positions[si.tab.Start[km]:si.tab.Start[km+1]]; !slices.Equal(hits, dense) {
-			t.Fatalf("kmer %d: Lookup returned %v, start table holds %v", km, hits, dense)
+		numKmers := si.codec.NumKmers()
+		kms := si.codec.AppendScan(nil, tc.ref)
+		start, positions := denseTables(kms, numKmers)
+		check := func(km dna.Kmer) { checkAgainstDense(t, si, start, positions, km) }
+		if tc.k < 12 {
+			for km := 0; km < numKmers; km++ {
+				check(dna.Kmer(km))
+			}
+			continue
+		}
+		check(0)
+		check(dna.Kmer(numKmers - 1))
+		for _, km := range uniqueKmers(kms) {
+			check(km)
+			first := km &^ 63
+			for _, edge := range []dna.Kmer{first - 1, first, first + 63, first + 64} {
+				if edge < dna.Kmer(numKmers) { // first-1 wraps below k-mer 0
+					check(edge)
+				}
+			}
+		}
+		for i := 0; i < 5000; i++ {
+			check(dna.Kmer(r.Intn(numKmers)))
 		}
 	}
 }
@@ -393,69 +454,5 @@ func TestLookupBorrowContract(t *testing.T) {
 		if p != snapshot[i] {
 			t.Fatalf("position table mutated through a borrowed Lookup slice at %d: %d -> %d", i, snapshot[i], p)
 		}
-	}
-}
-
-func TestNewSegmentIndexFromRunsRejectsCorrupt(t *testing.T) {
-	r := rand.New(rand.NewSource(105))
-	ref := randSeq(r, 500)
-	si, err := BuildSegmentIndex(ref, 0, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kmers, counts := si.AppendRuns(nil, nil)
-	positions := append([]int32(nil), si.PositionTable()...)
-	// The pristine runs must round-trip.
-	rt, err := NewSegmentIndexFromRuns(ref, 0, 0, 5, kmers, counts, append([]int32(nil), positions...))
-	if err != nil {
-		t.Fatalf("valid runs rejected: %v", err)
-	}
-	codec, _ := dna.NewKmerCodec(5)
-	for km := dna.Kmer(0); int(km) < codec.NumKmers(); km++ {
-		a, b := si.Lookup(km), rt.Lookup(km)
-		if len(a) != len(b) {
-			t.Fatalf("kmer %d: %d hits vs %d after round trip", km, len(a), len(b))
-		}
-	}
-	type tweak struct {
-		name string
-		f    func(k []dna.Kmer, c, p []int32) ([]dna.Kmer, []int32, []int32)
-	}
-	for _, tw := range []tweak{
-		{"kmers/counts length mismatch", func(k []dna.Kmer, c, p []int32) ([]dna.Kmer, []int32, []int32) { return k[:len(k)-1], c, p }},
-		{"non-ascending kmers", func(k []dna.Kmer, c, p []int32) ([]dna.Kmer, []int32, []int32) {
-			k2 := append([]dna.Kmer(nil), k...)
-			k2[1] = k2[0]
-			return k2, c, p
-		}},
-		{"zero count", func(k []dna.Kmer, c, p []int32) ([]dna.Kmer, []int32, []int32) {
-			c2 := append([]int32(nil), c...)
-			c2[0] = 0
-			return k, c2, p
-		}},
-		{"count overflow", func(k []dna.Kmer, c, p []int32) ([]dna.Kmer, []int32, []int32) {
-			c2 := append([]int32(nil), c...)
-			c2[len(c2)-1] += 5
-			return k, c2, p
-		}},
-		{"out-of-range kmer", func(k []dna.Kmer, c, p []int32) ([]dna.Kmer, []int32, []int32) {
-			k2 := append([]dna.Kmer(nil), k...)
-			k2[len(k2)-1] = dna.Kmer(1) << 10 // 4^5 = 1024
-			return k2, c, p
-		}},
-		{"out-of-range position", func(k []dna.Kmer, c, p []int32) ([]dna.Kmer, []int32, []int32) {
-			p2 := append([]int32(nil), p...)
-			p2[0] = int32(len(ref))
-			return k, c, p2
-		}},
-		{"position table too short", func(k []dna.Kmer, c, p []int32) ([]dna.Kmer, []int32, []int32) { return k, c, p[:len(p)-1] }},
-	} {
-		k2, c2, p2 := tw.f(kmers, counts, positions)
-		if _, err := NewSegmentIndexFromRuns(ref, 0, 0, 5, k2, c2, p2); err == nil {
-			t.Errorf("%s: accepted", tw.name)
-		}
-	}
-	if _, err := NewSegmentIndexFromRuns(ref, 0, 0, 0, nil, nil, nil); err == nil {
-		t.Error("k=0 accepted")
 	}
 }

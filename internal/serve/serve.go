@@ -21,7 +21,7 @@
 //     same admission limit.
 //
 //   - Genome registry. Genomes are named at construction; each resolves
-//     to a content-addressed GAXI v2 index cache (indexio.CachePath) that
+//     to a content-addressed GAXI index cache (indexio.CachePath) that
 //     is opened zero-copy (indexio.OpenMapped) on first use — microseconds
 //     when the cache is fresh, a bounded-concurrency build+write+map when
 //     indexio.Probe reports it missing or stale (the staleness reason is
