@@ -30,14 +30,16 @@ package bitsilla
 // lane. The wide engine instead keeps a ring of 2C trail slots (C cycles
 // per window) plus a machine-state checkpoint at the head of every window.
 // C is sized per pass: whenever 2C cycles cover the whole pass within
-// wideTrailBudget, the backward walk finds every window still resident and
-// replays nothing; past the budget the ring falls back to the fixed
-// wideWindow and the walk restores the checkpoint for each missing window
-// and re-executes its cycles, regenerating exactly the trail words it is
-// about to read. Replay is deterministic because a checkpoint captures the
-// whole step input: score planes, liveness, row summaries, comparator
-// registers and the running best (which the futility pruning reads). The
-// total replay cost is bounded by one extra forward pass; memory stays
+// wideTrailBudget (16 MiB; ~920 cycles at K=80), the backward walk finds
+// every window still resident and replays nothing; past the budget C is
+// capped there (never below wideWindow) and the walk restores the
+// checkpoint for each missing window and re-executes its cycles,
+// regenerating exactly the trail words it is about to read. Replay is
+// deterministic because a checkpoint captures the whole step input: score
+// planes, liveness, row summaries, comparator registers and the running
+// best (which the futility pruning reads). The total replay cost is
+// bounded by one extra forward pass — little on a kilobase read, where the
+// bound pass leaves about one live site per cycle — and memory stays
 // within the budget either way.
 
 import (
@@ -54,10 +56,12 @@ import (
 const wideWindow = 256
 
 // wideTrailBudget bounds the trail ring per machine. Auto-sized windows
-// grow until the ring hits this, which keeps kilobase reads entirely
-// resident (no replay) while a 10 kb read at K≈191 still runs in tens of
-// megabytes per extend lane.
-const wideTrailBudget = 32 << 20
+// grow until the ring hits this: at K=80 that holds a pass of ~920 cycles
+// entirely resident, and the tail of a longer one replays cheaply because
+// the bounds leave about one live site per cycle. Each machine allocates
+// its ring once, at the full budget (see ensureWide), so the budget, not
+// the reads, sets a lane's trail memory.
+const wideTrailBudget = 16 << 20
 
 // planeStride is the interleave stride of the wide score and liveness
 // arrays: numPlanes rounded to a power of two so index arithmetic is a
@@ -102,7 +106,7 @@ type wideState struct {
 	maxCycle                          int
 
 	// bound is the pass's certified lower bound on the final best score
-	// (wideBound); constant across the pass, so replay sees the same
+	// (wideWitness); constant across the pass, so replay sees the same
 	// pruning floor without checkpointing it.
 	bound int32
 	// stab is the pass's suffix bound table (wideSuffixBound): per
@@ -110,7 +114,6 @@ type wideState struct {
 	// state there can still add. Like bound it is constant across the
 	// pass, so replay reproduces the same pruning without checkpoints.
 	stab []int32
-	pp   wideBoundBuf
 }
 
 // initWide sizes the wide datapath for edit bound m.k.
@@ -301,7 +304,7 @@ func (m *Machine) wideTrailCode(p, t, i, d int) int {
 // a source-major scan, so the best chain and every trail word the
 // backward walk reads are byte-identical; gap and wait offers are checked
 // against a floor that may have risen since their source's scan slot,
-// which prunes strictly more — exact by the wideBound argument, since a
+// which prunes strictly more — exact by the bound-pass argument, since a
 // pruned offer's completion bound is below a floor that never exceeds the
 // pass's final score. The two d+1 transitions cross into the next word
 // when the source bit is 63; each accepted crossing is one mux crossing
@@ -788,8 +791,8 @@ func (m *Machine) extendWide(ref, query dna.Seq) Result {
 	maxCycle := sillax.StreamCycles(n, qn, m.k)
 	wd.ref, wd.query = ref, query
 	wd.maxCycle = maxCycle
-	wd.bound = m.wideBound(ref, query)
 	m.wideSuffixBound(ref, query)
+	wd.bound = m.wideWitness(ref, query)
 	m.ensureWide(maxCycle)
 	m.resetWide()
 	wd.best, wd.bestI, wd.bestD, wd.bestCycle, wd.bestPlan = 0, 0, 0, 0, pM0

@@ -39,6 +39,78 @@ func mutateGappy(r *rand.Rand, s dna.Seq, maxRun, runs int) dna.Seq {
 	return out
 }
 
+// mutateRate puts an error at each base with probability rate; a share
+// indelFrac of the errors are single-base insertions or deletions (half
+// each), the rest substitutions — the long-read simulator's error mix.
+func mutateRate(r *rand.Rand, s dna.Seq, rate, indelFrac float64) dna.Seq {
+	out := make(dna.Seq, 0, len(s)+len(s)/16)
+	for _, x := range s {
+		if r.Float64() >= rate {
+			out = append(out, x)
+			continue
+		}
+		switch u := r.Float64(); {
+		case u >= indelFrac:
+			out = append(out, dna.Base((int(x)+1+r.Intn(3))%4))
+		case u < indelFrac/2:
+			out = append(out, dna.Base(r.Intn(dna.NumBases)), x)
+		} // otherwise x is deleted
+	}
+	return out
+}
+
+// TestWideWitnessSound holds the bound pass to its contract. The witness
+// score is never negative and never above the pass's final score (L > S
+// could prune the optimum); it equals the score on low-error kilobase
+// reads, whose best path fits the edit budget; and an input whose best
+// path needs more than K edits takes the truncation branch and still
+// matches the oracle.
+func TestWideWitnessSound(t *testing.T) {
+	r := rand.New(rand.NewSource(99))
+	sc := align.BWAMEMDefaults()
+	extend := func(bm *Machine, ref, query dna.Seq) Result {
+		t.Helper()
+		res := bm.Extend(ref, query)
+		if L := int(bm.wide.bound); L < 0 || L > res.Score {
+			t.Fatalf("k=%d: witness %d outside [0, score %d] (ref %d bp, query %d bp)",
+				bm.k, L, res.Score, len(ref), len(query))
+		}
+		return res
+	}
+	for _, k := range []int{64, 65, 80, 127, 191} {
+		bm := New(k, sc)
+		for trial := 0; trial < 8; trial++ {
+			ref := randSeq(r, 40+r.Intn(200))
+			extend(bm, ref, randSeq(r, r.Intn(200)))
+			extend(bm, ref, mutate(r, ref, r.Intn(k+3)))
+			extend(bm, ref, mutateGappy(r, ref, 60, 1+r.Intn(3)))
+		}
+		for trial := 0; trial < 2; trial++ {
+			ref := randSeq(r, 1400)
+			res := extend(bm, ref, mutateRate(r, ref[:1200], 0.02, 0.3))
+			if int(bm.wide.bound) != res.Score {
+				t.Fatalf("k=%d: kilobase read at 2%% error: witness %d, score %d", k, bm.wide.bound, res.Score)
+			}
+		}
+	}
+
+	// Every sixth base mismatched: ~66 substitutions over 400 bases, each
+	// block of six still gaining, so the suffix table's best path runs
+	// through all of them and past K=64.
+	k := 64
+	ref := randSeq(r, 400)
+	query := ref.Clone()
+	for p := 5; p < len(query); p += 6 {
+		query[p] = (query[p] + 1) % dna.NumBases
+	}
+	bm := New(k, sc)
+	res := extend(bm, ref, query)
+	if path := bm.wide.stab[k*3]; bm.wide.bound >= path {
+		t.Fatalf("witness %d not truncated below the table's path score %d", bm.wide.bound, path)
+	}
+	checkSame(t, k, ref, query, res, sillax.NewTracebackMachine(k, sc).Extend(ref, query))
+}
+
 // TestBitsillaWideGappyRandom drives the multi-word engine with gap-heavy
 // inputs whose diagonal offsets cross word boundaries in both dimensions,
 // differentially against the cycle oracle.
@@ -256,3 +328,23 @@ func BenchmarkExtendWide(b *testing.B) {
 		m.Extend(ref, query)
 	}
 }
+
+// BenchmarkExtendWideLongRead is shaped like the long_k80 workload: a
+// 1 200 bp query at 2 % error, 30 % of the errors indels, at K=80.
+// BenchmarkExtendWide's gap blocks are a worst case and do not predict it.
+func BenchmarkExtendWideLongRead(b *testing.B) {
+	r := rand.New(rand.NewSource(100))
+	sc := align.BWAMEMDefaults()
+	ref := randSeq(r, 1400)
+	query := mutateRate(r, ref[:1200], 0.02, 0.3)
+	m := New(80, sc)
+	m.Extend(ref, query) // grow the ring, checkpoints and tables
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wideSink = m.Extend(ref, query)
+	}
+}
+
+// wideSink keeps the benchmarked Extend calls live.
+var wideSink Result

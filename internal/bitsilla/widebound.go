@@ -1,11 +1,11 @@
 package bitsilla
 
-// The witness prepass of the wide datapath. Futility pruning against the
+// The bound pass of the wide datapath. Futility pruning against the
 // running best is structurally toothless on long reads: at cycle c the
 // best is ≈ a·c while the completion bound grants a·(cycles remaining) of
 // slack, so every state in the (i+d <= K) triangle survives until the
 // read's tail and the scan degenerates to the cycle model's dense sweep.
-// Pruning against a certified lower bound L on the PASS'S FINAL score is
+// Pruning against a certified lower bound L on the PASS'S FINAL score S is
 // just as exact — see the invariants below — and for a well-matching read
 // a near-optimal L collapses the live set to a narrow corridor around the
 // true alignment for the whole pass.
@@ -23,151 +23,25 @@ package bitsilla
 // unpruned pass for ANY L <= S. L > S would be unsound; L is therefore
 // always the score of one concrete machine-legal witness alignment.
 //
-// The witness is a banded affine extension DP over diagonals
-// |qPos - refPos| <= wideBandHalf, anchored at the origin like the
-// machine, scored with the machine's costs, free to end anywhere (the
-// machine clips the query tail for free). Machine legality is enforced by
-// carrying each cell's edit budget u = i + d + layer: every substitution,
-// insertion and deletion costs one unit (exactly the i+d+1+layer <= k
-// branch guards of stepWide) and cells whose budget exceeds K are killed —
-// the budget is monotone along a path, so a killed prefix can never
-// redeem itself. Only closed cells (last op match or substitution) feed L,
-// because the machine never records a best from its gap planes. Paths the
-// band or the budget cannot reach only lower L, never break it.
+// One backward pass yields both bounds. wideSuffixBound fills the suffix
+// table U over the full ±K band, and wideWitness reads L off that table's
+// own best path: from the origin's closed entry it follows, cell by cell,
+// whichever option produced the stored value — close (match or
+// substitution), insertion, deletion, or, in a closed state, stop at the
+// >= 0 floor. Every step is a transition the machine allows, priced with
+// the machine's costs. One edit per substitution, inserted base and
+// deleted base is exactly the machine's budget i + d + layer (the
+// i+d+1+layer <= k branch guards of stepWide), and it never falls along a
+// path, so every prefix with at most K edits is a path the machine runs
+// (|refPos - qPos| <= edits <= K keeps it inside the band). Only closed
+// prefixes count, because the machine records a best only from closed
+// states; it clips the query tail for free, so the best such prefix scores
+// some alignment the machine also scores, and L <= S. When the whole path
+// fits the budget its score is U(origin) >= S, so L = S; past the budget
+// the walk returns the best prefix before the (K+1)-th edit — weaker, but
+// still a witness, so there is no fallback.
 
 import "genax/internal/dna"
-
-// wideBandHalf is the diagonal half-width of the witness prepass. Wide
-// enough for the cumulative indel drift of a kilobase read; drift beyond
-// it costs pruning sharpness, never correctness.
-const wideBandHalf = 32
-
-// wideBandW is the witness band width in diagonals.
-const wideBandW = 2*wideBandHalf + 1
-
-// wideBoundBuf is the witness DP's rolling state: previous-row closed (h),
-// insertion (i) and deletion (d) scores with their edit budgets, plus the
-// next row's h/i staging. Fixed-size — the prepass never allocates.
-type wideBoundBuf struct {
-	h, i, d    [wideBandW]int32
-	uh, ui, ud [wideBandW]int32
-	h2, i2     [wideBandW]int32
-	uh2, ui2   [wideBandW]int32
-}
-
-// wideBound computes the certified lower bound L for one extension.
-//
-//genax:hotpath
-func (m *Machine) wideBound(ref, query dna.Seq) int32 {
-	n, qn := len(ref), len(query)
-	if n == 0 || qn == 0 {
-		return 0
-	}
-	a, b, open, ext := m.cs.A, m.cs.B, m.cs.Open, m.cs.Ext
-	k := int32(m.k)
-	pp := &m.wide.pp
-	const B = wideBandHalf
-
-	for j := 0; j < wideBandW; j++ {
-		pp.h[j], pp.i[j], pp.d[j] = negScore, negScore, negScore
-	}
-	pp.h[B], pp.uh[B] = 0, 0
-	// Leading deletions: ref consumed before any query, descending so each
-	// cell sees the fresher deletion one diagonal up.
-	for j := B - 1; j >= 0; j-- {
-		r := B - j // = -delta = ref bases consumed
-		if r > n {
-			break
-		}
-		v, u := negScore, int32(0)
-		if pp.h[j+1] > negScore {
-			v, u = pp.h[j+1]-open, pp.uh[j+1]+1
-		}
-		if pp.d[j+1] > negScore && pp.d[j+1]-ext > v {
-			v, u = pp.d[j+1]-ext, pp.ud[j+1]+1
-		}
-		if v > negScore && u <= k {
-			pp.d[j], pp.ud[j] = v, u
-		}
-	}
-
-	best := int32(0)
-	for q := 1; q <= qn; q++ {
-		qb := query[q-1] & 3
-		for j := 0; j < wideBandW; j++ {
-			r := q - (j - B)
-			hv, hu := negScore, int32(0)
-			iv, iu := negScore, int32(0)
-			// Insertion: consume query only, from one diagonal down in the
-			// previous row; gap-switch from a deletion opens a fresh gap.
-			if j > 0 && r >= 0 && r <= n {
-				if pp.h[j-1] > negScore {
-					iv, iu = pp.h[j-1]-open, pp.uh[j-1]+1
-				}
-				if pp.i[j-1] > negScore && pp.i[j-1]-ext > iv {
-					iv, iu = pp.i[j-1]-ext, pp.ui[j-1]+1
-				}
-				if pp.d[j-1] > negScore && pp.d[j-1]-open > iv {
-					iv, iu = pp.d[j-1]-open, pp.ud[j-1]+1
-				}
-				if iv > negScore && iu > k {
-					iv = negScore
-				}
-			}
-			// Closed: consume both, from the same diagonal in the previous
-			// row, out of whichever state scored best (smaller budget on
-			// ties — same score, strictly more headroom).
-			if r >= 1 && r <= n {
-				pv, pu := pp.h[j], pp.uh[j]
-				if pp.i[j] > pv || (pp.i[j] == pv && pp.i[j] > negScore && pp.ui[j] < pu) {
-					pv, pu = pp.i[j], pp.ui[j]
-				}
-				if pp.d[j] > pv || (pp.d[j] == pv && pp.d[j] > negScore && pp.ud[j] < pu) {
-					pv, pu = pp.d[j], pp.ud[j]
-				}
-				if pv > negScore {
-					if qb == ref[r-1]&3 {
-						hv, hu = pv+a, pu
-					} else {
-						hv, hu = pv-b, pu+1
-					}
-					if hu > k {
-						hv = negScore
-					}
-				}
-			}
-			pp.h2[j], pp.uh2[j] = hv, hu
-			pp.i2[j], pp.ui2[j] = iv, iu
-			if hv > best {
-				best = hv
-			}
-		}
-		// Deletion sweep: consume ref only, within the current row,
-		// descending so diagonal delta feeds delta-1.
-		for j := wideBandW - 1; j >= 0; j-- {
-			r := q - (j - B)
-			v, u := negScore, int32(0)
-			if r >= 1 && r <= n && j+1 < wideBandW {
-				if pp.h2[j+1] > negScore {
-					v, u = pp.h2[j+1]-open, pp.uh2[j+1]+1
-				}
-				if pp.i2[j+1] > negScore && pp.i2[j+1]-open > v {
-					v, u = pp.i2[j+1]-open, pp.ui2[j+1]+1
-				}
-				if pp.d[j+1] > negScore && pp.d[j+1]-ext > v {
-					v, u = pp.d[j+1]-ext, pp.ud[j+1]+1
-				}
-				if v > negScore && u > k {
-					v = negScore
-				}
-			}
-			pp.d[j], pp.ud[j] = v, u
-		}
-		pp.h, pp.uh = pp.h2, pp.uh2
-		pp.i, pp.ui = pp.i2, pp.ui2
-	}
-	return best
-}
 
 // wideSuffixFree marks suffix-table cells whose ref position is outside
 // the lattice; the huge value makes the suffix threshold vacuous there,
@@ -188,13 +62,12 @@ const wideSuffixFree = int32(1) << 28
 // was already a best candidate when written — that floor is what keeps
 // every potential recording alive.
 //
-// The band is the FULL +-K diagonal range, not the witness prepass's
-// narrow corridor: every machine path keeps |d - i| <= i + d <= K, so a
-// position outside the band is unreachable and a move across the band
-// edge is machine-illegal — the boundary is a true -inf, which is what
-// makes the interior tight. (A generous band-exit bound would leak
-// inward at -ext per diagonal and cap the whole table near the generic
-// floor.) Layout: (qPos*(2K+1) + j)*3 + state, with
+// The band is the FULL +-K diagonal range: every machine path keeps
+// |d - i| <= i + d <= K, so a position outside the band is unreachable
+// and a move across the band edge is machine-illegal — the boundary is a
+// true -inf, which is what makes the interior tight. (A generous band-exit
+// bound would leak inward at -ext per diagonal and cap the whole table
+// near the generic floor.) Layout: (qPos*(2K+1) + j)*3 + state, with
 // j = refPos - qPos + K and states closed/ins/del.
 func (m *Machine) wideSuffixBound(ref, query dna.Seq) {
 	n, qn := len(ref), len(query)
@@ -274,6 +147,75 @@ func (m *Machine) wideSuffixBound(ref, query dna.Seq) {
 				ud = v
 			}
 			tab[o], tab[o+1], tab[o+2] = um, ui, ud
+		}
+	}
+}
+
+// wideWitness walks the suffix table's best path forward from the origin
+// and returns the certified lower bound L: the best score of a closed
+// prefix of that path with at most K edits. Options are tried in a fixed
+// order (stop, close, insertion, deletion) and the first whose value
+// reproduces the stored entry is taken, so the walk is deterministic.
+// Every step consumes a query or a reference base, so it ends within
+// qn + n steps.
+//
+//genax:hotpath
+func (m *Machine) wideWitness(ref, query dna.Seq) int32 {
+	n, qn := len(ref), len(query)
+	a, b, open, ext := m.cs.A, m.cs.B, m.cs.Open, m.cs.Ext
+	kk := m.k
+	w := 2*kk + 1
+	tab := m.wide.stab
+	const stClosed, stIns, stDel = 0, 1, 2
+	q, j, st := 0, kk, stClosed
+	score, best := int32(0), int32(0)
+	edits := 0
+	for {
+		r := q + j - kk
+		row := q * w * 3
+		u := tab[row+j*3+st]
+		if st == stClosed {
+			if score > best {
+				best = score
+			}
+			if u == 0 {
+				return best // the >= 0 floor: nothing left to gain
+			}
+		}
+		if q < qn && r < n {
+			nm := tab[row+w*3+j*3]
+			step, e := a, 0
+			if ref[r]&3 != query[q]&3 {
+				step, e = -b, 1
+			}
+			if nm+step == u {
+				score += step
+				edits += e
+				q, st = q+1, stClosed
+				if edits > kk {
+					return best
+				}
+				continue
+			}
+		}
+		gi, gd := open, open // entering an insertion / deletion from st
+		if st == stIns {
+			gi = ext
+		} else if st == stDel {
+			gd = ext
+		}
+		switch {
+		case q < qn && j > 0 && tab[row+w*3+(j-1)*3+stIns]-gi == u:
+			score -= gi
+			q, j, st = q+1, j-1, stIns
+		case r < n && j+1 < w && tab[row+(j+1)*3+stDel]-gd == u:
+			score -= gd
+			j, st = j+1, stDel
+		default:
+			return best
+		}
+		if edits++; edits > kk {
+			return best
 		}
 	}
 }
