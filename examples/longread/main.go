@@ -26,7 +26,7 @@ import (
 func main() {
 	// A small long-read workload: 1.2 kb mean reads at 2% error with a
 	// heavy indel fraction — the regime that needs an edit budget far
-	// past the single-word limit of 63.
+	// past 63, the largest K whose grid rows fit one word.
 	const k = 80
 	wl := sim.NewLongReadWorkload(9, 40_000, sim.DefaultVariantProfile(),
 		sim.LongReadProfile{MeanLength: 1200, Coverage: 0.3, ErrorRate: 0.02,

@@ -52,9 +52,9 @@ func checkSame(t *testing.T, k int, ref, query dna.Seq, got Result, want sillax.
 
 // diffK covers small bounds, the composed-tile bounds of the TileArray
 // (p tiles of base bound b give k = p*(b+1)-1: 9 and 19), the production
-// default 40, the single-word limit 63, and multi-word bounds straddling
-// every word edge the wide datapath has: 64/65 (first bit of word 1 and
-// one past it), 127/128 (the word 1 -> word 2 edge) and 191 (three full
+// default 40, the one-word limit 63, and multi-word bounds straddling
+// every word edge the datapath has: 64/65 (first bit of word 1 and one
+// past it), 127/128 (the word 1 -> word 2 edge) and 191 (three full
 // words).
 var diffK = []int{0, 1, 2, 3, 4, 8, 9, 16, 19, 40, 63, 64, 65, 127, 128, 191}
 
@@ -212,15 +212,15 @@ func TestBitsillaCycleAccounting(t *testing.T) {
 }
 
 // TestBitsillaSteadyStateAllocs pins the zero-allocation hot path: after a
-// warm-up call has grown the trail slab and walk buffer, Extend must not
-// allocate beyond the reported Cigar's reversal.
+// warm-up call has grown the trail ring, bound table and walk buffer,
+// Extend must not allocate beyond the reported Cigar's reversal.
 func TestBitsillaSteadyStateAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	sc := align.BWAMEMDefaults()
 	bm := New(40, sc)
 	ref := randSeq(r, 150)
 	query := mutate(r, ref, 6)
-	bm.Extend(ref, query) // grow trail + walk scratch
+	bm.Extend(ref, query) // grow ring + bound table + walk scratch
 	allocs := testing.AllocsPerRun(50, func() {
 		bm.Extend(ref, query)
 	})

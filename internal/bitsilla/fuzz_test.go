@@ -8,12 +8,12 @@ import (
 	"genax/internal/sillax"
 )
 
-// FuzzBitsillaVsSillaX differentially fuzzes the bit-parallel engine
-// against the cycle-level oracle: for any edit bound and any pair of
-// sequences, the two machines must agree byte for byte on score, consumed
-// lengths and cigar, and the cigar must reconcile with the strings. The
-// checked-in corpus doubles as a regression gate in CI (go test runs every
-// seed even without -fuzz).
+// FuzzBitsillaVsSillaX differentially fuzzes the one-word instance of the
+// datapath (K ≤ MaxWordK) against the cycle-level oracle: for any such
+// edit bound and any pair of sequences, the two machines must agree byte
+// for byte on score, consumed lengths and cigar, and the cigar must
+// reconcile with the strings. The seeds double as a regression gate in CI
+// (go test runs every seed even without -fuzz).
 func FuzzBitsillaVsSillaX(f *testing.F) {
 	// Edit bounds spanning single-bit, narrow-word and tile-composition
 	// regimes; reads ending on, before and after the w=k+1 tile widths;

@@ -1,46 +1,40 @@
 package bitsilla
 
-// The multi-word ("wide") datapath: the same bit-parallel SillaX semantics
-// as the single-word engine, with every per-row quantity striped across
-// nw = ceil((K+1)/64) machine words along the diagonal-offset axis d. This
-// is the software rendering of §IV-D tile composition — each 64-bit word is
-// one K-tile of the composed engine, and a shift whose source and target
-// bits live in different words is a signal through the reconfiguration
-// muxes, counted exactly like sillax.ComposedEditMachine.MuxCrossings.
+// The datapath: every per-row quantity is striped across nw = ⌈(K+1)/64⌉
+// machine words along the diagonal-offset axis d, one word for K ≤ MaxWordK.
+// This is the software rendering of §IV-D tile composition — each 64-bit
+// word is one K-tile of the composed engine, and a shift whose source and
+// target bits live in different words is a signal through the
+// reconfiguration muxes, counted exactly like
+// sillax.ComposedEditMachine.MuxCrossings.
 //
-// Liveness words, comparator shift registers and the packed trail all gain
+// Liveness words, comparator shift registers and the packed trail all have
 // a word dimension; carries propagate across word boundaries in the qeq
 // shift (word w takes word w-1's top bit) and in the two d+1 transitions
 // (wait delivery and deletion), whose target bit wraps into the next word
 // when the source sits on bit 63.
 //
-// Unlike the single-word planes, the wide score and liveness arrays are
-// laid out plane-interleaved: the seven plane values of one (i, d) register
-// sit in planeStride consecutive slots, and the seven liveness words of one
-// (i, vw) stripe share one cache line. On a long read the live set
-// saturates the whole (i+d <= K) triangle for most of the pass — futility
-// pruning only bites once a*min(remR, remQ) drops under the triangle's
-// score spread — so the scan touches every plane of every live site every
-// cycle, and the plane-major layout of the narrow engine would turn each
-// site into seven cache misses.
+// Score and liveness arrays are laid out plane-interleaved: the seven plane
+// values of one (i, d) register sit in planeStride consecutive slots, and
+// the seven liveness words of one (i, vw) stripe share one cache line, so
+// the scan, which reads every plane of every live site, pays one cache miss
+// per site rather than seven.
 //
-// The one structure that cannot simply grow a word dimension is the
-// time-indexed trail: at long-read scale (10 kb reads, K≈100-200) a full
-// cycles × rows × planes × words slab runs to hundreds of megabytes per
-// lane. The wide engine instead keeps a ring of 2C trail slots (C cycles
-// per window) plus a machine-state checkpoint at the head of every window.
-// C is sized per pass: whenever 2C cycles cover the whole pass within
-// wideTrailBudget (16 MiB; ~920 cycles at K=80), the backward walk finds
-// every window still resident and replays nothing; past the budget C is
-// capped there (never below wideWindow) and the walk restores the
-// checkpoint for each missing window and re-executes its cycles,
-// regenerating exactly the trail words it is about to read. Replay is
-// deterministic because a checkpoint captures the whole step input: score
-// planes, liveness, row summaries, comparator registers and the running
-// best (which the futility pruning reads). The total replay cost is
-// bounded by one extra forward pass — little on a kilobase read, where the
-// bound pass leaves about one live site per cycle — and memory stays
-// within the budget either way.
+// The time-indexed trail is a ring of 2C slots (C cycles per window) plus a
+// machine-state checkpoint at the head of every window: at long-read scale
+// (10 kb reads, K≈100-200) a full cycles × rows × planes × words slab would
+// run to hundreds of megabytes per lane. C is sized per pass: whenever 2C
+// cycles cover the whole pass within wideTrailBudget (16 MiB; ~920 cycles
+// at K=80), the backward walk finds every window still resident, nothing is
+// checkpointed and nothing replays; past the budget C is capped there
+// (never below wideWindow) and the walk restores the checkpoint for each
+// missing window and re-executes its cycles, regenerating exactly the trail
+// words it is about to read. Replay is deterministic because a checkpoint
+// captures the whole step input: score planes, liveness, row summaries,
+// comparator registers and the running best (which the pruning floor
+// reads). The total replay cost is bounded by one extra forward pass —
+// little on a kilobase read, where the bound pass leaves about one live
+// site per cycle — and memory stays within the budget either way.
 
 import (
 	"math/bits"
@@ -58,10 +52,15 @@ const wideWindow = 256
 // wideTrailBudget bounds the trail ring per machine. Auto-sized windows
 // grow until the ring hits this: at K=80 that holds a pass of ~920 cycles
 // entirely resident, and the tail of a longer one replays cheaply because
-// the bounds leave about one live site per cycle. Each machine allocates
-// its ring once, at the full budget (see ensureWide), so the budget, not
-// the reads, sets a lane's trail memory.
+// the bounds leave about one live site per cycle. A machine that outgrows
+// its starter ring allocates the full budget at once (see ensureWide), so
+// the budget, not the reads, sets a lane's trail memory.
 const wideTrailBudget = 16 << 20
+
+// wideStarterRing is the size of a machine's first trail ring when its
+// first pass fits: a 101 bp read at K=40 touches ~0.8 MB of ring, and a
+// lane that only ever sees such passes never pays for the budget ring.
+const wideStarterRing = 1 << 20
 
 // planeStride is the interleave stride of the wide score and liveness
 // arrays: numPlanes rounded to a power of two so index arithmetic is a
@@ -80,10 +79,10 @@ type wideSnap struct {
 	mux                            int64
 }
 
-// wideState is the k > MaxWordK extension of Machine: word counts, the
-// striped comparator and row summaries, the trail ring with its
-// checkpoints, and the forward-pass cursor shared between Extend and
-// replay.
+// wideState is the datapath state beyond the score and liveness slabs:
+// word counts, the striped comparator and row summaries, the trail ring
+// with its checkpoints, and the forward-pass cursor shared between Extend
+// and replay.
 type wideState struct {
 	nw   int // words per (plane, row) along d; also row-summary words along i
 	winC int // configured checkpoint window in cycles (0 = auto-size per pass)
@@ -116,7 +115,7 @@ type wideState struct {
 	stab []int32
 }
 
-// initWide sizes the wide datapath for edit bound m.k.
+// initWide sizes the datapath for edit bound m.k.
 func (m *Machine) initWide() {
 	nw := (m.w + 63) / 64
 	m.cur = make([]int32, m.wn*planeStride)
@@ -142,14 +141,11 @@ func (m *Machine) ensureWide(maxCycle int) {
 	if win == 0 {
 		// Auto: a ring of 2*win slots holds the whole pass when
 		// win >= (maxCycle+1)/2 — then the walk never replays. Cap by the
-		// ring budget (16 bytes per ring word across both windows), floor
-		// at the fixed replay window.
+		// ring budget (16 bytes per ring word across both windows), and
+		// floor a capped window at the fixed replay window.
 		win = maxCycle/2 + 1
 		if maxWin := wideTrailBudget / (16 * slotWords); win > maxWin {
-			win = maxWin
-		}
-		if win < wideWindow {
-			win = wideWindow
+			win = max(maxWin, wideWindow)
 		}
 	}
 	if win < 2 {
@@ -158,20 +154,30 @@ func (m *Machine) ensureWide(maxCycle int) {
 	wd.win = win
 	ringLen := 2 * win * slotWords
 	if cap(wd.trail) < ringLen {
-		// An auto-sized ring is allocated once, at the largest window auto
-		// mode can pick. Machines live as long as the pipeline lane that
-		// owns them, and which lane meets the longest pass first depends on
-		// scheduling: an exact-fit ring regrown pass by pass would leave
-		// a run-dependent number of dead rings behind. Untouched slots of
-		// a fresh ring cost address space, not memory.
+		// An auto-sized ring is allocated at most twice: a fixed starter
+		// if the machine's first pass fits it, then once at the largest
+		// window auto mode can pick. Machines live as long as the pipeline
+		// lane that owns them, and which lane meets the longest pass first
+		// depends on scheduling: an exact-fit ring regrown pass by pass
+		// would leave a run-dependent number of dead rings behind.
+		// Untouched slots of a fresh ring cost address space, not memory.
 		alloc := ringLen
 		if wd.winC == 0 {
-			alloc = 2 * max(wideTrailBudget/(16*slotWords), wideWindow) * slotWords
+			if wd.trail == nil && 8*ringLen <= wideStarterRing {
+				alloc = wideStarterRing / 8
+			} else {
+				alloc = 2 * max(wideTrailBudget/(16*slotWords), wideWindow) * slotWords
+			}
 		}
 		wd.trail = make([]uint64, alloc)
 	}
 	wd.trail = wd.trail[:ringLen]
-	nSnaps := maxCycle/win + 1
+	// A ring that holds the whole pass never replays, so it needs no
+	// checkpoints (extendWide skips them on the same condition).
+	nSnaps := 0
+	if 2*win <= maxCycle {
+		nSnaps = maxCycle/win + 1
+	}
 	for len(wd.snaps) < nSnaps {
 		wd.snaps = append(wd.snaps, wideSnap{
 			cur:  make([]int32, m.wn*planeStride),
@@ -183,7 +189,8 @@ func (m *Machine) ensureWide(maxCycle int) {
 }
 
 // resetWide clears the previous call's liveness (masks only — scores are
-// masked by liveness, like the single-word path) and arms the origin state.
+// masked by liveness, so the O(K²) register clears of the cycle model are
+// work this engine never does) and arms the origin state.
 //
 //genax:hotpath
 func (m *Machine) resetWide() {
@@ -285,7 +292,7 @@ func (m *Machine) wideTrailCode(p, t, i, d int) int {
 	return code
 }
 
-// stepWide executes one machine cycle of the wide datapath: shift the
+// stepWide executes one machine cycle of the datapath: shift the
 // striped comparator, then scan TARGET registers ("pull"). For every
 // register (i, d) reachable this cycle it resolves all competing offers in
 // registers — the wait delivery from (i-1, d-1), match and substitution
@@ -349,7 +356,8 @@ func (m *Machine) stepWide(c int) bool {
 	// witness bound. futileThr(.., pb) = max(best+1, bound) - a*rem, which
 	// keeps every state able to TIE the witness (the canonical winner may
 	// be one of them) while the plain best-so-far comparison stays
-	// tie-pruning, exactly like the single-word engine.
+	// tie-pruning: an offer that can at most equal a best already standing
+	// can never replace it.
 	pb := best
 	if wd.bound-1 > pb {
 		pb = wd.bound - 1
@@ -783,8 +791,10 @@ func (m *Machine) stepWide(c int) bool {
 	return any
 }
 
-// extendWide runs the forward pass over the trail ring, then the same
-// backward walk as the single-word engine, replaying windows on demand.
+// extendWide runs the bound pass, the forward pass over the trail ring,
+// then the backward walk over the time-indexed trail, replaying evicted
+// windows on demand. Every register the walk visits was written this pass
+// at exactly the cycle it holds, so each code read names the true source.
 func (m *Machine) extendWide(ref, query dna.Seq) Result {
 	wd := m.wide
 	n, qn := len(ref), len(query)
@@ -798,9 +808,10 @@ func (m *Machine) extendWide(ref, query dna.Seq) Result {
 	wd.best, wd.bestI, wd.bestD, wd.bestCycle, wd.bestPlan = 0, 0, 0, 0, pM0
 	wd.mux = 0
 	C := wd.win
+	replays := 2*C <= maxCycle // otherwise the ring holds the whole pass
 	jLast := 0
 	for c := 0; c <= maxCycle; c++ {
-		if c%C == 0 {
+		if replays && c%C == 0 {
 			m.saveSnap(c / C)
 		}
 		jLast = c / C
@@ -829,6 +840,9 @@ func (m *Machine) extendWide(ref, query dna.Seq) Result {
 			case pM0:
 				code := m.wideTrailCode(pM0, t, i, d)
 				if code == codeWait {
+					// The second substitution of a merged pair: one X
+					// spanning the two-cycle hop back to the wait state's
+					// layer-1 source.
 					rev = rev.Append(align.OpMismatch, 1)
 					i--
 					d--
@@ -840,6 +854,9 @@ func (m *Machine) extendWide(ref, query dna.Seq) Result {
 					t--
 				}
 			case pM1:
+				// Written by layer 1's own match or by layer 0's first
+				// substitution; the comparator output at the write cycle,
+				// recomputed from the strings, names the branch.
 				code := m.wideTrailCode(pM1, t, i, d)
 				rp, qp := t-1-i, t-1-d
 				if rp >= 0 && rp < n && qp >= 0 && qp < qn && ref[rp] == query[qp] {

@@ -12,7 +12,7 @@ import (
 // mutateGappy applies `runs` gap runs of up to maxRun bases each (deletion
 // or insertion, evenly) plus a sprinkle of substitutions. Random point
 // mutations almost never push the diagonal offsets past bit 63, so the
-// cross-word shift paths of the wide datapath are exercised with long
+// cross-word shift paths of the multi-word datapath are exercised with long
 // coherent gaps instead.
 func mutateGappy(r *rand.Rand, s dna.Seq, maxRun, runs int) dna.Seq {
 	out := s.Clone()
@@ -59,12 +59,13 @@ func mutateRate(r *rand.Rand, s dna.Seq, rate, indelFrac float64) dna.Seq {
 	return out
 }
 
-// TestWideWitnessSound holds the bound pass to its contract. The witness
-// score is never negative and never above the pass's final score (L > S
-// could prune the optimum); it equals the score on low-error kilobase
-// reads, whose best path fits the edit budget; and an input whose best
-// path needs more than K edits takes the truncation branch and still
-// matches the oracle.
+// TestWideWitnessSound holds the bound pass to its contract at one word
+// and at several. The witness score is never negative and never above the
+// pass's final score (L > S could prune the optimum); it equals the score
+// on low-error reads whose best path fits the edit budget — 101 bp reads
+// against 141 bp windows at K ≤ MaxWordK, kilobase reads past it; and an
+// input whose best path needs more than K edits takes the truncation
+// branch and still matches the oracle.
 func TestWideWitnessSound(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	sc := align.BWAMEMDefaults()
@@ -77,7 +78,7 @@ func TestWideWitnessSound(t *testing.T) {
 		}
 		return res
 	}
-	for _, k := range []int{64, 65, 80, 127, 191} {
+	for _, k := range []int{0, 4, 19, 40, 63, 64, 65, 80, 127, 191} {
 		bm := New(k, sc)
 		for trial := 0; trial < 8; trial++ {
 			ref := randSeq(r, 40+r.Intn(200))
@@ -85,11 +86,15 @@ func TestWideWitnessSound(t *testing.T) {
 			extend(bm, ref, mutate(r, ref, r.Intn(k+3)))
 			extend(bm, ref, mutateGappy(r, ref, 60, 1+r.Intn(3)))
 		}
-		for trial := 0; trial < 2; trial++ {
-			ref := randSeq(r, 1400)
-			res := extend(bm, ref, mutateRate(r, ref[:1200], 0.02, 0.3))
+		refLen, readLen, reads := 1400, 1200, 2
+		if k <= MaxWordK {
+			refLen, readLen, reads = 141, 101, 40
+		}
+		for trial := 0; trial < reads; trial++ {
+			ref := randSeq(r, refLen)
+			res := extend(bm, ref, mutateRate(r, ref[:readLen], 0.02, 0.3))
 			if int(bm.wide.bound) != res.Score {
-				t.Fatalf("k=%d: kilobase read at 2%% error: witness %d, score %d", k, bm.wide.bound, res.Score)
+				t.Fatalf("k=%d: %d bp read at 2%% error: witness %d, score %d", k, readLen, bm.wide.bound, res.Score)
 			}
 		}
 	}
@@ -253,25 +258,44 @@ func TestBitsillaWideSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBitsillaWideRingAllocatedOnce pins what makes a pooled machine's
-// memory independent of the order it meets its inputs in: the auto-sized
-// trail ring is allocated on the first pass and kept, whether later passes
-// need the floor window, a whole-pass window or the budget-capped one.
+// TestBitsillaWideRingAllocatedOnce pins what keeps a pooled machine's
+// memory small and independent of the order it meets its inputs in: the
+// auto-sized trail ring is allocated at most twice — a 1 MiB starter if
+// the first pass fits it, then the budget ring, which every later pass
+// reuses whether it needs a whole-pass window or the budget-capped one. A
+// K=40 machine fed 101 bp reads against 141 bp windows never leaves the
+// starter; a K=80 machine's first pass already outgrows it.
 func TestBitsillaWideRingAllocatedOnce(t *testing.T) {
 	r := rand.New(rand.NewSource(98))
-	bm := New(80, align.BWAMEMDefaults())
-	var ring *uint64
-	for _, n := range []int{60, 1200, 3000, 300} {
-		ref := randSeq(r, n)
-		bm.Extend(ref, mutate(r, ref, 4))
-		if ring == nil {
-			ring = &bm.wide.trail[:1][0]
-		} else if ring != &bm.wide.trail[:1][0] {
-			t.Fatalf("a %d-base pass reallocated the trail ring", n)
+	sc := align.BWAMEMDefaults()
+	for _, tc := range []struct {
+		k       int
+		passes  [][2]int // reference and query length of each pass
+		starter int      // leading passes the starter ring serves
+	}{
+		{40, [][2]int{{141, 101}, {141, 101}, {120, 101}, {141, 101}, {1200, 1200}, {60, 60}, {3000, 3000}, {141, 101}}, 4},
+		{80, [][2]int{{60, 60}, {1200, 1200}, {3000, 3000}, {300, 101}}, 0},
+	} {
+		bm := New(tc.k, sc)
+		var rings []*uint64
+		for pass, lens := range tc.passes {
+			ref := randSeq(r, lens[0])
+			bm.Extend(ref, mutate(r, ref[:lens[1]], 4))
+			if ring := &bm.wide.trail[:1][0]; len(rings) == 0 || rings[len(rings)-1] != ring {
+				rings = append(rings, ring)
+			}
+			bytes := cap(bm.wide.trail) * 8
+			if inStarter := bytes == wideStarterRing; inStarter != (pass < tc.starter) {
+				t.Fatalf("k=%d pass %d (%v): ring holds %d bytes, starter ring expected: %v",
+					tc.k, pass, lens, bytes, pass < tc.starter)
+			}
+			if bytes > wideTrailBudget {
+				t.Fatalf("k=%d: ring holds %d bytes, over the %d budget", tc.k, bytes, wideTrailBudget)
+			}
 		}
-	}
-	if got := cap(bm.wide.trail) * 8; got > wideTrailBudget {
-		t.Fatalf("ring holds %d bytes, over the %d budget", got, wideTrailBudget)
+		if want := 1 + min(tc.starter, 1); len(rings) != want {
+			t.Fatalf("k=%d: %d ring allocations, want %d", tc.k, len(rings), want)
+		}
 	}
 }
 
@@ -300,7 +324,7 @@ func TestBitsillaWideMachineReuse(t *testing.T) {
 	}
 }
 
-// TestBitsillaWideEdgeCases mirrors the single-word edge table at a
+// TestBitsillaWideEdgeCases mirrors the one-word edge table at a
 // multi-word bound.
 func TestBitsillaWideEdgeCases(t *testing.T) {
 	sc := align.BWAMEMDefaults()

@@ -1,7 +1,7 @@
 package bitsilla
 
-// The bound pass of the wide datapath. Futility pruning against the
-// running best is structurally toothless on long reads: at cycle c the
+// The bound pass, run before every extension at every K. Futility pruning
+// against the running best alone is structurally toothless: at cycle c the
 // best is ≈ a·c while the completion bound grants a·(cycles remaining) of
 // slack, so every state in the (i+d <= K) triangle survives until the
 // read's tail and the scan degenerates to the cycle model's dense sweep.

@@ -8,11 +8,11 @@ import (
 	"genax/internal/sillax"
 )
 
-// FuzzBitsillaWideVsSillaX differentially fuzzes the multi-word datapath
-// against the cycle-level oracle: the edit bound is mapped into
-// [MaxWordK+1, 191] so every execution takes the wide path, and a fuzzed
-// window size (mapped into [2, 64]) forces checkpoint replay on longer
-// inputs. The checked-in corpus doubles as a regression gate in CI
+// FuzzBitsillaWideVsSillaX differentially fuzzes the multi-word instances
+// of the datapath against the cycle-level oracle: the edit bound is mapped
+// into [MaxWordK+1, 191] so every execution runs two or more words, and a
+// fuzzed window size (mapped into [2, 64]) forces checkpoint replay on
+// longer inputs. The checked-in corpus doubles as a regression gate in CI
 // (go test replays every seed even without -fuzz).
 func FuzzBitsillaWideVsSillaX(f *testing.F) {
 	// Seeds straddle word edges (k = 64, 65, 127, 128, 191 via the kRaw

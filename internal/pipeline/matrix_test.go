@@ -51,8 +51,8 @@ func runPath(t *testing.T, base *Pipeline, p Params, path string, reads []dna.Se
 // TestDeterminismMatrix is the one determinism gate: results and every
 // work counter are identical for any number of lanes, through every entry
 // point, over a heap index and over a mapped one streamed one shard group
-// at a time — on short reads (narrow engine) and on kilobase reads at
-// K=80 (wide engine, chaining on). Run under -race it is also the
+// at a time — on short reads (one-word datapath) and on kilobase reads at
+// K=80 (two words per row, chaining on). Run under -race it is also the
 // data-race gate for the lanes' shared cursors, slots and barrier.
 func TestDeterminismMatrix(t *testing.T) {
 	sp, lp := smallParams(), smallParams()
