@@ -11,11 +11,11 @@
 //	genax-bench all       everything above
 //
 // Flags: -quick shrinks the workload; -genome/-coverage/-seed resize it;
-// -engine selects the extension engine (bitsilla, sillax, banded, genasm,
-// cascade); -pairs sizes fig14; -stages prints the per-stage busy-time
-// breakdown of the pipeline after the experiment (the Fig 11 seed/extend
-// lane balance); -cpuprofile/-memprofile write pprof profiles of the
-// selected experiment (see EXPERIMENTS.md for the profiling workflow).
+// -engine selects the extension engine (bitsilla, sillax, banded); -pairs
+// sizes fig14; -stages prints the per-stage busy-time breakdown of the
+// pipeline after the experiment (the Fig 11 seed/extend lane balance);
+// -cpuprofile/-memprofile write pprof profiles of the selected experiment
+// (see EXPERIMENTS.md for the profiling workflow).
 package main
 
 import (
@@ -40,7 +40,7 @@ func run() int {
 	genome := flag.Int("genome", 0, "override synthetic genome length (bases)")
 	coverage := flag.Float64("coverage", 0, "override read coverage")
 	seed := flag.Int64("seed", 0, "override workload RNG seed")
-	engine := flag.String("engine", "", "extension engine: bitsilla (default), sillax, banded, genasm, or cascade")
+	engine := flag.String("engine", "", "extension engine: bitsilla (default), sillax, or banded")
 	pairs := flag.Int("pairs", 2000, "extension pairs for fig14")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memprofile := flag.String("memprofile", "", "write a post-run heap profile to this file")

@@ -26,7 +26,6 @@ import (
 
 	"genax/internal/core"
 	"genax/internal/dna"
-	"genax/internal/extend"
 	"genax/internal/indexio"
 	"genax/internal/seed"
 	"genax/internal/sim"
@@ -312,7 +311,7 @@ func cmdAlign(args []string) error {
 	kmer := fs.Int("kmer", 12, "k-mer length")
 	segLen := fs.Int("segment", 1<<20, "segment length (bases)")
 	k := fs.Int("k", 40, "SillaX edit bound")
-	engine := fs.String("engine", "bitsilla", "extension engine: bitsilla, sillax, banded, genasm, or cascade")
+	engine := fs.String("engine", "bitsilla", "extension engine: bitsilla, sillax, or banded")
 	stats := fs.Bool("stats", false, "print pipeline statistics to stderr")
 	stream := fs.Bool("stream", false, "align via the streaming pipeline (bounded memory, results emitted as windows complete)")
 	indexFlag := fs.String("index", "auto",
@@ -422,14 +421,6 @@ func cmdAlign(args []string) error {
 		if st.ChainGroups > 0 {
 			fmt.Fprintf(os.Stderr, "anchor chaining: groups=%d anchors=%d kept=%d\n",
 				st.ChainGroups, st.ChainAnchors, st.ChainKept)
-		}
-		if st.Routing.Total() > 0 {
-			fmt.Fprintf(os.Stderr, "cascade routing: total=%d certified=%d", st.Routing.Total(), st.Routing.Certified())
-			for l := extend.Leg(0); l < extend.NumLegs; l++ {
-				s := st.Routing.Legs[l]
-				fmt.Fprintf(os.Stderr, " %s=%d/%d", l, s.Accepted, s.Routed)
-			}
-			fmt.Fprintln(os.Stderr)
 		}
 		if res != nil {
 			fmt.Fprintln(os.Stderr, res.String())

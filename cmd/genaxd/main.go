@@ -61,7 +61,7 @@ func main() {
 	segLen := flag.Int("segment", 1<<20, "index segment length (bases)")
 	overlap := flag.Int("overlap", 256, "index segment overlap (must cover readLen+K)")
 	k := flag.Int("k", 40, "SillaX edit bound")
-	engine := flag.String("engine", "bitsilla", "extension engine: bitsilla, sillax, banded, genasm, or cascade")
+	engine := flag.String("engine", "bitsilla", "extension engine: bitsilla, sillax, or banded")
 	minScore := flag.Int("minscore", 30, "reporting score floor")
 	workers := flag.Int("workers", 0, "lane budget per batch (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "coalesced batch size bound")

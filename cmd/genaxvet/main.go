@@ -6,7 +6,7 @@
 //	               constructs (defer, closures, make/new, map/slice
 //	               literals, fmt/strings calls, interface boxing)
 //	determinism    the deterministic kernel packages (core, pipeline, seed,
-//	               silla, sillax, extend, align, bitsilla, genasm) contain
+//	               silla, sillax, extend, align, bitsilla, chain) contain
 //	               no map iteration, wall-clock reads, unseeded math/rand,
 //	               or multi-channel selects
 //	invariants     no silently dropped error results; exported kernel entry

@@ -20,9 +20,9 @@ func main() {
 	fmt.Printf("reference: %d bp, reads: %d\n", len(wl.Ref), len(wl.Reads))
 
 	// 2. A GenAx instance: per-segment k-mer tables plus SillaX lanes.
-	// cfg.Engine picks the extension engine — bitsilla (default), sillax,
-	// banded, genasm, or the adaptive cascade (core.EngineCascade), all of
-	// which except banded produce byte-identical alignments.
+	// cfg.Engine picks the extension engine — bitsilla (default), the
+	// sillax oracle it is byte-identical to, or the banded software
+	// baseline (core.EngineBanded).
 	cfg := core.DefaultConfig()
 	cfg.SegmentLen = 32_768 // several segments even on a toy genome
 	aligner, err := core.New(wl.Ref, cfg)

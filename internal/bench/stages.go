@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"genax/internal/core"
-	"genax/internal/extend"
 )
 
 // StageRow is one pipeline stage's share of a StageBreakdown.
@@ -29,9 +28,6 @@ type StageBreakdown struct {
 	// pipeline ran (not part of Total).
 	IndexBuild    time.Duration
 	IndexSegments int64
-	// Routing is the cascade's per-leg extension histogram; all-zero for
-	// engines that do not cascade, and then omitted from the report.
-	Routing extend.Routing
 	// ChainGroups/ChainAnchors/ChainKept report the long-read anchor
 	// chaining collapse; all-zero (and omitted) for short-read workloads.
 	ChainGroups, ChainAnchors, ChainKept int64
@@ -46,15 +42,6 @@ func (b StageBreakdown) String() string {
 	for _, r := range b.Stages {
 		fmt.Fprintf(&sb, "%-8s %12v %5.1f%% %9d %9d\n",
 			r.Name, r.Busy.Round(time.Microsecond), 100*r.BusyShare, r.Batches, r.Items)
-	}
-	if b.Routing.Total() > 0 {
-		fmt.Fprintf(&sb, "engine cascade routing (%d extensions, %d certified by a cheap leg):\n",
-			b.Routing.Total(), b.Routing.Certified())
-		fmt.Fprintf(&sb, "%-10s %10s %10s %10s\n", "leg", "routed", "accepted", "fellthru")
-		for l := extend.Leg(0); l < extend.NumLegs; l++ {
-			s := b.Routing.Legs[l]
-			fmt.Fprintf(&sb, "%-10s %10d %10d %10d\n", l, s.Routed, s.Accepted, s.FellThrough)
-		}
 	}
 	if b.ChainGroups > 0 {
 		fmt.Fprintf(&sb, "anchor chaining: %d groups, %d anchors -> %d extensions kept\n",
@@ -86,7 +73,6 @@ func Stages(spec WorkloadSpec) (StageBreakdown, error) {
 		Total:         time.Since(start),
 		IndexBuild:    time.Duration(inst.IndexBuild.BusyNanos.Load()),
 		IndexSegments: inst.IndexBuild.Items.Load(),
-		Routing:       stats.Routing,
 		ChainGroups:   stats.ChainGroups,
 		ChainAnchors:  stats.ChainAnchors,
 		ChainKept:     stats.ChainKept,

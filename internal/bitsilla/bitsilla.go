@@ -11,6 +11,8 @@
 // offsets are striped across nw = ⌈(K+1)/64⌉ words (wide.go): K ≤ MaxWordK
 // is the one-word instance, and every word past the first is one §IV-D tile
 // of a composed engine, its boundary crossings counted as mux crossings.
+// Ahead of the grid, one diagonal scan certifies the answer outright when
+// the best extension is provably gapless and unique (gapless.go).
 //
 // The engine is byte-identical to sillax.TracebackMachine by construction:
 //
@@ -89,7 +91,8 @@ type Result struct {
 	// MuxCrossings counts accepted writes whose d+1 shift crossed a
 	// 64-bit word boundary — signals through the §IV-D reconfiguration
 	// muxes, the software twin of sillax.ComposedEditMachine.MuxCrossings.
-	// Zero for K ≤ MaxWordK (one word per row, no boundary to cross).
+	// Zero for K ≤ MaxWordK (one word per row, no boundary to cross) and
+	// on calls the gapless step certifies (the grid never runs).
 	MuxCrossings int64
 }
 
@@ -105,8 +108,9 @@ type Machine struct {
 	cur, nxt    []int32
 	live, nlive []uint64
 
-	// revBuf is the reusable backward-walk buffer; the reported Cigar is
-	// a fresh reversal of it, so results stay valid across Extend calls.
+	// revBuf is the reusable cigar scratch of the backward walk and the
+	// gapless step; the reported Cigar is a fresh reversal or copy of it,
+	// so results stay valid across Extend calls.
 	revBuf align.Cigar
 
 	// wide holds the word-striped comparator, row summaries, trail ring,
@@ -153,12 +157,16 @@ func futileThr(remR, remQ int, a, floor int32) int32 {
 }
 
 // Extend runs a bit-parallel traced seed extension of query against ref,
-// both anchored at position 0, with clipping. The returned Result is
-// byte-identical to sillax.TracebackMachine.Extend on the same inputs
-// (Score, QueryLen, RefLen, Cigar), enforced by the differential tests and
-// fuzzers.
+// both anchored at position 0, with clipping: the certified gapless step
+// when it proves the answer (gapless.go), the grid otherwise. The returned
+// Result is byte-identical to sillax.TracebackMachine.Extend on the same
+// inputs (Score, QueryLen, RefLen, Cigar), enforced by the differential
+// tests and fuzzers.
 //
 //genax:hotpath
 func (m *Machine) Extend(ref, query dna.Seq) Result {
+	if res, ok := m.tryGapless(ref, query); ok {
+		return res
+	}
 	return m.extendWide(ref, query)
 }

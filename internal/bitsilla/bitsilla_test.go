@@ -213,19 +213,30 @@ func TestBitsillaCycleAccounting(t *testing.T) {
 
 // TestBitsillaSteadyStateAllocs pins the zero-allocation hot path: after a
 // warm-up call has grown the trail ring, bound table and walk buffer,
-// Extend must not allocate beyond the reported Cigar's reversal.
+// Extend must not allocate beyond the reported Cigar, on the grid and on
+// the certified gapless step alike.
 func TestBitsillaSteadyStateAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	sc := align.BWAMEMDefaults()
 	bm := New(40, sc)
 	ref := randSeq(r, 150)
-	query := mutate(r, ref, 6)
-	bm.Extend(ref, query) // grow ring + bound table + walk scratch
-	allocs := testing.AllocsPerRun(50, func() {
-		bm.Extend(ref, query)
-	})
-	if allocs > 1 { // the fresh Cigar reversal
-		t.Fatalf("steady-state Extend allocates %.1f times per call, want <= 1", allocs)
+	hard := mutate(r, ref, 6)
+	easy := ref[:100].Clone()
+	easy[50] = (easy[50] + 1) % dna.NumBases
+	if _, ok := bm.tryGapless(ref, hard); ok {
+		t.Fatal("hard read certified; the grid's budget is untested")
+	}
+	if _, ok := bm.tryGapless(ref, easy); !ok {
+		t.Fatal("easy read not certified; the gapless step's budget is untested")
+	}
+	for _, query := range []dna.Seq{hard, easy} {
+		bm.Extend(ref, query) // grow ring + bound table + walk scratch
+		allocs := testing.AllocsPerRun(50, func() {
+			bm.Extend(ref, query)
+		})
+		if allocs > 1 { // the fresh Cigar
+			t.Fatalf("steady-state Extend allocates %.1f times per call, want <= 1", allocs)
+		}
 	}
 }
 

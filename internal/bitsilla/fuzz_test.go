@@ -17,7 +17,10 @@ import (
 func FuzzBitsillaVsSillaX(f *testing.F) {
 	// Edit bounds spanning single-bit, narrow-word and tile-composition
 	// regimes; reads ending on, before and after the w=k+1 tile widths;
-	// empty and all-clip inputs.
+	// empty and all-clip inputs. The gapless step's seeds follow: an exact
+	// match (the first seed), one interior substitution at K=0 and K=1 (both
+	// sides of the edit bound), a score tie it must refuse, and mismatched
+	// tails on both sides of the gap-escape threshold.
 	f.Add(uint8(1), []byte("ACGT"), []byte("ACGT"))
 	f.Add(uint8(2), []byte("TTTTTTTT"), []byte("CCCCCCCC"))
 	f.Add(uint8(4), []byte("ACGTACGTACGTACGTACGT"), []byte("ACGTACTACGTACGTACGT"))
@@ -27,6 +30,11 @@ func FuzzBitsillaVsSillaX(f *testing.F) {
 	f.Add(uint8(8), []byte("GGGG"), []byte{})
 	f.Add(uint8(9), []byte("ACGTACGTACG"), []byte("ACGTACGTACG"))
 	f.Add(uint8(19), []byte("ACGTACGTACGTACGTACGTA"), []byte("ACGTACGTACGTACGTACGT"))
+	f.Add(uint8(0), []byte("ACGTACGTACGTACGTACGT"), []byte("ACGTACGTATGTACGTACGT"))
+	f.Add(uint8(1), []byte("ACGTACGTACGTACGTACGT"), []byte("ACGTACGTATGTACGTACGT"))
+	f.Add(uint8(4), []byte("ACGTAAAA"), []byte("ACTT"))
+	f.Add(uint8(1), []byte("ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT"), []byte("ACGTACGTACGTACGTACGTACGTACGTACGTACGTAGTC"))
+	f.Add(uint8(1), []byte("ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT"), []byte("ACGTACGTACGTACGTACGTACGTACGTACTGCATGCATG"))
 	f.Fuzz(func(t *testing.T, kRaw uint8, refB, qB []byte) {
 		k := int(kRaw) % (MaxWordK + 1)
 		if len(refB) > 300 {

@@ -65,13 +65,14 @@ func mutateRate(r *rand.Rand, s dna.Seq, rate, indelFrac float64) dna.Seq {
 // on low-error reads whose best path fits the edit budget — 101 bp reads
 // against 141 bp windows at K ≤ MaxWordK, kilobase reads past it; and an
 // input whose best path needs more than K edits takes the truncation
-// branch and still matches the oracle.
+// branch and still matches the oracle. It drives the grid directly: a call
+// the gapless step certifies would leave the previous pass's bound behind.
 func TestWideWitnessSound(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	sc := align.BWAMEMDefaults()
 	extend := func(bm *Machine, ref, query dna.Seq) Result {
 		t.Helper()
-		res := bm.Extend(ref, query)
+		res := bm.extendWide(ref, query)
 		if L := int(bm.wide.bound); L < 0 || L > res.Score {
 			t.Fatalf("k=%d: witness %d outside [0, score %d] (ref %d bp, query %d bp)",
 				bm.k, L, res.Score, len(ref), len(query))
@@ -264,7 +265,8 @@ func TestBitsillaWideSteadyStateAllocs(t *testing.T) {
 // the first pass fits it, then the budget ring, which every later pass
 // reuses whether it needs a whole-pass window or the budget-capped one. A
 // K=40 machine fed 101 bp reads against 141 bp windows never leaves the
-// starter; a K=80 machine's first pass already outgrows it.
+// starter; a K=80 machine's first pass already outgrows it. The passes run
+// the grid directly, since a certified gapless call touches no ring.
 func TestBitsillaWideRingAllocatedOnce(t *testing.T) {
 	r := rand.New(rand.NewSource(98))
 	sc := align.BWAMEMDefaults()
@@ -280,7 +282,7 @@ func TestBitsillaWideRingAllocatedOnce(t *testing.T) {
 		var rings []*uint64
 		for pass, lens := range tc.passes {
 			ref := randSeq(r, lens[0])
-			bm.Extend(ref, mutate(r, ref[:lens[1]], 4))
+			bm.extendWide(ref, mutate(r, ref[:lens[1]], 4))
 			if ring := &bm.wide.trail[:1][0]; len(rings) == 0 || rings[len(rings)-1] != ring {
 				rings = append(rings, ring)
 			}

@@ -17,13 +17,15 @@ import (
 func FuzzBitsillaWideVsSillaX(f *testing.F) {
 	// Seeds straddle word edges (k = 64, 65, 127, 128, 191 via the kRaw
 	// mapping below), include gap blocks long enough to cross bit 63, and
-	// cover empty/all-clip inputs and tiny replay windows.
+	// cover empty/all-clip inputs, tiny replay windows, and an exact prefix
+	// the gapless step certifies at K=65.
 	f.Add(uint8(0), uint8(0), []byte("ACGTACGT"), []byte("ACGTACGT"))
 	f.Add(uint8(1), uint8(2), []byte("TTTTTTTTTTTTTTTT"), []byte("CCCCCCCC"))
 	f.Add(uint8(63), uint8(1), []byte("ACGTACGTACGTACGTACGT"), []byte("ACGTACTACGTACGTACGT"))
 	f.Add(uint8(64), uint8(3), []byte{}, []byte("ACGT"))
 	f.Add(uint8(127), uint8(62), []byte("GGGG"), []byte{})
 	f.Add(uint8(128), uint8(5), []byte("ACACACACACACACACACACACACAC"), []byte("ACAC"))
+	f.Add(uint8(1), uint8(7), []byte("ACGTACGTACGTACGTACGTA"), []byte("ACGTACGTACGTACGTACGT"))
 	f.Fuzz(func(t *testing.T, kRaw, winRaw uint8, refB, qB []byte) {
 		k := MaxWordK + 1 + int(kRaw)%(191-MaxWordK)
 		if len(refB) > 400 {

@@ -43,11 +43,6 @@ const (
 	EngineSillaX = pipeline.EngineSillaX
 	// EngineBanded is the software banded Smith-Waterman baseline.
 	EngineBanded = pipeline.EngineBanded
-	// EngineGenasm is the GenASM bit-vector engine (certified fast path
-	// plus bitsilla fallback).
-	EngineGenasm = pipeline.EngineGenasm
-	// EngineCascade is the adaptive exact → genasm → bitsilla cascade.
-	EngineCascade = pipeline.EngineCascade
 )
 
 // Config parametrizes a GenAx instance.

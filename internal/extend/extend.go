@@ -24,11 +24,12 @@ type Extension struct {
 	// soft clip).
 	Cigar align.Cigar
 	// Cycles is the engine's work report for this call in its native
-	// unit — architectural cycles for the Silla machines, DP cells for
-	// the banded aligner, diagonal characters for the certified genasm
-	// path — and ReRuns counts traceback re-executions (SillaX only).
-	// Every engine fills Cycles so the stage instrumentation sees
-	// uniform busy counters regardless of Params.Engine.
+	// unit — architectural cycles for the Silla machines (bitsilla reports
+	// the grid's count on calls its gapless step certifies too), DP cells
+	// for the banded aligner — and ReRuns counts traceback re-executions
+	// (SillaX only). Every engine fills Cycles so the stage
+	// instrumentation sees uniform busy counters regardless of
+	// Params.Engine.
 	Cycles, ReRuns int
 }
 

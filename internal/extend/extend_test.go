@@ -7,7 +7,6 @@ import (
 	"genax/internal/align"
 	"genax/internal/bitsilla"
 	"genax/internal/dna"
-	"genax/internal/genasm"
 	"genax/internal/sillax"
 	"genax/internal/sw"
 )
@@ -49,8 +48,27 @@ func engines(k int) []namedEngine {
 		{"banded", BandedEngine{A: sw.NewBandedAligner(sc, k)}},
 		{"sillax", SillaXEngine{M: sillax.NewTracebackMachine(k, sc)}},
 		{"bitsilla", BitSillaEngine{M: bitsilla.New(k, sc)}},
-		{"genasm", GenasmEngine{M: genasm.New(k, sc)}},
-		{"cascade", NewCascade(k, sc, nil)},
+	}
+}
+
+// TestEngineWorkReports checks that every engine, banded included, reports
+// nonzero work in Extension.Cycles so no engine is invisible in the stage
+// counters.
+func TestEngineWorkReports(t *testing.T) {
+	r := rand.New(rand.NewSource(143))
+	ref := randSeq(r, 120)
+	query := ref[:80].Clone()
+	for _, p := range []int{10, 40, 70} {
+		query[p] = dna.Base((int(query[p]) + 1) % 4)
+	}
+	for _, ne := range engines(8) {
+		res := ne.eng.Extend(ref, query)
+		if res.Cycles <= 0 {
+			t.Errorf("%s: Cycles = %d, want > 0", ne.name, res.Cycles)
+		}
+		if ne.name != "sillax" && res.ReRuns != 0 {
+			t.Errorf("%s: ReRuns = %d, want 0", ne.name, res.ReRuns)
+		}
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package mergecomplete implements the genaxvet analyzer that keeps the
 // kernel's counter-merge methods exhaustive.
 //
-// Work counters (pipeline.Stats, extend.Routing) are folded across lanes
-// by Merge methods, and the merge is what makes the totals
-// partition-independent. The failure mode is silent: PR 6 added the
-// Routing histogram and had to remember to extend Stats.merge by hand — a
-// forgotten field simply merges to zero, and no runtime test that uses one
-// lane can notice. This analyzer closes the hole: for every struct in a
+// Work counters (pipeline.Stats) are folded across lanes by Merge methods,
+// and the merge is what makes the totals partition-independent. The
+// failure mode is silent: a counter added to the struct must be added to
+// Stats.merge by hand — a forgotten field simply merges to zero, and no
+// runtime test that uses one lane can notice. This analyzer closes the
+// hole: for every struct in a
 // kernel package with a method named Merge or merge taking one value of
 // the struct's own type, each field must provably flow from the argument —
 // read through a selector path rooted at the parameter — or be annotated
@@ -15,7 +15,7 @@
 // Coverage is structural: leaf fields (after flattening same-package
 // nested structs and arrays of structs) are covered when a selector path
 // reaching them is read; reading, passing, or assigning an ancestor whole
-// (t.Routing.Merge(s.Routing), or delegating the entire argument as in
+// (t.Sub.Merge(s.Sub), or delegating the entire argument as in
 // Merge calling merge) covers the whole subtree. Fields whose struct types
 // live in other packages are treated as leaves — their own package's
 // Merge, if any, is checked in its own pass.

@@ -3,7 +3,7 @@
 // genax/internal/serve.
 //
 // Their memory bounds and clean shutdown rest on three structural rules
-// (DESIGN.md §7, §11, §14):
+// (DESIGN.md §7, §10, §13):
 //
 //  1. Bounded channels. Every make(chan …) must state a capacity; the
 //     memory ceiling is the sum of those bounds. The one exception is
@@ -47,7 +47,7 @@ import (
 // Packages holds the import paths the contract applies to: the staged
 // pipeline itself and the serving layer built on top of it, whose
 // admission queue and dispatcher follow the same bounded-channel /
-// accounted-goroutine discipline (DESIGN.md §14).
+// accounted-goroutine discipline (DESIGN.md §13).
 var Packages = map[string]bool{
 	"genax/internal/pipeline": true,
 	"genax/internal/serve":    true,

@@ -4,16 +4,15 @@ import (
 	"testing"
 
 	"genax/internal/dna"
-	"genax/internal/extend"
 )
 
 // TestEngineByteIdentity is the engine-equivalence gate: the bit-parallel
-// engine, the GenASM engine and the adaptive cascade must all reproduce
-// the cycle-level oracle's AlignBatch and AlignStream output byte for
-// byte — every position, score, strand and cigar — so swapping any of
-// these engines is invisible to every consumer of the pipeline. The K=80
-// input puts kilobase reads on the multi-word wide datapath, the one
-// wide-vs-oracle identity check that runs through the whole pipeline.
+// engine must reproduce the cycle-level oracle's AlignBatch and
+// AlignStream output byte for byte — every position, score, strand and
+// cigar — so swapping the two is invisible to every consumer of the
+// pipeline. The K=80 input puts kilobase reads on the multi-word wide
+// datapath, the one wide-vs-oracle identity check that runs through the
+// whole pipeline.
 func TestEngineByteIdentity(t *testing.T) {
 	short := smallParams()
 	short.Engine = EngineSillaX
@@ -23,58 +22,37 @@ func TestEngineByteIdentity(t *testing.T) {
 	longOracle, lwl := longReadPipeline(t, long, 442)
 
 	for _, in := range []struct {
-		name    string
-		oracle  *Pipeline
-		reads   []dna.Seq
-		engines []Engine
-		paths   []string
-		easy    bool // the cascade's cheap legs certify some extensions
+		name   string
+		oracle *Pipeline
+		reads  []dna.Seq
+		paths  []string
 	}{
-		{"short", shortOracle, workloadReads(swl, 80), []Engine{EngineBitSilla, EngineGenasm, EngineCascade}, []string{"batch", "stream"}, true},
-		{"k80", longOracle, kilobaseReads(lwl, 2), []Engine{EngineBitSilla, EngineCascade}, []string{"batch"}, false},
+		{"short", shortOracle, workloadReads(swl, 80), []string{"batch", "stream"}},
+		{"k80", longOracle, kilobaseReads(lwl, 2), []string{"batch"}},
 	} {
 		want, wantStats := in.oracle.AlignBatch(in.reads)
 		if wantStats.Extensions == 0 {
 			t.Fatalf("%s: oracle ran no extensions", in.name)
 		}
-		for _, eng := range in.engines {
-			bp := in.oracle.Params()
-			bp.Engine, bp.Workers, bp.Window = eng, 3, 17
-			for _, path := range in.paths {
-				got, gotStats := runPath(t, in.oracle, bp, path, in.reads)
-				label := in.name + "/" + string(eng) + "/" + path
-				for i := range want {
-					sameResult(t, label, i, got[i], want[i])
-				}
-				// Work counters that do not depend on engine internals must
-				// also agree; cycle counts legitimately differ (the bit-vector
-				// engines have no re-runs), so they are excluded.
-				if got, want := gotStats.Extensions, wantStats.Extensions; got != want {
-					t.Errorf("%s: %d extensions, want %d", label, got, want)
-				}
-				if got, want := gotStats.Aligned, wantStats.Aligned; got != want {
-					t.Errorf("%s: %d aligned, want %d", label, got, want)
-				}
-				if gotStats.ReRuns != 0 {
-					t.Errorf("%s: bit-vector engine reported %d re-runs, want 0", label, gotStats.ReRuns)
-				}
-				switch eng {
-				case EngineCascade:
-					// The routing histogram must cover every extension and
-					// show a nonzero certified share on an easy workload.
-					if gotStats.Routing.Total() == 0 || (in.easy && gotStats.Routing.Certified() == 0) {
-						t.Errorf("%s: routing total=%d certified=%d, want nonzero",
-							label, gotStats.Routing.Total(), gotStats.Routing.Certified())
-					}
-				case EngineGenasm:
-					if gotStats.Routing.Legs[extend.LegGenasm].Routed == 0 {
-						t.Errorf("%s: genasm leg routed 0 extensions", label)
-					}
-				default:
-					if gotStats.Routing != (extend.Routing{}) {
-						t.Errorf("%s: non-cascading engine produced routing %+v", label, gotStats.Routing)
-					}
-				}
+		bp := in.oracle.Params()
+		bp.Engine, bp.Workers, bp.Window = EngineBitSilla, 3, 17
+		for _, path := range in.paths {
+			got, gotStats := runPath(t, in.oracle, bp, path, in.reads)
+			label := in.name + "/" + path
+			for i := range want {
+				sameResult(t, label, i, got[i], want[i])
+			}
+			// Work counters that do not depend on engine internals must
+			// also agree; re-runs legitimately differ (the bit-vector
+			// engine has none), so only their absence is checked.
+			if got, want := gotStats.Extensions, wantStats.Extensions; got != want {
+				t.Errorf("%s: %d extensions, want %d", label, got, want)
+			}
+			if got, want := gotStats.Aligned, wantStats.Aligned; got != want {
+				t.Errorf("%s: %d aligned, want %d", label, got, want)
+			}
+			if gotStats.ReRuns != 0 {
+				t.Errorf("%s: bit-vector engine reported %d re-runs, want 0", label, gotStats.ReRuns)
 			}
 		}
 	}
@@ -110,22 +88,25 @@ func TestEngineBandedRuns(t *testing.T) {
 }
 
 // TestEngineValidation pins selector resolution: empty means bitsilla,
-// anything unknown is rejected at construction.
+// the three engines are accepted, and any other name is rejected at
+// construction.
 func TestEngineValidation(t *testing.T) {
 	pl, _ := testPipeline(t, smallParams(), 442, 12000, 0)
 	if got := pl.Params().Engine; got != EngineBitSilla {
 		t.Errorf("default engine resolved to %q, want %q", got, EngineBitSilla)
 	}
-	for _, eng := range []Engine{EngineBitSilla, EngineSillaX, EngineBanded, EngineGenasm, EngineCascade} {
+	for _, eng := range []Engine{EngineBitSilla, EngineSillaX, EngineBanded} {
 		p := smallParams()
 		p.Engine = eng
 		if _, err := New(pl.ref, pl.index, p); err != nil {
 			t.Errorf("engine %q rejected: %v", eng, err)
 		}
 	}
-	p := smallParams()
-	p.Engine = "cuda"
-	if _, err := New(pl.ref, pl.index, p); err == nil {
-		t.Error("unknown engine accepted")
+	for _, eng := range []Engine{"cuda", "cascade", "genasm"} {
+		p := smallParams()
+		p.Engine = eng
+		if _, err := New(pl.ref, pl.index, p); err == nil {
+			t.Errorf("unknown engine %q accepted", eng)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"genax/internal/bitsilla"
 	"genax/internal/dna"
 	"genax/internal/extend"
-	"genax/internal/genasm"
 	"genax/internal/sillax"
 	"genax/internal/sw"
 )
@@ -41,8 +40,7 @@ type extendLane struct {
 }
 
 // newEngine builds one lane's extension engine per Params.Engine, wiring
-// the engine's work counters (and, for the cascading engines, the routing
-// histogram) into the lane's stats.
+// the engine's work counters into the lane's stats.
 func (p *Pipeline) newEngine(stats *Stats) extend.Engine {
 	k, sc := p.params.K, p.params.Scoring
 	var inner extend.Engine
@@ -51,10 +49,6 @@ func (p *Pipeline) newEngine(stats *Stats) extend.Engine {
 		inner = extend.SillaXEngine{M: sillax.NewTracebackMachine(k, sc)}
 	case EngineBanded:
 		inner = extend.BandedEngine{A: sw.NewBandedAligner(sc, k)}
-	case EngineGenasm:
-		inner = extend.GenasmEngine{M: genasm.New(k, sc), R: &stats.Routing}
-	case EngineCascade:
-		inner = extend.NewCascade(k, sc, &stats.Routing)
 	default: // EngineBitSilla
 		inner = extend.BitSillaEngine{M: bitsilla.New(k, sc)}
 	}

@@ -62,9 +62,9 @@ const DefaultWindow = 1024
 const DefaultChainMinLen = 1000
 
 // Engine names the extension engine backing the extend lanes. All engines
-// produce full-query cigars through the same extend.Stitcher; bitsilla,
-// sillax, genasm and cascade are byte-identical to one another by
-// construction (banded is the one engine with different tie-breaking).
+// produce full-query cigars through the same extend.Stitcher; bitsilla and
+// sillax are byte-identical to one another by construction (banded is the
+// one engine with different tie-breaking).
 type Engine string
 
 const (
@@ -78,13 +78,6 @@ const (
 	EngineSillaX Engine = "sillax"
 	// EngineBanded is the software banded Smith-Waterman baseline.
 	EngineBanded Engine = "banded"
-	// EngineGenasm is the GenASM bit-vector engine: certified gapless
-	// fast path with an embedded bitsilla fallback.
-	EngineGenasm Engine = "genasm"
-	// EngineCascade routes every extension cheapest-first through
-	// exact → genasm → bitsilla, accepting a cheap leg's answer only
-	// when it is certified byte-identical to the bitsilla floor.
-	EngineCascade Engine = "cascade"
 )
 
 // Params configures a Pipeline.
@@ -197,7 +190,7 @@ func New(ref dna.Seq, index *seed.SegmentedIndex, p Params) (*Pipeline, error) {
 	switch p.Engine {
 	case "":
 		p.Engine = EngineBitSilla
-	case EngineBitSilla, EngineSillaX, EngineBanded, EngineGenasm, EngineCascade:
+	case EngineBitSilla, EngineSillaX, EngineBanded:
 	default:
 		return nil, fmt.Errorf("pipeline: unknown engine %q", p.Engine)
 	}

@@ -1,9 +1,6 @@
 package pipeline
 
-import (
-	"genax/internal/align"
-	"genax/internal/extend"
-)
+import "genax/internal/align"
 
 // Stats aggregates pipeline work counters (the measured coefficients the
 // hw throughput model consumes). Work counters are sums over lane-local
@@ -29,9 +26,6 @@ type Stats struct {
 	// chaining stage: groups chained, anchors fed in, representatives kept.
 	// Anchors minus kept is extension work avoided.
 	ChainGroups, ChainAnchors, ChainKept int64
-	// Routing is the cascade's per-leg histogram (extensions routed /
-	// accepted / fell-through); all-zero for non-cascading engines.
-	Routing extend.Routing
 }
 
 // ReadResult is the outcome for one read.
@@ -54,7 +48,6 @@ func (t *Stats) merge(s Stats) {
 	t.ChainGroups += s.ChainGroups
 	t.ChainAnchors += s.ChainAnchors
 	t.ChainKept += s.ChainKept
-	t.Routing.Merge(s.Routing)
 }
 
 // Merge folds another stats block's work counters into t. It is the

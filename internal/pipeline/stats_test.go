@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"genax/internal/align"
-	"genax/internal/extend"
 )
 
 // TestStatsMergeFields pins Merge field by field: every work counter must
@@ -12,35 +11,21 @@ import (
 // Segments) must pass through untouched — they are set once at finalize,
 // not folded across lanes.
 func TestStatsMergeFields(t *testing.T) {
-	routing := func(base int64) (r extend.Routing) {
-		for i := range r.Legs {
-			n := base + int64(i)*10
-			r.Legs[i] = extend.LegStats{Routed: n, Accepted: n + 1, FellThrough: n + 2}
-		}
-		return r
-	}
-	sumRouting := func(a, b extend.Routing) extend.Routing {
-		a.Merge(b)
-		return a
-	}
 	dst := Stats{
 		Reads: 3, Aligned: 2, ExactReads: 1, Segments: 5,
 		IndexLookups: 10, CAMLookups: 20, SeedsEmitted: 30,
 		HitsEmitted: 40, Extensions: 50, ExtensionCycles: 60, ReRuns: 70,
-		Routing: routing(100),
 	}
 	src := Stats{
 		Reads: 100, Aligned: 100, ExactReads: 100, Segments: 100,
 		IndexLookups: 1, CAMLookups: 2, SeedsEmitted: 3,
 		HitsEmitted: 4, Extensions: 5, ExtensionCycles: 6, ReRuns: 7,
-		Routing: routing(1000),
 	}
 	dst.Merge(src)
 	want := Stats{
 		Reads: 3, Aligned: 2, ExactReads: 1, Segments: 5,
 		IndexLookups: 11, CAMLookups: 22, SeedsEmitted: 33,
 		HitsEmitted: 44, Extensions: 55, ExtensionCycles: 66, ReRuns: 77,
-		Routing: sumRouting(routing(100), routing(1000)),
 	}
 	if dst != want {
 		t.Errorf("Merge result %+v, want %+v", dst, want)

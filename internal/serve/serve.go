@@ -4,7 +4,7 @@
 // serves multiple reference genomes from one process via a registry of
 // mmap-backed index caches.
 //
-// The layer has three parts (DESIGN.md §14):
+// The layer has three parts (DESIGN.md §13):
 //
 //   - Admission/coalescing. Each genome owns a bounded intake queue and a
 //     dispatcher goroutine. A request either enters the queue immediately
