@@ -6,8 +6,9 @@
 //	genax eval     -aln aln.tsv -truth ./data/truth.tsv
 //
 // index writes a versioned, checksummed cache of the per-segment tables
-// next to the reference (see internal/indexio); align auto-loads it when
-// present, so repeated runs skip the table rebuild.
+// next to the reference (see internal/indexio); align maps that cache,
+// writing it first when it is missing or stale, so repeated runs skip the
+// table rebuild.
 //
 // align writes SAM-like records (QNAME FLAG RNAME POS MAPQ CIGAR AS:i:score)
 // to stdout.
@@ -131,31 +132,12 @@ func cmdSimulate(args []string) error {
 	return nil
 }
 
-func loadRef(path string) (dna.Seq, string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, "", err
-	}
-	defer f.Close()
-	recs, err := dna.ReadFasta(f, dna.FastaOptions{ResolveN: rand.New(rand.NewSource(1))})
-	if err != nil {
-		return nil, "", err
-	}
-	// Concatenate contigs; alignment positions are reported against the
-	// concatenation (single synthetic contigs in practice).
-	var ref dna.Seq
-	for _, r := range recs {
-		ref = append(ref, r.Seq...)
-	}
-	return ref, recs[0].Name, nil
-}
-
 func cmdIndex(args []string) error {
 	fs := flag.NewFlagSet("index", flag.ExitOnError)
 	refPath := fs.String("ref", "", "reference FASTA")
 	kmer := fs.Int("kmer", 12, "k-mer length")
 	segLen := fs.Int("segment", 1<<20, "segment length (bases)")
-	shards := fs.Int("shards", 0, "partition the cache into N shard groups for bounded-residency streaming (0 = one group)")
+	shards := fs.Int("shards", 0, "partition the cache into N shard groups for bounded-residency streaming (0 = keep any partition, one group when writing)")
 	verify := fs.Bool("verify", false, "check the cache file (checksums, geometry, structure) and exit without building")
 	out := fs.String("out", "auto",
 		`index cache output: "auto" writes the keyed cache file next to -ref (the one align auto-loads), "" skips writing, anything else is an explicit path`)
@@ -165,7 +147,7 @@ func cmdIndex(args []string) error {
 	if *refPath == "" {
 		return fmt.Errorf("index: -ref is required")
 	}
-	ref, _, err := loadRef(*refPath)
+	ref, _, err := dna.ReadRef(*refPath)
 	if err != nil {
 		return err
 	}
@@ -186,121 +168,75 @@ func cmdIndex(args []string) error {
 		if reason := indexio.Probe(path, ref, cfg.KmerLen, cfg.SegmentLen, cfg.Overlap); reason != "" {
 			return fmt.Errorf("index: cache %s unusable: %s", path, reason)
 		}
-		// Probe proved the header matches; load fully so every structural
-		// invariant (and the whole-file CRC) is exercised.
-		sx, err := indexio.ReadFile(path, ref)
+		m, err := indexio.Open(path, ref, cfg.KmerLen, cfg.SegmentLen, cfg.Overlap)
 		if err != nil {
+			return fmt.Errorf("index: cache %s: %w", path, err)
+		}
+		defer m.Close()
+		// Every section CRC and every structural invariant, on top of the
+		// whole-file CRC Probe checked.
+		if err := m.Verify(); err != nil {
 			return fmt.Errorf("index: cache %s failed verification: %w", path, err)
 		}
-		fmt.Printf("index cache %s OK (v%d, %d segments, hash %016x)\n", path, indexio.Version, sx.NumSegments(), sx.Hash())
+		fmt.Printf("index cache %s OK (v%d, %d segments, %d shard groups, hash %016x)\n",
+			path, indexio.Version, m.Index().NumSegments(), m.NumShardGroups(), m.Index().Hash())
 		return nil
 	}
-	// Probe before building: a cache that already matches the reference,
-	// geometry, and requested shard partition makes the rebuild pure waste;
-	// a present-but-unusable one gets its staleness reason printed instead
-	// of a silent rebuild.
-	if path != "" {
-		reason := indexio.Probe(path, ref, cfg.KmerLen, cfg.SegmentLen, cfg.Overlap)
-		if reason == "" {
-			if m, merr := indexio.OpenMapped(path); merr != nil {
-				reason = merr.Error()
-			} else {
-				numSegs := len(m.Index().Samples)
-				wantGS := indexio.GroupSizeForShards(numSegs, *shards)
-				haveGS := m.ShardGroupSize()
-				_ = m.Close()
-				if numSegs > 0 && haveGS != wantGS {
-					reason = fmt.Sprintf("shard partition mismatch (cache %d segments/group, want %d)", haveGS, wantGS)
-				} else {
-					fmt.Printf("index cache %s up to date, skipping rebuild\n", path)
-					return nil
-				}
-			}
-		}
-		if reason != "" && reason != "no cache file" {
-			fmt.Printf("rebuilding index cache %s: %s\n", path, reason)
-		}
-	}
-	aligner, err := core.New(ref, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("reference: %d bp; segments: %d x %d bp (overlap %d); k-mer: %d\n",
-		len(ref), aligner.NumSegments(), cfg.SegmentLen, cfg.Overlap, cfg.KmerLen)
 	if path == "" {
+		sx, err := seed.BuildSegmentedIndex(ref, cfg.SegmentLen, cfg.Overlap, cfg.KmerLen)
+		if err != nil {
+			return err
+		}
+		printGeometry(len(ref), sx.NumSegments(), cfg)
 		return nil
 	}
-	if err := indexio.WriteFileShards(path, aligner.Index(), ref, indexio.GroupSizeForShards(aligner.NumSegments(), *shards)); err != nil {
-		return err
+	m, reason, err := indexio.Ensure(path, ref, cfg.KmerLen, cfg.SegmentLen, cfg.Overlap, *shards)
+	if err != nil {
+		return fmt.Errorf("index: cache %s: %w", path, err)
 	}
-	fmt.Printf("wrote index cache %s (hash %016x)\n", path, aligner.Index().Hash())
+	defer m.Close()
+	switch reason {
+	case "":
+		fmt.Printf("index cache %s up to date, skipping rebuild\n", path)
+		return nil
+	case "no cache file":
+	default:
+		fmt.Printf("rebuilt index cache %s: %s\n", path, reason)
+	}
+	printGeometry(len(ref), m.Index().NumSegments(), cfg)
+	fmt.Printf("wrote index cache %s (%d MiB, %d shard groups)\n", path, m.SizeBytes()>>20, m.NumShardGroups())
 	return nil
 }
 
-// loadIndexCache resolves the align -index flag: "" disables the cache,
-// "auto" probes the keyed cache file next to the reference (missing or
-// stale files fall back to an in-process build with a note), and any other
-// value is an explicit path whose load failures are fatal — the user asked
-// for that file specifically.
-func loadIndexCache(mode, refPath string, ref dna.Seq, cfg core.Config) (*seed.SegmentedIndex, error) {
-	switch mode {
-	case "":
-		return nil, nil
-	case "auto":
-		path, err := indexio.CachePath(filepath.Dir(refPath), ref, cfg.KmerLen, cfg.SegmentLen, cfg.Overlap)
-		if err != nil {
-			return nil, err
-		}
-		sx, err := indexio.ReadFile(path, ref)
-		if err != nil {
-			if !os.IsNotExist(err) {
-				fmt.Fprintf(os.Stderr, "genax: ignoring index cache %s: %v\n", path, err)
-			}
-			return nil, nil
-		}
-		fmt.Fprintf(os.Stderr, "genax: loaded index cache %s\n", path)
-		return sx, nil
-	default:
-		return indexio.ReadFile(mode, ref)
-	}
+func printGeometry(refLen, numSegs int, cfg core.Config) {
+	fmt.Printf("reference: %d bp; segments: %d x %d bp (overlap %d); k-mer: %d\n",
+		refLen, numSegs, cfg.SegmentLen, cfg.Overlap, cfg.KmerLen)
 }
 
-// openMappedIndex resolves the -index flag for the -mmap path. Unlike the
-// heap loader there is no silent fallback: the user explicitly asked for
-// the mapped cache, so a missing or mismatched file is fatal with a
-// pointer at `genax index`.
-func openMappedIndex(mode, refPath string, ref dna.Seq, cfg core.Config) (*indexio.Mapped, error) {
-	path := mode
-	switch mode {
-	case "":
-		return nil, fmt.Errorf("align: -mmap needs an index cache (-index auto or an explicit path)")
-	case "auto":
-		var err error
-		path, err = indexio.CachePath(filepath.Dir(refPath), ref, cfg.KmerLen, cfg.SegmentLen, cfg.Overlap)
-		if err != nil {
+// openIndex resolves the align -index flag to a mapped cache. "auto" is
+// the keyed cache next to the reference, built and written when missing or
+// stale (indexio.Ensure, the decision genax index and genaxd make too);
+// any other value is an explicit path that must already hold a cache for
+// this reference and geometry — it is never rebuilt.
+func openIndex(mode, refPath string, ref dna.Seq, cfg core.Config) (*indexio.Mapped, error) {
+	path, reason := mode, ""
+	var m *indexio.Mapped
+	var err error
+	if mode == "auto" {
+		if path, err = indexio.CachePath(filepath.Dir(refPath), ref, cfg.KmerLen, cfg.SegmentLen, cfg.Overlap); err != nil {
 			return nil, err
 		}
+		m, reason, err = indexio.Ensure(path, ref, cfg.KmerLen, cfg.SegmentLen, cfg.Overlap, 0)
+	} else {
+		m, err = indexio.Open(path, ref, cfg.KmerLen, cfg.SegmentLen, cfg.Overlap)
 	}
-	m, err := indexio.OpenMapped(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("align: no index cache at %s (run genax index first)", path)
-		}
-		return nil, fmt.Errorf("align: cannot map index cache %s: %w", path, err)
+		return nil, fmt.Errorf("align: index cache %s: %w", path, err)
 	}
-	// The mapping is internally consistent; now pin it to the inputs in
-	// hand, exactly like the heap loader's hash and geometry checks.
-	if len(ref) != len(m.Ref()) || m.RefHash() != indexio.RefHash(ref) {
-		_ = m.Close()
-		return nil, fmt.Errorf("align: index cache %s was built from a different reference", path)
+	if reason != "" {
+		fmt.Fprintf(os.Stderr, "genax: built index cache %s (%s)\n", path, reason)
 	}
-	if m.K() != cfg.KmerLen || m.SegLen() != cfg.SegmentLen || m.Overlap() != cfg.Overlap {
-		_ = m.Close()
-		return nil, fmt.Errorf("align: index cache %s geometry (k=%d seg=%d overlap=%d) does not match flags (k=%d seg=%d overlap=%d)",
-			path, m.K(), m.SegLen(), m.Overlap(), cfg.KmerLen, cfg.SegmentLen, cfg.Overlap)
-	}
-	fmt.Fprintf(os.Stderr, "genax: mapped index cache %s (%d MiB, %d shard groups)\n",
-		path, m.SizeBytes()>>20, m.NumShardGroups())
+	fmt.Fprintf(os.Stderr, "genax: mapped index cache %s (%d MiB, %d shard groups)\n", path, m.SizeBytes()>>20, m.NumShardGroups())
 	return m, nil
 }
 
@@ -315,19 +251,15 @@ func cmdAlign(args []string) error {
 	stats := fs.Bool("stats", false, "print pipeline statistics to stderr")
 	stream := fs.Bool("stream", false, "align via the streaming pipeline (bounded memory, results emitted as windows complete)")
 	indexFlag := fs.String("index", "auto",
-		`index cache: "auto" loads the genax-index cache next to -ref when present, "" always rebuilds, anything else is an explicit cache path`)
-	mmapFlag := fs.Bool("mmap", false, "open the index cache in place (zero-copy mmap) instead of deserializing it; requires a cache written by genax index")
-	shardsFlag := fs.Int("shards", 0, "with -mmap, bound residency to N shard groups at a time (0 = unbounded); the cache must have been written with a shard partition")
+		`index cache, always mapped: "auto" uses the keyed cache next to -ref and writes it when missing or stale, "" builds the tables in process without a cache, anything else is an explicit cache path`)
+	shardsFlag := fs.Int("shards", 0, "bound residency to N of the cache's shard groups at a time (0 = unbounded); genax index -shards sets the partition")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *refPath == "" || *readsPath == "" {
 		return fmt.Errorf("align: -ref and -reads are required")
 	}
-	if *shardsFlag > 0 && !*mmapFlag {
-		return fmt.Errorf("align: -shards requires -mmap (a heap index has no residency to bound)")
-	}
-	ref, refName, err := loadRef(*refPath)
+	ref, refName, err := dna.ReadRef(*refPath)
 	if err != nil {
 		return err
 	}
@@ -345,13 +277,9 @@ func cmdAlign(args []string) error {
 	cfg.SegmentLen = *segLen
 	cfg.K = *k
 	cfg.Engine = core.Engine(*engine)
-	// The reference the aligner runs against: the FASTA by default, the
-	// cache's own mapped bytes under -mmap (out-of-core operation — the
-	// FASTA copy is released to the GC once it has validated the mapping).
-	alignRef := ref
 	var res *indexio.ShardResidency
-	if *mmapFlag {
-		m, err := openMappedIndex(*indexFlag, *refPath, ref, cfg)
+	if *indexFlag != "" {
+		m, err := openIndex(*indexFlag, *refPath, ref, cfg)
 		if err != nil {
 			return err
 		}
@@ -359,24 +287,16 @@ func cmdAlign(args []string) error {
 		// the AlignBatch/AlignStream returns below) — every table and the
 		// reference itself are views into this mapping.
 		defer m.Close()
+		// Out-of-core: the aligner runs against the cache's own mapped
+		// reference, and the FASTA copy is left to the GC.
 		cfg.Index = m.Index()
-		alignRef = m.Ref()
-		ref = nil
+		ref = m.Ref()
 		if *shardsFlag > 0 {
-			if m.NumShardGroups() <= 1 {
-				fmt.Fprintf(os.Stderr, "genax: -shards %d ignored: cache has a single shard group (rebuild with genax index -shards)\n", *shardsFlag)
-			} else {
-				res = indexio.NewShardResidency(m, *shardsFlag)
-				cfg.Residency = res
-			}
-		}
-	} else {
-		cfg.Index, err = loadIndexCache(*indexFlag, *refPath, ref, cfg)
-		if err != nil {
-			return err
+			res = indexio.NewShardResidency(m, *shardsFlag)
+			cfg.Residency = res
 		}
 	}
-	aligner, err := core.New(alignRef, cfg)
+	aligner, err := core.New(ref, cfg)
 	if err != nil {
 		return err
 	}
@@ -539,11 +459,4 @@ func cmdEval(args []string) error {
 	fmt.Printf("within %-3d bp:   %d (%.2f%% of aligned)\n", *tol, near, 100*float64(near)/float64(max(1, aligned)))
 	fmt.Printf("strand correct:  %d (%.2f%% of aligned)\n", strandOK, 100*float64(strandOK)/float64(max(1, aligned)))
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -71,7 +71,6 @@ func main() {
 	maxResident := flag.Int("max-resident", serve.DefaultMaxResident, "genomes resident (mapped + aligner) at once; LRU beyond")
 	loadConc := flag.Int("load-concurrency", 1, "concurrent index builds/loads on registry miss")
 	cacheDir := flag.String("cache-dir", "", "index cache directory (default: next to each FASTA)")
-	shards := flag.Int("shards", 0, "shard groups for rebuilt caches (0 = one group)")
 	preload := flag.Bool("preload", true, "warm-load all genomes before serving")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 	flag.Parse()
@@ -100,7 +99,6 @@ func main() {
 		QueueLimit:      *queueLimit,
 		MaxResident:     *maxResident,
 		LoadConcurrency: *loadConc,
-		Shards:          *shards,
 		Logf:            log.Printf,
 	})
 	if err != nil {

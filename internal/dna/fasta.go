@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 )
 
 // FastaRecord is one sequence from a FASTA file.
@@ -62,6 +63,28 @@ func ReadFasta(r io.Reader, opts FastaOptions) ([]FastaRecord, error) {
 		return nil, fmt.Errorf("dna: fasta input contains no records")
 	}
 	return recs, nil
+}
+
+// ReadRef loads the reference FASTA at path the one way every binary does:
+// ambiguity codes resolved from a fixed seed (1) and contigs concatenated
+// in file order, with alignment positions reported against the
+// concatenation. Two callers therefore see the same bases for the same
+// file, which is what makes indexio.CachePath agree between genax and
+// genaxd. name is the first record's.
+func ReadRef(path string) (ref Seq, name string, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, "", err
+	}
+	defer f.Close()
+	recs, err := ReadFasta(f, FastaOptions{ResolveN: rand.New(rand.NewSource(1))})
+	if err != nil {
+		return nil, "", err
+	}
+	for _, r := range recs {
+		ref = append(ref, r.Seq...)
+	}
+	return ref, recs[0].Name, nil
 }
 
 // WriteFasta writes records to w with the given line width (60 if width<=0).

@@ -3,6 +3,8 @@ package dna
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -46,6 +48,33 @@ func TestReadFastaResolveN(t *testing.T) {
 	}
 	if recs[0].Seq[0] != A || recs[0].Seq[3] != T {
 		t.Errorf("non-N bases altered: %v", recs[0].Seq)
+	}
+}
+
+// TestReadRef pins the one reference loader: contigs concatenated in file
+// order, the first record's name, and ambiguity codes resolved the same way
+// on every load, so two binaries hash the same file to the same cache key.
+func TestReadRef(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ref.fasta")
+	if err := os.WriteFile(path, []byte(">chr1\nACNNGT\n>chr2\nTTNA\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ref, name, err := ReadRef(path)
+	if err != nil {
+		t.Fatalf("ReadRef: %v", err)
+	}
+	again, _, err := ReadRef(path)
+	if err != nil {
+		t.Fatalf("ReadRef: %v", err)
+	}
+	if name != "chr1" || len(ref) != 10 || !ref.Equal(again) {
+		t.Fatalf("ReadRef = %q %v, then %v", name, ref, again)
+	}
+	if got := ref[:2].String() + ref[4:8].String() + ref[9:].String(); got != "ACGTTTA" {
+		t.Errorf("unambiguous bases %q, want ACGTTTA", got)
+	}
+	if _, _, err := ReadRef(filepath.Join(t.TempDir(), "missing.fasta")); err == nil {
+		t.Error("missing file accepted")
 	}
 }
 

@@ -68,12 +68,12 @@ import (
 // Integrity ladder, cheapest first: (1) the header CRC and the section
 // table's bounds, alignment, order and geometry-implied sizes — all
 // OpenMapped checks, plus one load per segment (the start sentinel must
-// equal the position count); (2) the whole-file trailing CRC — Probe and
-// Read check it before trusting any length; (3) per-section CRCs and the
-// full structural scan (seed.ValidateTables) — Mapped.Verify on demand,
-// Read always. Below (3) a mapped index relies on the seed package's
-// clamp-safe lookup, which answers "no hits" rather than panic on a rank
-// word or start entry that is corrupt beyond what (1) can see.
+// equal the position count); (2) the whole-file trailing CRC — Probe checks
+// it before trusting any length; (3) per-section CRCs and the full
+// structural scan (seed.ValidateTables) — Mapped.Verify, on demand. Below
+// (3) a mapped index relies on the seed package's clamp-safe lookup, which
+// answers "no hits" rather than panic on a rank word or start entry that is
+// corrupt beyond what (1) can see.
 const (
 	sectionAlign    = 4096
 	fixedHeaderLen  = 64
@@ -204,9 +204,10 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // WriteShards serializes sx, built from ref, to w, partitioning the
 // segments into shard groups of groupSize segments each (the last group may
 // be short). groupSize <= 0 or >= the segment count puts every segment in
-// one group — plain mmap with no streaming partition. The group size is a residency hint baked into the header, not
-// a data layout change: the tables are identical regardless, which is why
-// the index hash is invariant across shard settings.
+// one group — plain mmap with no streaming partition. The group size is a
+// residency hint baked into the header, not a data layout change: the
+// tables are identical regardless, which is why the index hash is
+// invariant across shard settings.
 func WriteShards(w io.Writer, sx *seed.SegmentedIndex, ref dna.Seq, groupSize int) error {
 	if sx == nil {
 		return fmt.Errorf("indexio: nil index")
@@ -468,14 +469,13 @@ func readHeader(f io.ReaderAt, size int64) (*header, error) {
 }
 
 // bind builds the segmented index over the tables stored in data, the
-// whole file. In place, the tables are zero-copy views of data (decoded
-// copies on a big-endian host) and only the one-load sentinel check links
-// them — the open path must not fault table pages. Otherwise they are
-// fresh heap copies, each run through the full structural scan.
-func (h *header) bind(data []byte, ref dna.Seq, inPlace bool) (*seed.SegmentedIndex, error) {
-	i32, u32, u64 := decodeWords[int32], decodeWords[uint32], decodeWords[uint64]
-	if inPlace && hostLittleEndian {
-		i32, u32, u64 = viewWords[int32], viewWords[uint32], viewWords[uint64]
+// whole file. The tables are zero-copy views of data (decoded copies on a
+// big-endian host) and only the one-load sentinel check links them — the
+// open path must not fault table pages.
+func (h *header) bind(data []byte, ref dna.Seq) (*seed.SegmentedIndex, error) {
+	i32, u32, u64 := viewWords[int32], viewWords[uint32], viewWords[uint64]
+	if !hostLittleEndian {
+		i32, u32, u64 = decodeWords[int32], decodeWords[uint32], decodeWords[uint64]
 	}
 	sx := &seed.SegmentedIndex{
 		RefLen:  h.refLen,
@@ -499,7 +499,7 @@ func (h *header) bind(data []byte, ref dna.Seq, inPlace bool) (*seed.SegmentedIn
 			return nil, fmt.Errorf("indexio: segment %d start table ends at %d, position section holds %d", id, last, len(tab.Positions))
 		}
 		off, end := segSpan(id, h.segLen, h.overlap, h.refLen)
-		si, err := seed.NewSegmentIndexFromTables(ref[off:end], id, off, h.k, tab, !inPlace)
+		si, err := seed.NewSegmentIndexFromTables(ref[off:end], id, off, h.k, tab, false)
 		if err != nil {
 			return nil, fmt.Errorf("indexio: segment %d: %w", id, err)
 		}

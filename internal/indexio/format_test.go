@@ -36,8 +36,8 @@ func writeBytes(t *testing.T, dir, name string, raw []byte) string {
 }
 
 // TestMappedParity is the core format guarantee: an index opened in place
-// must be indistinguishable from the heap-loaded one — same Hash, same
-// lookups, same reference bytes — across shard partitions, and Verify must
+// must be indistinguishable from the built one — same Hash, same lookups,
+// same reference bytes — across shard partitions, and Verify must
 // pass on a freshly written file.
 func TestMappedParity(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
@@ -141,17 +141,16 @@ func sectionOf(raw []byte, seg int, kind uint32) int {
 
 // TestInflatedSectionLengthRejected: a corrupt (or hostile) section length
 // that passes both checksums must be rejected by the bounds checks before
-// any table-sized allocation or view is created — on the heap path and the
-// mapped path alike.
+// any table-sized allocation or view is created.
 func TestInflatedSectionLengthRejected(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	ref := randSeq(r, 5000)
 	sx := buildIndex(t, ref, 2048, 64, 6)
-	var buf bytes.Buffer
-	if err := Write(&buf, sx, ref); err != nil {
-		t.Fatalf("Write: %v", err)
+	dir := t.TempDir()
+	good, err := os.ReadFile(writeCacheFile(t, dir, sx, ref, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	good := buf.Bytes()
 
 	// Entry 1 is segment 0's start table; its length field is at
 	// 64 + 32·1 + 16. Inflate it to a multi-GiB claim.
@@ -194,25 +193,22 @@ func TestInflatedSectionLengthRejected(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[56:], 0)
 		},
 	}
-	dir := t.TempDir()
 	for name, mutate := range cases {
 		bad := resealed(good, mutate)
-		if _, err := Read(bytes.NewReader(bad), ref); err == nil {
-			t.Errorf("%s: heap Read accepted", name)
-		}
 		if m, err := OpenMapped(writeBytes(t, dir, "bad.gaxi", bad)); err == nil {
 			_ = m.Close()
 			t.Errorf("%s: OpenMapped accepted", name)
 		}
 	}
 	// Corruption in a table body (past the header CRC's reach) must fail
-	// the heap path's footer CRC, and Verify on the mapped path.
+	// Probe's footer CRC, and Verify on the mapping.
 	bad := append([]byte(nil), good...)
 	bad[sectionOf(good, 0, sectionPositions)+100] ^= 0x5a
-	if _, err := Read(bytes.NewReader(bad), ref); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Errorf("body flip: heap Read err = %v, want checksum mismatch", err)
+	path := writeBytes(t, dir, "bodyflip.gaxi", bad)
+	if reason := Probe(path, ref, 6, 2048, 64); !strings.Contains(reason, "checksum") {
+		t.Errorf("body flip: Probe = %q, want checksum mismatch", reason)
 	}
-	m, err := OpenMapped(writeBytes(t, dir, "bodyflip.gaxi", bad))
+	m, err := OpenMapped(path)
 	if err != nil {
 		t.Fatalf("body flip: OpenMapped rejected (header is intact): %v", err)
 	}
@@ -231,11 +227,10 @@ func TestMappedCorruptTablesClamp(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
 	ref := randSeq(r, 3000)
 	sx := buildIndex(t, ref, 1024, 64, 5)
-	var buf bytes.Buffer
-	if err := Write(&buf, sx, ref); err != nil {
-		t.Fatalf("Write: %v", err)
+	good, err := os.ReadFile(writeCacheFile(t, t.TempDir(), sx, ref, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	good := buf.Bytes()
 	rankAt, startAt := sectionOf(good, 1, sectionRank), sectionOf(good, 1, sectionStart)
 	for name, tc := range map[string]struct {
 		mutate func([]byte)
@@ -266,22 +261,19 @@ func TestStaleVersionsRejected(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	ref := randSeq(r, 4000)
 	sx := buildIndex(t, ref, 1500, 100, 7)
-	var buf bytes.Buffer
-	if err := Write(&buf, sx, ref); err != nil {
-		t.Fatalf("Write: %v", err)
+	good, err := os.ReadFile(writeCacheFile(t, t.TempDir(), sx, ref, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, v := range []uint32{1, 2} {
 		want := fmt.Sprintf("unsupported format version %d (current 3)", v)
-		stale := resealed(buf.Bytes(), func(b []byte) { binary.LittleEndian.PutUint32(b[4:], v) })
+		stale := resealed(good, func(b []byte) { binary.LittleEndian.PutUint32(b[4:], v) })
 		path := writeBytes(t, t.TempDir(), "stale.gaxi", stale)
 		if reason := Probe(path, ref, 7, 1500, 100); reason != want {
 			t.Errorf("v%d Probe = %q, want %q", v, reason, want)
 		}
-		if _, err := Read(bytes.NewReader(stale), ref); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("v%d Read err = %v, want %q", v, err, want)
-		}
-		if m, err := OpenMapped(path); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("v%d OpenMapped = %v, %v, want %q", v, m, err, want)
+		if m, err := Open(path, ref, 7, 1500, 100); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("v%d Open = %v, %v, want %q", v, m, err, want)
 		}
 	}
 }

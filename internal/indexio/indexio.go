@@ -8,10 +8,11 @@
 // fixed-width sections holding seed.Tables exactly as the seed stage reads
 // them — presence bitmap, rank prefix, compressed start table, positions —
 // plus the reference itself, so a mapped index is self-contained and the
-// genome never needs a heap copy. OpenMapped uses the file in place; Read
-// decodes it into fresh heap. A file of any other version is rejected with
-// "unsupported format version N (current 3)", which callers treat as a
-// stale cache and rebuild.
+// genome never needs a heap copy. OpenMapped is the one reader: it uses the
+// file in place. Open adds the pin to the inputs in hand, and Ensure is the
+// one "use the cache or rebuild it" decision every caller shares. A file of
+// any other version is rejected with "unsupported format version N
+// (current 3)", which Ensure treats as a stale cache and rebuilds.
 //
 // The file is self-validating — a cache built from a different reference,
 // geometry, or code version is rejected, never silently used — and every
@@ -20,12 +21,10 @@
 package indexio
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
-	"io"
 	"os"
+	"path/filepath"
 
 	"genax/internal/dna"
 	"genax/internal/seed"
@@ -57,24 +56,12 @@ func RefHash(ref dna.Seq) uint64 {
 	return h.Sum64()
 }
 
-// Write serializes sx, built from ref, to w with a single shard group. Use
-// WriteShards to partition the segments into shard groups for
-// bounded-residency streaming.
-func Write(w io.Writer, sx *seed.SegmentedIndex, ref dna.Seq) error {
-	return WriteShards(w, sx, ref, 0)
-}
-
-// WriteFile writes the cache to path via a same-directory temp file and
-// rename, so a crashed or concurrent writer can never leave a torn cache
-// at the final name.
-func WriteFile(path string, sx *seed.SegmentedIndex, ref dna.Seq) error {
-	return WriteFileShards(path, sx, ref, 0)
-}
-
-// WriteFileShards is WriteFile with an explicit shard-group size; see
+// WriteFileShards writes the cache to path via a same-directory temp file
+// and rename, so a crashed or concurrent writer can never leave a torn
+// cache at the final name. groupSize is the shard-group size; see
 // WriteShards.
 func WriteFileShards(path string, sx *seed.SegmentedIndex, ref dna.Seq, groupSize int) error {
-	tmp, err := os.CreateTemp(filepathDir(path), ".gaxi-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".gaxi-*")
 	if err != nil {
 		return err
 	}
@@ -87,61 +74,6 @@ func WriteFileShards(path string, sx *seed.SegmentedIndex, ref dna.Seq, groupSiz
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-// filepathDir is filepath.Dir without pulling in path/filepath for one
-// call on slash-free inputs too.
-func filepathDir(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' || path[i] == os.PathSeparator {
-			if i == 0 {
-				return path[:1]
-			}
-			return path[:i]
-		}
-	}
-	return "."
-}
-
-// Read parses an index cache and re-binds it to ref, which must be the
-// exact reference the cache was built from (verified by length and hash).
-// The returned index is a fresh heap copy validated segment by segment (use
-// OpenMapped for the zero-copy path). Any corruption the CRC or structural
-// checks catch surfaces as an error, never a panic, and the trailing CRC is
-// verified before any length field is trusted.
-func Read(r io.Reader, ref dna.Seq) (*seed.SegmentedIndex, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) < 12 {
-		return nil, fmt.Errorf("indexio: file too short (%d bytes) to be an index cache", len(raw))
-	}
-	payload, sum := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, fmt.Errorf("indexio: checksum mismatch (file %08x, computed %08x): cache is corrupt", sum, got)
-	}
-	h, err := parseHeader(raw, int64(len(raw)))
-	if err != nil {
-		return nil, err
-	}
-	if h.refLen != len(ref) {
-		return nil, fmt.Errorf("indexio: cache built for a %d-base reference, have %d bases", h.refLen, len(ref))
-	}
-	if got := RefHash(ref); got != h.refHash {
-		return nil, fmt.Errorf("indexio: reference hash mismatch (cache %016x, have %016x): cache was built from a different reference", h.refHash, got)
-	}
-	return h.bind(raw, ref, false)
-}
-
-// ReadFile loads the cache at path; see Read.
-func ReadFile(path string, ref dna.Seq) (*seed.SegmentedIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f, ref)
 }
 
 // CachePath names the cache file for a (reference, geometry, format
@@ -167,4 +99,63 @@ func CachePath(dir string, ref dna.Seq, k, segLen, overlap int) (string, error) 
 		return name, nil
 	}
 	return dir + string(os.PathSeparator) + name, nil
+}
+
+// Open maps the cache at path (OpenMapped) and pins it to the inputs in
+// hand: the reference by length and hash, the geometry field by field. A
+// cache that is internally consistent but was built for anything else is
+// refused, never aligned against.
+func Open(path string, ref dna.Seq, k, segLen, overlap int) (*Mapped, error) {
+	if k < 1 || segLen < 1 || overlap < 0 {
+		return nil, fmt.Errorf("indexio: invalid geometry request (k=%d, segment=%d, overlap=%d)", k, segLen, overlap)
+	}
+	m, err := OpenMapped(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(ref) != len(m.Ref()) || m.RefHash() != RefHash(ref) {
+		_ = m.Close()
+		return nil, fmt.Errorf("indexio: cache was built from a different reference")
+	}
+	if m.K() != k || m.SegLen() != segLen || m.Overlap() != overlap {
+		err := fmt.Errorf("indexio: cache geometry (k=%d seg=%d overlap=%d) does not match the request (k=%d seg=%d overlap=%d)",
+			m.K(), m.SegLen(), m.Overlap(), k, segLen, overlap)
+		_ = m.Close()
+		return nil, err
+	}
+	return m, nil
+}
+
+// Ensure is the one "use the cache or rebuild it" decision: it probes the
+// cache at path and, when Probe gives a reason, builds the index from ref,
+// writes it to path and reports that reason for the caller's log line; it
+// then opens the cache (Open). The partition rule lives here and nowhere
+// else: shards > 0 asks for that many shard groups and a cache with another
+// partition is rebuilt; shards == 0 accepts any partition and writes one
+// group when it rebuilds. A reused cache is never written.
+func Ensure(path string, ref dna.Seq, k, segLen, overlap, shards int) (m *Mapped, reason string, err error) {
+	if k < 1 || segLen < 1 {
+		return nil, "", fmt.Errorf("indexio: invalid geometry request (k=%d, segment=%d)", k, segLen)
+	}
+	if reason = Probe(path, ref, k, segLen, overlap); reason == "" {
+		if m, err = Open(path, ref, k, segLen, overlap); err != nil {
+			return nil, "", err
+		}
+		numSegs := len(m.Index().Samples)
+		want := GroupSizeForShards(numSegs, shards)
+		if shards <= 0 || numSegs == 0 || m.ShardGroupSize() == want {
+			return m, "", nil
+		}
+		reason = fmt.Sprintf("shard partition mismatch (cache %d segments/group, want %d)", m.ShardGroupSize(), want)
+		_ = m.Close() // after the reason: Close drops the header it reads
+	}
+	sx, err := seed.BuildSegmentedIndex(ref, segLen, overlap, k)
+	if err != nil {
+		return nil, reason, err
+	}
+	if err := WriteFileShards(path, sx, ref, GroupSizeForShards(sx.NumSegments(), shards)); err != nil {
+		return nil, reason, err
+	}
+	m, err = Open(path, ref, k, segLen, overlap)
+	return m, reason, err
 }

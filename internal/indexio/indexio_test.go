@@ -1,12 +1,12 @@
 package indexio
 
 import (
-	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"genax/internal/dna"
 	"genax/internal/seed"
@@ -42,22 +42,18 @@ func TestRoundTripHashIdentical(t *testing.T) {
 	} {
 		ref := randSeq(r, tc.refLen)
 		sx := buildIndex(t, ref, tc.segLen, tc.overlap, tc.k)
-		var buf bytes.Buffer
-		if err := Write(&buf, sx, ref); err != nil {
-			t.Fatalf("%+v: Write: %v", tc, err)
-		}
-		got, err := Read(bytes.NewReader(buf.Bytes()), ref)
+		m, err := Open(writeCacheFile(t, t.TempDir(), sx, ref, 0), ref, tc.k, tc.segLen, tc.overlap)
 		if err != nil {
-			t.Fatalf("%+v: Read: %v", tc, err)
+			t.Fatalf("%+v: Open: %v", tc, err)
 		}
+		got := m.Index()
 		if got.Hash() != sx.Hash() {
 			t.Errorf("%+v: loaded hash %016x != built hash %016x", tc, got.Hash(), sx.Hash())
 		}
 		if got.NumSegments() != sx.NumSegments() {
 			t.Errorf("%+v: %d segments loaded, want %d", tc, got.NumSegments(), sx.NumSegments())
 		}
-		// The rebound index must answer lookups identically, through the
-		// same reference backing.
+		// The mapped index must answer lookups identically.
 		for id, si := range got.Samples {
 			want := sx.Samples[id]
 			if si.Offset != want.Offset || len(si.Ref) != len(want.Ref) {
@@ -80,42 +76,47 @@ func TestRoundTripHashIdentical(t *testing.T) {
 				}
 			}
 		}
+		_ = m.Close()
 	}
 }
 
+// TestCorruptionDetected: every byte flip and every truncation fails the
+// whole-file CRC that Probe checks before trusting any length, and a
+// reference or geometry other than the cache's is refused by Open's pin.
 func TestCorruptionDetected(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	ref := randSeq(r, 6000)
 	sx := buildIndex(t, ref, 2048, 64, 6)
-	var buf bytes.Buffer
-	if err := Write(&buf, sx, ref); err != nil {
-		t.Fatalf("Write: %v", err)
+	dir := t.TempDir()
+	path := writeCacheFile(t, dir, sx, ref, 0)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	good := buf.Bytes()
-
-	// Every single-byte flip must be caught by the CRC.
 	for _, at := range []int{0, 5, 9, 40, fixedHeaderLen + 3, len(good) / 2, len(good) - 5} {
 		bad := append([]byte(nil), good...)
 		bad[at] ^= 0x5a
-		if _, err := Read(bytes.NewReader(bad), ref); err == nil {
-			t.Errorf("flip at %d: Read succeeded on corrupt file", at)
+		if reason := Probe(writeBytes(t, dir, "flip.gaxi", bad), ref, 6, 2048, 64); reason == "" {
+			t.Errorf("flip at %d: Probe accepted a corrupt file", at)
 		}
 	}
-	// Truncation at any point must fail, not panic.
 	for _, n := range []int{0, 3, fixedHeaderLen - 1, fixedHeaderLen + 4, len(good) - 1} {
-		if _, err := Read(bytes.NewReader(good[:n]), ref); err == nil {
-			t.Errorf("truncate to %d: Read succeeded", n)
+		if reason := Probe(writeBytes(t, dir, "short.gaxi", good[:n]), ref, 6, 2048, 64); reason == "" {
+			t.Errorf("truncate to %d: Probe accepted", n)
 		}
 	}
-	// A different reference of the same length must be rejected by hash.
+	// A different reference of the same length is rejected by hash.
 	other := append(dna.Seq(nil), ref...)
 	other[100] ^= 1
-	if _, err := Read(bytes.NewReader(good), other); err == nil || !strings.Contains(err.Error(), "reference hash") {
-		t.Errorf("mutated reference: err = %v, want hash mismatch", err)
+	if _, err := Open(path, other, 6, 2048, 64); err == nil || !strings.Contains(err.Error(), "different reference") {
+		t.Errorf("mutated reference: err = %v, want a reference mismatch", err)
 	}
 	// A shorter reference is rejected before hashing.
-	if _, err := Read(bytes.NewReader(good), ref[:100]); err == nil {
-		t.Error("short reference: Read succeeded")
+	if _, err := Open(path, ref[:100], 6, 2048, 64); err == nil {
+		t.Error("short reference: Open succeeded")
+	}
+	if _, err := Open(path, ref, 6, 2048, 32); err == nil || !strings.Contains(err.Error(), "geometry") {
+		t.Errorf("overlap mismatch: err = %v, want a geometry mismatch", err)
 	}
 }
 
@@ -123,18 +124,26 @@ func TestVersionAndMagicChecked(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	ref := randSeq(r, 1000)
 	sx := buildIndex(t, ref, 1024, 0, 4)
-	var buf bytes.Buffer
-	if err := Write(&buf, sx, ref); err != nil {
-		t.Fatalf("Write: %v", err)
+	dir := t.TempDir()
+	good, err := os.ReadFile(writeCacheFile(t, dir, sx, ref, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Resealed, so the mutation reaches the semantic check.
-	bad := resealed(buf.Bytes(), func(b []byte) { copy(b, "NOPE") })
-	if _, err := Read(bytes.NewReader(bad), ref); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Errorf("bad magic: err = %v", err)
-	}
-	bad = resealed(buf.Bytes(), func(b []byte) { b[4] = 99 })
-	if _, err := Read(bytes.NewReader(bad), ref); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("bad version: err = %v", err)
+	for _, tc := range []struct {
+		want   string
+		mutate func([]byte)
+	}{
+		{"magic", func(b []byte) { copy(b, "NOPE") }},
+		{"version", func(b []byte) { b[4] = 99 }},
+	} {
+		path := writeBytes(t, dir, "bad.gaxi", resealed(good, tc.mutate))
+		if _, err := Open(path, ref, 4, 1024, 0); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("bad %s: Open err = %v", tc.want, err)
+		}
+		if reason := Probe(path, ref, 4, 1024, 0); !strings.Contains(reason, tc.want) {
+			t.Errorf("bad %s: Probe = %q", tc.want, reason)
+		}
 	}
 }
 
@@ -150,16 +159,17 @@ func TestFileRoundTripAndCachePath(t *testing.T) {
 	if filepath.Dir(path) != dir || !strings.HasSuffix(path, ".gaxi") {
 		t.Fatalf("CachePath = %q", path)
 	}
-	if err := WriteFile(path, sx, ref); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+	if err := WriteFileShards(path, sx, ref, 0); err != nil {
+		t.Fatalf("WriteFileShards: %v", err)
 	}
-	got, err := ReadFile(path, ref)
+	m, err := Open(path, ref, 7, 1500, 100)
 	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
-	if got.Hash() != sx.Hash() {
-		t.Errorf("file round trip hash %016x != %016x", got.Hash(), sx.Hash())
+	if got := m.Index().Hash(); got != sx.Hash() {
+		t.Errorf("file round trip hash %016x != %016x", got, sx.Hash())
 	}
+	_ = m.Close()
 	// No temp droppings left behind.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -184,5 +194,88 @@ func TestFileRoundTripAndCachePath(t *testing.T) {
 	}
 	if _, err := CachePath(dir, ref, 7, 1500, -1); err == nil {
 		t.Error("CachePath accepted negative overlap")
+	}
+}
+
+// TestEnsure drives the one load-or-rebuild decision through every class
+// of cache it meets: an unusable one is rebuilt and Probe's reason is
+// returned, the partition is checked only when shards > 0, and a usable
+// cache is mapped without being written.
+func TestEnsure(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	ref := randSeq(r, 6000)
+	sx := buildIndex(t, ref, 1024, 64, 6) // 6 segments
+	other := append(dna.Seq(nil), ref...)
+	other[0] ^= 1
+	write := func(sx *seed.SegmentedIndex, ref dna.Seq, groupSize int) func(*testing.T, string) {
+		return func(t *testing.T, path string) {
+			if err := WriteFileShards(path, sx, ref, groupSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stale := func(t *testing.T, path string) {
+		write(sx, ref, 0)(t, path)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, resealed(raw, func(b []byte) { b[4] = 2 }), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		setup   func(*testing.T, string)
+		shards  int
+		reason  string // what the reason must contain; "" means the cache is reused
+		rewrite bool
+		groups  int
+	}{
+		{"missing file", func(*testing.T, string) {}, 0, "no cache file", true, 1},
+		{"stale version", stale, 0, "unsupported format version 2", true, 1},
+		{"geometry mismatch", write(buildIndex(t, ref, 1024, 64, 7), ref, 0), 0, "geometry mismatch", true, 1},
+		{"other reference", write(buildIndex(t, other, 1024, 64, 6), other, 0), 0, "reference hash mismatch", true, 1},
+		{"partition mismatch", write(sx, ref, 0), 2, "shard partition mismatch", true, 2},
+		{"any partition at shards 0", write(sx, ref, 3), 0, "", false, 2},
+		{"current cache", write(sx, ref, 0), 0, "", false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ensure.gaxi")
+			tc.setup(t, path)
+			past := time.Now().Add(-time.Hour).Truncate(time.Second)
+			if _, err := os.Stat(path); err == nil {
+				if err := os.Chtimes(path, past, past); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m, reason, err := Ensure(path, ref, 6, 1024, 64, tc.shards)
+			if err != nil {
+				t.Fatalf("Ensure: %v", err)
+			}
+			defer m.Close()
+			if (reason == "") != (tc.reason == "") || !strings.Contains(reason, tc.reason) {
+				t.Errorf("reason = %q, want %q", reason, tc.reason)
+			}
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rewrote := !st.ModTime().Equal(past); rewrote != tc.rewrite {
+				t.Errorf("cache rewritten = %v, want %v", rewrote, tc.rewrite)
+			}
+			if got := m.Index().Hash(); got != sx.Hash() {
+				t.Errorf("mapped hash %016x, built %016x", got, sx.Hash())
+			}
+			if m.NumShardGroups() != tc.groups {
+				t.Errorf("%d shard groups, want %d", m.NumShardGroups(), tc.groups)
+			}
+			if again := Probe(path, ref, 6, 1024, 64); again != "" {
+				t.Errorf("Probe after Ensure: %q", again)
+			}
+		})
+	}
+	if _, _, err := Ensure(filepath.Join(t.TempDir(), "bad.gaxi"), ref, 0, 1024, 64, 0); err == nil {
+		t.Error("Ensure accepted k=0")
 	}
 }

@@ -40,8 +40,8 @@ type Mapped struct {
 // by the seed package's clamp-safe lookup and by the one-load sentinel
 // check per segment done here (see the integrity ladder in format.go).
 //
-// The caller should compare RefHash()/geometry against its own inputs
-// before aligning; OpenMapped itself only proves internal consistency.
+// OpenMapped itself only proves internal consistency; Open also pins the
+// mapping to the reference and geometry in hand.
 func OpenMapped(path string) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -83,7 +83,7 @@ func OpenMapped(path string) (*Mapped, error) {
 	m.hdr = h
 	refSec := h.sections[0]
 	m.ref = seqView(m.data[refSec.off : refSec.off+refSec.len])
-	if m.sx, err = h.bind(m.data, m.ref, true); err != nil {
+	if m.sx, err = h.bind(m.data, m.ref); err != nil {
 		return fail(err)
 	}
 	return m, nil
@@ -105,10 +105,6 @@ func (m *Mapped) RefHash() uint64 { return m.hdr.refHash }
 func (m *Mapped) K() int       { return m.hdr.k }
 func (m *Mapped) SegLen() int  { return m.hdr.segLen }
 func (m *Mapped) Overlap() int { return m.hdr.overlap }
-
-// IsMapped reports whether the data is an actual memory map (false on the
-// heap fallback path).
-func (m *Mapped) IsMapped() bool { return m.mapped }
 
 // SizeBytes returns the byte size of the backing file/mapping.
 func (m *Mapped) SizeBytes() int { return len(m.data) }

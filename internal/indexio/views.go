@@ -40,15 +40,11 @@ func seqView(b []byte) dna.Seq {
 	return unsafe.Slice((*dna.Base)(unsafe.Pointer(&b[0])), len(b))
 }
 
-// decodeWords copies b into a fresh heap []T. On little-endian hosts the
-// copy is one memmove through a view of the source.
+// decodeWords decodes b (little-endian) into a fresh heap []T — the
+// big-endian host's substitute for viewWords.
 func decodeWords[T word](b []byte) []T {
 	size := wordSize[T]()
 	out := make([]T, len(b)/size)
-	if hostLittleEndian {
-		copy(out, viewWords[T](b))
-		return out
-	}
 	for i := range out {
 		if size == 4 {
 			out[i] = T(binary.LittleEndian.Uint32(b[4*i:]))

@@ -19,7 +19,7 @@ import (
 // Tables is the thin view a SegmentIndex reads through: the presence bitmap
 // with its rank prefix, the compressed start table, and the position table,
 // as plain slices. The backing memory is either owned heap storage (the
-// builders, indexio.Read) or a borrowed window of a memory-mapped GAXI file
+// build) or a borrowed window of a memory-mapped GAXI file
 // (indexio.OpenMapped) — the lookup paths are identical either way, which
 // is what keeps SegmentedIndex.Hash and every seed result byte-identical
 // across the in-memory, mapped, and sharded paths.
@@ -66,15 +66,8 @@ type SegmentIndex struct {
 	tab Tables
 }
 
-// sparseBuildFactor selects the build strategy: when the windows of a
-// segment fill less than 1/sparseBuildFactor of the k-mer space, the index
-// is assembled by radix-sorting window positions by k-mer, which never
-// allocates anything sized by 4^k except the bitmap and its rank prefix.
-// Laptop-scale segments with k=12 are ~0.05% dense, so this is their
-// default path; paper-scale segments stay on the dense counting build.
-const sparseBuildFactor = 32
-
-// BuildSegmentIndex indexes ref (one segment) with k-mer length k.
+// BuildSegmentIndex indexes ref (one segment) with k-mer length k. There is
+// one build, buildSparse, at every segment length and k.
 func BuildSegmentIndex(ref dna.Seq, id, offset, k int) (*SegmentIndex, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("seed: k-mer length %d must be positive", k)
@@ -83,19 +76,9 @@ func BuildSegmentIndex(ref dna.Seq, id, offset, k int) (*SegmentIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	si := &SegmentIndex{ID: id, Offset: offset, Ref: ref, codec: codec}
-	numKmers := codec.NumKmers()
-	n := len(ref) - k + 1
-	if n < 0 {
-		n = 0
-	}
+	n := max(0, len(ref)-k+1)
 	kms := codec.AppendScan(make([]dna.Kmer, 0, n), ref)
-	if n*sparseBuildFactor < numKmers {
-		si.tab = buildSparse(kms, k)
-	} else {
-		si.tab = buildDense(kms, numKmers)
-	}
-	return si, nil
+	return &SegmentIndex{ID: id, Offset: offset, Ref: ref, codec: codec, tab: buildSparse(kms, k)}, nil
 }
 
 // presenceWords returns the bitmap length for a k-mer space.
@@ -118,9 +101,10 @@ func markPresence(kms []dna.Kmer, numKmers int) (presence []uint64, rank []uint3
 
 // buildSparse assembles the tables from the window scan (kms[p] is the
 // k-mer at position p) with a stable two-pass LSD radix sort of the
-// positions, k bits of the k-mer per pass. Positions enter ascending and
-// both passes are stable, so the result is grouped by k-mer and ascending
-// within each group — the dense build's layout exactly.
+// positions, k bits of the k-mer per pass, so nothing it allocates has 4^k
+// entries except the bitmap and its rank prefix. Positions enter ascending
+// and both passes are stable, so the result is grouped by k-mer and
+// ascending within each group.
 func buildSparse(kms []dna.Kmer, k int) Tables {
 	n := len(kms)
 	mask := dna.Kmer(1)<<uint(k) - 1
@@ -155,37 +139,6 @@ func buildSparse(kms []dna.Kmer, k int) Tables {
 		}
 	}
 	start[distinct] = int32(n)
-	return Tables{Start: start, Positions: positions, Presence: presence, Rank: rank}
-}
-
-// buildDense is the counting build for segments that populate a large
-// fraction of the k-mer space: count occurrences, prefix-sum into offsets,
-// scatter positions, then keep the offsets of the present k-mers. The
-// counts array doubles as the fill cursors (the classic counting-sort
-// trick): occurrences are tallied two slots ahead, the prefix sum turns
-// slot km+1 into the km cursor, and after the scatter slot km holds the
-// dense start[km]. That 4^k-sized array is a build-time intermediate only.
-func buildDense(kms []dna.Kmer, numKmers int) Tables {
-	c := make([]int32, numKmers+2)
-	for _, km := range kms {
-		c[km+2]++
-	}
-	for i := 2; i < len(c); i++ {
-		c[i] += c[i-1]
-	}
-	positions := make([]int32, len(kms))
-	for p, km := range kms {
-		positions[c[km+1]] = int32(p)
-		c[km+1]++
-	}
-	presence, rank, distinct := markPresence(kms, numKmers)
-	start := make([]int32, 0, distinct+1)
-	for km := 0; km < numKmers; km++ {
-		if c[km+1] > c[km] {
-			start = append(start, c[km])
-		}
-	}
-	start = append(start, int32(len(kms)))
 	return Tables{Start: start, Positions: positions, Presence: presence, Rank: rank}
 }
 

@@ -255,44 +255,6 @@ func TestIntersectionStrategiesAgree(t *testing.T) {
 	}
 }
 
-func TestSparseAndDenseBuildsAgree(t *testing.T) {
-	// Both build strategies must produce byte-identical tables; exercise
-	// them directly on the same scans, across densities that would pick
-	// either path naturally.
-	r := rand.New(rand.NewSource(102))
-	for _, tc := range []struct {
-		refLen, k int
-	}{
-		{50, 2},   // tiny k-mer space, dense regime
-		{5000, 4}, // dense regime
-		{5000, 8}, // sparse regime
-		{300, 12}, // very sparse
-		{3, 6},    // no windows at all
-		{1000, 1}, // k=1 edge
-	} {
-		ref := randSeq(r, tc.refLen)
-		codec, err := dna.NewKmerCodec(tc.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kms := codec.AppendScan(nil, ref)
-		sparse := buildSparse(kms, tc.k)
-		dense := buildDense(kms, codec.NumKmers())
-		if !slices.Equal(sparse.Start, dense.Start) {
-			t.Fatalf("%+v: start tables differ (%d vs %d entries)", tc, len(sparse.Start), len(dense.Start))
-		}
-		if !slices.Equal(sparse.Positions, dense.Positions) {
-			t.Fatalf("%+v: position tables differ", tc)
-		}
-		if !slices.Equal(sparse.Presence, dense.Presence) || !slices.Equal(sparse.Rank, dense.Rank) {
-			t.Fatalf("%+v: presence bitmaps or rank prefixes differ", tc)
-		}
-		if len(sparse.Start) != 1+len(uniqueKmers(kms)) {
-			t.Fatalf("%+v: %d start entries for %d distinct k-mers", tc, len(sparse.Start), len(uniqueKmers(kms)))
-		}
-	}
-}
-
 // uniqueKmers returns the distinct k-mers of a window scan, ascending.
 func uniqueKmers(kms []dna.Kmer) []dna.Kmer {
 	u := slices.Clone(kms)
@@ -351,9 +313,13 @@ func TestPresenceBitmapFiltersAbsentKmers(t *testing.T) {
 		{3, randSeq(r, 700)},
 		{5, randSeq(r, 600)},
 		{5, make(dna.Seq, 300)}, // one k-mer, one long run
-		{8, randSeq(r, 3000)},   // sparse build
-		{8, randSeq(r, 70000)},  // dense build
+		{8, randSeq(r, 3000)},   // 5% of the k-mer space present
+		{8, randSeq(r, 70000)},  // more windows than k-mers
 		{12, randSeq(r, 20000)},
+		{2, randSeq(r, 50)},   // tiny k-mer space, every k-mer present
+		{4, randSeq(r, 5000)}, // 20 windows per k-mer
+		{6, randSeq(r, 3)},    // no windows at all
+		{1, randSeq(r, 1000)}, // k=1 edge
 	} {
 		si, err := BuildSegmentIndex(tc.ref, 0, 0, tc.k)
 		if err != nil {
@@ -362,6 +328,9 @@ func TestPresenceBitmapFiltersAbsentKmers(t *testing.T) {
 		numKmers := si.codec.NumKmers()
 		kms := si.codec.AppendScan(nil, tc.ref)
 		start, positions := denseTables(kms, numKmers)
+		if len(si.tab.Start) != 1+len(uniqueKmers(kms)) {
+			t.Fatalf("k=%d: %d start entries for %d distinct k-mers", tc.k, len(si.tab.Start), len(uniqueKmers(kms)))
+		}
 		check := func(km dna.Kmer) { checkAgainstDense(t, si, start, positions, km) }
 		if tc.k < 12 {
 			for km := 0; km < numKmers; km++ {

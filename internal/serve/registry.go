@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -13,7 +11,6 @@ import (
 	"genax/internal/core"
 	"genax/internal/dna"
 	"genax/internal/indexio"
-	"genax/internal/seed"
 )
 
 // ErrUnknownGenome reports a request naming a genome the server was not
@@ -53,7 +50,6 @@ type entry struct {
 type registry struct {
 	core        core.Config // template; Index/Residency/StreamWindow overwritten per genome
 	cacheDir    string
-	shards      int
 	maxResident int
 	streamWin   int
 	logf        func(string, ...any)
@@ -81,7 +77,6 @@ func newRegistry(cfg Config) *registry {
 	r := &registry{
 		core:        cfg.Core,
 		cacheDir:    cfg.CacheDir,
-		shards:      cfg.Shards,
 		maxResident: cfg.MaxResident,
 		streamWin:   cfg.MaxBatch,
 		logf:        cfg.Logf,
@@ -284,11 +279,11 @@ func (r *registry) closeAll() {
 }
 
 // doLoad reads the reference, resolves the content-addressed cache path,
-// probes it (rebuilding and rewriting on any staleness, with the reason
-// logged), maps it zero-copy, validates the mapping against the reference
-// in hand, and binds an aligner to the mapped tables.
+// maps the cache through indexio.Ensure (which rebuilds and rewrites it on
+// any staleness; the reason is logged here), and binds an aligner to the
+// mapped tables.
 func (r *registry) doLoad(name, fasta string) (*core.Aligner, *indexio.Mapped, error) {
-	ref, err := readFastaRef(fasta)
+	ref, _, err := dna.ReadRef(fasta)
 	if err != nil {
 		return nil, nil, fmt.Errorf("reference %s: %w", fasta, err)
 	}
@@ -301,37 +296,20 @@ func (r *registry) doLoad(name, fasta string) (*core.Aligner, *indexio.Mapped, e
 	if err != nil {
 		return nil, nil, err
 	}
-	if reason := indexio.Probe(path, ref, cc.KmerLen, cc.SegmentLen, cc.Overlap); reason != "" {
-		r.logf("serve: genome %q: index cache miss at %s: %s; rebuilding", name, path, reason)
-		r.rebuilds.Add(1)
-		sx, err := seed.BuildSegmentedIndex(ref, cc.SegmentLen, cc.Overlap, cc.KmerLen)
-		if err != nil {
-			return nil, nil, fmt.Errorf("build index: %w", err)
-		}
-		group := indexio.GroupSizeForShards(sx.NumSegments(), r.shards)
-		if err := indexio.WriteFileShards(path, sx, ref, group); err != nil {
-			return nil, nil, fmt.Errorf("write index cache %s: %w", path, err)
-		}
-	}
-	m, err := indexio.OpenMapped(path)
+	m, reason, err := indexio.Ensure(path, ref, cc.KmerLen, cc.SegmentLen, cc.Overlap, 0)
 	if err != nil {
-		return nil, nil, fmt.Errorf("map index cache %s: %w", path, err)
+		return nil, nil, fmt.Errorf("index cache %s: %w", path, err)
 	}
-	// The mapping is internally consistent (CRCs, bounds); pin it to the
-	// reference and geometry in hand like the CLI's -mmap path does.
-	if len(ref) != len(m.Ref()) || m.RefHash() != indexio.RefHash(ref) {
-		_ = m.Close()
-		return nil, nil, fmt.Errorf("index cache %s was built from a different reference", path)
-	}
-	if m.K() != cc.KmerLen || m.SegLen() != cc.SegmentLen || m.Overlap() != cc.Overlap {
-		_ = m.Close()
-		return nil, nil, fmt.Errorf("index cache %s geometry (k=%d seg=%d overlap=%d) does not match config (k=%d seg=%d overlap=%d)",
-			path, m.K(), m.SegLen(), m.Overlap(), cc.KmerLen, cc.SegmentLen, cc.Overlap)
+	if reason != "" {
+		r.logf("serve: genome %q: rebuilt index cache %s: %s", name, path, reason)
+		r.rebuilds.Add(1)
 	}
 	// Serve from the mapped reference (out-of-core: the FASTA copy is
 	// dropped). StreamWindow tracks the batch bound so one coalesced
-	// flush is at most one pipeline window.
+	// flush is at most one pipeline window. No residency is bound: a
+	// caller's Core.Residency belongs to some other mapping.
 	cc.Index = m.Index()
+	cc.Residency = nil
 	cc.StreamWindow = r.streamWin
 	al, err := core.New(m.Ref(), cc)
 	if err != nil {
@@ -339,28 +317,4 @@ func (r *registry) doLoad(name, fasta string) (*core.Aligner, *indexio.Mapped, e
 		return nil, nil, err
 	}
 	return al, m, nil
-}
-
-// readFastaRef loads a reference FASTA exactly like the genax CLI
-// (ambiguous bases resolved with the same fixed seed, contigs
-// concatenated), so the content-addressed cache written by `genax index`
-// and the one written here land at the same path.
-func readFastaRef(path string) (dna.Seq, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	recs, err := dna.ReadFasta(f, dna.FastaOptions{ResolveN: rand.New(rand.NewSource(1))})
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("no sequences in %s", path)
-	}
-	var ref dna.Seq
-	for _, rec := range recs {
-		ref = append(ref, rec.Seq...)
-	}
-	return ref, nil
 }

@@ -35,13 +35,22 @@ func (lc *logCapture) contains(sub string) bool {
 	return false
 }
 
+// strayResidency stands for a caller's Core.Residency, bound to some other
+// mapping than any genome's.
+type strayResidency struct{}
+
+func (strayResidency) Acquire(int) {}
+func (strayResidency) Release(int) {}
+
 // TestRegistryRebuildThenCacheHit: the first load of a genome finds no
 // cache (Probe's reason is logged), rebuilds and writes it; a second
 // registry over the same cache dir maps it without rebuilding.
 func TestRegistryRebuildThenCacheHit(t *testing.T) {
 	wl := testWorkload(t, 60)
 	lc := &logCapture{}
-	s := newTestServer(t, Config{CoalesceWindow: time.Millisecond, Logf: lc.logf}, wl)
+	cc := testCore()
+	cc.Residency = strayResidency{}
+	s := newTestServer(t, Config{Core: cc, CoalesceWindow: time.Millisecond, Logf: lc.logf}, wl)
 
 	e, err := s.reg.acquire(context.Background(), "g0")
 	if err != nil {
@@ -49,6 +58,9 @@ func TestRegistryRebuildThenCacheHit(t *testing.T) {
 	}
 	if e.aligner == nil || e.mapped == nil {
 		t.Fatal("ready entry without aligner/mapped")
+	}
+	if res := e.aligner.Config().Residency; res != nil {
+		t.Fatalf("genome aligner bound the caller's residency %v", res)
 	}
 	s.reg.release(e)
 	if got := s.reg.rebuilds.Load(); got != 1 {

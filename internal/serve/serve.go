@@ -22,10 +22,10 @@
 //
 //   - Genome registry. Genomes are named at construction; each resolves
 //     to a content-addressed GAXI index cache (indexio.CachePath) that
-//     is opened zero-copy (indexio.OpenMapped) on first use — microseconds
+//     is opened zero-copy by indexio.Ensure on first use — microseconds
 //     when the cache is fresh, a bounded-concurrency build+write+map when
-//     indexio.Probe reports it missing or stale (the staleness reason is
-//     logged, never silently swallowed). Resident genomes are held under
+//     Ensure finds it missing or stale (the staleness reason is logged,
+//     never silently swallowed). Resident genomes are held under
 //     an LRU budget: acquiring a cold genome past the budget evicts the
 //     least-recently-used idle genome and unmaps its cache. A genome is
 //     never evicted while a batch is in flight against it (refcount).
@@ -123,9 +123,6 @@ type Config struct {
 	// misses, so a cold burst across many genomes cannot run the machine
 	// out of memory building every index at once (0 = 1).
 	LoadConcurrency int
-	// Shards partitions caches written on rebuild into this many shard
-	// groups (0 = one group); see indexio.WriteFileShards.
-	Shards int
 	// RetryAfter is the hint attached to 429 responses (0 =
 	// DefaultRetryAfter).
 	RetryAfter time.Duration
