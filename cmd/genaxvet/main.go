@@ -16,11 +16,13 @@
 //	               escape or mutate their owner's storage (no heap stores,
 //	               goroutine/closure captures, appends, channel sends, or
 //	               unannotated returns)
-//	mergecomplete  Merge methods in kernel packages fold every field or
-//	               mark it //genax:nomerge
-//	stagecontract  internal/pipeline keeps channels bounded, goroutines
-//	               WaitGroup-tracked or context-bounded, and pointer sends
-//	               traceable to a credit acquire
+//	stagecontract  internal/pipeline and internal/serve keep channels
+//	               bounded and goroutines WaitGroup-tracked or
+//	               context-bounded
+//
+// Every rule is one that an edit of today's tree can break:
+// TestEveryRuleFiresOnTheTree patches the real packages one rule at a time
+// and checks that the rule reports.
 //
 // Usage:
 //
@@ -52,7 +54,6 @@ import (
 	"genax/internal/lint/hotpath"
 	"genax/internal/lint/invariants"
 	"genax/internal/lint/load"
-	"genax/internal/lint/mergecomplete"
 	"genax/internal/lint/stagecontract"
 )
 
@@ -61,7 +62,6 @@ var analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
 	invariants.Analyzer,
 	borrow.Analyzer,
-	mergecomplete.Analyzer,
 	stagecontract.Analyzer,
 }
 
@@ -87,55 +87,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "genaxvet: %v\n", err)
 		os.Exit(2)
 	}
-
-	// Pre-pass: register every //genax:borrowed annotation before any
-	// package is analyzed, so the borrow analyzer resolves cross-package
-	// calls (pipeline using seed.Lookup) regardless of analysis order.
-	for _, pkg := range pkgs {
-		borrow.Collect(pkg.Info, pkg.Files)
+	findings, err := vet(pkgs)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "genaxvet: %v\n", err)
+		os.Exit(2)
 	}
-
-	type finding struct {
-		pos      token.Position
-		message  string
-		analyzer string
-	}
-	var findings []finding
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-			}
-			pass.Report = func(d analysis.Diagnostic) {
-				pos := pkg.Fset.Position(d.Pos)
-				// A test variant re-checks the non-test files the base
-				// build already covered; only its _test.go findings are new.
-				if pkg.TestVariant && !strings.HasSuffix(pos.Filename, "_test.go") {
-					return
-				}
-				findings = append(findings, finding{pos: pos, message: d.Message, analyzer: a.Name})
-			}
-			if _, err := a.Run(pass); err != nil {
-				fmt.Fprintf(os.Stderr, "genaxvet: %s: %s: %v\n", pkg.ImportPath, a.Name, err)
-				os.Exit(2)
-			}
-		}
-	}
-
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.pos.Filename != b.pos.Filename {
-			return a.pos.Filename < b.pos.Filename
-		}
-		if a.pos.Line != b.pos.Line {
-			return a.pos.Line < b.pos.Line
-		}
-		return a.message < b.message
-	})
 	cwd, _ := os.Getwd()
 	relName := func(name string) string {
 		if cwd != "" {
@@ -185,4 +141,57 @@ func main() {
 		fmt.Fprintf(os.Stderr, "genaxvet: %d finding(s)\n", n)
 		os.Exit(1)
 	}
+}
+
+// finding is one diagnostic with its resolved position.
+type finding struct {
+	pos      token.Position
+	message  string
+	analyzer string
+}
+
+// vet runs every analyzer over pkgs and returns the findings sorted by
+// position.
+func vet(pkgs []*load.Package) ([]finding, error) {
+	// Pre-pass: register every //genax:borrowed annotation before any
+	// package is analyzed, so the borrow analyzer resolves cross-package
+	// calls (pipeline using seed.Lookup) regardless of analysis order.
+	for _, pkg := range pkgs {
+		borrow.Collect(pkg.Info, pkg.Files)
+	}
+	var findings []finding
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			pass := &analysis.Pass{
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.Info,
+			}
+			pass.Report = func(d analysis.Diagnostic) {
+				pos := pkg.Fset.Position(d.Pos)
+				// A test variant re-checks the non-test files the base
+				// build already covered; only its _test.go findings are new.
+				if pkg.TestVariant && !strings.HasSuffix(pos.Filename, "_test.go") {
+					return
+				}
+				findings = append(findings, finding{pos: pos, message: d.Message, analyzer: a.Name})
+			}
+			if _, err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s: %s: %v", pkg.ImportPath, a.Name, err)
+			}
+		}
+	}
+	sort.Slice(findings, func(i, j int) bool {
+		a, b := findings[i], findings[j]
+		if a.pos.Filename != b.pos.Filename {
+			return a.pos.Filename < b.pos.Filename
+		}
+		if a.pos.Line != b.pos.Line {
+			return a.pos.Line < b.pos.Line
+		}
+		return a.message < b.message
+	})
+	return findings, nil
 }

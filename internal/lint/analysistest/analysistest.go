@@ -62,7 +62,7 @@ func runOne(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {
 	sort.Strings(names)
 
 	fset := token.NewFileSet()
-	files, err := load.ParseFiles(fset, srcDir, names)
+	files, err := load.ParseFiles(fset, srcDir, names, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", pkgPath, err)
 	}

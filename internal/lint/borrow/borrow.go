@@ -11,9 +11,9 @@
 //
 // A function whose doc comment carries //genax:borrowed declares that the
 // reference-typed values it returns are borrowed views. At every call site
-// the analyzer taints the result through internal/lint/ssautil's value
-// graph (assignment, slicing, field selection, composite wrapping, append
-// all propagate) and rejects the operations that would let the view
+// the analyzer taints the result through the function's def-use chains
+// (taint.go: assignment, slicing, field selection, composite wrapping,
+// append all propagate) and rejects the operations that would let the view
 // outlive or mutate its owner's frame:
 //
 //   - storing it to a struct field, array/slice/map element, dereferenced
@@ -52,10 +52,10 @@ package borrow
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 	"sync"
 
 	"genax/internal/lint/analysis"
-	"genax/internal/lint/ssautil"
 )
 
 // Directive is the doc-comment annotation marking a function whose
@@ -86,7 +86,7 @@ func Collect(info *types.Info, files []*ast.File) {
 	for _, f := range files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || !ssautil.HasDirective(fd.Doc, Directive) {
+			if !ok || !hasDirective(fd.Doc) {
 				continue
 			}
 			if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
@@ -96,10 +96,31 @@ func Collect(info *types.Info, files []*ast.File) {
 	}
 }
 
+// hasDirective reports whether the comment group contains the directive as
+// a stand-alone comment line.
+func hasDirective(cg *ast.CommentGroup) bool {
+	if cg == nil {
+		return false
+	}
+	for _, c := range cg.List {
+		text := strings.TrimSpace(c.Text)
+		if text == Directive || strings.HasPrefix(text, Directive+" ") {
+			return true
+		}
+	}
+	return false
+}
+
 // borrowed reports whether the call statically resolves to an annotated
 // function.
 func borrowed(info *types.Info, call *ast.CallExpr) bool {
-	fn := ssautil.Callee(info, call)
+	var fn *types.Func
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ = info.Uses[fun].(*types.Func)
+	case *ast.SelectorExpr:
+		fn, _ = info.Uses[fun.Sel].(*types.Func)
+	}
 	if fn == nil {
 		return false
 	}
@@ -117,7 +138,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok {
 				continue
 			}
-			isBorrowed := ssautil.HasDirective(fd.Doc, Directive)
+			isBorrowed := hasDirective(fd.Doc)
 			if isBorrowed {
 				annotated[fd.Doc] = true
 				checkAnnotation(pass, fd)
@@ -127,7 +148,7 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 		}
 		for _, cg := range f.Comments {
-			if ssautil.HasDirective(cg, Directive) && !annotated[cg] {
+			if hasDirective(cg) && !annotated[cg] {
 				pass.Reportf(cg.Pos(), "misplaced %s directive: it must be part of a function declaration's doc comment", Directive)
 			}
 		}
@@ -140,7 +161,7 @@ func run(pass *analysis.Pass) (any, error) {
 func checkAnnotation(pass *analysis.Pass, fd *ast.FuncDecl) {
 	if fd.Type.Results != nil {
 		for _, r := range fd.Type.Results.List {
-			if t := pass.TypeOf(r.Type); t != nil && ssautil.RefLike(t) {
+			if t := pass.TypeOf(r.Type); t != nil && refLike(t) {
 				return
 			}
 		}
@@ -150,14 +171,13 @@ func checkAnnotation(pass *analysis.Pass, fd *ast.FuncDecl) {
 
 // checkFunc analyzes one function body for borrow escapes.
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, isBorrowed bool) {
-	fn := ssautil.New(pass.TypesInfo, fd)
 	// recvObj is the method receiver: the owner whose scratch an annotated
 	// method may legally reclaim.
 	var recvObj types.Object
 	if isBorrowed && fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
 		recvObj = pass.TypesInfo.Defs[fd.Recv.List[0].Names[0]]
 	}
-	taint := fn.Taint(func(call *ast.CallExpr) bool {
+	tainted := newTaint(pass.TypesInfo, fd.Body, func(call *ast.CallExpr) bool {
 		if !borrowed(pass.TypesInfo, call) {
 			return false
 		}
@@ -179,15 +199,15 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, isBorrowed bool) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			checkCapture(pass, name, n, n.Body, taint, "closure")
+			checkCapture(pass, name, n, n.Body, tainted, "closure")
 			return false
 		case *ast.GoStmt:
-			checkCapture(pass, name, n, n.Call, taint, "goroutine")
+			checkCapture(pass, name, n, n.Call, tainted, "goroutine")
 			return false
 		case *ast.AssignStmt:
-			checkAssign(pass, name, n, taint, recvObj)
+			checkAssign(pass, name, n, tainted, recvObj)
 		case *ast.SendStmt:
-			if taint.Expr(n.Value) {
+			if tainted.expr(n.Value) {
 				pass.Reportf(n.Pos(), "borrowed slice sent on a channel in %s: the consumer outlives the borrow", name)
 			}
 		case *ast.ReturnStmt:
@@ -195,12 +215,12 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, isBorrowed bool) {
 				return true
 			}
 			for _, res := range n.Results {
-				if taint.Expr(res) {
+				if tainted.expr(res) {
 					pass.Reportf(res.Pos(), "borrowed slice returned from %s, which is not annotated %s: the view would outlive the owning frame", name, Directive)
 				}
 			}
 		case *ast.CallExpr:
-			checkAppend(pass, name, n, taint)
+			checkAppend(pass, name, n, tainted)
 		}
 		return true
 	})
@@ -210,22 +230,15 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, isBorrowed bool) {
 // write into the shared backing array; full ones retain it via the old
 // header). Appending borrowed *elements* into an owned slice is a store and
 // is caught by checkAssign through taint propagation.
-func checkAppend(pass *analysis.Pass, name string, call *ast.CallExpr, taint *ssautil.Taint) {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return
-	}
-	if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); !ok || b.Name() != "append" {
-		return
-	}
-	if len(call.Args) > 0 && taint.Expr(call.Args[0]) {
+func checkAppend(pass *analysis.Pass, name string, call *ast.CallExpr, tainted *taint) {
+	if isBuiltin(pass.TypesInfo, call, "append") && len(call.Args) > 0 && tainted.expr(call.Args[0]) {
 		pass.Reportf(call.Pos(), "append to a borrowed slice in %s: may write into or retain the owner's backing array", name)
 	}
 }
 
 // checkAssign rejects stores of tainted values to escaping locations and
 // writes through tainted bases.
-func checkAssign(pass *analysis.Pass, name string, as *ast.AssignStmt, taint *ssautil.Taint, recvObj types.Object) {
+func checkAssign(pass *analysis.Pass, name string, as *ast.AssignStmt, tainted *taint, recvObj types.Object) {
 	rhsFor := func(i int) ast.Expr {
 		if len(as.Lhs) == len(as.Rhs) {
 			return as.Rhs[i]
@@ -238,15 +251,15 @@ func checkAssign(pass *analysis.Pass, name string, as *ast.AssignStmt, taint *ss
 	for i, lhs := range as.Lhs {
 		// Writing through a borrowed view mutates the owner's storage,
 		// whatever the value being stored.
-		if ix, ok := lhs.(*ast.IndexExpr); ok && taint.Expr(ix.X) {
+		if ix, ok := lhs.(*ast.IndexExpr); ok && tainted.expr(ix.X) {
 			pass.Reportf(lhs.Pos(), "write through a borrowed slice in %s: mutates the owner's backing array", name)
 			continue
 		}
 		rhs := rhsFor(i)
-		if rhs == nil || !taint.Expr(rhs) {
+		if rhs == nil || !tainted.expr(rhs) {
 			continue
 		}
-		if rt := pass.TypeOf(lhs); rt != nil && !ssautil.RefLike(rt) {
+		if rt := pass.TypeOf(lhs); rt != nil && !refLike(rt) {
 			continue // a scalar copied out of the view carries no reference
 		}
 		switch l := lhs.(type) {
@@ -267,7 +280,7 @@ func checkAssign(pass *analysis.Pass, name string, as *ast.AssignStmt, taint *ss
 
 // checkCapture reports tainted free variables referenced inside a closure
 // or go statement.
-func checkCapture(pass *analysis.Pass, name string, at ast.Node, body ast.Node, taint *ssautil.Taint, kind string) {
+func checkCapture(pass *analysis.Pass, name string, at ast.Node, body ast.Node, tainted *taint, kind string) {
 	reported := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if reported {
@@ -277,7 +290,7 @@ func checkCapture(pass *analysis.Pass, name string, at ast.Node, body ast.Node, 
 		if !ok {
 			return true
 		}
-		if obj := pass.TypesInfo.Uses[id]; obj != nil && taint.Obj(obj) {
+		if obj := pass.TypesInfo.Uses[id]; obj != nil && tainted.obj(obj) {
 			pass.Reportf(at.Pos(), "borrowed slice %s captured by %s in %s: it may be used after the owner invalidates it", id.Name, kind, name)
 			reported = true
 			return false

@@ -1,4 +1,4 @@
-package ssautil_test
+package borrow
 
 import (
 	"go/ast"
@@ -7,8 +7,6 @@ import (
 	"go/token"
 	"go/types"
 	"testing"
-
-	"genax/internal/lint/ssautil"
 )
 
 const src = `package p
@@ -56,8 +54,8 @@ func load(t *testing.T) (*types.Info, *ast.FuncDecl) {
 	return nil, nil
 }
 
-// obj resolves a local by name through the def map the taint exposes.
-func obj(t *testing.T, info *types.Info, fd *ast.FuncDecl, name string) types.Object {
+// local resolves a local of f by name.
+func local(t *testing.T, info *types.Info, fd *ast.FuncDecl, name string) types.Object {
 	t.Helper()
 	var found types.Object
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -76,8 +74,7 @@ func obj(t *testing.T, info *types.Info, fd *ast.FuncDecl, name string) types.Ob
 
 func TestTaintPropagation(t *testing.T) {
 	info, fd := load(t)
-	fn := ssautil.New(info, fd)
-	taint := fn.Taint(func(call *ast.CallExpr) bool {
+	taint := newTaint(info, fd.Body, func(call *ast.CallExpr) bool {
 		id, ok := call.Fun.(*ast.Ident)
 		return ok && id.Name == "source"
 	})
@@ -91,44 +88,18 @@ func TestTaintPropagation(t *testing.T) {
 		"fresh":     false, // make in this frame
 		"fromParam": false, // parameter, not the source
 	} {
-		if got := taint.Obj(obj(t, info, fd, name)); got != tainted {
+		if got := taint.obj(local(t, info, fd, name)); got != tainted {
 			t.Errorf("taint(%s) = %v, expected %v", name, got, tainted)
-		}
-	}
-}
-
-func TestOrigins(t *testing.T) {
-	info, fd := load(t)
-	fn := ssautil.New(info, fd)
-	for name, origin := range map[string]ssautil.Origin{
-		"recv":      ssautil.OriginReceive,
-		"fresh":     ssautil.OriginFresh,
-		"s":         ssautil.OriginFresh,
-		"fromParam": ssautil.OriginParam,
-	} {
-		o := obj(t, info, fd, name)
-		var ident *ast.Ident
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && info.Uses[id] == o && ident == nil {
-				ident = id
-			}
-			return true
-		})
-		if ident == nil {
-			t.Fatalf("no use of %q", name)
-		}
-		if got := fn.Origins(ident); !got.Has(origin) {
-			t.Errorf("origins(%s) = %v, expected to include %v", name, got, origin)
 		}
 	}
 }
 
 func TestRefLike(t *testing.T) {
 	info, fd := load(t)
-	if rl := ssautil.RefLike(obj(t, info, fd, "n").Type()); rl {
+	if refLike(local(t, info, fd, "n").Type()) {
 		t.Errorf("int32 classified reference-like")
 	}
-	if rl := ssautil.RefLike(obj(t, info, fd, "s").Type()); !rl {
+	if !refLike(local(t, info, fd, "s").Type()) {
 		t.Errorf("[]int32 not classified reference-like")
 	}
 }

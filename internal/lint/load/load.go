@@ -48,6 +48,11 @@ type Config struct {
 	Dir string
 	// Tests additionally loads each matched package's test variants.
 	Tests bool
+	// Overlay replaces the contents of the named files (absolute paths)
+	// when the matched packages are parsed. Dependencies still come from
+	// the go tool's export data, so an overlay may change only the bodies
+	// and unexported API of the packages under analysis.
+	Overlay map[string][]byte
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -149,7 +154,7 @@ func (c *Config) Load(patterns ...string) ([]*Package, error) {
 	})
 	var out []*Package
 	for _, t := range targets {
-		base, err := check(fset, imp, t.ImportPath, t.Name, t.Dir, t.GoFiles, false)
+		base, err := check(fset, imp, t.ImportPath, t.Name, t.Dir, t.GoFiles, false, c.Overlay)
 		if err != nil {
 			return nil, err
 		}
@@ -159,14 +164,14 @@ func (c *Config) Load(patterns ...string) ([]*Package, error) {
 		}
 		if len(t.TestGoFiles) > 0 {
 			files := append(append([]string{}, t.GoFiles...), t.TestGoFiles...)
-			tv, err := check(fset, imp, t.ImportPath, t.Name, t.Dir, files, true)
+			tv, err := check(fset, imp, t.ImportPath, t.Name, t.Dir, files, true, c.Overlay)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, tv)
 		}
 		if len(t.XTestGoFiles) > 0 {
-			xv, err := check(fset, imp, t.ImportPath+"_test", t.Name+"_test", t.Dir, t.XTestGoFiles, true)
+			xv, err := check(fset, imp, t.ImportPath+"_test", t.Name+"_test", t.Dir, t.XTestGoFiles, true, c.Overlay)
 			if err != nil {
 				return nil, err
 			}
@@ -222,15 +227,20 @@ func NewInfo() *types.Info {
 }
 
 // ParseFiles parses the named files (relative to dir) into fset, keeping
-// comments so analyzers can see directives.
-func ParseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
+// comments so analyzers can see directives. A file named in overlay is
+// parsed from the overlay's contents instead of the disk.
+func ParseFiles(fset *token.FileSet, dir string, names []string, overlay map[string][]byte) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, name := range names {
 		path := name
 		if !filepath.IsAbs(path) {
 			path = filepath.Join(dir, name)
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		var src any // nil: read path from disk
+		if b, ok := overlay[path]; ok {
+			src = b
+		}
+		f, err := parser.ParseFile(fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -259,8 +269,8 @@ func CheckFiles(fset *token.FileSet, imp types.Importer, path string, files []*a
 }
 
 // check parses and type-checks one package build.
-func check(fset *token.FileSet, imp types.Importer, path, name, dir string, fileNames []string, testVariant bool) (*Package, error) {
-	files, err := ParseFiles(fset, dir, fileNames)
+func check(fset *token.FileSet, imp types.Importer, path, name, dir string, fileNames []string, testVariant bool, overlay map[string][]byte) (*Package, error) {
+	files, err := ParseFiles(fset, dir, fileNames, overlay)
 	if err != nil {
 		return nil, err
 	}

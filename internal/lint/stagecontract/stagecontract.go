@@ -2,7 +2,7 @@
 // the channel and goroutine discipline of genax/internal/pipeline and
 // genax/internal/serve.
 //
-// Their memory bounds and clean shutdown rest on three structural rules
+// Their memory bounds and clean shutdown rest on two structural rules
 // (DESIGN.md §7, §10, §13):
 //
 //  1. Bounded channels. Every make(chan …) must state a capacity; the
@@ -17,20 +17,11 @@
 //     is deliberately select-free (the determinism analyzer forbids
 //     multi-way selects), so "respects the context" means WaitGroup
 //     accounting or explicit ctx, not a select loop.
-//  3. Credit-traceable sends. A send of a pointer-typed element is a
-//     hand-off of owned storage; its value must be traceable to a credit
-//     acquire — received from a channel, passed in by the caller who
-//     already holds it, or freshly minted in the same function that makes
-//     the channel (a constructor seeding a credit pool). Anything else
-//     fabricates capacity the bound does not account for. (The pipeline's
-//     fused lanes never send a pointer — a batch stays in its lane — so
-//     today this rule bites in the serving layer.)
 //
 // In genax/internal/serve the admission queue, waiter channels, and
-// registry build slots are all bounded channels, the dispatcher and build
-// goroutines are WaitGroup-tracked so StartDrain can sequence shutdown,
-// and request hand-offs into the intake queue follow the ownership rule.
-// The analyzer runs over both packages' non-test files: tests
+// registry build slots are all bounded channels, and the dispatcher and
+// build goroutines are WaitGroup-tracked so StartDrain can sequence
+// shutdown. The analyzer runs over both packages' non-test files: tests
 // legitimately build unbuffered admission channels to exercise
 // backpressure.
 package stagecontract
@@ -41,7 +32,6 @@ import (
 	"strings"
 
 	"genax/internal/lint/analysis"
-	"genax/internal/lint/ssautil"
 )
 
 // Packages holds the import paths the contract applies to: the staged
@@ -53,11 +43,10 @@ var Packages = map[string]bool{
 	"genax/internal/serve":    true,
 }
 
-// Analyzer enforces the bounded-channel / accounted-goroutine /
-// credit-traceable-send contract.
+// Analyzer enforces the bounded-channel / accounted-goroutine contract.
 var Analyzer = &analysis.Analyzer{
 	Name: "stagecontract",
-	Doc:  "enforce bounded channels, accounted goroutines, and credit-traceable sends in internal/pipeline and internal/serve",
+	Doc:  "enforce bounded channels and accounted goroutines in internal/pipeline and internal/serve",
 	Run:  run,
 }
 
@@ -82,16 +71,12 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
-	fn := ssautil.New(pass.TypesInfo, fd)
-	mints := chanMints(fd.Body)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			checkMakeChan(pass, n)
 		case *ast.GoStmt:
 			checkGo(pass, fd.Name.Name, n)
-		case *ast.SendStmt:
-			checkSend(pass, fd.Name.Name, fn, mints, n)
 		}
 		return true
 	})
@@ -136,10 +121,8 @@ func checkGo(pass *analysis.Pass, name string, g *ast.GoStmt) {
 			return
 		}
 	default:
-		if fn := ssautil.Callee(pass.TypesInfo, g.Call); fn != nil {
-			if decl := localDecl(pass, fn); decl != nil && decl.Body != nil && firstStmtIsDeferDone(pass, decl.Body) {
-				return
-			}
+		if decl := localDecl(pass, fun); decl != nil && decl.Body != nil && firstStmtIsDeferDone(pass, decl.Body) {
+			return
 		}
 	}
 	pass.Reportf(g.Pos(), "unaccounted goroutine in %s: start with `defer wg.Done()` (WaitGroup-tracked for the shutdown cascade) or pass it the stage context", name)
@@ -208,90 +191,22 @@ func firstStmtIsDeferDone(pass *analysis.Pass, body *ast.BlockStmt) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
 }
 
-// localDecl finds the FuncDecl for a same-package function.
-func localDecl(pass *analysis.Pass, fn *types.Func) *ast.FuncDecl {
+// localDecl finds the same-package FuncDecl a go statement's function
+// expression (f or x.f) names, or nil.
+func localDecl(pass *analysis.Pass, fun ast.Expr) *ast.FuncDecl {
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		fun = sel.Sel
+	}
+	id, ok := fun.(*ast.Ident)
+	if !ok || pass.TypesInfo.Uses[id] == nil {
+		return nil
+	}
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if pass.TypesInfo.Defs[fd.Name] == fn {
+			if fd, ok := d.(*ast.FuncDecl); ok && pass.TypesInfo.Defs[fd.Name] == pass.TypesInfo.Uses[id] {
 				return fd
 			}
 		}
 	}
 	return nil
-}
-
-// chanMints records, per function body, the rendered form of every
-// expression assigned a fresh make(chan …) — the constructor's own
-// channels, on which a fresh mint send is the credit pool being seeded.
-func chanMints(body *ast.BlockStmt) map[string]bool {
-	mints := make(map[string]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || id.Name != "make" {
-				continue
-			}
-			if key := render(as.Lhs[i]); key != "" {
-				mints[key] = true
-			}
-		}
-		return true
-	})
-	return mints
-}
-
-// checkSend verifies a pointer-element send is traceable to a credit
-// acquire.
-func checkSend(pass *analysis.Pass, name string, fn *ssautil.Func, mints map[string]bool, s *ast.SendStmt) {
-	ct := pass.TypeOf(s.Chan)
-	ch, ok := ct.Underlying().(*types.Chan)
-	if !ok {
-		return
-	}
-	if _, isPtr := ch.Elem().Underlying().(*types.Pointer); !isPtr {
-		return // value-element channels copy; the credit ledger tracks owned storage
-	}
-	o := fn.Origins(s.Value)
-	if o.Has(ssautil.OriginReceive) || o.Has(ssautil.OriginParam) {
-		return // re-circulating an acquired credit, or the caller's own
-	}
-	if o.Has(ssautil.OriginFresh) && mints[render(s.Chan)] {
-		return // constructor seeding the pool it just made
-	}
-	pass.Reportf(s.Pos(), "send of %s in %s is not traceable to a credit acquire: the value must come from a channel receive, a parameter, or mint into a channel made in the same function", ch.Elem(), name)
-}
-
-// render flattens a selector/index chain to a comparison key
-// (pl.free, pl.winChs[i] → pl.winChs[]).
-func render(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		base := render(e.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + e.Sel.Name
-	case *ast.IndexExpr:
-		base := render(e.X)
-		if base == "" {
-			return ""
-		}
-		return base + "[]"
-	case *ast.ParenExpr:
-		return render(e.X)
-	}
-	return ""
 }

@@ -8,11 +8,8 @@ import (
 	"sync"
 )
 
-type batch struct{ n int }
-
 type pool struct {
-	free chan *batch
-	wg   sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 func unbounded() chan int {
@@ -58,44 +55,4 @@ func trackedWorker(p *pool) {
 func spawnTrackedDecl(p *pool) {
 	p.wg.Add(1)
 	go trackedWorker(p)
-}
-
-// mint is the one legal fresh-value send: the constructor seeding the
-// credit pool it just made.
-func mint() *pool {
-	p := &pool{}
-	p.free = make(chan *batch, 4)
-	for i := 0; i < 4; i++ {
-		p.free <- &batch{}
-	}
-	return p
-}
-
-// fabricate conjures a credit outside the constructor: capacity the
-// channel bound does not account for.
-func fabricate(p *pool) {
-	p.free <- &batch{} // want `not traceable to a credit acquire`
-}
-
-// recirculate re-circulates an acquired credit downstream.
-func recirculate(p *pool, out chan *batch) {
-	b := <-p.free
-	out <- b
-}
-
-// handoff forwards a credit the caller already holds.
-func handoff(out chan *batch, b *batch) {
-	out <- b
-}
-
-// drain ranges the upstream stage: every received batch is an acquire.
-func drain(in chan *batch, out chan *batch) {
-	for b := range in {
-		out <- b
-	}
-}
-
-// valueSend copies: value-element channels are outside the credit ledger.
-func valueSend(out chan int) {
-	out <- 42
 }

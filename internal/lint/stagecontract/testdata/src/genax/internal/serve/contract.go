@@ -73,26 +73,3 @@ func buildEntry(ctx context.Context) {
 		<-ctx.Done()
 	}(ctx)
 }
-
-// enqueue hands off the caller's own pending value; value-element sends
-// copy and stay outside the credit ledger, so no acquire is demanded.
-func (b *batcher) enqueue(p pending) bool {
-	select {
-	case b.in <- p:
-		return true
-	default:
-		return false
-	}
-}
-
-// fabricatePointer shows the credit rule still binds in serve: a
-// pointer-element send must trace to an acquire, a parameter, or a
-// same-function mint.
-func fabricatePointer(out chan *pending) {
-	out <- &pending{} // want `not traceable to a credit acquire`
-}
-
-// forwardPointer re-circulates what the caller already holds.
-func forwardPointer(out chan *pending, p *pending) {
-	out <- p
-}

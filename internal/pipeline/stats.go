@@ -9,13 +9,9 @@ import "genax/internal/align"
 type Stats struct {
 	// Reads, Aligned and ExactReads are per-window outcome tallies, folded
 	// by window.emit as each window completes — never by merge,
-	// which only folds lane-local work counters.
-	//
-	//genax:nomerge
+	// which only folds lane-local work counters (TestStatsMergeFields).
 	Reads, Aligned, ExactReads int
 	// Segments is an identity of the index, set once per run, not a sum.
-	//
-	//genax:nomerge
 	Segments                  int
 	IndexLookups, CAMLookups  int64
 	SeedsEmitted, HitsEmitted int64
