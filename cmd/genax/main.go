@@ -28,7 +28,6 @@ import (
 	"genax/internal/core"
 	"genax/internal/dna"
 	"genax/internal/indexio"
-	"genax/internal/seed"
 	"genax/internal/sim"
 )
 
@@ -140,7 +139,7 @@ func cmdIndex(args []string) error {
 	shards := fs.Int("shards", 0, "partition the cache into N shard groups for bounded-residency streaming (0 = keep any partition, one group when writing)")
 	verify := fs.Bool("verify", false, "check the cache file (checksums, geometry, structure) and exit without building")
 	out := fs.String("out", "auto",
-		`index cache output: "auto" writes the keyed cache file next to -ref (the one align auto-loads), "" skips writing, anything else is an explicit path`)
+		`index cache output: "auto" writes the keyed cache file next to -ref (the one align auto-loads), anything else is an explicit path`)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -155,6 +154,9 @@ func cmdIndex(args []string) error {
 	cfg.KmerLen = *kmer
 	cfg.SegmentLen = *segLen
 	path := *out
+	if path == "" {
+		return fmt.Errorf("index: -out needs a cache path (auto or explicit)")
+	}
 	if path == "auto" {
 		path, err = indexio.CachePath(filepath.Dir(*refPath), ref, cfg.KmerLen, cfg.SegmentLen, cfg.Overlap)
 		if err != nil {
@@ -162,9 +164,6 @@ func cmdIndex(args []string) error {
 		}
 	}
 	if *verify {
-		if path == "" {
-			return fmt.Errorf("index: -verify needs a cache path (-out auto or explicit)")
-		}
 		if reason := indexio.Probe(path, ref, cfg.KmerLen, cfg.SegmentLen, cfg.Overlap); reason != "" {
 			return fmt.Errorf("index: cache %s unusable: %s", path, reason)
 		}
@@ -182,14 +181,6 @@ func cmdIndex(args []string) error {
 			path, indexio.Version, m.Index().NumSegments(), m.NumShardGroups(), m.Index().Hash())
 		return nil
 	}
-	if path == "" {
-		sx, err := seed.BuildSegmentedIndex(ref, cfg.SegmentLen, cfg.Overlap, cfg.KmerLen)
-		if err != nil {
-			return err
-		}
-		printGeometry(len(ref), sx.NumSegments(), cfg)
-		return nil
-	}
 	m, reason, err := indexio.Ensure(path, ref, cfg.KmerLen, cfg.SegmentLen, cfg.Overlap, *shards)
 	if err != nil {
 		return fmt.Errorf("index: cache %s: %w", path, err)
@@ -203,14 +194,10 @@ func cmdIndex(args []string) error {
 	default:
 		fmt.Printf("rebuilt index cache %s: %s\n", path, reason)
 	}
-	printGeometry(len(ref), m.Index().NumSegments(), cfg)
+	fmt.Printf("reference: %d bp; segments: %d x %d bp (overlap %d); k-mer: %d\n",
+		len(ref), m.Index().NumSegments(), cfg.SegmentLen, cfg.Overlap, cfg.KmerLen)
 	fmt.Printf("wrote index cache %s (%d MiB, %d shard groups)\n", path, m.SizeBytes()>>20, m.NumShardGroups())
 	return nil
-}
-
-func printGeometry(refLen, numSegs int, cfg core.Config) {
-	fmt.Printf("reference: %d bp; segments: %d x %d bp (overlap %d); k-mer: %d\n",
-		refLen, numSegs, cfg.SegmentLen, cfg.Overlap, cfg.KmerLen)
 }
 
 // openIndex resolves the align -index flag to a mapped cache. "auto" is
@@ -247,9 +234,8 @@ func cmdAlign(args []string) error {
 	kmer := fs.Int("kmer", 12, "k-mer length")
 	segLen := fs.Int("segment", 1<<20, "segment length (bases)")
 	k := fs.Int("k", 40, "SillaX edit bound")
-	engine := fs.String("engine", "bitsilla", "extension engine: bitsilla, sillax, or banded")
+	engine := fs.String("engine", "bitsilla", "extension engine: bitsilla or sillax")
 	stats := fs.Bool("stats", false, "print pipeline statistics to stderr")
-	stream := fs.Bool("stream", false, "align via the streaming pipeline (bounded memory, results emitted as windows complete)")
 	indexFlag := fs.String("index", "auto",
 		`index cache, always mapped: "auto" uses the keyed cache next to -ref and writes it when missing or stale, "" builds the tables in process without a cache, anything else is an explicit cache path`)
 	shardsFlag := fs.Int("shards", 0, "bound residency to N of the cache's shard groups at a time (0 = unbounded); genax index -shards sets the partition")
@@ -268,10 +254,6 @@ func cmdAlign(args []string) error {
 		return err
 	}
 	defer rf.Close()
-	recs, err := dna.ReadFastq(rf, dna.FastaOptions{ResolveN: rand.New(rand.NewSource(2))})
-	if err != nil {
-		return err
-	}
 	cfg := core.DefaultConfig()
 	cfg.KmerLen = *kmer
 	cfg.SegmentLen = *segLen
@@ -284,8 +266,8 @@ func cmdAlign(args []string) error {
 			return err
 		}
 		// Unmap only after the pipeline has fully drained (deferred past
-		// the AlignBatch/AlignStream returns below) — every table and the
-		// reference itself are views into this mapping.
+		// alignReads below) — every table and the reference itself are
+		// views into this mapping.
 		defer m.Close()
 		// Out-of-core: the aligner runs against the cache's own mapped
 		// reference, and the FASTA copy is left to the GC.
@@ -300,39 +282,12 @@ func cmdAlign(args []string) error {
 	if err != nil {
 		return err
 	}
-	reads := make([]dna.Seq, len(recs))
-	for i, r := range recs {
-		reads[i] = r.Seq
+	out := bufio.NewWriter(os.Stdout) // sticky errors: the Flush below reports them
+	st, err := alignReads(aligner, dna.NewFastqReader(rf, dna.FastaOptions{ResolveN: rand.New(rand.NewSource(2))}), refName, out)
+	if ferr := out.Flush(); err == nil {
+		err = ferr
 	}
-	out := bufio.NewWriter(os.Stdout)
-	// bufio errors are sticky; the checked Flush below surfaces them.
-	var st *core.Stats
-	if *stream {
-		// The streaming path holds only a bounded window of reads in
-		// flight; records are written as each window completes, in input
-		// order, and are byte-identical to the batch path's output.
-		in := make(chan dna.Seq)
-		results, streamStats := aligner.AlignStream(context.Background(), in)
-		go func() {
-			for _, rd := range reads {
-				in <- rd
-			}
-			close(in)
-		}()
-		i := 0
-		for rr := range results {
-			writeRecord(out, recs[i].Name, refName, rr)
-			i++
-		}
-		st = streamStats
-	} else {
-		results, batchStats := aligner.AlignBatch(reads)
-		for i, rr := range results {
-			writeRecord(out, recs[i].Name, refName, rr)
-		}
-		st = &batchStats
-	}
-	if err := out.Flush(); err != nil {
+	if err != nil {
 		return err
 	}
 	if *stats {
@@ -349,6 +304,36 @@ func cmdAlign(args []string) error {
 	return nil
 }
 
+// alignReads streams fr's reads through the aligner and writes their
+// records to out in input order as each window finishes. A parse error
+// stops admission; the reads before it are still written, then it is
+// returned.
+func alignReads(a *core.Aligner, fr *dna.FastqReader, refName string, out *bufio.Writer) (*core.Stats, error) {
+	in := make(chan dna.Seq)
+	results, st := a.AlignStream(context.Background(), in)
+	// names queues the reads sent but not yet written. AlignStream holds
+	// at most two windows plus its 64-result buffer, which bounds it.
+	var names []string
+	send, more := in, fr.Next() // send is nil once the input is exhausted
+	for {
+		if !more && send != nil {
+			close(in)
+			send = nil
+		}
+		select {
+		case send <- fr.Record().Seq:
+			names = append(names, fr.Record().Name)
+			more = fr.Next()
+		case rr, ok := <-results:
+			if !ok {
+				return st, fr.Err()
+			}
+			writeRecord(out, names[0], refName, rr)
+			names = names[1:]
+		}
+	}
+}
+
 // writeRecord emits one SAM-like record for an alignment result.
 func writeRecord(out *bufio.Writer, qname, refName string, rr core.ReadResult) {
 	if !rr.Aligned {
@@ -363,6 +348,8 @@ func writeRecord(out *bufio.Writer, qname, refName string, rr core.ReadResult) {
 		qname, flagv, refName, rr.Result.RefPos+1, rr.Result.Cigar, rr.Result.Score)
 }
 
+const evalTol = 12 // bases from the true position that eval counts as near
+
 // cmdEval scores an alignment file produced by `genax align` against the
 // truth table produced by `genax simulate`, reporting the fraction of
 // reads aligned, mapped near their true position, and on the right strand.
@@ -370,7 +357,6 @@ func cmdEval(args []string) error {
 	fs := flag.NewFlagSet("eval", flag.ExitOnError)
 	alnPath := fs.String("aln", "", "alignment file (output of genax align)")
 	truthPath := fs.String("truth", "", "truth table (truth.tsv from genax simulate)")
-	tol := fs.Int("tol", 12, "position tolerance (bases)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -437,7 +423,7 @@ func cmdEval(args []string) error {
 		if d < 0 {
 			d = -d
 		}
-		if d <= *tol {
+		if d <= evalTol {
 			near++
 		}
 		strand := "+"
@@ -456,7 +442,7 @@ func cmdEval(args []string) error {
 	}
 	fmt.Printf("reads evaluated: %d\n", total)
 	fmt.Printf("aligned:         %d (%.2f%%)\n", aligned, 100*float64(aligned)/float64(total))
-	fmt.Printf("within %-3d bp:   %d (%.2f%% of aligned)\n", *tol, near, 100*float64(near)/float64(max(1, aligned)))
+	fmt.Printf("within %-3d bp:   %d (%.2f%% of aligned)\n", evalTol, near, 100*float64(near)/float64(max(1, aligned)))
 	fmt.Printf("strand correct:  %d (%.2f%% of aligned)\n", strandOK, 100*float64(strandOK)/float64(max(1, aligned)))
 	return nil
 }

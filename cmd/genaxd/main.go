@@ -59,10 +59,7 @@ func main() {
 	listen := flag.String("listen", ":8844", "listen address")
 	kmer := flag.Int("kmer", 12, "index k-mer length")
 	segLen := flag.Int("segment", 1<<20, "index segment length (bases)")
-	overlap := flag.Int("overlap", 256, "index segment overlap (must cover readLen+K)")
 	k := flag.Int("k", 40, "SillaX edit bound")
-	engine := flag.String("engine", "bitsilla", "extension engine: bitsilla, sillax, or banded")
-	minScore := flag.Int("minscore", 30, "reporting score floor")
 	workers := flag.Int("workers", 0, "lane budget per batch (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "coalesced batch size bound")
 	window := flag.Duration("coalesce-window", serve.DefaultCoalesceWindow,
@@ -71,7 +68,6 @@ func main() {
 	maxResident := flag.Int("max-resident", serve.DefaultMaxResident, "genomes resident (mapped + aligner) at once; LRU beyond")
 	loadConc := flag.Int("load-concurrency", 1, "concurrent index builds/loads on registry miss")
 	cacheDir := flag.String("cache-dir", "", "index cache directory (default: next to each FASTA)")
-	preload := flag.Bool("preload", true, "warm-load all genomes before serving")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 	flag.Parse()
 
@@ -84,10 +80,7 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.KmerLen = *kmer
 	cfg.SegmentLen = *segLen
-	cfg.Overlap = *overlap
 	cfg.K = *k
-	cfg.Engine = core.Engine(*engine)
-	cfg.MinScore = *minScore
 	cfg.Workers = *workers
 
 	srv, err := serve.New(serve.Config{
@@ -108,14 +101,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *preload {
-		log.Printf("genaxd: preloading %d genome(s)", len(genomes))
-		t0 := time.Now()
-		if err := srv.Preload(ctx, true); err != nil {
-			log.Fatalf("genaxd: %v", err)
-		}
-		log.Printf("genaxd: preload done in %v", time.Since(t0).Round(time.Millisecond))
+	log.Printf("genaxd: preloading %d genome(s)", len(genomes))
+	t0 := time.Now()
+	if err := srv.Preload(ctx, true); err != nil {
+		log.Fatalf("genaxd: %v", err)
 	}
+	log.Printf("genaxd: preload done in %v", time.Since(t0).Round(time.Millisecond))
 
 	hs := &http.Server{Addr: *listen, Handler: srv.Handler()}
 	errc := make(chan error, 1)

@@ -26,9 +26,8 @@ func main() {
 	//    seeding, filtering and extending its share of the reads; the
 	//    chip's 128:4 seeding:extension split (§VI) is different silicon,
 	//    which a host core is not. Extension runs on the bit-parallel
-	//    engine by default; cfg.Engine selects core.EngineSillaX or
-	//    core.EngineBanded for byte-identical results from the cycle model
-	//    or the software baseline.
+	//    engine by default; cfg.Engine = core.EngineSillaX gives
+	//    byte-identical results from the cycle model.
 	cfg := core.DefaultConfig()
 	cfg.SegmentLen = 32_768
 	cfg.StreamWindow = 64

@@ -41,8 +41,6 @@ const (
 	EngineBitSilla = pipeline.EngineBitSilla
 	// EngineSillaX is the cycle-level reference machine.
 	EngineSillaX = pipeline.EngineSillaX
-	// EngineBanded is the software banded Smith-Waterman baseline.
-	EngineBanded = pipeline.EngineBanded
 )
 
 // Config parametrizes a GenAx instance.
@@ -69,13 +67,6 @@ type Config struct {
 	// extends — a window of reads runs on (0 = GOMAXPROCS). Results and
 	// work counters do not depend on it.
 	Workers int
-	// MaxCandidates caps extension candidates per (read, strand, segment)
-	// after deduplication (0 = unlimited).
-	MaxCandidates int
-	// ChainMinLen gates the long-read anchor-chaining pass by read length
-	// (0 = pipeline.DefaultChainMinLen, negative = disabled); see
-	// pipeline.Params.ChainMinLen.
-	ChainMinLen int
 	// StreamWindow bounds reads in flight per AlignStream window
 	// (0 = pipeline.DefaultWindow).
 	StreamWindow int
@@ -145,17 +136,15 @@ func New(ref dna.Seq, cfg Config) (*Aligner, error) {
 		cfg.Instrument.RecordIndexBuild(t0, cfg.Instrument.ClockNow(), idx.NumSegments())
 	}
 	pipe, err := pipeline.New(ref, idx, pipeline.Params{
-		K:             cfg.K,
-		Scoring:       cfg.Scoring,
-		Engine:        cfg.Engine,
-		Seeding:       cfg.Seeding,
-		MinScore:      cfg.MinScore,
-		Workers:       cfg.Workers,
-		MaxCandidates: cfg.MaxCandidates,
-		ChainMinLen:   cfg.ChainMinLen,
-		Window:        cfg.StreamWindow,
-		Instrument:    cfg.Instrument,
-		Residency:     cfg.Residency,
+		K:          cfg.K,
+		Scoring:    cfg.Scoring,
+		Engine:     cfg.Engine,
+		Seeding:    cfg.Seeding,
+		MinScore:   cfg.MinScore,
+		Workers:    cfg.Workers,
+		Window:     cfg.StreamWindow,
+		Instrument: cfg.Instrument,
+		Residency:  cfg.Residency,
 	})
 	if err != nil {
 		return nil, err

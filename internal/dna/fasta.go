@@ -26,37 +26,28 @@ type FastaOptions struct {
 
 // ReadFasta parses all records from r.
 func ReadFasta(r io.Reader, opts FastaOptions) ([]FastaRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	in := newLines(r)
 	var recs []FastaRecord
 	var cur *FastaRecord
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
+	for raw, ok := in.next(); ok; raw, ok = in.next() {
 		if raw[0] == '>' {
-			recs = append(recs, FastaRecord{Name: string(bytes.Fields(raw[1:])[0])})
+			name, ok := recordName(raw)
+			if !ok {
+				return nil, fmt.Errorf("dna: fasta line %d: header has no name", in.n)
+			}
+			recs = append(recs, FastaRecord{Name: name})
 			cur = &recs[len(recs)-1]
 			continue
 		}
 		if cur == nil {
-			return nil, fmt.Errorf("dna: fasta line %d: sequence data before first header", line)
+			return nil, fmt.Errorf("dna: fasta line %d: sequence data before first header", in.n)
 		}
-		for _, ch := range raw {
-			b, ok := BaseFromChar(ch)
-			if !ok {
-				if opts.ResolveN == nil {
-					return nil, fmt.Errorf("dna: fasta line %d: invalid base %q", line, ch)
-				}
-				b = Base(opts.ResolveN.Intn(NumBases))
-			}
-			cur.Seq = append(cur.Seq, b)
+		var bad byte
+		if cur.Seq, bad, ok = opts.appendBases(cur.Seq, raw); !ok {
+			return nil, fmt.Errorf("dna: fasta line %d: invalid base %q", in.n, bad)
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := in.sc.Err(); err != nil {
 		return nil, fmt.Errorf("dna: reading fasta: %w", err)
 	}
 	if len(recs) == 0 {
@@ -122,64 +113,127 @@ type FastqRecord struct {
 	Qual []byte // Phred+33, same length as Seq
 }
 
-// ReadFastq parses all records from r. Ambiguity codes are handled per opts
-// exactly as in ReadFasta.
-func ReadFastq(r io.Reader, opts FastaOptions) ([]FastqRecord, error) {
+// FastqReader reads FASTQ records one at a time, in the shape of
+// bufio.Scanner, so any file reads in bounded memory. Ambiguity codes are
+// handled per opts exactly as in ReadFasta, in file order.
+type FastqReader struct {
+	in   *lines
+	opts FastaOptions
+	rec  FastqRecord
+	err  error
+}
+
+// NewFastqReader returns a reader over the FASTQ records of r.
+func NewFastqReader(r io.Reader, opts FastaOptions) *FastqReader {
+	return &FastqReader{in: newLines(r), opts: opts}
+}
+
+// Record returns the record the last true Next parsed; the caller may keep it.
+func (fr *FastqReader) Record() FastqRecord { return fr.rec }
+
+// Err returns the error that ended Next, or nil at a clean end of input.
+func (fr *FastqReader) Err() error { return fr.err }
+
+// Next parses the next record. It returns false at the end of input or on
+// the first error.
+func (fr *FastqReader) Next() bool {
+	if fr.err == nil {
+		fr.rec, fr.err = fr.parse()
+	}
+	return fr.err == nil && fr.rec.Name != ""
+}
+
+// parse reads one record; at a clean end of input it returns the zero
+// record, whose Name is empty.
+func (fr *FastqReader) parse() (FastqRecord, error) {
+	hdr, ok := fr.in.next()
+	if !ok {
+		if err := fr.in.sc.Err(); err != nil {
+			return FastqRecord{}, fmt.Errorf("dna: reading fastq: %w", err)
+		}
+		return FastqRecord{}, nil
+	}
+	if hdr[0] != '@' {
+		return FastqRecord{}, fmt.Errorf("dna: fastq line %d: expected @header, got %q", fr.in.n, hdr)
+	}
+	name, ok := recordName(hdr)
+	if !ok {
+		return FastqRecord{}, fmt.Errorf("dna: fastq line %d: header has no name", fr.in.n)
+	}
+	seqLine, ok := fr.in.next()
+	if !ok {
+		return FastqRecord{}, fmt.Errorf("dna: fastq: truncated record %q", name)
+	}
+	// Convert now: the scanner may reuse seqLine's bytes for the lines below.
+	seq, bad, ok := fr.opts.appendBases(make(Seq, 0, len(seqLine)), seqLine)
+	if !ok {
+		return FastqRecord{}, fmt.Errorf("dna: fastq record %q: invalid base %q", name, bad)
+	}
+	plus, ok := fr.in.next()
+	if !ok || plus[0] != '+' {
+		return FastqRecord{}, fmt.Errorf("dna: fastq line %d: expected '+' separator", fr.in.n)
+	}
+	qual, ok := fr.in.next()
+	if !ok {
+		return FastqRecord{}, fmt.Errorf("dna: fastq: missing quality for %q", name)
+	}
+	if len(qual) != len(seq) {
+		return FastqRecord{}, fmt.Errorf("dna: fastq record %q: quality length %d != sequence length %d", name, len(qual), len(seq))
+	}
+	return FastqRecord{Name: name, Seq: seq, Qual: append([]byte(nil), qual...)}, nil
+}
+
+const lineBuffer = 1 << 20 // both readers' initial line buffer
+
+// lines yields the trimmed, non-blank lines of FASTA or FASTQ input; n
+// counts every line read, for error messages.
+type lines struct {
+	sc *bufio.Scanner
+	n  int
+}
+
+func newLines(r io.Reader) *lines {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	var recs []FastqRecord
-	line := 0
-	next := func() ([]byte, bool) {
-		for sc.Scan() {
-			line++
-			b := bytes.TrimSpace(sc.Bytes())
-			if len(b) > 0 {
-				return b, true
+	sc.Buffer(make([]byte, 0, lineBuffer), 1<<26)
+	return &lines{sc: sc}
+}
+
+// next returns the next non-blank line, trimmed. The slice is valid only
+// until the following call.
+func (l *lines) next() ([]byte, bool) {
+	for l.sc.Scan() {
+		l.n++
+		if b := bytes.TrimSpace(l.sc.Bytes()); len(b) > 0 {
+			return b, true
+		}
+	}
+	return nil, false
+}
+
+// recordName returns the first word after a header line's marker byte,
+// and false when the header carries none.
+func recordName(hdr []byte) (string, bool) {
+	f := bytes.Fields(hdr[1:])
+	if len(f) == 0 {
+		return "", false
+	}
+	return string(f[0]), true
+}
+
+// appendBases appends raw's bases to dst, resolving ambiguity codes per
+// o. It returns false and the offending byte when o forbids one.
+func (o FastaOptions) appendBases(dst Seq, raw []byte) (Seq, byte, bool) {
+	for _, ch := range raw {
+		b, ok := BaseFromChar(ch)
+		if !ok {
+			if o.ResolveN == nil {
+				return dst, ch, false
 			}
+			b = Base(o.ResolveN.Intn(NumBases))
 		}
-		return nil, false
+		dst = append(dst, b)
 	}
-	for {
-		hdr, ok := next()
-		if !ok {
-			break
-		}
-		if hdr[0] != '@' {
-			return nil, fmt.Errorf("dna: fastq line %d: expected @header, got %q", line, hdr)
-		}
-		name := string(bytes.Fields(hdr[1:])[0])
-		seqLine, ok := next()
-		if !ok {
-			return nil, fmt.Errorf("dna: fastq: truncated record %q", name)
-		}
-		plus, ok := next()
-		if !ok || plus[0] != '+' {
-			return nil, fmt.Errorf("dna: fastq line %d: expected '+' separator", line)
-		}
-		qual, ok := next()
-		if !ok {
-			return nil, fmt.Errorf("dna: fastq: missing quality for %q", name)
-		}
-		if len(qual) != len(seqLine) {
-			return nil, fmt.Errorf("dna: fastq record %q: quality length %d != sequence length %d", name, len(qual), len(seqLine))
-		}
-		seq := make(Seq, len(seqLine))
-		for i, ch := range seqLine {
-			b, ok := BaseFromChar(ch)
-			if !ok {
-				if opts.ResolveN == nil {
-					return nil, fmt.Errorf("dna: fastq record %q: invalid base %q", name, ch)
-				}
-				b = Base(opts.ResolveN.Intn(NumBases))
-			}
-			seq[i] = b
-		}
-		recs = append(recs, FastqRecord{Name: name, Seq: seq, Qual: append([]byte(nil), qual...)})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dna: reading fastq: %w", err)
-	}
-	return recs, nil
+	return dst, 0, true
 }
 
 // WriteFastq writes records to w.

@@ -2,6 +2,8 @@ package dna
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -27,14 +29,17 @@ func TestReadFasta(t *testing.T) {
 }
 
 func TestReadFastaErrors(t *testing.T) {
-	if _, err := ReadFasta(strings.NewReader("ACGT\n"), FastaOptions{}); err == nil {
-		t.Error("sequence before header accepted")
-	}
-	if _, err := ReadFasta(strings.NewReader(""), FastaOptions{}); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := ReadFasta(strings.NewReader(">x\nACNT\n"), FastaOptions{}); err == nil {
-		t.Error("N accepted without ResolveN")
+	for _, tc := range []struct{ in, want string }{
+		{"ACGT\n", "line 1"},         // sequence before header
+		{"", "no records"},           // empty input
+		{">x\nACNT\n", "line 2"},     // N without ResolveN
+		{">\nACGT\n", "line 1"},      // header with no name
+		{">x\nAC\n> \t\n", "line 3"}, // blank header after a record
+	} {
+		_, err := ReadFasta(strings.NewReader(tc.in), FastaOptions{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("input %q: error %v, want one mentioning %q", tc.in, err, tc.want)
+		}
 	}
 }
 
@@ -103,11 +108,21 @@ func TestFastaRoundTrip(t *testing.T) {
 	}
 }
 
+// readFastq drains a FastqReader: the records it accepted, then its error.
+func readFastq(r io.Reader, opts FastaOptions) ([]FastqRecord, error) {
+	fr := NewFastqReader(r, opts)
+	var recs []FastqRecord
+	for fr.Next() {
+		recs = append(recs, fr.Record())
+	}
+	return recs, fr.Err()
+}
+
 func TestReadFastq(t *testing.T) {
 	in := "@r1 extra\nACGT\n+\nIIII\n@r2\nTT\n+anything\nJJ\n"
-	recs, err := ReadFastq(strings.NewReader(in), FastaOptions{})
+	recs, err := readFastq(strings.NewReader(in), FastaOptions{})
 	if err != nil {
-		t.Fatalf("ReadFastq: %v", err)
+		t.Fatalf("FastqReader: %v", err)
 	}
 	if len(recs) != 2 {
 		t.Fatalf("got %d records", len(recs))
@@ -120,36 +135,64 @@ func TestReadFastq(t *testing.T) {
 	}
 }
 
+// TestReadFastqErrors checks that each malformed input stops the reader
+// with an error, after it has yielded the records before it.
 func TestReadFastqErrors(t *testing.T) {
-	cases := []string{
-		"ACGT\n",                  // no header
-		"@r1\nACGT\n+\nIII\n",     // qual length mismatch
-		"@r1\nACGT\nIIII\nIIII\n", // missing +
-		"@r1\nACGT\n",             // truncated
-	}
-	for _, in := range cases {
-		if _, err := ReadFastq(strings.NewReader(in), FastaOptions{}); err == nil {
-			t.Errorf("input %q accepted", in)
+	for _, tc := range []struct {
+		in   string
+		good int // records accepted before the error
+		want string
+	}{
+		{"ACGT\n", 0, "line 1"},                        // no header
+		{"@r1\nACGT\n+\nIII\n", 0, "quality length"},   // qual length mismatch
+		{"@r1\nACGT\nIIII\nIIII\n", 0, "line 3"},       // missing +
+		{"@r1\n", 0, "truncated"},                      // truncated
+		{"@r1\nACGT\n", 0, "line 2"},                   // no separator
+		{"@r1\nACNT\n+\nIIII\n", 0, "invalid base"},    // N without ResolveN
+		{"@\nACGT\n+\nIIII\n", 0, "line 1"},            // header with no name
+		{"@r1\nA\n+\nI\n@ \t\nA\n+\nI\n", 1, "line 5"}, // blank header mid-file
+	} {
+		recs, err := readFastq(strings.NewReader(tc.in), FastaOptions{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("input %q: error %v, want one mentioning %q", tc.in, err, tc.want)
+		}
+		if len(recs) != tc.good {
+			t.Errorf("input %q: %d records before the error, want %d", tc.in, len(recs), tc.good)
 		}
 	}
 }
 
+// TestFastqRoundTrip writes records and reads them back. The large set
+// spans several refills of the reader's line buffer, and the first refill
+// falls inside a quality line, after its record's sequence line was read:
+// the sequence must not alias the buffer.
 func TestFastqRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	recs := []FastqRecord{
 		{Name: "x", Seq: randSeq(r, 101), Qual: bytes.Repeat([]byte{'F'}, 101)},
 		{Name: "y", Seq: randSeq(r, 5)}, // nil qual -> default
 	}
+	for i := 0; i < 12000; i++ {
+		recs = append(recs, FastqRecord{Name: fmt.Sprintf("read%06d", i), Seq: randSeq(r, 101)})
+	}
 	var buf bytes.Buffer
 	if err := WriteFastq(&buf, recs); err != nil {
 		t.Fatalf("WriteFastq: %v", err)
 	}
-	back, err := ReadFastq(&buf, FastaOptions{})
-	if err != nil {
-		t.Fatalf("ReadFastq: %v", err)
+	if line := bytes.Count(buf.Bytes()[:lineBuffer], []byte("\n")); line%4 != 3 {
+		t.Fatalf("the first buffer refill falls in line %d, want a quality line", line)
 	}
-	if len(back) != 2 || !back[0].Seq.Equal(recs[0].Seq) || !back[1].Seq.Equal(recs[1].Seq) {
-		t.Fatalf("round trip mismatch: %+v", back)
+	back, err := readFastq(&buf, FastaOptions{})
+	if err != nil {
+		t.Fatalf("FastqReader: %v", err)
+	}
+	if len(back) != len(recs) {
+		t.Fatalf("got %d records, want %d", len(back), len(recs))
+	}
+	for i := range recs {
+		if back[i].Name != recs[i].Name || !back[i].Seq.Equal(recs[i].Seq) {
+			t.Fatalf("record %d: got %s %v, want %s %v", i, back[i].Name, back[i].Seq, recs[i].Name, recs[i].Seq)
+		}
 	}
 	if string(back[1].Qual) != strings.Repeat("I", 5) {
 		t.Errorf("default qual = %q", back[1].Qual)

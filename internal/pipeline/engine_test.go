@@ -58,51 +58,22 @@ func TestEngineByteIdentity(t *testing.T) {
 	}
 }
 
-// TestEngineBandedRuns pins the software-baseline selector: the banded
-// engine has different alignment semantics (no byte-identity claim), but
-// it must flow through the same stages and align the workload.
-func TestEngineBandedRuns(t *testing.T) {
-	p := smallParams()
-	p.Engine = EngineBanded
-	pl, wl := testPipeline(t, p, 441, 20000, 0.02)
-	reads := workloadReads(wl, 40)
-	results, stats := pl.AlignBatch(reads)
-	aligned := 0
-	for _, rr := range results {
-		if rr.Aligned {
-			aligned++
-		}
-	}
-	if aligned < len(reads)*9/10 {
-		t.Fatalf("banded engine aligned %d/%d reads", aligned, len(reads))
-	}
-	// The uniform counting wrapper makes banded work visible: Cycles
-	// carries DP cells (formerly the engine bypassed the wrapper and
-	// reported nothing), while re-runs remain a SillaX-only concept.
-	if stats.ExtensionCycles == 0 && stats.Extensions > 0 {
-		t.Error("banded engine reported no extension work; the counting wrapper is bypassed")
-	}
-	if stats.ReRuns != 0 {
-		t.Errorf("banded engine reported %d re-runs, want 0", stats.ReRuns)
-	}
-}
-
 // TestEngineValidation pins selector resolution: empty means bitsilla,
-// the three engines are accepted, and any other name is rejected at
+// the two engines are accepted, and any other name is rejected at
 // construction.
 func TestEngineValidation(t *testing.T) {
 	pl, _ := testPipeline(t, smallParams(), 442, 12000, 0)
 	if got := pl.Params().Engine; got != EngineBitSilla {
 		t.Errorf("default engine resolved to %q, want %q", got, EngineBitSilla)
 	}
-	for _, eng := range []Engine{EngineBitSilla, EngineSillaX, EngineBanded} {
+	for _, eng := range []Engine{EngineBitSilla, EngineSillaX} {
 		p := smallParams()
 		p.Engine = eng
 		if _, err := New(pl.ref, pl.index, p); err != nil {
 			t.Errorf("engine %q rejected: %v", eng, err)
 		}
 	}
-	for _, eng := range []Engine{"cuda", "cascade", "genasm"} {
+	for _, eng := range []Engine{"banded", "cuda", "cascade", "genasm"} {
 		p := smallParams()
 		p.Engine = eng
 		if _, err := New(pl.ref, pl.index, p); err == nil {

@@ -6,14 +6,11 @@ import (
 	"genax/internal/dna"
 	"genax/internal/extend"
 	"genax/internal/sillax"
-	"genax/internal/sw"
 )
 
 // countingEngine wraps every extension engine uniformly, folding each
 // call's work report (Extension.Cycles and ReRuns, in the engine's native
-// unit) into the lane stats. Before this wrapper covered all engines the
-// banded baseline bypassed it and was invisible in the -stages busy and
-// cycle counters.
+// unit) into the lane stats.
 type countingEngine struct {
 	inner  extend.Engine
 	cycles *int64
@@ -47,8 +44,6 @@ func (p *Pipeline) newEngine(stats *Stats) extend.Engine {
 	switch p.params.Engine {
 	case EngineSillaX:
 		inner = extend.SillaXEngine{M: sillax.NewTracebackMachine(k, sc)}
-	case EngineBanded:
-		inner = extend.BandedEngine{A: sw.NewBandedAligner(sc, k)}
 	default: // EngineBitSilla
 		inner = extend.BitSillaEngine{M: bitsilla.New(k, sc)}
 	}

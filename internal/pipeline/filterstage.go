@@ -6,7 +6,6 @@ import "genax/internal/chain"
 // long-read chainer, reused across batches.
 type filterLane struct {
 	anchors map[int64]struct{}
-	max     int // hit-set threshold per (read, strand); 0 = unlimited
 
 	// chainMin gates the chaining pass by read length (<= 0 disables);
 	// maxGap is the edit bound K — the diagonal drift one gapped
@@ -21,10 +20,10 @@ type filterLane struct {
 // straight through (the fast path needs no extension and no dedup), while
 // extension candidates are deduplicated by alignment diagonal — two seeds
 // of one read whose hits imply the same reference offset would extend to
-// the same alignment, so only the first survives — and optionally capped
-// at the hit-set threshold. Candidates arrive grouped by (read, strand);
-// the dedup set resets at each group boundary, reproducing the fused
-// loop's per-(read, strand, segment) anchor set exactly.
+// the same alignment, so only the first survives. Candidates arrive
+// grouped by (read, strand); the dedup set resets at each group boundary,
+// reproducing the fused loop's per-(read, strand, segment) anchor set
+// exactly.
 //
 // For reads at or above chainMin a second pass chains each surviving
 // group's anchors (collinear within maxGap drift = one alignment) and
@@ -37,11 +36,9 @@ func (f *filterLane) filter(b *batch) {
 	out := b.cands[:0]
 	curRead := int32(-1)
 	var curFlags uint8
-	kept := 0
 	for _, c := range b.cands {
 		if c.read != curRead || c.flags != curFlags {
 			curRead, curFlags = c.read, c.flags
-			kept = 0
 			clear(f.anchors)
 		}
 		if c.flags&candExact == 0 {
@@ -50,10 +47,6 @@ func (f *filterLane) filter(b *batch) {
 				continue
 			}
 			f.anchors[key] = struct{}{}
-			if f.max > 0 && kept >= f.max {
-				continue
-			}
-			kept++
 		}
 		out = append(out, c)
 	}

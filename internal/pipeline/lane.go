@@ -23,7 +23,6 @@ func (p *Pipeline) newLane() *lane {
 	l.seed = seedLane{opts: p.params.Seeding, stats: &l.stats}
 	l.filt = filterLane{
 		anchors:  make(map[int64]struct{}),
-		max:      p.params.MaxCandidates,
 		chainMin: p.params.ChainMinLen,
 		maxGap:   int32(p.params.K),
 		stats:    &l.stats,

@@ -13,7 +13,7 @@
 // list and has each walk the reference segment by segment:
 //
 //	Acquire(s) → bind segment s → claim a chunk of reads off cursors[s]
-//	  → seed both strands → filter (dedup, threshold, chain) → extend,
+//	  → seed both strands → filter (dedup, chain) → extend,
 //	    merging into the window's slots → claim the next chunk …
 //	→ barrier → Release(s) → segment s+1
 //
@@ -61,10 +61,9 @@ const DefaultWindow = 1024
 // extension stage quadratic without it.
 const DefaultChainMinLen = 1000
 
-// Engine names the extension engine backing the extend lanes. All engines
-// produce full-query cigars through the same extend.Stitcher; bitsilla and
-// sillax are byte-identical to one another by construction (banded is the
-// one engine with different tie-breaking).
+// Engine names the extension engine backing the extend lanes. Both
+// engines produce full-query cigars through the same extend.Stitcher and
+// are byte-identical to one another by construction.
 type Engine string
 
 const (
@@ -76,8 +75,6 @@ const (
 	// the reference oracle and for hardware figure reproductions that
 	// need per-cycle re-run accounting.
 	EngineSillaX Engine = "sillax"
-	// EngineBanded is the software banded Smith-Waterman baseline.
-	EngineBanded Engine = "banded"
 )
 
 // Params configures a Pipeline.
@@ -98,10 +95,6 @@ type Params struct {
 	// (0 = GOMAXPROCS); a window with fewer chunks than that uses one
 	// lane per chunk.
 	Workers int
-	// MaxCandidates, when positive, caps the extension candidates kept per
-	// (read, strand, segment) after deduplication — the filter stage's
-	// hit-set threshold. 0 keeps every candidate.
-	MaxCandidates int
 	// ChainMinLen gates the filter stage's anchor-chaining pass: reads at
 	// least this long have their per-(read, strand, segment) candidate
 	// groups chained (internal/chain) and collapsed to one representative
@@ -190,7 +183,7 @@ func New(ref dna.Seq, index *seed.SegmentedIndex, p Params) (*Pipeline, error) {
 	switch p.Engine {
 	case "":
 		p.Engine = EngineBitSilla
-	case EngineBitSilla, EngineSillaX, EngineBanded:
+	case EngineBitSilla, EngineSillaX:
 	default:
 		return nil, fmt.Errorf("pipeline: unknown engine %q", p.Engine)
 	}

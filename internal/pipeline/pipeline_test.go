@@ -438,34 +438,6 @@ func TestSingleLaneSteadyStateAllocs(t *testing.T) {
 	t.Logf("steady-state allocs: %.2f per read (budget %.1f)", perRead, budget)
 }
 
-// TestMaxCandidatesThreshold checks the filter stage's hit-set cap: a
-// tight threshold must bound extension work without breaking alignment of
-// clean reads (their exact-path candidates bypass the cap).
-func TestMaxCandidatesThreshold(t *testing.T) {
-	p := smallParams()
-	p.MaxCandidates = 1
-	pl, wl := testPipeline(t, p, 419, 25000, 0.02)
-	base, err := New(pl.ref, pl.index, smallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads := workloadReads(wl, 60)
-	_, capped := pl.AlignBatch(reads)
-	res, uncapped := base.AlignBatch(reads)
-	if capped.Extensions > uncapped.Extensions {
-		t.Errorf("threshold raised extension count: %d > %d", capped.Extensions, uncapped.Extensions)
-	}
-	aligned := 0
-	for _, rr := range res {
-		if rr.Aligned {
-			aligned++
-		}
-	}
-	if capped.Aligned < aligned*9/10 {
-		t.Errorf("threshold dropped too many alignments: %d vs %d", capped.Aligned, aligned)
-	}
-}
-
 // TestWindowReuse runs several batches through one pipeline value and
 // interleaves streams, ensuring pooled windows and lanes reset cleanly.
 func TestWindowReuse(t *testing.T) {
