@@ -11,11 +11,9 @@
 //	genax-bench all       everything above
 //
 // Flags: -quick shrinks the workload; -genome/-coverage/-seed resize it;
-// -engine selects the extension engine (bitsilla, sillax, banded); -pairs
-// sizes fig14; -stages prints the per-stage busy-time breakdown of the
-// pipeline after the experiment (the Fig 11 seed/extend lane balance);
-// -cpuprofile/-memprofile write pprof profiles of the selected experiment
-// (see EXPERIMENTS.md for the profiling workflow).
+// -engine selects the extension engine (bitsilla (default) or sillax);
+// -pairs sizes fig14; -cpuprofile/-memprofile write pprof profiles of the
+// selected experiment (see EXPERIMENTS.md for the profiling workflow).
 package main
 
 import (
@@ -40,12 +38,10 @@ func run() int {
 	genome := flag.Int("genome", 0, "override synthetic genome length (bases)")
 	coverage := flag.Float64("coverage", 0, "override read coverage")
 	seed := flag.Int64("seed", 0, "override workload RNG seed")
-	engine := flag.String("engine", "", "extension engine: bitsilla (default), sillax, or banded")
+	engine := flag.String("engine", "", "extension engine: bitsilla (default) or sillax")
 	pairs := flag.Int("pairs", 2000, "extension pairs for fig14")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memprofile := flag.String("memprofile", "", "write a post-run heap profile to this file")
-	stages := flag.Bool("stages", false,
-		"after the experiment, print the per-stage busy-time breakdown (Fig 11 lane balance)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: genax-bench [flags] {fig12|fig13|fig14|fig15|fig16|table2|validate|all}\n")
 		flag.PrintDefaults()
@@ -69,7 +65,12 @@ func run() int {
 	if *seed != 0 {
 		spec.Seed = *seed
 	}
-	spec.Engine = core.Engine(*engine)
+	switch spec.Engine = core.Engine(*engine); spec.Engine {
+	case "", core.EngineBitSilla, core.EngineSillaX:
+	default:
+		fmt.Fprintf(os.Stderr, "genax-bench: unknown engine %q (want bitsilla or sillax)\n", *engine)
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -122,14 +123,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "genax-bench: unknown experiment %q\n", name)
 		flag.Usage()
 		return 2
-	}
-	if *stages {
-		br, err := bench.Stages(spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "genax-bench: stages: %v\n", err)
-			return 1
-		}
-		fmt.Println(br)
 	}
 	return 0
 }

@@ -1,7 +1,7 @@
-// Command genaxd serves alignment over HTTP: many concurrent single-read
-// requests are coalesced into pipeline batches per genome (the batching
-// the GenAx lanes are fast at), against a registry of mmap-backed index
-// caches with LRU residency and warm preloading.
+// Command genaxd serves alignment over HTTP: every single-read request
+// goes through its genome's queue and is coalesced into a pipeline batch
+// (the batching the GenAx lanes are fast at), against a registry of
+// mmap-backed index caches with LRU residency and warm preloading.
 //
 // Usage:
 //
@@ -63,7 +63,7 @@ func main() {
 	workers := flag.Int("workers", 0, "lane budget per batch (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "coalesced batch size bound")
 	window := flag.Duration("coalesce-window", serve.DefaultCoalesceWindow,
-		"max wait for a batch to fill (0 = per-request serving, no coalescing)")
+		"max wait for a batch to fill (0 = flush what is already queued, no timer)")
 	queueLimit := flag.Int("queue-limit", 0, "admission limit per genome (0 = 4x max-batch); beyond it requests get 429")
 	maxResident := flag.Int("max-resident", serve.DefaultMaxResident, "genomes resident (mapped + aligner) at once; LRU beyond")
 	loadConc := flag.Int("load-concurrency", 1, "concurrent index builds/loads on registry miss")

@@ -2,8 +2,8 @@
 // started in-process (the same layer `cmd/genaxd` mounts), single-read
 // requests are POSTed against it concurrently, and every response is
 // checked against the in-process AlignRead answer for the same read:
-// served results are byte-identical to offline alignment, coalesced or
-// not. To run against a real daemon instead, start one
+// served results are byte-identical to offline alignment, however the
+// requests were batched. To run against a real daemon instead, start one
 //
 //	go run ./cmd/genaxd -genome demo=ref.fasta -kmer 8 -segment 4096
 //
@@ -60,10 +60,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. The serving layer genaxd mounts: one genome, request coalescing
-	//    on (concurrent posts share pipeline batches), index cache in the
-	//    temp dir. A second run against the same cache dir would map the
-	//    index in microseconds instead of rebuilding.
+	// 2. The serving layer genaxd mounts: one genome, index cache in the
+	//    temp dir. CoalesceWindow is left at 0, so the dispatcher arms no
+	//    timer: each flush takes the posts already queued (up to MaxBatch)
+	//    and aligns them as one batch. A second run against the same cache
+	//    dir would map the index in microseconds instead of rebuilding.
 	cfg := core.DefaultConfig()
 	cfg.KmerLen = 8
 	cfg.SegmentLen = 4096

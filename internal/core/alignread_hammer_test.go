@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// TestAlignReadConcurrentHammer drives AlignRead — the serve layer's
-// per-request fallback when coalescing is off — from many goroutines at
-// once against a shared Aligner. Run under -race this is the data-race
+// TestAlignReadConcurrentHammer drives AlignRead — the single-read entry
+// point — from many goroutines at once against a shared Aligner. Run under -race this is the data-race
 // gate for the lane and window free lists; in every build each result
 // must match the AlignBatch oracle, so lane state bleeding between
 // concurrent calls cannot hide.
@@ -51,7 +50,7 @@ func TestAlignReadConcurrentHammer(t *testing.T) {
 // cost after a concurrent burst has populated the free lists:
 // ≤ ~2.5 allocations per call on a mixed read set (the documented figure —
 // only adopted result cigars allocate). A regression here multiplies
-// straight into per-request serving cost.
+// straight into every single-read caller's cost.
 func TestAlignReadConcurrentAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")

@@ -127,13 +127,11 @@ func New(ref dna.Seq, cfg Config) (*Aligner, error) {
 			return nil, fmt.Errorf("core: prebuilt index k-mer length %d, config wants %d", idx.K, cfg.KmerLen)
 		}
 	} else {
-		t0 := cfg.Instrument.ClockNow()
 		built, err := seed.BuildSegmentedIndex(ref, cfg.SegmentLen, cfg.Overlap, cfg.KmerLen)
 		if err != nil {
 			return nil, err
 		}
 		idx = built
-		cfg.Instrument.RecordIndexBuild(t0, cfg.Instrument.ClockNow(), idx.NumSegments())
 	}
 	pipe, err := pipeline.New(ref, idx, pipeline.Params{
 		K:          cfg.K,

@@ -27,8 +27,8 @@ func (m *StageMetrics) AvgQueue() float64 { return 0 }
 
 // Instrument collects per-stage metrics for a Pipeline. The pipeline
 // itself never reads a clock (the package is on genaxvet's determinism
-// list); callers inject one via Now — genax-bench passes a wall-clock
-// reader, tests can pass a counter.
+// list); callers inject one via Now — the repository benchmark passes its
+// tracer's clock, tests can pass a counter.
 type Instrument struct {
 	// Now returns the current time in nanoseconds. Nil disables timing
 	// but still counts batches and items. Every lane calls it
@@ -37,10 +37,6 @@ type Instrument struct {
 	Now func() int64
 
 	Seed, Filter, Extend StageMetrics
-
-	// IndexBuild charges table construction, which happens before the
-	// pipeline exists; core.New records it via RecordIndexBuild.
-	IndexBuild StageMetrics
 }
 
 // now tolerates a nil Instrument or a nil clock.
@@ -49,19 +45,4 @@ func (i *Instrument) now() int64 {
 		return 0
 	}
 	return i.Now()
-}
-
-// ClockNow reads the injected clock, tolerating a nil Instrument or clock
-// (both read as 0). It exists so code outside the pipeline — the index
-// build in core.New — can time itself against the same clock the lanes
-// use.
-func (i *Instrument) ClockNow() int64 { return i.now() }
-
-// RecordIndexBuild charges one index construction spanning [t0,t1] (clock
-// units) covering segments segments. Safe on a nil Instrument.
-func (i *Instrument) RecordIndexBuild(t0, t1 int64, segments int) {
-	if i == nil {
-		return
-	}
-	i.IndexBuild.record(t0, t1, 1, int64(segments))
 }

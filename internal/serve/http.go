@@ -65,33 +65,23 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "body must be a non-empty base string (ACGT...)", http.StatusBadRequest)
 		return
 	}
-	b := s.batchers[name]
-
+	p := pending{ctx: r.Context(), read: read, res: make(chan result, 1)}
+	if !s.batchers[name].enqueue(p) {
+		s.reject(w)
+		return
+	}
 	var res result
-	if s.cfg.CoalesceWindow <= 0 {
-		rr, err := b.alignOne(r.Context(), read)
-		res = result{rr: rr, err: err}
-	} else {
-		p := pending{ctx: r.Context(), read: read, res: make(chan result, 1)}
-		if !b.enqueue(p) {
-			s.reject(w)
-			return
-		}
-		select {
-		case res = <-p.res:
-		case <-r.Context().Done():
-			// The dispatcher still owns p and will deliver into the
-			// buffered channel; nothing leaks. The client just stopped
-			// caring.
-			s.writeContextErr(w, r.Context().Err())
-			return
-		}
+	select {
+	case res = <-p.res:
+	case <-r.Context().Done():
+		// The dispatcher still owns p and will deliver into the buffered
+		// channel; nothing leaks. The client just stopped caring.
+		s.writeContextErr(w, r.Context().Err())
+		return
 	}
 	switch {
 	case res.err == nil:
 		writeAlignResponse(w, res.rr)
-	case errors.Is(res.err, errOverloaded):
-		s.reject(w)
 	case errors.Is(res.err, ErrUnknownGenome):
 		http.Error(w, res.err.Error(), http.StatusNotFound)
 	case errors.Is(res.err, context.DeadlineExceeded) || errors.Is(res.err, context.Canceled):
@@ -115,7 +105,7 @@ func (s *Server) reject(w http.ResponseWriter) {
 
 // writeContextErr maps a request context failure to the HTTP status the
 // client can act on: 504 for its own deadline, 503 for a cancellation
-// (client went away or server shut the batch down).
+// (client went away, or the server closed while its genome was loading).
 func (s *Server) writeContextErr(w http.ResponseWriter, err error) {
 	code := http.StatusServiceUnavailable
 	if errors.Is(err, context.DeadlineExceeded) {

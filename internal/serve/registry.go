@@ -48,10 +48,9 @@ type entry struct {
 // every use; an entry is never evicted (its cache never unmapped) while
 // its refcount is non-zero.
 type registry struct {
-	core        core.Config // template; Index/Residency/StreamWindow overwritten per genome
+	core        core.Config // template; Index and Residency overwritten per genome
 	cacheDir    string
 	maxResident int
-	streamWin   int
 	logf        func(string, ...any)
 
 	mu      sync.Mutex
@@ -78,7 +77,6 @@ func newRegistry(cfg Config) *registry {
 		core:        cfg.Core,
 		cacheDir:    cfg.CacheDir,
 		maxResident: cfg.MaxResident,
-		streamWin:   cfg.MaxBatch,
 		logf:        cfg.Logf,
 		entries:     make(map[string]*entry, len(cfg.Genomes)),
 		loadSem:     make(chan struct{}, cfg.LoadConcurrency),
@@ -305,12 +303,10 @@ func (r *registry) doLoad(name, fasta string) (*core.Aligner, *indexio.Mapped, e
 		r.rebuilds.Add(1)
 	}
 	// Serve from the mapped reference (out-of-core: the FASTA copy is
-	// dropped). StreamWindow tracks the batch bound so one coalesced
-	// flush is at most one pipeline window. No residency is bound: a
-	// caller's Core.Residency belongs to some other mapping.
+	// dropped). No residency is bound: a caller's Core.Residency belongs
+	// to some other mapping.
 	cc.Index = m.Index()
 	cc.Residency = nil
-	cc.StreamWindow = r.streamWin
 	al, err := core.New(m.Ref(), cc)
 	if err != nil {
 		_ = m.Close()

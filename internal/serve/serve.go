@@ -7,18 +7,18 @@
 // The layer has three parts (DESIGN.md §13):
 //
 //   - Admission/coalescing. Each genome owns a bounded intake queue and a
-//     dispatcher goroutine. A request either enters the queue immediately
-//     or is rejected with 429 + Retry-After — the queue bound is the
-//     admission limit, so overload sheds load instead of growing memory.
-//     The dispatcher coalesces queued requests into a batch, flushing on
-//     max-batch-size or max-delay (whichever comes first), runs the batch
-//     through one core.Aligner.AlignStream session, and fans the in-order
-//     results back out to the waiting requests. Per-request overhead
-//     (the session, per-segment table streaming, cache residency)
-//     amortizes across the whole batch, and a batch spreads over every
-//     lane where a lone read occupies one. With CoalesceWindow zero the
-//     layer degrades to per-request serving on AlignRead, bounded by the
-//     same admission limit.
+//     dispatcher goroutine, and every request takes that one path. A
+//     request either enters the queue immediately or is rejected with
+//     429 + Retry-After — the queue bound is the admission limit, so
+//     overload sheds load instead of growing memory. The dispatcher
+//     coalesces queued requests into a batch, flushing on max-batch-size
+//     or max-delay (whichever comes first), aligns the batch with one
+//     core.Aligner.AlignBatch call, and fans the in-order results back out
+//     to the waiting requests. Per-request overhead (per-segment table
+//     streaming, cache residency) amortizes across the whole batch, and a
+//     batch spreads over every lane where a lone read occupies one. With
+//     CoalesceWindow zero the dispatcher waits for nobody: it takes what
+//     is already queued, up to MaxBatch, and flushes at once.
 //
 //   - Genome registry. Genomes are named at construction; each resolves
 //     to a content-addressed GAXI index cache (indexio.CachePath) that
@@ -32,12 +32,9 @@
 //
 //   - Deadlines and drain. Each request carries its http.Request context;
 //     requests whose context is already done when the dispatcher assembles
-//     a batch are dropped (counted, not aligned), and when every member of
-//     a batch carries a deadline the batch's AlignStream context expires at
-//     the latest of them, so an abandoned batch stops admitting windows
-//     instead of running to completion. StartDrain makes handlers reject
-//     new work with 503 while in-flight requests finish; Close then stops
-//     the dispatchers and unmaps every resident genome.
+//     a batch are dropped (counted, not aligned). StartDrain makes handlers
+//     reject new work with 503 while in-flight requests finish; Close then
+//     stops the dispatchers and unmaps every resident genome.
 //
 // The package obeys the stage-contract analyzer's discipline (genaxvet):
 // every data channel states its capacity and every goroutine is
@@ -96,8 +93,8 @@ type Config struct {
 	// 404. Names must be unique and non-empty.
 	Genomes []GenomeConfig
 	// Core is the aligner configuration template (geometry, engine, lane
-	// budget, MinScore). Index, Residency and StreamWindow are owned by
-	// the serve layer and overwritten per genome.
+	// budget, MinScore). Index and Residency are owned by the serve layer
+	// and overwritten per genome.
 	Core core.Config
 	// CacheDir overrides where index caches live ("" = next to each
 	// FASTA).
@@ -106,12 +103,11 @@ type Config struct {
 	MaxBatch int
 	// CoalesceWindow is the flush delay bound: the first queued request
 	// waits at most this long before its batch is dispatched, full or
-	// not. Zero disables coalescing entirely — every request runs alone
-	// on AlignRead.
+	// not. Zero waits for nobody: a flush takes what is already queued,
+	// up to MaxBatch.
 	CoalesceWindow time.Duration
-	// QueueLimit bounds requests admitted per genome — queued requests in
-	// coalescing mode, in-flight requests in per-request mode. Admission
-	// beyond it is rejected with 429 + Retry-After (0 = 4*MaxBatch).
+	// QueueLimit bounds requests queued per genome. Admission beyond it
+	// is rejected with 429 + Retry-After (0 = 4*MaxBatch).
 	QueueLimit int
 	// MaxResident bounds genomes resident (mapped, aligner built) at
 	// once; the registry evicts least-recently-used idle genomes beyond
@@ -213,13 +209,11 @@ func New(cfg Config) (*Server, error) {
 	for _, g := range cfg.Genomes {
 		b := newBatcher(s, g.Name)
 		s.batchers[g.Name] = b
-		if cfg.CoalesceWindow > 0 {
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				b.run(base)
-			}()
-		}
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			b.run(base)
+		}()
 	}
 	s.mux = s.buildMux()
 	return s, nil

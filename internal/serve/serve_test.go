@@ -115,88 +115,78 @@ func sameAsOffline(t *testing.T, i int, body []byte, want core.ReadResult) {
 
 // TestServeCoalescedMatchesOffline is the core identity claim: many
 // concurrent single-read requests, coalesced into batches, produce results
-// byte-identical to offline AlignBatch.
+// byte-identical to offline AlignBatch. A zero window arms no timer, so a
+// flush takes only what is already queued, but every request still goes
+// through a batch: /statsz must count each read in one and show the
+// pipeline work the flushes did.
 func TestServeCoalescedMatchesOffline(t *testing.T) {
-	wl := testWorkload(t, 42)
-	s := newTestServer(t, Config{
-		MaxBatch:       32,
-		CoalesceWindow: 2 * time.Millisecond,
-		QueueLimit:     1024, // above the read count: this test is about identity, not shedding
-	}, wl)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	for _, window := range []time.Duration{2 * time.Millisecond, 0} {
+		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
+			wl := testWorkload(t, 42)
+			s := newTestServer(t, Config{
+				MaxBatch:       32,
+				CoalesceWindow: window,
+				QueueLimit:     1024, // above the read count: this test is about identity, not shedding
+			}, wl)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	offline, err := core.New(wl.Ref, testCore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads := make([]dna.Seq, len(wl.Reads))
-	for i, r := range wl.Reads {
-		reads[i] = r.Seq
-	}
-	want, _ := offline.AlignBatch(reads)
+			offline, err := core.New(wl.Ref, testCore())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reads := make([]dna.Seq, len(wl.Reads))
+			for i, r := range wl.Reads {
+				reads[i] = r.Seq
+			}
+			want, _ := offline.AlignBatch(reads)
 
-	var wg sync.WaitGroup
-	bodies := make([][]byte, len(reads))
-	codes := make([]int, len(reads))
-	for i := range reads {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, body := postRead(t, ts.Client(), ts.URL+"/align/g0", reads[i])
-			codes[i], bodies[i] = resp.StatusCode, body
-		}()
-	}
-	wg.Wait()
-	for i := range reads {
-		if codes[i] != http.StatusOK {
-			t.Fatalf("read %d: status %d: %s", i, codes[i], bodies[i])
-		}
-		sameAsOffline(t, i, bodies[i], want[i])
-	}
+			var wg sync.WaitGroup
+			bodies := make([][]byte, len(reads))
+			codes := make([]int, len(reads))
+			for i := range reads {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resp, body := postRead(t, ts.Client(), ts.URL+"/align/g0", reads[i])
+					codes[i], bodies[i] = resp.StatusCode, body
+				}()
+			}
+			wg.Wait()
+			for i := range reads {
+				if codes[i] != http.StatusOK {
+					t.Fatalf("read %d: status %d: %s", i, codes[i], bodies[i])
+				}
+				sameAsOffline(t, i, bodies[i], want[i])
+			}
 
-	snap := s.Snapshot()
-	if len(snap.Genomes) != 1 {
-		t.Fatalf("snapshot has %d genomes, want 1", len(snap.Genomes))
-	}
-	g := snap.Genomes[0]
-	if g.Admitted != int64(len(reads)) || g.Completed != int64(len(reads)) {
-		t.Fatalf("admitted=%d completed=%d, want both %d", g.Admitted, g.Completed, len(reads))
-	}
-	if g.Batches == 0 || g.BatchedReads != int64(len(reads)) {
-		t.Fatalf("batches=%d batched=%d, want >0 and %d", g.Batches, g.BatchedReads, len(reads))
-	}
-	if g.MaxBatch < 2 {
-		t.Fatalf("max batch %d: concurrent requests never coalesced", g.MaxBatch)
-	}
-	if g.Pipeline.Extensions == 0 {
-		t.Fatal("pipeline stats never accumulated across flushes")
-	}
-}
-
-// TestServePerRequestMatchesOffline covers the coalesce-window=0 fallback:
-// the pooled AlignRead path must serve the same results.
-func TestServePerRequestMatchesOffline(t *testing.T) {
-	wl := testWorkload(t, 43)
-	s := newTestServer(t, Config{CoalesceWindow: 0}, wl)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	offline, err := core.New(wl.Ref, testCore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 64
-	if n > len(wl.Reads) {
-		n = len(wl.Reads)
-	}
-	for i := 0; i < n; i++ {
-		resp, body := postRead(t, ts.Client(), ts.URL+"/align/g0", wl.Reads[i].Seq)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("read %d: status %d: %s", i, resp.StatusCode, body)
-		}
-		res, ok := offline.AlignRead(wl.Reads[i].Seq)
-		sameAsOffline(t, i, body, core.ReadResult{Result: res, Aligned: ok})
+			resp, err := ts.Client().Get(ts.URL + "/statsz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap Snapshot
+			err = json.NewDecoder(resp.Body).Decode(&snap)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(snap.Genomes) != 1 {
+				t.Fatalf("snapshot has %d genomes, want 1", len(snap.Genomes))
+			}
+			g := snap.Genomes[0]
+			if g.Admitted != int64(len(reads)) || g.Completed != int64(len(reads)) {
+				t.Fatalf("admitted=%d completed=%d, want both %d", g.Admitted, g.Completed, len(reads))
+			}
+			if g.Batches == 0 || g.BatchedReads != int64(len(reads)) {
+				t.Fatalf("batches=%d batched=%d, want >0 and %d", g.Batches, g.BatchedReads, len(reads))
+			}
+			if window > 0 && g.MaxBatch < 2 {
+				t.Fatalf("max batch %d: concurrent requests never coalesced", g.MaxBatch)
+			}
+			if g.Pipeline.Extensions == 0 {
+				t.Fatal("pipeline stats never accumulated across flushes")
+			}
+		})
 	}
 }
 
@@ -230,10 +220,11 @@ func TestServeBadBody400(t *testing.T) {
 	}
 }
 
-// TestServeOverloadSheds verifies the admission limit on both serving
-// paths — the coalescing queue and the per-request slots of alignOne
-// (CoalesceWindow 0): excess requests get 429 with a Retry-After hint and
-// are counted, instead of queuing unboundedly.
+// TestServeOverloadSheds verifies the admission limit with and without a
+// coalescing timer: the intake queue bounds admission either way, so
+// excess requests get 429 with a Retry-After hint and are counted, instead
+// of queuing unboundedly, and the requests that did queue leave in one
+// flush rather than one by one.
 func TestServeOverloadSheds(t *testing.T) {
 	for _, window := range []time.Duration{100 * time.Millisecond, 0} {
 		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
@@ -297,8 +288,14 @@ func TestServeOverloadSheds(t *testing.T) {
 			if ok == 0 {
 				t.Fatal("every request was shed; admitted requests should still complete")
 			}
-			if got := s.Snapshot().Genomes[0].Rejected; got != int64(shed) {
-				t.Fatalf("rejected counter %d, want %d", got, shed)
+			g := s.Snapshot().Genomes[0]
+			if g.Rejected != int64(shed) {
+				t.Fatalf("rejected counter %d, want %d", g.Rejected, shed)
+			}
+			// A shed means the queue was full while the dispatcher was
+			// held, so its next flush found company already waiting.
+			if g.MaxBatch < 2 {
+				t.Fatalf("max batch %d: requests queued behind a held dispatcher were flushed one by one", g.MaxBatch)
 			}
 		})
 	}
