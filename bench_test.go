@@ -11,7 +11,6 @@ import (
 	"genax/internal/align"
 	"genax/internal/bench"
 	"genax/internal/bwamem"
-	"genax/internal/core"
 	"genax/internal/dna"
 	"genax/internal/fmindex"
 	"genax/internal/hw"
@@ -196,48 +195,6 @@ func BenchmarkFMIndexSMEM(b *testing.B) {
 }
 
 // ---- Figure 15: end-to-end pipelines -----------------------------------
-
-func BenchmarkFig15GenAxPipeline(b *testing.B) {
-	f := getFixture(100_000)
-	cfg := core.DefaultConfig()
-	cfg.SegmentLen = 32_768
-	aligner, err := core.New(f.wl.Ref, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := f.reads
-	if len(batch) > 200 {
-		batch = batch[:200]
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		aligner.AlignBatch(batch)
-	}
-	b.ReportMetric(float64(len(batch)), "reads/op")
-}
-
-// BenchmarkAlignBatch measures the steady-state batch align path with the
-// persistent lane pool — the allocs/op column is the budget the
-// core.TestAlignBatchSteadyStateAllocs test enforces.
-func BenchmarkAlignBatch(b *testing.B) {
-	f := getFixture(100_000)
-	cfg := core.DefaultConfig()
-	cfg.SegmentLen = 32_768
-	aligner, err := core.New(f.wl.Ref, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := f.reads
-	if len(batch) > 200 {
-		batch = batch[:200]
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		aligner.AlignBatch(batch)
-	}
-	b.ReportMetric(float64(len(batch)), "reads/op")
-}
 
 func BenchmarkFig15BWAMEMPipeline(b *testing.B) {
 	f := getFixture(100_000)

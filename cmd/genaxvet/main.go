@@ -5,8 +5,8 @@
 //	hotpath        //genax:hotpath functions contain no heap-allocating
 //	               constructs (defer, closures, make/new, map/slice
 //	               literals, fmt/strings calls, interface boxing)
-//	determinism    the deterministic kernel packages (core, pipeline, seed,
-//	               silla, sillax, extend, align, bitsilla, chain) contain
+//	determinism    the deterministic kernel packages (core, seed, silla,
+//	               sillax, extend, align, bitsilla, chain) contain
 //	               no map iteration, wall-clock reads, unseeded math/rand,
 //	               or multi-channel selects
 //	invariants     no silently dropped error results; exported kernel entry
@@ -16,7 +16,7 @@
 //	               escape or mutate their owner's storage (no heap stores,
 //	               goroutine/closure captures, appends, channel sends, or
 //	               unannotated returns)
-//	stagecontract  internal/pipeline and internal/serve keep channels
+//	stagecontract  internal/core and internal/serve keep channels
 //	               bounded and goroutines WaitGroup-tracked or
 //	               context-bounded
 //
@@ -155,7 +155,7 @@ type finding struct {
 func vet(pkgs []*load.Package) ([]finding, error) {
 	// Pre-pass: register every //genax:borrowed annotation before any
 	// package is analyzed, so the borrow analyzer resolves cross-package
-	// calls (pipeline using seed.Lookup) regardless of analysis order.
+	// calls (core using seed.Lookup) regardless of analysis order.
 	for _, pkg := range pkgs {
 		borrow.Collect(pkg.Info, pkg.Files)
 	}

@@ -27,39 +27,39 @@ type mutant struct {
 // here, and has no place in the suite.
 var mutants = []mutant{
 	// hotpath: seedLane.seedOne and the seed index lookups are //genax:hotpath.
-	{"hotpath/defer", "hotpath", "internal/pipeline/seedstage.go",
+	{"hotpath/defer", "hotpath", "internal/core/seedstage.go",
 		[]string{"\tsd := l.sd\n", "\tsd := l.sd\n\tdefer println()\n"}, `^defer in`},
-	{"hotpath/go", "hotpath", "internal/pipeline/seedstage.go",
+	{"hotpath/go", "hotpath", "internal/core/seedstage.go",
 		[]string{"\tsd := l.sd\n", "\tsd := l.sd\n\tgo println()\n"}, `^go statement in`},
-	{"hotpath/closure", "hotpath", "internal/pipeline/seedstage.go",
+	{"hotpath/closure", "hotpath", "internal/core/seedstage.go",
 		[]string{"\tsd := l.sd\n", "\tsd := func() *seed.Seeder { return l.sd }()\n"}, `^closure literal in`},
-	{"hotpath/make", "hotpath", "internal/pipeline/seedstage.go",
+	{"hotpath/make", "hotpath", "internal/core/seedstage.go",
 		[]string{"\tvar flags uint8\n", "\tflags := make([]uint8, 1)[0]\n"}, `^make allocates`},
-	{"hotpath/new", "hotpath", "internal/pipeline/seedstage.go",
+	{"hotpath/new", "hotpath", "internal/core/seedstage.go",
 		[]string{"\tvar flags uint8\n", "\tflags := *new(uint8)\n"}, `^new allocates`},
-	{"hotpath/map-literal", "hotpath", "internal/pipeline/seedstage.go",
+	{"hotpath/map-literal", "hotpath", "internal/core/seedstage.go",
 		[]string{"\tvar flags uint8\n", "\tflags := map[bool]uint8{}[reverse]\n"}, `^map literal allocates`},
-	{"hotpath/slice-literal", "hotpath", "internal/pipeline/seedstage.go",
+	{"hotpath/slice-literal", "hotpath", "internal/core/seedstage.go",
 		[]string{"\tvar flags uint8\n", "\tflags := []uint8{0}[0]\n"}, `^slice literal allocates`},
-	{"hotpath/address-of-literal", "hotpath", "internal/pipeline/seedstage.go",
+	{"hotpath/address-of-literal", "hotpath", "internal/core/seedstage.go",
 		[]string{"b.cands = append(b.cands, cand{", "b.cands = append(b.cands, *&cand{"}, `^&.*cand composite literal`},
 	{"hotpath/fmt", "hotpath", "internal/seed/index.go",
 		[]string{"\tt := &si.tab\n\tbelow :=", "\tt := &si.tab\n\t_ = fmt.Sprint()\n\tbelow :="}, `^call to fmt\.Sprint`},
-	{"hotpath/boxing", "hotpath", "internal/pipeline/seedstage.go",
+	{"hotpath/boxing", "hotpath", "internal/core/seedstage.go",
 		[]string{"\tsd := l.sd\n", "\tsd := l.sd\n\t_ = any(readIdx)\n"}, `^value of type int32 converted as interface`},
 	{"hotpath/misplaced", "hotpath", "internal/seed/seeder.go",
 		[]string{"//genax:hotpath\nfunc (sd *Seeder) adopt()", "//genax:hotpath\n\nfunc (sd *Seeder) adopt()"}, `^misplaced //genax:hotpath`},
 
-	// determinism: internal/pipeline is a deterministic package.
-	{"determinism/map-range", "determinism", "internal/pipeline/pipeline.go",
-		[]string{"\tswitch p.Engine {\n", "\tfor range map[string]bool{} {\n\t}\n\tswitch p.Engine {\n"}, `^range over map`},
-	{"determinism/wall-clock", "determinism", "internal/pipeline/pipeline.go",
-		[]string{"\t\"fmt\"\n", "\t\"fmt\"\n\t\"time\"\n", "\tif index == nil {\n", "\t_ = time.Now()\n\tif index == nil {\n"}, `^time\.Now in deterministic`},
-	{"determinism/global-rand", "determinism", "internal/pipeline/pipeline.go",
-		[]string{"\t\"fmt\"\n", "\t\"fmt\"\n\t\"math/rand\"\n", "\tif index == nil {\n", "\t_ = rand.Intn(2)\n\tif index == nil {\n"}, `^math/rand\.Intn in deterministic`},
-	{"determinism/select", "determinism", "internal/pipeline/stream.go",
+	// determinism: internal/core is a deterministic package.
+	{"determinism/map-range", "determinism", "internal/core/core.go",
+		[]string{"\tswitch cfg.Engine {\n", "\tfor range map[string]bool{} {\n\t}\n\tswitch cfg.Engine {\n"}, `^range over map`},
+	{"determinism/wall-clock", "determinism", "internal/core/core.go",
+		[]string{"\t\"fmt\"\n", "\t\"fmt\"\n\t\"time\"\n", "\tif cfg.Workers <= 0 {\n", "\t_ = time.Now()\n\tif cfg.Workers <= 0 {\n"}, `^time\.Now in deterministic`},
+	{"determinism/global-rand", "determinism", "internal/core/core.go",
+		[]string{"\t\"fmt\"\n", "\t\"fmt\"\n\t\"math/rand\"\n", "\tif cfg.Workers <= 0 {\n", "\t_ = rand.Intn(2)\n\tif cfg.Workers <= 0 {\n"}, `^math/rand\.Intn in deterministic`},
+	{"determinism/select", "determinism", "internal/core/stream.go",
 		[]string{"\t\tr, ok := <-in\n", "\t\tvar r dna.Seq\n\t\tvar ok bool\n\t\tselect {\n\t\tcase r, ok = <-in:\n\t\tcase <-make(chan struct{}):\n\t\t}\n"}, `^select over 2 channels`},
-	{"determinism/test-file", "determinism", "internal/pipeline/stats_test.go",
+	{"determinism/test-file", "determinism", "internal/core/stats_test.go",
 		[]string{"\tdst.Merge(src)\n", "\tfor range map[int]bool{} {\n\t}\n\tdst.Merge(src)\n"}, `^range over map`},
 
 	// invariants: the serve registry discards Close explicitly, and
@@ -71,21 +71,21 @@ var mutants = []mutant{
 
 	// borrow: seedLane.seedOne holds Seeder.Seed's scratch-backed result,
 	// and the seed package lends its tables under //genax:borrowed.
-	{"borrow/field-store", "borrow", "internal/pipeline/seedstage.go",
+	{"borrow/field-store", "borrow", "internal/core/seedstage.go",
 		[]string{"\tstats *Stats // the owning lane's work counters\n", "\tstats *Stats // the owning lane's work counters\n\tlast  []seed.Seed\n",
 			"\tseeds := sd.Seed(q)\n", "\tseeds := sd.Seed(q)\n\tl.last = seeds\n"}, `^borrowed slice stored to a struct field`},
-	{"borrow/global-store", "borrow", "internal/pipeline/seedstage.go",
+	{"borrow/global-store", "borrow", "internal/core/seedstage.go",
 		[]string{"// seedLane is a lane's seeding half", "var lastSeeds []seed.Seed\n\n// seedLane is a lane's seeding half",
 			"\tseeds := sd.Seed(q)\n", "\tseeds := sd.Seed(q)\n\tlastSeeds = seeds\n"}, `^borrowed slice stored to package-level variable lastSeeds`},
-	{"borrow/closure-capture", "borrow", "internal/pipeline/seedstage.go",
+	{"borrow/closure-capture", "borrow", "internal/core/seedstage.go",
 		[]string{"\tseeds := sd.Seed(q)\n", "\tseeds := sd.Seed(q)\n\tdefer func() { _ = len(seeds) }()\n"}, `^borrowed slice seeds captured by closure`},
-	{"borrow/goroutine-capture", "borrow", "internal/pipeline/seedstage.go",
+	{"borrow/goroutine-capture", "borrow", "internal/core/seedstage.go",
 		[]string{"\tseeds := sd.Seed(q)\n", "\tseeds := sd.Seed(q)\n\tgo println(len(seeds))\n"}, `^borrowed slice seeds captured by goroutine`},
-	{"borrow/append", "borrow", "internal/pipeline/seedstage.go",
+	{"borrow/append", "borrow", "internal/core/seedstage.go",
 		[]string{"\tseeds := sd.Seed(q)\n", "\tseeds := sd.Seed(q)\n\tseeds = append(seeds, seed.Seed{})\n"}, `^append to a borrowed slice`},
-	{"borrow/write-through", "borrow", "internal/pipeline/seedstage.go",
+	{"borrow/write-through", "borrow", "internal/core/seedstage.go",
 		[]string{"\t\tfor _, h := range s.Positions {\n", "\t\tfor j, h := range s.Positions {\n\t\t\ts.Positions[j] = h + 1\n"}, `^write through a borrowed slice`},
-	{"borrow/send", "borrow", "internal/pipeline/seedstage.go",
+	{"borrow/send", "borrow", "internal/core/seedstage.go",
 		[]string{"\tseeds := sd.Seed(q)\n", "\tseeds := sd.Seed(q)\n\tch := make(chan []seed.Seed, 1)\n\tch <- seeds\n"}, `^borrowed slice sent on a channel`},
 	{"borrow/unannotated-return", "borrow", "internal/seed/seeder.go",
 		[]string{"//genax:borrowed\n//genax:hotpath\nfunc (sd *Seeder) hitsAt(", "//genax:hotpath\nfunc (sd *Seeder) hitsAt("}, `^borrowed slice returned from hitsAt`},
@@ -98,7 +98,7 @@ var mutants = []mutant{
 	// lanes are WaitGroup-tracked.
 	{"stagecontract/unbounded-chan", "stagecontract", "internal/serve/coalesce.go",
 		[]string{"make(chan pending, s.cfg.QueueLimit)", "make(chan pending)"}, `^unbounded make\(chan genax/internal/serve\.pending\)`},
-	{"stagecontract/unaccounted-goroutine", "stagecontract", "internal/pipeline/lane.go",
+	{"stagecontract/unaccounted-goroutine", "stagecontract", "internal/core/lane.go",
 		[]string{"\t\t\tdefer w.wg.Done()\n\t\t\tl.run(w)\n", "\t\t\tl.run(w)\n\t\t\tw.wg.Done()\n"}, `^unaccounted goroutine in runWindow`},
 }
 

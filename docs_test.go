@@ -196,13 +196,11 @@ func TestDocsResolve(t *testing.T) {
 }
 
 // pkgDecls is one package's top-level names and, per type, its methods,
-// fields, interface methods and (for a type defined as or aliased to
-// another package's type) that type's package and name. tests holds the
-// test functions of its test files.
+// fields and interface methods. tests holds the test functions of its test
+// files.
 type pkgDecls struct {
 	names   map[string]bool
 	members map[string]map[string]bool
-	under   map[string][2]string
 	tests   map[string]bool
 }
 
@@ -246,8 +244,7 @@ func repoPackages(t *testing.T) repoPkgs {
 func (r repoPkgs) add(f *ast.File) {
 	pd := r[f.Name.Name]
 	if pd == nil {
-		pd = &pkgDecls{names: map[string]bool{}, members: map[string]map[string]bool{},
-			under: map[string][2]string{}, tests: map[string]bool{}}
+		pd = &pkgDecls{names: map[string]bool{}, members: map[string]map[string]bool{}, tests: map[string]bool{}}
 		r[f.Name.Name] = pd
 	}
 	member := func(typ, name string) {
@@ -285,10 +282,6 @@ func (r repoPkgs) add(f *ast.File) {
 						fields = ty.Fields
 					case *ast.InterfaceType:
 						fields = ty.Methods
-					case *ast.SelectorExpr:
-						if pkg, ok := ty.X.(*ast.Ident); ok {
-							pd.under[s.Name.Name] = [2]string{pkg.Name, ty.Sel.Name}
-						}
 					}
 					if fields == nil {
 						continue
@@ -310,21 +303,8 @@ func (r repoPkgs) resolve(pkg, name, member string) bool {
 	if member == "" && testFunc.MatchString(name) {
 		return r[pkg].tests[name]
 	}
-	for depth := 0; depth < 4; depth++ {
-		pd := r[pkg]
-		if pd == nil || !pd.names[name] {
-			return false
-		}
-		if member == "" || pd.members[name][member] {
-			return true
-		}
-		u, ok := pd.under[name]
-		if !ok {
-			return false
-		}
-		pkg, name = u[0], u[1]
-	}
-	return false
+	pd := r[pkg]
+	return pd != nil && pd.names[name] && (member == "" || pd.members[name][member])
 }
 
 func benchmarkMetrics(t *testing.T) map[string]bool {

@@ -1,4 +1,4 @@
-package pipeline
+package core
 
 import (
 	"testing"
@@ -8,10 +8,10 @@ import (
 	"genax/internal/sim"
 )
 
-// longReadPipeline builds a Pipeline over a kilobase-read workload with a
+// longReadAligner builds an Aligner over a kilobase-read workload with a
 // multi-word edit bound, so the chaining pass and the wide bitsilla
 // datapath are both on the executed path.
-func longReadPipeline(t *testing.T, p Params, seedVal int64) (*Pipeline, *sim.Workload) {
+func longReadAligner(t *testing.T, cfg Config, seedVal int64) (*Aligner, *sim.Workload) {
 	t.Helper()
 	wl := sim.NewLongReadWorkload(seedVal, 28000,
 		sim.VariantProfile{SNPRate: 0.001, IndelRate: 0.0002, MaxIndel: 6},
@@ -20,11 +20,11 @@ func longReadPipeline(t *testing.T, p Params, seedVal int64) (*Pipeline, *sim.Wo
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := New(wl.Ref, idx, p)
+	a, err := New(wl.Ref, over(idx, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pl, wl
+	return a, wl
 }
 
 // kilobaseReads returns the first n reads of wl long enough to be chained
@@ -39,10 +39,10 @@ func kilobaseReads(wl *sim.Workload, n int) []dna.Seq {
 	return reads
 }
 
-func longParams() Params {
-	p := smallParams()
-	p.K = 64 // multi-word bound: the wide datapath serves every extension
-	return p
+func longConfig() Config {
+	cfg := smallConfig()
+	cfg.K = 64 // multi-word bound: the wide datapath serves every extension
+	return cfg
 }
 
 // TestChainingSerialParallelIdentical is the chaining determinism gate:
@@ -51,9 +51,9 @@ func longParams() Params {
 // byte for byte, including the chain work counters. (TestDeterminismMatrix
 // sweeps the rest of the worker × path × index grid.)
 func TestChainingSerialParallelIdentical(t *testing.T) {
-	p := longParams()
-	p.Workers = 1
-	base, wl := longReadPipeline(t, p, 420)
+	cfg := longConfig()
+	cfg.Workers = 1
+	base, wl := longReadAligner(t, cfg, 420)
 	reads := workloadReads(wl, 18)
 	want, wantStats := base.AlignBatch(reads)
 	if wantStats.ChainGroups == 0 || wantStats.ChainKept == 0 {
@@ -62,11 +62,10 @@ func TestChainingSerialParallelIdentical(t *testing.T) {
 	if wantStats.ChainKept >= wantStats.ChainAnchors {
 		t.Fatalf("chaining collapsed nothing: %d anchors -> %d kept", wantStats.ChainAnchors, wantStats.ChainKept)
 	}
-	p.Workers, p.Window = 4, 8
-	got, stats := runPath(t, base, p, "stream", reads)
-	for i := range want {
-		sameResult(t, "4-lane stream", i, got[i], want[i])
-	}
+	cfg = base.Config()
+	cfg.Workers, cfg.StreamWindow = 4, 8
+	got, stats := runPath(t, base.Ref(), cfg, "stream", reads)
+	sameResults(t, "4-lane stream", got, want)
 	if stats != wantStats {
 		t.Errorf("4-lane stream stats %+v, want %+v", stats, wantStats)
 	}
@@ -76,21 +75,19 @@ func TestChainingSerialParallelIdentical(t *testing.T) {
 // chaining, long reads reach the extend lanes with fewer candidates, and
 // alignment outcomes survive the collapse.
 func TestChainingReducesExtensions(t *testing.T) {
-	off := longParams()
-	off.ChainMinLen = -1
-	plOff, wl := longReadPipeline(t, off, 421)
+	plOn, wl := longReadAligner(t, longConfig(), 421)
 	reads := workloadReads(wl, 14)
-	resOff, statsOff := plOff.AlignBatch(reads)
+	resOn, statsOn := plOn.AlignBatch(reads)
 
-	on := longParams()
-	plOn, err := New(plOff.ref, plOff.index, on)
+	plOff, err := New(plOn.Ref(), plOn.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resOn, statsOn := plOn.AlignBatch(reads)
+	plOff.chainMin = -1
+	resOff, statsOff := plOff.AlignBatch(reads)
 
 	if statsOff.ChainGroups != 0 {
-		t.Fatalf("ChainMinLen=-1 still chained %d groups", statsOff.ChainGroups)
+		t.Fatalf("chainMin=-1 still chained %d groups", statsOff.ChainGroups)
 	}
 	if statsOn.Extensions >= statsOff.Extensions {
 		t.Fatalf("chaining did not reduce extensions: %d with vs %d without", statsOn.Extensions, statsOff.Extensions)
@@ -114,25 +111,21 @@ func TestChainingReducesExtensions(t *testing.T) {
 
 // TestChainingShortReadsUntouched guards the short-read hash gates: at
 // the default gate no 101 bp read is ever chained, so results are byte
-// for byte those of a chaining-disabled pipeline.
+// for byte those of a chaining-disabled aligner.
 func TestChainingShortReadsUntouched(t *testing.T) {
-	p := smallParams()
-	base, wl := testPipeline(t, p, 422, 30000, 0.02)
+	base, wl := testAligner(t, smallConfig(), 422, 30000, 0.02)
 	reads := workloadReads(wl, 80)
 	want, wantStats := base.AlignBatch(reads) // default gate (1000)
 	if wantStats.ChainGroups != 0 || wantStats.ChainAnchors != 0 {
 		t.Fatalf("short reads were chained: %+v", wantStats)
 	}
-	off := smallParams()
-	off.ChainMinLen = -1
-	plOff, err := New(base.ref, base.index, off)
+	plOff, err := New(base.Ref(), base.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
+	plOff.chainMin = -1
 	got, gotStats := plOff.AlignBatch(reads)
-	for i := range want {
-		sameResult(t, "chain-off", i, got[i], want[i])
-	}
+	sameResults(t, "chain-off", got, want)
 	if gotStats.Extensions != wantStats.Extensions {
 		t.Errorf("extension counts differ: %d vs %d", gotStats.Extensions, wantStats.Extensions)
 	}

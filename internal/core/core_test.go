@@ -5,6 +5,7 @@ import (
 
 	"genax/internal/bwamem"
 	"genax/internal/dna"
+	"genax/internal/seed"
 	"genax/internal/sim"
 )
 
@@ -23,6 +24,32 @@ func testWorkload(seed int64, n int, errRate float64) *sim.Workload {
 	return sim.NewWorkload(seed, n,
 		sim.VariantProfile{SNPRate: 0.001, IndelRate: 0.0002, MaxIndel: 6},
 		sim.ReadProfile{Length: 101, Coverage: 2, ErrorRate: errRate, ReverseFraction: 0.5})
+}
+
+// testAligner builds an Aligner over a noisy multi-segment workload.
+func testAligner(t *testing.T, cfg Config, seedVal int64, genome int, errRate float64) (*Aligner, *sim.Workload) {
+	t.Helper()
+	wl := testWorkload(seedVal, genome, errRate)
+	a, err := New(wl.Ref, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, wl
+}
+
+// over binds cfg to the prebuilt index idx, taking the geometry from idx.
+func over(idx *seed.SegmentedIndex, cfg Config) Config {
+	cfg.Index, cfg.KmerLen, cfg.SegmentLen, cfg.Overlap = idx, idx.K, idx.SegLen, idx.Overlap
+	return cfg
+}
+
+// workloadReads returns the sequences of wl's first n reads.
+func workloadReads(wl *sim.Workload, n int) []dna.Seq {
+	reads := make([]dna.Seq, min(n, len(wl.Reads)))
+	for i := range reads {
+		reads[i] = wl.Reads[i].Seq
+	}
+	return reads
 }
 
 // sameResults asserts two result lists are byte-identical: the aligned
@@ -63,10 +90,7 @@ func TestAlignPerfectReads(t *testing.T) {
 	if a.NumSegments() < 3 {
 		t.Fatalf("expected several segments, got %d", a.NumSegments())
 	}
-	reads := make([]dna.Seq, 40)
-	for i := range reads {
-		reads[i] = wl.Reads[i].Seq
-	}
+	reads := workloadReads(wl, 40)
 	results, stats := a.AlignBatch(reads)
 	for i, rr := range results {
 		rd := wl.Reads[i]
@@ -99,10 +123,7 @@ func TestAlignNoisyReadsAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 120
-	reads := make([]dna.Seq, n)
-	for i := range reads {
-		reads[i] = wl.Reads[i].Seq
-	}
+	reads := workloadReads(wl, n)
 	results, stats := a.AlignBatch(reads)
 	aligned, near := 0, 0
 	for i, rr := range results {
@@ -151,10 +172,7 @@ func TestConcordanceWithBWAMEM(t *testing.T) {
 		MinScore:   cfg.MinScore,
 	})
 	n := 150
-	reads := make([]dna.Seq, n)
-	for i := range reads {
-		reads[i] = wl.Reads[i].Seq
-	}
+	reads := workloadReads(wl, n)
 	results, _ := a.AlignBatch(reads)
 	same, differ, bothAligned := 0, 0, 0
 	for i := range reads {
@@ -269,21 +287,4 @@ func TestMinScoreEdge(t *testing.T) {
 	if _, ok := a.AlignRead(read); ok {
 		t.Error("AlignRead leaked a sub-MinScore alignment")
 	}
-}
-
-func TestDeterministicAcrossWorkerCounts(t *testing.T) {
-	wl := testWorkload(306, 25000, 0.02)
-	reads := make([]dna.Seq, 40)
-	for i := range reads {
-		reads[i] = wl.Reads[i].Seq
-	}
-	cfg1 := smallConfig()
-	cfg1.Workers = 1
-	cfg4 := smallConfig()
-	cfg4.Workers = 4
-	a1, _ := New(wl.Ref, cfg1)
-	a4, _ := New(wl.Ref, cfg4)
-	r1, _ := a1.AlignBatch(reads)
-	r4, _ := a4.AlignBatch(reads)
-	sameResults(t, "4 workers vs 1", r4, r1)
 }

@@ -1,41 +1,82 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"genax/internal/dna"
 )
 
-// TestEngineConfigPlumbing pins the Config.Engine pass-through: the
-// cycle-level oracle and the bit-parallel default must produce identical
-// alignments through the public API, and an unknown selector must be
-// rejected by New (via pipeline validation).
-func TestEngineConfigPlumbing(t *testing.T) {
-	wl := testWorkload(320, 25000, 0.03)
-	reads := make([]dna.Seq, 50)
-	for i := range reads {
-		reads[i] = wl.Reads[i].Seq
-	}
+// TestEngineByteIdentity is the engine-equivalence gate: the bit-parallel
+// engine must reproduce the cycle-level oracle's AlignBatch and
+// AlignStream output byte for byte — every position, score, strand and
+// cigar — so swapping the two is invisible to every consumer of the
+// aligner. The K=80 input puts kilobase reads on the multi-word wide
+// datapath, the one wide-vs-oracle identity check that runs through the
+// whole aligner.
+func TestEngineByteIdentity(t *testing.T) {
+	short := smallConfig()
+	short.Engine = EngineSillaX
+	shortOracle, swl := testAligner(t, short, 440, 30000, 0.03)
+	long := smallConfig()
+	long.K, long.Engine = 80, EngineSillaX
+	longOracle, lwl := longReadAligner(t, long, 442)
 
-	cfg := smallConfig()
-	cfg.Engine = EngineSillaX
-	oracle, err := New(wl.Ref, cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, in := range []struct {
+		name   string
+		oracle *Aligner
+		reads  []dna.Seq
+		paths  []string
+	}{
+		{"short", shortOracle, workloadReads(swl, 80), []string{"batch", "stream"}},
+		{"k80", longOracle, kilobaseReads(lwl, 2), []string{"batch"}},
+	} {
+		want, wantStats := in.oracle.AlignBatch(in.reads)
+		if wantStats.Extensions == 0 {
+			t.Fatalf("%s: oracle ran no extensions", in.name)
+		}
+		bp := in.oracle.Config()
+		bp.Engine, bp.Workers, bp.StreamWindow = EngineBitSilla, 3, 17
+		for _, path := range in.paths {
+			got, gotStats := runPath(t, in.oracle.Ref(), bp, path, in.reads)
+			label := in.name + "/" + path
+			sameResults(t, label, got, want)
+			// Work counters that do not depend on engine internals must
+			// also agree; re-runs legitimately differ (the bit-vector
+			// engine has none), so only their absence is checked.
+			if got, want := gotStats.Extensions, wantStats.Extensions; got != want {
+				t.Errorf("%s: %d extensions, want %d", label, got, want)
+			}
+			if got, want := gotStats.Aligned, wantStats.Aligned; got != want {
+				t.Errorf("%s: %d aligned, want %d", label, got, want)
+			}
+			if gotStats.ReRuns != 0 {
+				t.Errorf("%s: bit-vector engine reported %d re-runs, want 0", label, gotStats.ReRuns)
+			}
+		}
 	}
-	want, _ := oracle.AlignBatch(reads)
+}
 
-	cfg = smallConfig() // Engine left empty: resolves to bitsilla
-	def, err := New(wl.Ref, cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestEngineValidation pins selector resolution: empty means bitsilla,
+// the two engines are accepted, and any other name is rejected at
+// construction.
+func TestEngineValidation(t *testing.T) {
+	pl, _ := testAligner(t, smallConfig(), 442, 12000, 0)
+	if got := pl.Config().Engine; got != EngineBitSilla {
+		t.Errorf("default engine resolved to %q, want %q", got, EngineBitSilla)
 	}
-	got, _ := def.AlignBatch(reads)
-	sameResults(t, "bitsilla vs sillax", got, want)
-
-	cfg = smallConfig()
-	cfg.Engine = "fpga"
-	if _, err := New(wl.Ref, cfg); err == nil {
-		t.Error("unknown engine accepted")
+	for _, eng := range []Engine{EngineBitSilla, EngineSillaX} {
+		cfg := pl.Config()
+		cfg.Engine = eng
+		if _, err := New(pl.Ref(), cfg); err != nil {
+			t.Errorf("engine %q rejected: %v", eng, err)
+		}
+	}
+	for _, eng := range []Engine{"banded", "cuda", "cascade", "genasm"} {
+		cfg := pl.Config()
+		cfg.Engine = eng
+		if _, err := New(pl.Ref(), cfg); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+			t.Errorf("engine %q: err %v, want unknown engine", eng, err)
+		}
 	}
 }

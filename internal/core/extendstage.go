@@ -1,4 +1,4 @@
-package pipeline
+package core
 
 import (
 	"genax/internal/align"
@@ -26,22 +26,22 @@ func (e countingEngine) Extend(ref, query dna.Seq) extend.Extension {
 }
 
 // extendLane is a lane's extension half: the engine selected by
-// Params.Engine behind the stitcher with its reversal scratch. At a
+// Config.Engine behind the stitcher with its reversal scratch. At a
 // multi-word K the engine is the expensive part of a lane — a wide
 // bitsilla machine with its trail ring — which is why lanes are kept on
-// the Pipeline instead of built per call.
+// the Aligner instead of built per call.
 type extendLane struct {
-	p     *Pipeline
+	a     *Aligner
 	st    extend.Stitcher
 	stats *Stats // the owning lane's work counters
 }
 
-// newEngine builds one lane's extension engine per Params.Engine, wiring
+// newEngine builds one lane's extension engine per Config.Engine, wiring
 // the engine's work counters into the lane's stats.
-func (p *Pipeline) newEngine(stats *Stats) extend.Engine {
-	k, sc := p.params.K, p.params.Scoring
+func (a *Aligner) newEngine(stats *Stats) extend.Engine {
+	k, sc := a.cfg.K, a.cfg.Scoring
 	var inner extend.Engine
-	switch p.params.Engine {
+	switch a.cfg.Engine {
 	case EngineSillaX:
 		inner = extend.SillaXEngine{M: sillax.NewTracebackMachine(k, sc)}
 	default: // EngineBitSilla
@@ -89,7 +89,7 @@ func betterThan(res align.Result, rank int64, sl *slot) bool {
 func (l *extendLane) process(b *batch) {
 	w := b.win
 	segRank := int64(b.seg) << 32
-	scoring := l.p.params.Scoring
+	scoring := l.a.cfg.Scoring
 	for i := range b.cands {
 		c := &b.cands[i]
 		rank := segRank | int64(i)
@@ -109,7 +109,7 @@ func (l *extendLane) process(b *batch) {
 			q = w.revs[c.read]
 		}
 		cyclesBefore := l.stats.ExtensionCycles
-		res := l.st.AlignAt(scoring, l.p.ref, q, int(c.seedStart), int(c.seedEnd), int(c.refPos), l.p.params.K)
+		res := l.st.AlignAt(scoring, l.a.ref, q, int(c.seedStart), int(c.seedEnd), int(c.refPos), l.a.cfg.K)
 		res.Reverse = reverse
 		l.stats.Extensions++
 		if c.workIdx >= 0 {

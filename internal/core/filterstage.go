@@ -1,4 +1,4 @@
-package pipeline
+package core
 
 import "genax/internal/chain"
 
@@ -62,7 +62,7 @@ func (f *filterLane) filter(b *batch) {
 // b.cands in place (forward copies only — the write cursor never passes
 // the read cursor). Group contents are deterministic (canonical batch
 // order), and chain.Collapse is order-independent on top of that, so
-// serial and parallel pipelines keep identical candidate sets.
+// serial and parallel runs keep identical candidate sets.
 //
 //genax:hotpath
 func (f *filterLane) chainGroups(b *batch) {

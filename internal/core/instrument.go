@@ -1,4 +1,4 @@
-package pipeline
+package core
 
 import "sync/atomic"
 
@@ -25,7 +25,7 @@ func (m *StageMetrics) record(t0, t1, batches, items int64) {
 // reports the staged pool's queue averages; it goes when those metrics do.
 func (m *StageMetrics) AvgQueue() float64 { return 0 }
 
-// Instrument collects per-stage metrics for a Pipeline. The pipeline
+// Instrument collects per-stage metrics for an Aligner. The aligner
 // itself never reads a clock (the package is on genaxvet's determinism
 // list); callers inject one via Now — the repository benchmark passes its
 // tracer's clock, tests can pass a counter.

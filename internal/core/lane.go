@@ -1,14 +1,14 @@
-package pipeline
+package core
 
 import "genax/internal/extend"
 
 // lane is the one kind of worker the package runs: a seeder, a filter and
 // an extension engine wired back to back around one lane-local batch.
-// Lanes live on the Pipeline's free list between windows, so the state
+// Lanes live on the Aligner's free list between windows, so the state
 // that is expensive to build — the CAM, the dedup map, the chainer and
 // above all the extension engine — is built once per lane, not per call.
 type lane struct {
-	p    *Pipeline
+	a    *Aligner
 	seed seedLane
 	filt filterLane
 	ext  extendLane
@@ -18,48 +18,48 @@ type lane struct {
 	stats Stats
 }
 
-func (p *Pipeline) newLane() *lane {
-	l := &lane{p: p}
-	l.seed = seedLane{opts: p.params.Seeding, stats: &l.stats}
+func (a *Aligner) newLane() *lane {
+	l := &lane{a: a}
+	l.seed = seedLane{opts: a.cfg.Seeding, stats: &l.stats}
 	l.filt = filterLane{
 		anchors:  make(map[int64]struct{}),
-		chainMin: p.params.ChainMinLen,
-		maxGap:   int32(p.params.K),
+		chainMin: a.chainMin,
+		maxGap:   int32(a.cfg.K),
 		stats:    &l.stats,
 	}
-	l.ext = extendLane{p: p, st: extend.Stitcher{Eng: p.newEngine(&l.stats)}, stats: &l.stats}
+	l.ext = extendLane{a: a, st: extend.Stitcher{Eng: a.newEngine(&l.stats)}, stats: &l.stats}
 	return l
 }
 
 // checkout appends n lanes with zeroed counters to dst, idle ones first
 // and freshly built ones for the rest. Building happens outside the lock:
 // at a multi-word K it allocates the wide extension engine.
-func (p *Pipeline) checkout(dst []*lane, n int) []*lane {
-	p.mu.Lock()
-	cut := len(p.lanes) - min(n, len(p.lanes))
-	dst = append(dst, p.lanes[cut:]...)
-	clear(p.lanes[cut:])
-	p.lanes = p.lanes[:cut]
-	p.mu.Unlock()
+func (a *Aligner) checkout(dst []*lane, n int) []*lane {
+	a.mu.Lock()
+	cut := len(a.lanes) - min(n, len(a.lanes))
+	dst = append(dst, a.lanes[cut:]...)
+	clear(a.lanes[cut:])
+	a.lanes = a.lanes[:cut]
+	a.mu.Unlock()
 	for _, l := range dst {
 		l.stats = Stats{}
 	}
 	for len(dst) < n {
-		dst = append(dst, p.newLane())
+		dst = append(dst, a.newLane())
 	}
 	return dst
 }
 
 // checkin folds the run's lane counters into the window and returns its
 // lanes to the free list, dropping any beyond Workers idle.
-func (p *Pipeline) checkin(w *window) {
+func (a *Aligner) checkin(w *window) {
 	for _, l := range w.lanes {
 		w.stats.merge(l.stats)
 	}
-	p.mu.Lock()
-	keep := min(len(w.lanes), p.params.Workers-len(p.lanes))
-	p.lanes = append(p.lanes, w.lanes[:keep]...)
-	p.mu.Unlock()
+	a.mu.Lock()
+	keep := min(len(w.lanes), a.cfg.Workers-len(a.lanes))
+	a.lanes = append(a.lanes, w.lanes[:keep]...)
+	a.mu.Unlock()
 	clear(w.lanes)
 	w.lanes = w.lanes[:0]
 }
@@ -70,8 +70,8 @@ func (p *Pipeline) checkin(w *window) {
 // WaitGroup is the happens-before edge that lets the caller read slots
 // and exact flags without locks. AlignBatch, AlignStream and AlignRead
 // all align through here; a one-chunk window starts no goroutine.
-func (p *Pipeline) runWindow(w *window) {
-	w.lanes = p.checkout(w.lanes[:0], w.bar.parties)
+func (a *Aligner) runWindow(w *window) {
+	w.lanes = a.checkout(w.lanes[:0], w.bar.parties)
 	for _, l := range w.lanes[1:] {
 		w.wg.Add(1)
 		go func() {
@@ -81,7 +81,7 @@ func (p *Pipeline) runWindow(w *window) {
 	}
 	w.lanes[0].run(w)
 	w.wg.Wait()
-	p.checkin(w)
+	a.checkin(w)
 }
 
 // run walks the reference segment by segment. Per segment the lane claims
@@ -91,12 +91,12 @@ func (p *Pipeline) runWindow(w *window) {
 // later stages unless the window is traced, in which case its
 // hw.LaneWork items still have to reach the trace.
 func (l *lane) run(w *window) {
-	p := l.p
-	inst := p.params.Instrument
-	res := p.params.Residency
+	a := l.a
+	inst := a.cfg.Instrument
+	res := a.cfg.Residency
 	b := &l.b
 	n := int64(len(w.reads))
-	for s, si := range p.index.Samples {
+	for s, si := range a.cfg.Index.Samples {
 		// Announce the segment before touching its tables so a sharded
 		// mapped index can admit the shard group (and block us while the
 		// residency budget is spent elsewhere). The matching Release sits

@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"genax/internal/dna"
 	"genax/internal/indexio"
 )
 
@@ -34,10 +33,7 @@ func TestMappedIndexMatchesHeap(t *testing.T) {
 		t.Fatalf("mapped index hash %016x != heap %016x", m.Index().Hash(), heap.Index().Hash())
 	}
 
-	reads := make([]dna.Seq, 0, 60)
-	for i := 0; i < len(wl.Reads) && i < 60; i++ {
-		reads = append(reads, wl.Reads[i].Seq)
-	}
+	reads := workloadReads(wl, 60)
 	want, wantStats := heap.AlignBatch(reads)
 
 	check := func(name string, res *indexio.ShardResidency) {

@@ -1,4 +1,4 @@
-package pipeline
+package core
 
 import (
 	"context"
@@ -11,33 +11,33 @@ import (
 	"genax/internal/indexio"
 )
 
-// runPath aligns reads through one of the pipeline's three entry points on
-// a fresh Pipeline over base's reference and index: "batch", "stream"
-// (windows of p.Window) or "read" (an AlignRead loop, whose Stats carry
-// the work counters only — AlignRead reports no per-read tallies).
-func runPath(t *testing.T, base *Pipeline, p Params, path string, reads []dna.Seq) (got []ReadResult, stats Stats) {
+// runPath aligns reads through one of the three entry points on a fresh
+// Aligner over ref with cfg: "batch", "stream" (windows of
+// cfg.StreamWindow) or "read" (an AlignRead loop, whose Stats carry the
+// work counters only — AlignRead reports no per-read tallies).
+func runPath(t *testing.T, ref dna.Seq, cfg Config, path string, reads []dna.Seq) (got []ReadResult, stats Stats) {
 	t.Helper()
-	pl, err := New(base.ref, base.index, p)
+	a, err := New(ref, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	switch path {
 	case "batch":
-		got, stats = pl.AlignBatch(reads)
+		got, stats = a.AlignBatch(reads)
 	case "stream":
 		in := make(chan dna.Seq, len(reads))
 		for _, r := range reads {
 			in <- r
 		}
 		close(in)
-		out, sp := pl.AlignStream(context.Background(), in)
+		out, sp := a.AlignStream(context.Background(), in)
 		for rr := range out {
 			got = append(got, rr)
 		}
 		stats = *sp
 	case "read":
 		for _, r := range reads {
-			rr, st := pl.alignRead(r)
+			rr, st := a.alignRead(r)
 			got = append(got, rr)
 			stats.merge(st)
 		}
@@ -55,13 +55,13 @@ func runPath(t *testing.T, base *Pipeline, p Params, path string, reads []dna.Se
 // K=80 (two words per row, chaining on). Run under -race it is also the
 // data-race gate for the lanes' shared cursors, slots and barrier.
 func TestDeterminismMatrix(t *testing.T) {
-	sp, lp := smallParams(), smallParams()
-	sp.K, lp.K = 40, 80
-	short, swl := testPipeline(t, sp, 410, 30000, 0.02)
-	long, lwl := longReadPipeline(t, lp, 424)
+	sc, lc := smallConfig(), smallConfig()
+	sc.K, lc.K = 40, 80
+	short, swl := testAligner(t, sc, 410, 30000, 0.02)
+	long, lwl := longReadAligner(t, lc, 424)
 	for _, fx := range []struct {
 		name  string
-		base  *Pipeline
+		base  *Aligner
 		reads []dna.Seq
 	}{
 		{"short-K40", short, workloadReads(swl, 90)},
@@ -75,7 +75,7 @@ func TestDeterminismMatrix(t *testing.T) {
 		wantWork.merge(wantStats)
 
 		file := filepath.Join(t.TempDir(), fx.name+".gaxi")
-		if err := indexio.WriteFileShards(file, fx.base.index, fx.base.ref, 2); err != nil {
+		if err := indexio.WriteFileShards(file, fx.base.Index(), fx.base.Ref(), 2); err != nil {
 			t.Fatal(err)
 		}
 		m, err := indexio.OpenMapped(file)
@@ -83,25 +83,23 @@ func TestDeterminismMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		mapped := &Pipeline{ref: m.Ref(), index: m.Index()}
 
 		for _, workers := range []int{1, 2, 3, 8} {
 			for _, path := range []struct {
 				name   string
 				window int
 			}{{"batch", 0}, {"stream", 7}, {"stream", 0}, {"read", 0}} {
-				for _, over := range []*Pipeline{fx.base, mapped} {
-					p := fx.base.params
-					p.Workers, p.Window, p.Residency = workers, path.window, nil
-					if over == mapped {
-						p.Residency = indexio.NewShardResidency(m, 1)
+				for _, sharded := range []bool{false, true} {
+					ref, cfg := fx.base.Ref(), fx.base.Config()
+					cfg.Workers, cfg.StreamWindow = workers, path.window
+					if sharded {
+						ref, cfg = m.Ref(), over(m.Index(), cfg)
+						cfg.Residency = indexio.NewShardResidency(m, 1)
 					}
 					label := fmt.Sprintf("%s workers=%d %s window=%d sharded=%v",
-						fx.name, workers, path.name, path.window, over == mapped)
-					got, stats := runPath(t, over, p, path.name, fx.reads)
-					for i := range want {
-						sameResult(t, label, i, got[i], want[i])
-					}
+						fx.name, workers, path.name, path.window, sharded)
+					got, stats := runPath(t, ref, cfg, path.name, fx.reads)
+					sameResults(t, label, got, want)
 					wantS := wantStats
 					if path.name == "read" {
 						wantS = wantWork
@@ -124,12 +122,12 @@ func TestAlignBatchWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
 	}
-	base, wl := testPipeline(t, smallParams(), 430, 30000, 0.02)
+	base, wl := testAligner(t, smallConfig(), 430, 30000, 0.02)
 	reads := workloadReads(wl, 64)
 	for _, workers := range []int{1, 8} {
-		p := smallParams()
-		p.Workers = workers
-		pl, err := New(base.ref, base.index, p)
+		cfg := base.Config()
+		cfg.Workers = workers
+		pl, err := New(base.Ref(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,9 +140,9 @@ func TestAlignBatchWarmAllocs(t *testing.T) {
 		}
 	}
 
-	lp := smallParams()
-	lp.K, lp.Workers = 80, 2
-	long, lwl := longReadPipeline(t, lp, 431)
+	lc := smallConfig()
+	lc.K, lc.Workers = 80, 2
+	long, lwl := longReadAligner(t, lc, 431)
 	lreads := workloadReads(lwl, 12)
 	// A lane's wide machine grows to the largest extension it has seen, and
 	// which lane claims which read varies, so warmth arrives over a few

@@ -1,8 +1,8 @@
-package pipeline
+package core
 
 import "genax/internal/align"
 
-// Stats aggregates pipeline work counters (the measured coefficients the
+// Stats aggregates the lanes' work counters (the measured coefficients the
 // hw throughput model consumes). Work counters are sums over lane-local
 // tallies and are partition-independent: the same reads produce the same
 // totals no matter how many lanes ran or how batches interleaved.

@@ -1,4 +1,4 @@
-package pipeline
+package core
 
 import (
 	"context"
@@ -14,56 +14,56 @@ import (
 // the chip: for each segment, every read is seeded against that segment's
 // tables, surviving hits are filtered and extended, and each read keeps
 // its best alignment across segments. The whole batch is one window.
-func (p *Pipeline) AlignBatch(reads []dna.Seq) ([]ReadResult, Stats) {
-	res, stats, _ := p.alignBatch(reads, false)
+func (a *Aligner) AlignBatch(reads []dna.Seq) ([]ReadResult, Stats) {
+	res, stats, _ := a.alignBatch(reads, false)
 	return res, stats
 }
 
 // AlignBatchTraced is AlignBatch plus the per-(read, strand, segment) work
 // items consumed by hw.SimulateLanes (the Fig 11 lane-scheduling model).
-func (p *Pipeline) AlignBatchTraced(reads []dna.Seq) ([]ReadResult, Stats, []hw.LaneWork) {
-	return p.alignBatch(reads, true)
+func (a *Aligner) AlignBatchTraced(reads []dna.Seq) ([]ReadResult, Stats, []hw.LaneWork) {
+	return a.alignBatch(reads, true)
 }
 
-func (p *Pipeline) alignBatch(reads []dna.Seq, traced bool) ([]ReadResult, Stats, []hw.LaneWork) {
-	stats := Stats{Segments: p.index.NumSegments()}
+func (a *Aligner) alignBatch(reads []dna.Seq, traced bool) ([]ReadResult, Stats, []hw.LaneWork) {
+	stats := Stats{Segments: a.cfg.Index.NumSegments()}
 	results := make([]ReadResult, 0, len(reads))
 	if len(reads) == 0 {
 		return results, stats, nil
 	}
-	w := p.getWindow()
+	w := a.getWindow()
 	w.reads = reads
-	w.prepare(p, traced)
-	p.runWindow(w)
-	w.emit(p.params.MinScore, &stats, func(rr ReadResult) { results = append(results, rr) })
+	w.prepare(a, traced)
+	a.runWindow(w)
+	w.emit(a.cfg.MinScore, &stats, func(rr ReadResult) { results = append(results, rr) })
 	trace := w.trace
-	p.putWindow(w)
+	a.putWindow(w)
 	return results, stats, trace
 }
 
 // AlignRead maps a single read (both strands, all segments): a one-read
 // window on one lane, run inline on the caller's goroutine. Safe for
 // concurrent use; steady state allocates only the adopted result cigars.
-func (p *Pipeline) AlignRead(read dna.Seq) (align.Result, bool) {
-	rr, _ := p.alignRead(read)
+func (a *Aligner) AlignRead(read dna.Seq) (align.Result, bool) {
+	rr, _ := a.alignRead(read)
 	return rr.Result, rr.Aligned
 }
 
 // alignRead is AlignRead plus the lane's work counters for the read.
-func (p *Pipeline) alignRead(read dna.Seq) (ReadResult, Stats) {
-	w := p.getWindow()
+func (a *Aligner) alignRead(read dna.Seq) (ReadResult, Stats) {
+	w := a.getWindow()
 	w.admit = append(w.admit[:0], read)
 	w.reads = w.admit
-	w.prepare(p, false)
-	p.runWindow(w)
-	rr, stats := finalizeSlot(&w.slots[0], p.params.MinScore), w.stats
-	p.putWindow(w)
+	w.prepare(a, false)
+	a.runWindow(w)
+	rr, stats := finalizeSlot(&w.slots[0], a.cfg.MinScore), w.stats
+	a.putWindow(w)
 	return rr, stats
 }
 
 // AlignStream maps reads arriving on in, emitting one ReadResult per read
 // on the returned channel in input order. Reads are admitted in windows
-// of at most Params.Window; a session holds two windows (one filling
+// of at most Config.StreamWindow; a session holds two windows (one filling
 // while the other executes), so memory stays bounded no matter how long
 // the stream runs. The returned Stats is populated when the
 // result channel closes and must not be read before then.
@@ -72,16 +72,16 @@ func (p *Pipeline) alignRead(read dna.Seq) (ReadResult, Stats) {
 // so a producer blocked mid-send should close in to unblock the stream.
 // Reads already admitted are still aligned and emitted before the result
 // channel closes.
-func (p *Pipeline) AlignStream(ctx context.Context, in <-chan dna.Seq) (<-chan ReadResult, *Stats) {
+func (a *Aligner) AlignStream(ctx context.Context, in <-chan dna.Seq) (<-chan ReadResult, *Stats) {
 	out := make(chan ReadResult, 64)
 	stats := &Stats{}
-	go p.streamRun(ctx, in, out, stats)
+	go a.streamRun(ctx, in, out, stats)
 	return out, stats
 }
 
-func (p *Pipeline) streamRun(ctx context.Context, in <-chan dna.Seq, out chan<- ReadResult, stats *Stats) {
+func (a *Aligner) streamRun(ctx context.Context, in <-chan dna.Seq, out chan<- ReadResult, stats *Stats) {
 	defer close(out)
-	stats.Segments = p.index.NumSegments()
+	stats.Segments = a.cfg.Index.NumSegments()
 	var stopped atomic.Bool
 	stopWatch := context.AfterFunc(ctx, func() { stopped.Store(true) })
 	defer stopWatch()
@@ -91,34 +91,34 @@ func (p *Pipeline) streamRun(ctx context.Context, in <-chan dna.Seq, out chan<- 
 	// simply the window itself. Only one window executes at a time, so
 	// the lanes of window n+1 never contend with those of window n for
 	// cores or for a mapped index's resident shard group.
-	wins := [2]*window{p.getWindow(), p.getWindow()}
+	wins := [2]*window{a.getWindow(), a.getWindow()}
 	defer func() {
-		p.putWindow(wins[0])
-		p.putWindow(wins[1])
+		a.putWindow(wins[0])
+		a.putWindow(wins[1])
 	}()
 	emit := func(w *window) {
-		w.emit(p.params.MinScore, stats, func(rr ReadResult) { out <- rr })
+		w.emit(a.cfg.MinScore, stats, func(rr ReadResult) { out <- rr })
 	}
 	var running sync.WaitGroup // the executing window's runWindow call
 	var prev *window           // executed or executing, not yet emitted
 	for cur := 0; ; cur ^= 1 {
 		w := wins[cur]
-		n := fillWindow(w, in, &stopped, p.params.Window)
+		n := fillWindow(w, in, &stopped, a.cfg.StreamWindow)
 		if n > 0 {
-			w.prepare(p, false)
+			w.prepare(a, false)
 		}
 		running.Wait()
 		if n > 0 {
 			running.Add(1)
 			go func() {
 				defer running.Done()
-				p.runWindow(w)
+				a.runWindow(w)
 			}()
 		}
 		if prev != nil {
 			emit(prev)
 		}
-		if n < p.params.Window {
+		if n < a.cfg.StreamWindow {
 			// Input closed or stream cancelled; drain the last window.
 			running.Wait()
 			if n > 0 {

@@ -1,4 +1,4 @@
-package pipeline
+package core
 
 import (
 	"sync"
@@ -24,7 +24,7 @@ type slot struct {
 
 // window is one admission unit of reads: the whole batch for AlignBatch,
 // a bounded slice of the input stream for AlignStream, one read for
-// AlignRead. Windows are kept on the Pipeline's free list and all their
+// AlignRead. Windows are kept on the Aligner's free list and all their
 // buffers are reused.
 type window struct {
 	reads  []dna.Seq // the reads being aligned: the caller's slice, or admit
@@ -52,13 +52,13 @@ type window struct {
 }
 
 // getWindow takes an idle window off the free list, or makes one.
-func (p *Pipeline) getWindow() *window {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.wins); n > 0 {
-		w := p.wins[n-1]
-		p.wins[n-1] = nil
-		p.wins = p.wins[:n-1]
+func (a *Aligner) getWindow() *window {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if n := len(a.wins); n > 0 {
+		w := a.wins[n-1]
+		a.wins[n-1] = nil
+		a.wins = a.wins[:n-1]
 		return w
 	}
 	return &window{}
@@ -68,24 +68,24 @@ func (p *Pipeline) getWindow() *window {
 // returns it to the free list. A window grown past the stream window by
 // one large batch is left to the collector instead, so retained memory
 // stays a function of the configuration, not of the largest call seen.
-func (p *Pipeline) putWindow(w *window) {
+func (a *Aligner) putWindow(w *window) {
 	w.reads, w.trace = nil, nil
 	clear(w.admit[:cap(w.admit)])
-	if cap(w.slots) > p.params.Window {
+	if cap(w.slots) > a.cfg.StreamWindow {
 		return
 	}
-	p.mu.Lock()
-	if len(p.wins) <= p.params.Workers {
-		p.wins = append(p.wins, w)
+	a.mu.Lock()
+	if len(a.wins) <= a.cfg.Workers {
+		a.wins = append(a.wins, w)
 	}
-	p.mu.Unlock()
+	a.mu.Unlock()
 }
 
 // prepare readies the window for the reads in w.reads: it computes
 // reverse complements into the reused backing buffer, resets the merge
 // slots and per-segment cursors, and sizes the run at one lane per chunk
 // up to Workers.
-func (w *window) prepare(p *Pipeline, traced bool) {
+func (w *window) prepare(a *Aligner, traced bool) {
 	n := len(w.reads)
 	total := 0
 	for _, r := range w.reads {
@@ -117,7 +117,7 @@ func (w *window) prepare(p *Pipeline, traced bool) {
 	w.exact = w.exact[:n]
 	clear(w.exact)
 
-	segs := p.index.NumSegments()
+	segs := a.cfg.Index.NumSegments()
 	if cap(w.cursors) < segs {
 		w.cursors = make([]atomic.Int64, segs)
 	}
@@ -125,9 +125,9 @@ func (w *window) prepare(p *Pipeline, traced bool) {
 	for i := range w.cursors {
 		w.cursors[i].Store(0)
 	}
-	w.chunk = claimChunk(n, p.params.Workers)
+	w.chunk = claimChunk(n, a.cfg.Workers)
 	chunks := (int64(n) + w.chunk - 1) / w.chunk
-	w.bar.reset(int(min(int64(p.params.Workers), chunks)))
+	w.bar.reset(int(min(int64(a.cfg.Workers), chunks)))
 
 	w.stats = Stats{}
 	w.trace = nil

@@ -1,5 +1,5 @@
 // Package dna provides the DNA sequence substrate shared by the whole
-// repository: the 2-bit base alphabet, packed and unpacked sequence types,
+// repository: the 2-bit base alphabet, the one-base-per-byte sequence type,
 // reverse complement, k-mer encoding, and FASTA/FASTQ input and output.
 //
 // Every higher layer (the Silla automata, the seeding accelerator, the
@@ -60,9 +60,8 @@ func BaseFromChar(c byte) (Base, bool) {
 	return Base(v), true
 }
 
-// Seq is an unpacked DNA sequence, one Base per byte. It is the working
-// representation used throughout the aligners; Packed (2 bits/base) is used
-// where memory footprint matters (reference storage).
+// Seq is an unpacked DNA sequence, one Base per byte: the representation
+// used throughout the aligners.
 type Seq []Base
 
 // ParseSeq converts an ASCII string to a Seq. Characters outside ACGT

@@ -29,7 +29,7 @@ type Extension struct {
 	// for the banded aligner — and ReRuns counts traceback re-executions
 	// (SillaX only). Every engine fills Cycles so the stage
 	// instrumentation sees uniform busy counters regardless of
-	// Params.Engine.
+	// core.Config.Engine.
 	Cycles, ReRuns int
 }
 

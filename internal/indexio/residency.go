@@ -10,7 +10,7 @@ import (
 // (Acquire) and when it is done (Release), and the controller bounds how
 // many shard groups may be resident at once — the index analog of the
 // credit accounting every other pipeline stage already does. It
-// implements pipeline.Residency.
+// implements core.Residency.
 //
 // Protocol: a lane calls Acquire(s) before binding segment s and
 // Release(s) after the per-segment barrier. Acquire blocks while the

@@ -45,7 +45,7 @@
 // Cross-package calls resolve through a process-wide registry of annotated
 // functions keyed by their type-checker full name. The genaxvet driver
 // pre-collects annotations from every loaded package before any analysis
-// runs, so `genaxvet ./...` checks pipeline's use of seed.Lookup even
+// runs, so `genaxvet ./...` checks core's use of seed.Lookup even
 // though the packages are analyzed separately.
 package borrow
 

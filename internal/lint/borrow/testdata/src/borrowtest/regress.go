@@ -1,5 +1,5 @@
-// regress.go pins the real pipeline call-site patterns the analyzer
-// guards in internal/pipeline/seedstage.go: the seed stage copies every
+// regress.go pins the real aligner call-site patterns the analyzer
+// guards in internal/core/seedstage.go: the seed stage copies every
 // borrowed hit into the batch before the batch crosses a queue, and the
 // regression here is a lane retaining the seeder's scratch instead.
 package borrowtest

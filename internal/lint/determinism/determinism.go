@@ -33,7 +33,6 @@ var Packages = map[string]bool{
 	"genax/internal/chain":    true,
 	"genax/internal/core":     true,
 	"genax/internal/extend":   true,
-	"genax/internal/pipeline": true,
 	"genax/internal/seed":     true,
 	"genax/internal/silla":    true,
 	"genax/internal/sillax":   true,

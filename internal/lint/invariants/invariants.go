@@ -28,14 +28,13 @@ import (
 // kernelPackages are the packages whose exported entry points must
 // bound-check their edit-distance / segment-index parameters.
 var kernelPackages = map[string]bool{
-	"genax/internal/align":    true,
-	"genax/internal/core":     true,
-	"genax/internal/extend":   true,
-	"genax/internal/indexio":  true,
-	"genax/internal/pipeline": true,
-	"genax/internal/seed":     true,
-	"genax/internal/silla":    true,
-	"genax/internal/sillax":   true,
+	"genax/internal/align":   true,
+	"genax/internal/core":    true,
+	"genax/internal/extend":  true,
+	"genax/internal/indexio": true,
+	"genax/internal/seed":    true,
+	"genax/internal/silla":   true,
+	"genax/internal/sillax":  true,
 }
 
 // watchedParams are the integer parameter names that denote an edit bound

@@ -1,5 +1,5 @@
 // Package stagecontract implements the genaxvet analyzer that enforces
-// the channel and goroutine discipline of genax/internal/pipeline and
+// the channel and goroutine discipline of genax/internal/core and
 // genax/internal/serve.
 //
 // Their memory bounds and clean shutdown rest on two structural rules
@@ -13,7 +13,7 @@
 //     a sync.WaitGroup — the spawned body's first statement is
 //     `defer wg.Done()`, so whoever waits (a window joining its lanes, a
 //     stream its executing window, a server its dispatchers) can see it —
-//     or handed a context.Context, making it cancel-bounded. The pipeline
+//     or handed a context.Context, making it cancel-bounded. The aligner
 //     is deliberately select-free (the determinism analyzer forbids
 //     multi-way selects), so "respects the context" means WaitGroup
 //     accounting or explicit ctx, not a select loop.
@@ -34,19 +34,19 @@ import (
 	"genax/internal/lint/analysis"
 )
 
-// Packages holds the import paths the contract applies to: the staged
-// pipeline itself and the serving layer built on top of it, whose
+// Packages holds the import paths the contract applies to: the aligner's
+// fused lanes and stream and the serving layer built on top of them, whose
 // admission queue and dispatcher follow the same bounded-channel /
 // accounted-goroutine discipline (DESIGN.md §13).
 var Packages = map[string]bool{
-	"genax/internal/pipeline": true,
-	"genax/internal/serve":    true,
+	"genax/internal/core":  true,
+	"genax/internal/serve": true,
 }
 
 // Analyzer enforces the bounded-channel / accounted-goroutine contract.
 var Analyzer = &analysis.Analyzer{
 	Name: "stagecontract",
-	Doc:  "enforce bounded channels and accounted goroutines in internal/pipeline and internal/serve",
+	Doc:  "enforce bounded channels and accounted goroutines in internal/core and internal/serve",
 	Run:  run,
 }
 
@@ -106,7 +106,7 @@ func checkMakeChan(pass *analysis.Pass, call *ast.CallExpr) {
 	if st, ok := ch.Elem().Underlying().(*types.Struct); ok && st.NumFields() == 0 {
 		return // chan struct{}: close-broadcast signal, carries no data
 	}
-	pass.Reportf(call.Pos(), "unbounded make(chan %s): every pipeline data channel must state its capacity (the stage memory bound is the sum of channel bounds)", ch.Elem())
+	pass.Reportf(call.Pos(), "unbounded make(chan %s): every data channel must state its capacity (the stage memory bound is the sum of channel bounds)", ch.Elem())
 }
 
 // checkGo flags goroutines that are neither WaitGroup-tracked nor

@@ -8,9 +8,9 @@ import (
 )
 
 func TestStageContract(t *testing.T) {
-	// The contract applies inside genax/internal/pipeline and
+	// The contract applies inside genax/internal/core and
 	// genax/internal/serve and nowhere else: otherpkg holds the same
 	// shapes with no expectations.
 	analysistest.Run(t, analysistest.TestData(), stagecontract.Analyzer,
-		"genax/internal/pipeline", "genax/internal/serve", "otherpkg")
+		"genax/internal/core", "genax/internal/serve", "otherpkg")
 }

@@ -1,7 +1,7 @@
-// Package pipeline (testdata) is the golden matrix for the stagecontract
-// analyzer; the import path impersonates the real pipeline package so the
+// Package core (testdata) is the golden matrix for the stagecontract
+// analyzer; the import path impersonates the real core package so the
 // contract applies.
-package pipeline
+package core
 
 import (
 	"context"

@@ -1,6 +1,6 @@
 // Package otherpkg holds the same unbounded-channel and bare-goroutine
 // shapes with no expectations: the contract is scoped to
-// genax/internal/pipeline and must stay silent here.
+// genax/internal/core and genax/internal/serve and must stay silent here.
 package otherpkg
 
 func unbounded() chan int {

@@ -144,14 +144,9 @@ func (c *CAM) Load(vals []int32) bool {
 	return true
 }
 
-// IntersectProbe probes every incoming value against the stored set and
-// returns the matches (one CAM lookup each).
-func (c *CAM) IntersectProbe(incoming []int32) []int32 {
-	return c.IntersectProbeInto(nil, incoming)
-}
-
-// IntersectProbeInto is IntersectProbe appending into dst (which may be a
-// reused scratch slice); it returns the extended slice.
+// IntersectProbeInto probes every incoming value against the stored set
+// and appends the matches to dst (one CAM lookup each); dst may be a
+// reused scratch slice. It returns the extended slice.
 //
 //genax:hotpath
 func (c *CAM) IntersectProbeInto(dst, incoming []int32) []int32 {
@@ -164,7 +159,7 @@ func (c *CAM) IntersectProbeInto(dst, incoming []int32) []int32 {
 	return dst
 }
 
-// BinaryCost returns the modelled probe cost of IntersectBinary on the
+// BinaryCost returns the modelled probe cost of IntersectBinaryInto on the
 // given set sizes: ceil(log2 nHits) probes per candidate.
 //
 //genax:hotpath
@@ -179,18 +174,13 @@ func BinaryCost(nCur, nHits int) int {
 	return nCur * logN
 }
 
-// IntersectBinary intersects the stored candidate set cur against a large
+// IntersectBinaryInto intersects the candidate set cur against a large
 // sorted hit list by binary search (§V optimization two: position tables
 // are sorted offline, so oversized sets cost log time instead of a full
-// CAM load). The lookup counter charges ceil(log2 n) probes per candidate.
-func (c *CAM) IntersectBinary(cur []int32, sortedHits []int32) []int32 {
-	return c.IntersectBinaryInto(nil, cur, sortedHits)
-}
-
-// IntersectBinaryInto is IntersectBinary appending into dst (which may be a
-// reused scratch slice); it returns the extended slice. The search is open-
-// coded rather than sort.Search: the closure there costs an allocation per
-// candidate on the hottest intersection path.
+// CAM load), appending the matches to dst, which may be a reused scratch
+// slice. The lookup counter charges ceil(log2 n) probes per candidate.
+// The search is open-coded rather than sort.Search: the closure there
+// costs an allocation per candidate on the hottest intersection path.
 //
 //genax:hotpath
 func (c *CAM) IntersectBinaryInto(dst, cur, sortedHits []int32) []int32 {
@@ -215,14 +205,6 @@ func (c *CAM) IntersectBinaryInto(dst, cur, sortedHits []int32) []int32 {
 	return dst
 }
 
-// IntersectChunked is the baseline without binary search when neither set
-// fits the CAM: the incoming list streams through in CAM-sized chunks and
-// the candidates probe every chunk. It is what forces the §V binary-search
-// optimization — the cost is len(cur) probes per chunk plus the loads.
-func (c *CAM) IntersectChunked(cur []int32, incoming []int32) []int32 {
-	return c.IntersectChunkedInto(nil, cur, incoming)
-}
-
 // ensureMatched returns the cleared per-candidate match-flag scratch, growing
 // it if needed. Growth happens only until the scratch reaches the largest
 // candidate set; it is the one allocation the chunked path amortizes away.
@@ -235,11 +217,15 @@ func (c *CAM) ensureMatched(n int) []bool {
 	return matched
 }
 
-// IntersectChunkedInto is IntersectChunked appending into dst (which may be
-// a reused scratch slice); it returns the extended slice. The per-candidate
-// match flags live in a scratch slice owned by the CAM and cleared between
-// lookups, so steady-state intersection does not allocate; each chunk's
-// reload is a generation bump, not a table sweep.
+// IntersectChunkedInto is the baseline without binary search when neither
+// set fits the CAM: the incoming list streams through in CAM-sized chunks
+// and the candidates probe every chunk. It is what forces the §V
+// binary-search optimization — the cost is len(cur) probes per chunk plus
+// the loads. Matches are appended to dst (which may be a reused scratch
+// slice) in the order of cur. The per-candidate match flags live in a
+// scratch slice owned by the CAM and cleared between lookups, so
+// steady-state intersection does not allocate; each chunk's reload is a
+// generation bump, not a table sweep.
 //
 //genax:hotpath
 func (c *CAM) IntersectChunkedInto(dst, cur, incoming []int32) []int32 {

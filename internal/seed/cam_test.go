@@ -41,7 +41,7 @@ func TestIntersectChunkedScratchReuse(t *testing.T) {
 		for i := range incoming {
 			incoming[i] = int32(r.Intn(60))
 		}
-		got := c.IntersectChunked(cur, incoming)
+		got := c.IntersectChunkedInto(nil, cur, incoming)
 		want := chunkedRef(cur, incoming)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %v want %v", trial, got, want)

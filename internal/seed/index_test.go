@@ -143,9 +143,9 @@ func TestCAMBasics(t *testing.T) {
 	if c.Writes != 3 {
 		t.Errorf("Writes = %d", c.Writes)
 	}
-	got := c.IntersectProbe([]int32{5, 6, 9, 10})
+	got := c.IntersectProbeInto(nil, []int32{5, 6, 9, 10})
 	if len(got) != 2 || got[0] != 5 || got[1] != 9 {
-		t.Errorf("IntersectProbe = %v", got)
+		t.Errorf("IntersectProbeInto = %v", got)
 	}
 	if c.Lookups != 4 {
 		t.Errorf("Lookups = %d, want 4", c.Lookups)
@@ -161,17 +161,17 @@ func TestCAMBasics(t *testing.T) {
 func TestCAMIntersectBinary(t *testing.T) {
 	c := NewCAM(4)
 	sorted := []int32{2, 4, 6, 8, 10, 12, 14, 16}
-	got := c.IntersectBinary([]int32{1, 4, 9, 16}, sorted)
+	got := c.IntersectBinaryInto(nil, []int32{1, 4, 9, 16}, sorted)
 	if len(got) != 2 || got[0] != 4 || got[1] != 16 {
-		t.Errorf("IntersectBinary = %v", got)
+		t.Errorf("IntersectBinaryInto = %v", got)
 	}
 	if c.Lookups == 0 {
 		t.Error("binary intersection charged no lookups")
 	}
-	if got := c.IntersectBinary(nil, sorted); got != nil {
+	if got := c.IntersectBinaryInto(nil, nil, sorted); got != nil {
 		t.Errorf("empty cur: %v", got)
 	}
-	if got := c.IntersectBinary([]int32{1}, nil); got != nil {
+	if got := c.IntersectBinaryInto(nil, []int32{1}, nil); got != nil {
 		t.Errorf("empty hits: %v", got)
 	}
 }
@@ -180,24 +180,24 @@ func TestCAMIntersectChunked(t *testing.T) {
 	c := NewCAM(4)
 	cur := []int32{1, 3, 5, 7, 9, 11}
 	incoming := []int32{2, 3, 5, 8, 9, 10, 11, 20, 21}
-	got := c.IntersectChunked(cur, incoming)
+	got := c.IntersectChunkedInto(nil, cur, incoming)
 	want := []int32{3, 5, 9, 11}
 	if len(got) != len(want) {
-		t.Fatalf("IntersectChunked = %v, want %v", got, want)
+		t.Fatalf("IntersectChunkedInto = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("IntersectChunked[%d] = %d, want %d (order must follow cur)", i, got[i], want[i])
+			t.Fatalf("IntersectChunkedInto[%d] = %d, want %d (order must follow cur)", i, got[i], want[i])
 		}
 	}
 	// 3 chunks of <=4 entries, 6 probes each.
 	if c.Lookups != 18 {
 		t.Errorf("Lookups = %d, want 18", c.Lookups)
 	}
-	if got := c.IntersectChunked(nil, incoming); got != nil {
+	if got := c.IntersectChunkedInto(nil, nil, incoming); got != nil {
 		t.Errorf("empty cur: %v", got)
 	}
-	if got := c.IntersectChunked(cur, nil); got != nil {
+	if got := c.IntersectChunkedInto(nil, cur, nil); got != nil {
 		t.Errorf("empty incoming: %v", got)
 	}
 }

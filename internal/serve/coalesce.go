@@ -50,7 +50,7 @@ type batcher struct {
 	maxBatch  atomic.Int64 // largest flush so far
 	depth     atomic.Int64 // current queue depth (admitted, not yet collected)
 
-	// pstats accumulates pipeline.Stats across flushes.
+	// pstats accumulates core.Stats across flushes.
 	mu     sync.Mutex
 	pstats core.Stats
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"genax/internal/core"
@@ -29,9 +28,17 @@ type AlignResponse struct {
 	Reverse bool `json:"reverse,omitempty"`
 }
 
+// HTTP limits: the Retry-After hint on a 429, in seconds, and the request
+// body bound (one read's bases).
+const (
+	retryAfter   = "1"
+	maxReadBytes = 1 << 20
+)
+
 // buildMux wires the HTTP surface. Request bodies are raw base strings
-// (ACGT…, whitespace tolerated) — one read per request is exactly the
-// traffic shape the coalescing layer exists to amortize.
+// (ACGT…): whitespace around the read is trimmed, but a line break inside
+// it is rejected like any other non-base byte. One read per request is
+// exactly the traffic shape the coalescing layer exists to amortize.
 func (s *Server) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /align/{genome}", s.handleAlign)
@@ -50,7 +57,7 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server is draining", http.StatusServiceUnavailable)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxReadBytes)))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxReadBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -91,15 +98,11 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// reject sheds one request: 429 with the configured Retry-After hint, the
+// reject sheds one request: 429 with a Retry-After hint, the
 // admission layer's promise that overload costs the client a retry, not
 // the server its memory.
 func (s *Server) reject(w http.ResponseWriter) {
-	secs := int(s.cfg.RetryAfter.Seconds())
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", retryAfter)
 	http.Error(w, "server overloaded, retry later", http.StatusTooManyRequests)
 }
 

@@ -67,10 +67,6 @@ const (
 	// DefaultMaxResident is the registry's LRU residency budget (genomes
 	// mapped at once).
 	DefaultMaxResident = 2
-	// DefaultRetryAfter is the Retry-After hint attached to 429 responses.
-	DefaultRetryAfter = time.Second
-	// DefaultMaxReadBytes bounds the request body (one read's bases).
-	DefaultMaxReadBytes = 1 << 20
 )
 
 // GenomeConfig names one reference genome the server can align against.
@@ -119,11 +115,6 @@ type Config struct {
 	// misses, so a cold burst across many genomes cannot run the machine
 	// out of memory building every index at once (0 = 1).
 	LoadConcurrency int
-	// RetryAfter is the hint attached to 429 responses (0 =
-	// DefaultRetryAfter).
-	RetryAfter time.Duration
-	// MaxReadBytes bounds the request body (0 = DefaultMaxReadBytes).
-	MaxReadBytes int
 	// Logf receives operational log lines (registry loads with staleness
 	// reasons, evictions, drain transitions). Nil means log.Printf.
 	Logf func(format string, args ...any)
@@ -143,12 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LoadConcurrency <= 0 {
 		c.LoadConcurrency = 1
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = DefaultRetryAfter
-	}
-	if c.MaxReadBytes <= 0 {
-		c.MaxReadBytes = DefaultMaxReadBytes
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf

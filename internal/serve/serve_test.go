@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -202,20 +203,31 @@ func TestServeUnknownGenome404(t *testing.T) {
 	}
 }
 
+// TestServeBadBody400 pins the body checks: anything that is not one read
+// of bases, a line-wrapped read included, gets 400, and a body past the
+// 1 MiB bound gets 413.
 func TestServeBadBody400(t *testing.T) {
 	wl := testWorkload(t, 45)
 	s := newTestServer(t, Config{CoalesceWindow: time.Millisecond}, wl)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for _, body := range []string{"", "not a read!"} {
-		resp, err := ts.Client().Post(ts.URL+"/align/g0", "text/plain", bytes.NewReader([]byte(body)))
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"empty", "", http.StatusBadRequest},
+		{"not bases", "not a read!", http.StatusBadRequest},
+		{"line break inside", "ACGT\nACGT", http.StatusBadRequest},
+		{"1 MiB + 1 bases", strings.Repeat("A", maxReadBytes+1), http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/align/g0", "text/plain", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("body %q: status %d, want 400", body, resp.StatusCode)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
 	}
 }

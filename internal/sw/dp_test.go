@@ -97,17 +97,6 @@ func TestMyersRandomPairs(t *testing.T) {
 	}
 }
 
-func TestMyersBounded(t *testing.T) {
-	a := dna.MustParseSeq("ACGTACGT")
-	b := dna.MustParseSeq("ACGAACGA")
-	if d, ok := MyersBounded(a, b, 2); !ok || d != 2 {
-		t.Errorf("MyersBounded = %d, %v; want 2, true", d, ok)
-	}
-	if _, ok := MyersBounded(a, b, 1); ok {
-		t.Error("MyersBounded accepted distance above bound")
-	}
-}
-
 func TestBandedEditDistanceMatchesDP(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 300; trial++ {

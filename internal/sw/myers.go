@@ -68,15 +68,3 @@ func MyersDistance(a, b dna.Seq) int {
 	}
 	return score
 }
-
-// MyersBounded reports whether the edit distance of a and b is at most k,
-// and the distance when it is. It simply delegates to MyersDistance — the
-// bit-vector cost is already length-linear — but gives callers the same
-// (dist, ok) contract as BandedEditDistance.
-func MyersBounded(a, b dna.Seq, k int) (int, bool) {
-	d := MyersDistance(a, b)
-	if d > k {
-		return 0, false
-	}
-	return d, true
-}
