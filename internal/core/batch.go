@@ -30,9 +30,9 @@ type batch struct {
 	win   *window
 	seg   int32
 	cands []cand
-	// work holds one hw.LaneWork per (read, strand) seeded into this batch
-	// when the window is traced: SeedOps filled by seedOne, ExtJobs
-	// appended by process.
+	// work holds one hw.LaneWork per (read, strand) of the claimed chunk
+	// when the window is traced: SeedOps filled by seedOne (left zero for
+	// a retired read), ExtJobs appended by process.
 	work []hw.LaneWork
 }
 

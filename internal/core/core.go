@@ -16,9 +16,12 @@
 // list and has each walk the reference segment by segment:
 //
 //	Acquire(s) → bind segment s → claim a chunk of reads off cursors[s]
-//	  → seed both strands → filter (dedup, chain) → extend,
-//	    merging into the window's slots → claim the next chunk …
+//	  → seed both strands of each live read → filter (dedup, chain)
+//	  → extend, merging into the window's slots → claim the next chunk …
 //	→ barrier → Release(s) → segment s+1
+//
+// A read stays live until a segment resolves it by the exact-match fast
+// path (§V); no later segment can change that answer, so none seeds it.
 //
 // The barrier between segments is the chip's table-streaming boundary. It
 // gives every result slot a single writer at a time (one claimant per

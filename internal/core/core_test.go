@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"genax/internal/align"
 	"genax/internal/bwamem"
 	"genax/internal/dna"
 	"genax/internal/seed"
@@ -67,6 +68,29 @@ func sameResults(t *testing.T, label string, got, want []ReadResult) {
 	}
 }
 
+// checkAnswers checks every aligned result against the reference, not
+// against another engine: its CIGAR must reproduce the read (its reverse
+// complement on the reverse strand) from ref[RefPos:] and rescore to the
+// reported Score.
+func checkAnswers(t *testing.T, label string, ref dna.Seq, sc align.Scoring, reads []dna.Seq, results []ReadResult) {
+	t.Helper()
+	for i, rr := range results {
+		if !rr.Aligned {
+			continue
+		}
+		res, q := rr.Result, reads[i]
+		if res.Reverse {
+			q = q.RevComp()
+		}
+		if err := res.Cigar.Validate(ref[res.RefPos:], q); err != nil {
+			t.Fatalf("%s: read %d: invalid cigar %v: %v", label, i, res.Cigar, err)
+		}
+		if got := res.Cigar.Score(sc); got != res.Score {
+			t.Fatalf("%s: read %d: cigar %v rescores %d, reported %d", label, i, res.Cigar, got, res.Score)
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	ref := make(dna.Seq, 1000)
 	cfg := smallConfig()
@@ -92,6 +116,7 @@ func TestAlignPerfectReads(t *testing.T) {
 	}
 	reads := workloadReads(wl, 40)
 	results, stats := a.AlignBatch(reads)
+	checkAnswers(t, "exact", wl.Ref, a.Config().Scoring, reads, results)
 	for i, rr := range results {
 		rd := wl.Reads[i]
 		if !rr.Aligned {
@@ -125,19 +150,13 @@ func TestAlignNoisyReadsAccuracy(t *testing.T) {
 	n := 120
 	reads := workloadReads(wl, n)
 	results, stats := a.AlignBatch(reads)
+	checkAnswers(t, "2% error", wl.Ref, a.Config().Scoring, reads, results)
 	aligned, near := 0, 0
 	for i, rr := range results {
 		if !rr.Aligned {
 			continue
 		}
 		aligned++
-		q := reads[i]
-		if rr.Result.Reverse {
-			q = q.RevComp()
-		}
-		if err := rr.Result.Cigar.Validate(wl.Ref[rr.Result.RefPos:], q); err != nil {
-			t.Fatalf("read %d: invalid cigar: %v", i, err)
-		}
 		if d := rr.Result.RefPos - wl.Reads[i].TruePos; d >= -12 && d <= 12 {
 			near++
 		}

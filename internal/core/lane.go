@@ -1,6 +1,9 @@
 package core
 
-import "genax/internal/extend"
+import (
+	"genax/internal/extend"
+	"genax/internal/hw"
+)
 
 // lane is the one kind of worker the package runs: a seeder, a filter and
 // an extension engine wired back to back around one lane-local batch.
@@ -87,9 +90,10 @@ func (a *Aligner) runWindow(w *window) {
 // run walks the reference segment by segment. Per segment the lane claims
 // chunks of reads off the segment cursor until none are left; a chunk's
 // candidates for one segment form the lane's batch, which is seeded,
-// filtered and extended before the next claim. An empty batch skips the
-// later stages unless the window is traced, in which case its
-// hw.LaneWork items still have to reach the trace.
+// filtered and extended before the next claim. A read an earlier segment
+// resolved exactly is retired: not seeded again, and traced as two empty
+// hw.LaneWork items. An empty batch skips the later stages unless the
+// window is traced, in which case its items still have to reach the trace.
 func (l *lane) run(w *window) {
 	a := l.a
 	inst := a.cfg.Instrument
@@ -116,6 +120,20 @@ func (l *lane) run(w *window) {
 			b.reset(w, int32(s))
 			t0 := inst.now()
 			for i := start; i < end; i++ {
+				// Retire a read an earlier segment e resolved exactly (the
+				// barrier ordered that write before this claim):
+				//  - its incumbent scores m·Match, the ceiling;
+				//  - a tie goes leftmost, then forward (Result.Better);
+				//  - s's hits lie ≥ SegmentLen ≥ Overlap > m right of e's
+				//    start, so an exact hit of s left of the incumbent lies
+				//    wholly in e, whose uncapped exactMatch found it;
+				//  - an equal hit loses to e on merge rank.
+				if w.exact[i] {
+					if w.trace != nil {
+						b.work = append(b.work, hw.LaneWork{}, hw.LaneWork{})
+					}
+					continue
+				}
 				l.seed.seedOne(w.reads[i], int32(i), false, w, b)
 				l.seed.seedOne(w.revs[i], int32(i), true, w, b)
 			}

@@ -26,8 +26,6 @@ type Options struct {
 	// ExactFastPath short-circuits reads that match the reference
 	// exactly (~75% of real reads, optimization four).
 	ExactFastPath bool
-	// MaxHits, when positive, caps the hits reported per seed.
-	MaxHits int
 }
 
 // DefaultOptions returns the full GenAx configuration.
@@ -380,9 +378,6 @@ func (sd *Seeder) emit(out []Seed, start, end int, cur []int32) []Seed {
 	off := int32(sd.si.Offset)
 	for _, c := range cur {
 		a = append(a, c+off)
-		if sd.opts.MaxHits > 0 && len(a)-base >= sd.opts.MaxHits {
-			break
-		}
 	}
 	sd.arena = a
 	positions := a[base:len(a):len(a)]

@@ -236,24 +236,6 @@ func TestSeedGlobalOffsets(t *testing.T) {
 	}
 }
 
-func TestMaxHitsCap(t *testing.T) {
-	ref := make(dna.Seq, 1000) // all-A: every window hits everywhere
-	si, _ := BuildSegmentIndex(ref, 0, 0, 4)
-	opts := DefaultOptions()
-	opts.MaxHits = 7
-	opts.MinSeedLen = 4
-	sd := NewSeeder(si, opts)
-	seeds := sd.Seed(make(dna.Seq, 50))
-	if len(seeds) == 0 {
-		t.Fatal("no seeds")
-	}
-	for _, s := range seeds {
-		if len(s.Positions) > 7 {
-			t.Errorf("seed carries %d hits, cap is 7", len(s.Positions))
-		}
-	}
-}
-
 // TestSeederResetAcrossSegments checks that one long-lived lane rebound
 // with Reset reports exactly what a fresh per-segment seeder reports — the
 // persistent-lane-pool invariant of the core pipeline.
