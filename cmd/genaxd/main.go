@@ -66,7 +66,6 @@ func main() {
 		"max wait for a batch to fill (0 = flush what is already queued, no timer)")
 	queueLimit := flag.Int("queue-limit", 0, "admission limit per genome (0 = 4x max-batch); beyond it requests get 429")
 	maxResident := flag.Int("max-resident", serve.DefaultMaxResident, "genomes resident (mapped + aligner) at once; LRU beyond")
-	loadConc := flag.Int("load-concurrency", 1, "concurrent index builds/loads on registry miss")
 	cacheDir := flag.String("cache-dir", "", "index cache directory (default: next to each FASTA)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 	flag.Parse()
@@ -84,15 +83,14 @@ func main() {
 	cfg.Workers = *workers
 
 	srv, err := serve.New(serve.Config{
-		Genomes:         genomes,
-		Core:            cfg,
-		CacheDir:        *cacheDir,
-		MaxBatch:        *maxBatch,
-		CoalesceWindow:  *window,
-		QueueLimit:      *queueLimit,
-		MaxResident:     *maxResident,
-		LoadConcurrency: *loadConc,
-		Logf:            log.Printf,
+		Genomes:        genomes,
+		Core:           cfg,
+		CacheDir:       *cacheDir,
+		MaxBatch:       *maxBatch,
+		CoalesceWindow: *window,
+		QueueLimit:     *queueLimit,
+		MaxResident:    *maxResident,
+		Logf:           log.Printf,
 	})
 	if err != nil {
 		log.Fatalf("genaxd: %v", err)

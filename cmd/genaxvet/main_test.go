@@ -96,8 +96,8 @@ var mutants = []mutant{
 
 	// stagecontract: the serve intake queue is bounded, and a window's
 	// lanes are WaitGroup-tracked.
-	{"stagecontract/unbounded-chan", "stagecontract", "internal/serve/coalesce.go",
-		[]string{"make(chan pending, s.cfg.QueueLimit)", "make(chan pending)"}, `^unbounded make\(chan genax/internal/serve\.pending\)`},
+	{"stagecontract/unbounded-chan", "stagecontract", "internal/serve/serve.go",
+		[]string{"make(chan pending, cfg.QueueLimit)", "make(chan pending)"}, `^unbounded make\(chan genax/internal/serve\.pending\)`},
 	{"stagecontract/unaccounted-goroutine", "stagecontract", "internal/core/lane.go",
 		[]string{"\t\t\tdefer w.wg.Done()\n\t\t\tl.run(w)\n", "\t\t\tl.run(w)\n\t\t\tw.wg.Done()\n"}, `^unaccounted goroutine in runWindow`},
 }

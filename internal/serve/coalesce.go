@@ -9,6 +9,7 @@ import (
 
 	"genax/internal/core"
 	"genax/internal/dna"
+	"genax/internal/indexio"
 )
 
 // result is one request's outcome, fanned back from a batch flush.
@@ -27,14 +28,15 @@ type pending struct {
 	res  chan result
 }
 
-// batcher is one genome's admission layer: a bounded intake queue and a
-// dispatcher goroutine that coalesces queued requests into AlignBatch
-// calls (flush on MaxBatch or CoalesceWindow, whichever first). The queue
-// bound doubles as the admission limit — a full queue is a 429, never
-// growth.
-type batcher struct {
-	srv  *Server
-	name string
+// genome is one served reference: its admission layer — a bounded intake
+// queue and a dispatcher goroutine that coalesces queued requests into
+// AlignBatch calls (flush on MaxBatch or CoalesceWindow, whichever first)
+// — and its residency in the registry. The queue bound doubles as the
+// admission limit: a full queue is a 429, never growth.
+type genome struct {
+	srv   *Server
+	name  string
+	fasta string
 
 	// in is the intake queue (capacity QueueLimit). Handlers enqueue with
 	// a non-blocking send; the dispatcher is the only receiver.
@@ -48,31 +50,29 @@ type batcher struct {
 	batches   atomic.Int64 // coalesced flushes dispatched
 	batched   atomic.Int64 // reads aligned via coalesced flushes
 	maxBatch  atomic.Int64 // largest flush so far
-	depth     atomic.Int64 // current queue depth (admitted, not yet collected)
 
 	// pstats accumulates core.Stats across flushes.
 	mu     sync.Mutex
 	pstats core.Stats
-}
 
-func newBatcher(s *Server, name string) *batcher {
-	return &batcher{
-		srv:  s,
-		name: name,
-		in:   make(chan pending, s.cfg.QueueLimit),
-	}
+	// Residency, guarded by registry.mu. The genome is resident while
+	// aligner (and mapped) are set, and cold otherwise.
+	aligner *core.Aligner
+	mapped  *indexio.Mapped
+	loading bool  // a load of this genome is in flight (for /statsz)
+	refcnt  int   // in-flight flushes and preloads pinning this genome
+	lastUse int64 // LRU tick from registry.tick
 }
 
 // enqueue admits one request into the coalescing queue, or reports false
 // when the queue is at the admission limit (the handler answers 429).
-func (b *batcher) enqueue(p pending) bool {
+func (g *genome) enqueue(p pending) bool {
 	select {
-	case b.in <- p:
-		b.admitted.Add(1)
-		b.depth.Add(1)
+	case g.in <- p:
+		g.admitted.Add(1)
 		return true
 	default:
-		b.rejected.Add(1)
+		g.rejected.Add(1)
 		return false
 	}
 }
@@ -80,12 +80,11 @@ func (b *batcher) enqueue(p pending) bool {
 // run is the dispatcher loop: wait for a first request, coalesce, flush,
 // repeat. Bounded by the server's base context; Close cancels it after
 // http.Server.Shutdown has guaranteed no handler is still waiting.
-func (b *batcher) run(ctx context.Context) {
+func (g *genome) run(ctx context.Context) {
 	for {
 		select {
-		case p := <-b.in:
-			b.depth.Add(-1)
-			b.flush(ctx, b.collect(ctx, p))
+		case p := <-g.in:
+			g.flush(ctx, g.collect(ctx, p))
 		case <-ctx.Done():
 			return
 		}
@@ -95,24 +94,22 @@ func (b *batcher) run(ctx context.Context) {
 // collect assembles one batch behind first, closing it at MaxBatch. The
 // first request waits at most CoalesceWindow for company; a zero window
 // waits for none and takes only what is already queued.
-func (b *batcher) collect(ctx context.Context, first pending) []pending {
-	batch := make([]pending, 1, b.srv.cfg.MaxBatch)
+func (g *genome) collect(ctx context.Context, first pending) []pending {
+	batch := make([]pending, 1, g.srv.cfg.MaxBatch)
 	batch[0] = first
-	if b.srv.cfg.CoalesceWindow <= 0 {
+	if g.srv.cfg.CoalesceWindow <= 0 {
 		// The dispatcher is the queue's only receiver, so a non-empty
 		// queue never blocks the receive.
-		for len(batch) < b.srv.cfg.MaxBatch && len(b.in) > 0 {
-			b.depth.Add(-1)
-			batch = append(batch, <-b.in)
+		for len(batch) < g.srv.cfg.MaxBatch && len(g.in) > 0 {
+			batch = append(batch, <-g.in)
 		}
 		return batch
 	}
-	timer := time.NewTimer(b.srv.cfg.CoalesceWindow)
+	timer := time.NewTimer(g.srv.cfg.CoalesceWindow)
 	defer timer.Stop()
-	for len(batch) < b.srv.cfg.MaxBatch {
+	for len(batch) < g.srv.cfg.MaxBatch {
 		select {
-		case p := <-b.in:
-			b.depth.Add(-1)
+		case p := <-g.in:
 			batch = append(batch, p)
 		case <-timer.C:
 			return batch
@@ -127,11 +124,11 @@ func (b *batcher) collect(ctx context.Context, first pending) []pending {
 // the in-order results back to the waiting requests. Requests whose
 // context is already done are dropped before alignment: their slot in the
 // batch would be wasted work nobody collects.
-func (b *batcher) flush(ctx context.Context, batch []pending) {
+func (g *genome) flush(ctx context.Context, batch []pending) {
 	live := batch[:0]
 	for _, p := range batch {
 		if err := p.ctx.Err(); err != nil {
-			b.expired.Add(1)
+			g.expired.Add(1)
 			p.res <- result{err: fmt.Errorf("request abandoned before dispatch: %w", err)}
 			continue
 		}
@@ -140,35 +137,35 @@ func (b *batcher) flush(ctx context.Context, batch []pending) {
 	if len(live) == 0 {
 		return
 	}
-	e, err := b.srv.reg.acquire(ctx, b.name)
+	al, err := g.srv.reg.acquire(ctx, g)
 	if err != nil {
 		for _, p := range live {
 			p.res <- result{err: err}
 		}
 		return
 	}
-	defer b.srv.reg.release(e)
+	defer g.srv.reg.release(g)
 
 	reads := make([]dna.Seq, len(live))
 	for i, p := range live {
 		reads[i] = p.read
 	}
-	results, stats := e.aligner.AlignBatch(reads)
+	results, stats := al.AlignBatch(reads)
 	for i, rr := range results {
 		live[i].res <- result{rr: rr}
 	}
 
 	n := int64(len(live))
-	b.completed.Add(n)
-	b.batches.Add(1)
-	b.batched.Add(n)
+	g.completed.Add(n)
+	g.batches.Add(1)
+	g.batched.Add(n)
 	for {
-		cur := b.maxBatch.Load()
-		if n <= cur || b.maxBatch.CompareAndSwap(cur, n) {
+		cur := g.maxBatch.Load()
+		if n <= cur || g.maxBatch.CompareAndSwap(cur, n) {
 			break
 		}
 	}
-	b.mu.Lock()
-	b.pstats.Merge(stats)
-	b.mu.Unlock()
+	g.mu.Lock()
+	g.pstats.Merge(stats)
+	g.mu.Unlock()
 }

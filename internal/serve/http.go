@@ -49,7 +49,8 @@ func (s *Server) buildMux() *http.ServeMux {
 
 func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("genome")
-	if _, ok := s.batchers[name]; !ok {
+	g, ok := s.genomes[name]
+	if !ok {
 		http.Error(w, fmt.Sprintf("unknown genome %q", name), http.StatusNotFound)
 		return
 	}
@@ -73,7 +74,7 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p := pending{ctx: r.Context(), read: read, res: make(chan result, 1)}
-	if !s.batchers[name].enqueue(p) {
+	if !g.enqueue(p) {
 		s.reject(w)
 		return
 	}
@@ -89,8 +90,6 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case res.err == nil:
 		writeAlignResponse(w, res.rr)
-	case errors.Is(res.err, ErrUnknownGenome):
-		http.Error(w, res.err.Error(), http.StatusNotFound)
 	case errors.Is(res.err, context.DeadlineExceeded) || errors.Is(res.err, context.Canceled):
 		s.writeContextErr(w, res.err)
 	default:

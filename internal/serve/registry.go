@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -13,220 +12,114 @@ import (
 	"genax/internal/indexio"
 )
 
-// ErrUnknownGenome reports a request naming a genome the server was not
-// configured with; the HTTP layer maps it to 404.
-var ErrUnknownGenome = errors.New("serve: unknown genome")
-
-// entry states. An entry starts cold, moves to loading while a build/map is
-// in flight, and to ready once an aligner is bound. A failed load or an
-// eviction returns it to cold; the next acquire retries.
-const (
-	entryCold = iota
-	entryLoading
-	entryReady
-)
-
-// entry is one genome's registry slot. All fields except name/fasta are
-// guarded by registry.mu.
-type entry struct {
-	name  string
-	fasta string
-
-	state   int
-	ready   chan struct{} // closed when the in-flight load finishes (either way)
-	loadErr error         // outcome of the last finished load while state is cold
-
-	aligner *core.Aligner
-	mapped  *indexio.Mapped
-	bytes   int   // mapped cache size, for the statsz snapshot
-	refcnt  int   // in-flight batches/requests pinning this entry
-	lastUse int64 // LRU tick from registry.tick
-}
-
-// registry resolves genome names to resident aligners over mmap-backed
-// index caches, under an LRU residency budget. acquire/release bracket
-// every use; an entry is never evicted (its cache never unmapped) while
-// its refcount is non-zero.
+// registry keeps genomes resident over mmap-backed index caches, under an
+// LRU residency budget. acquire/release bracket every use; a genome is
+// never evicted (its cache never unmapped) while its refcount is non-zero.
 type registry struct {
 	core        core.Config // template; Index and Residency overwritten per genome
 	cacheDir    string
 	maxResident int
 	logf        func(string, ...any)
+	genomes     map[string]*genome // Server.genomes, read-only after New
 
-	mu      sync.Mutex
-	entries map[string]*entry
-	tick    int64 // LRU clock, incremented per acquire
+	// load admits one index build or map at a time: each build already
+	// spreads over every core, so a second one at once would only double
+	// peak memory. A caller that finds its genome resident never takes it.
+	load sync.Mutex
 
-	// loadSem bounds concurrent index build/load work (LoadConcurrency).
-	loadSem chan struct{}
-	ctx     context.Context // bounds detached load goroutines
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
+	// mu guards every genome's residency fields and tick.
+	mu   sync.Mutex
+	tick int64 // LRU clock, incremented per pin
 
 	// Counters for /statsz.
-	hits       atomic.Int64 // acquires satisfied by a resident entry
+	hits       atomic.Int64 // acquires that found the genome resident
 	loads      atomic.Int64 // load attempts started
 	rebuilds   atomic.Int64 // loads that had to rebuild the cache (Probe miss)
-	evictions  atomic.Int64 // entries unmapped by the LRU
+	evictions  atomic.Int64 // genomes unmapped by the LRU
 	overBudget atomic.Int64 // times residency exceeded the budget with nothing evictable
 }
 
-func newRegistry(cfg Config) *registry {
-	ctx, cancel := context.WithCancel(context.Background())
-	r := &registry{
-		core:        cfg.Core,
-		cacheDir:    cfg.CacheDir,
-		maxResident: cfg.MaxResident,
-		logf:        cfg.Logf,
-		entries:     make(map[string]*entry, len(cfg.Genomes)),
-		loadSem:     make(chan struct{}, cfg.LoadConcurrency),
-		ctx:         ctx,
-		cancel:      cancel,
+// acquire returns g's aligner with g pinned, loading g first if it is
+// cold. The load runs on the caller's goroutine under r.load; a caller
+// that waited there while another loaded g pins the result instead
+// (single flight). A caller whose ctx is done by the time it holds r.load
+// gets ctx.Err() and starts no load. A failed load leaves g cold, so the
+// next acquire tries again. Callers must pair every successful acquire
+// with release.
+func (r *registry) acquire(ctx context.Context, g *genome) (*core.Aligner, error) {
+	if al := r.pin(g); al != nil {
+		return al, nil
 	}
-	for _, g := range cfg.Genomes {
-		r.entries[g.Name] = &entry{name: g.Name, fasta: g.Fasta, state: entryCold}
+	r.load.Lock()
+	defer r.load.Unlock()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return r
+	if al := r.pin(g); al != nil {
+		return al, nil
+	}
+	r.mu.Lock()
+	g.loading = true
+	r.mu.Unlock()
+	r.loads.Add(1)
+	al, m, err := r.doLoad(g.name, g.fasta)
+	r.mu.Lock()
+	g.loading = false
+	if err != nil {
+		r.mu.Unlock()
+		r.logf("serve: genome %q: load failed: %v", g.name, err)
+		return nil, err
+	}
+	g.aligner, g.mapped = al, m
+	r.pinLocked(g)
+	r.evictLocked()
+	r.mu.Unlock()
+	return al, nil
 }
 
-// acquire resolves name to a ready entry with its refcount incremented, or
-// an error: ErrUnknownGenome for unregistered names, ctx.Err() if the
-// caller gives up waiting for an in-flight load, or the load's own failure.
-// Callers must pair every successful acquire with release.
-func (r *registry) acquire(ctx context.Context, name string) (*entry, error) {
+// pin takes a reference on g and returns its aligner if g is resident,
+// or returns nil.
+func (r *registry) pin(g *genome) *core.Aligner {
 	r.mu.Lock()
-	e, ok := r.entries[name]
-	if !ok {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownGenome, name)
+	defer r.mu.Unlock()
+	if g.aligner == nil {
+		return nil
 	}
-	tried := false
-	for {
-		switch e.state {
-		case entryReady:
-			e.refcnt++
-			r.tick++
-			e.lastUse = r.tick
-			r.mu.Unlock()
-			r.hits.Add(1)
-			return e, nil
-		case entryCold:
-			// A failed load parks the entry back here with loadErr set. A
-			// fresh acquirer retries once (transient failures stay
-			// retryable); the acquirer whose own attempt just failed
-			// surfaces the error instead of spinning retries forever.
-			if tried && e.loadErr != nil {
-				err := e.loadErr
-				r.mu.Unlock()
-				return nil, err
-			}
-			tried = true
-			// First toucher starts the load. The load runs detached from
-			// this request's context so one impatient client cannot strand
-			// the other waiters mid-build; the registry context bounds it
-			// instead.
-			e.state = entryLoading
-			e.ready = make(chan struct{})
-			e.loadErr = nil
-			r.mu.Unlock()
-			r.loads.Add(1)
-			r.wg.Add(1)
-			go func() {
-				defer r.wg.Done()
-				r.load(e)
-			}()
-			r.mu.Lock()
-		case entryLoading:
-			ch := e.ready
-			r.mu.Unlock()
-			select {
-			case <-ch:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			r.mu.Lock()
-			// The load finished: ready on success, cold with loadErr on
-			// failure. A concurrent acquire may already have restarted a
-			// failed load (state back to loading) — loop either way, but
-			// surface the failure we waited on rather than retrying
-			// forever ourselves.
-			if e.state == entryCold && e.loadErr != nil {
-				err := e.loadErr
-				r.mu.Unlock()
-				return nil, err
-			}
-		}
-	}
+	r.hits.Add(1)
+	r.pinLocked(g)
+	return g.aligner
+}
+
+func (r *registry) pinLocked(g *genome) {
+	g.refcnt++
+	r.tick++
+	g.lastUse = r.tick
 }
 
 // release undoes one acquire.
-func (r *registry) release(e *entry) {
+func (r *registry) release(g *genome) {
 	r.mu.Lock()
-	e.refcnt--
-	if e.refcnt < 0 {
-		e.refcnt = 0 // defensive; indicates a release without acquire
-	}
+	g.refcnt--
 	r.mu.Unlock()
 }
 
-// load performs the bounded-concurrency build/map for e and publishes the
-// outcome. Runs on a registry-tracked goroutine.
-func (r *registry) load(e *entry) {
-	select {
-	case r.loadSem <- struct{}{}:
-		defer func() { <-r.loadSem }()
-	case <-r.ctx.Done():
-		r.finishLoad(e, nil, nil, r.ctx.Err())
-		return
-	}
-	al, m, err := r.doLoad(e.name, e.fasta)
-	r.finishLoad(e, al, m, err)
-}
-
-// finishLoad publishes a load outcome and wakes waiters. On success the
-// entry becomes ready and the LRU enforces the residency budget; on
-// failure it returns to cold with the error recorded for the waiters.
-func (r *registry) finishLoad(e *entry, al *core.Aligner, m *indexio.Mapped, err error) {
-	r.mu.Lock()
-	if err != nil {
-		e.state = entryCold
-		e.loadErr = err
-	} else {
-		e.state = entryReady
-		e.aligner = al
-		e.mapped = m
-		e.bytes = m.SizeBytes()
-		r.tick++
-		e.lastUse = r.tick
-		r.evictLocked(e)
-	}
-	close(e.ready)
-	r.mu.Unlock()
-	if err != nil {
-		r.logf("serve: genome %q: load failed: %v", e.name, err)
-	}
-}
-
-// evictLocked unmaps least-recently-used idle entries until residency fits
-// the budget. Entries with in-flight work (refcnt > 0), loads in progress,
-// and the just-loaded protect entry (its waiters have not taken their
-// references yet — evicting it would livelock load→evict→reload) are never
-// touched; if nothing is evictable the budget is overshot (counted and
-// logged) rather than deadlocking the acquirer.
-func (r *registry) evictLocked(protect *entry) {
+// evictLocked unmaps least-recently-used idle genomes until residency fits
+// the budget. A genome with a pin (refcnt > 0) is never touched — the
+// loader pins the genome it just loaded before calling this, so a load is
+// never undone by its own eviction pass. If nothing is evictable the
+// budget is overshot (counted and logged) rather than deadlocking the
+// acquirer.
+func (r *registry) evictLocked() {
 	for {
 		resident := 0
-		var victim *entry
-		for _, e := range r.entries {
-			if e.state != entryReady && e.state != entryLoading {
+		var victim *genome
+		for _, g := range r.genomes {
+			if g.aligner == nil {
 				continue
 			}
 			resident++
-			if e == protect || e.state != entryReady || e.refcnt != 0 {
-				continue
-			}
-			if victim == nil || e.lastUse < victim.lastUse {
-				victim = e
+			if g.refcnt == 0 && (victim == nil || g.lastUse < victim.lastUse) {
+				victim = g
 			}
 		}
 		if resident <= r.maxResident {
@@ -237,41 +130,33 @@ func (r *registry) evictLocked(protect *entry) {
 			r.logf("serve: residency %d over budget %d with every resident genome in use; overshooting", resident, r.maxResident)
 			return
 		}
-		r.evictEntryLocked(victim)
+		r.evictGenomeLocked(victim)
 	}
 }
 
-// evictEntryLocked drops one idle ready entry back to cold and unmaps its
-// cache. Safe only because refcnt == 0: nothing can be aligning against
-// the mapped tables.
-func (r *registry) evictEntryLocked(e *entry) {
-	m := e.mapped
-	e.state = entryCold
-	e.aligner = nil
-	e.mapped = nil
-	e.bytes = 0
-	e.loadErr = nil
+// evictGenomeLocked drops one idle resident genome back to cold and
+// unmaps its cache. Safe only because refcnt == 0: nothing can be aligning
+// against the mapped tables.
+func (r *registry) evictGenomeLocked(g *genome) {
+	m := g.mapped
+	g.aligner = nil
+	g.mapped = nil
 	r.evictions.Add(1)
-	r.logf("serve: genome %q evicted (LRU, budget %d)", e.name, r.maxResident)
-	if m != nil {
-		if err := m.Close(); err != nil {
-			r.logf("serve: genome %q: unmap: %v", e.name, err)
-		}
+	r.logf("serve: genome %q evicted (LRU, budget %d)", g.name, r.maxResident)
+	if err := m.Close(); err != nil {
+		r.logf("serve: genome %q: unmap: %v", g.name, err)
 	}
 }
 
-// closeAll stops in-flight loads and unmaps every resident genome. The
-// caller (Server.Close) guarantees no acquirers remain.
+// closeAll unmaps every resident genome. The caller (Server.Close)
+// guarantees no acquirers remain, so no load is in flight either.
 func (r *registry) closeAll() {
-	r.cancel()
-	r.wg.Wait()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, e := range r.entries {
-		if e.state == entryReady {
-			e.refcnt = 0
+	for _, g := range r.genomes {
+		if g.aligner != nil {
 			r.evictions.Add(-1) // shutdown unmap is not an LRU eviction
-			r.evictEntryLocked(e)
+			r.evictGenomeLocked(g)
 		}
 	}
 }

@@ -42,6 +42,27 @@ type strayResidency struct{}
 func (strayResidency) Acquire(int) {}
 func (strayResidency) Release(int) {}
 
+// acquireRelease pins and unpins a genome by name, failing the test if it
+// cannot be made resident.
+func acquireRelease(t *testing.T, s *Server, name string) {
+	t.Helper()
+	g := s.genomes[name]
+	if _, err := s.reg.acquire(context.Background(), g); err != nil {
+		t.Fatal(err)
+	}
+	s.reg.release(g)
+}
+
+// stateOf reads one genome's /statsz row.
+func stateOf(s *Server, name string) GenomeStats {
+	for _, gs := range s.Snapshot().Genomes {
+		if gs.Name == name {
+			return gs
+		}
+	}
+	return GenomeStats{}
+}
+
 // TestRegistryRebuildThenCacheHit: the first load of a genome finds no
 // cache (Probe's reason is logged), rebuilds and writes it; a second
 // registry over the same cache dir maps it without rebuilding.
@@ -52,17 +73,18 @@ func TestRegistryRebuildThenCacheHit(t *testing.T) {
 	cc.Residency = strayResidency{}
 	s := newTestServer(t, Config{Core: cc, CoalesceWindow: time.Millisecond, Logf: lc.logf}, wl)
 
-	e, err := s.reg.acquire(context.Background(), "g0")
+	g := s.genomes["g0"]
+	al, err := s.reg.acquire(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.aligner == nil || e.mapped == nil {
-		t.Fatal("ready entry without aligner/mapped")
+	if al == nil || stateOf(s, "g0").CacheBytes == 0 {
+		t.Fatal("resident genome without aligner/mapped cache")
 	}
-	if res := e.aligner.Config().Residency; res != nil {
+	if res := al.Config().Residency; res != nil {
 		t.Fatalf("genome aligner bound the caller's residency %v", res)
 	}
-	s.reg.release(e)
+	s.reg.release(g)
 	if got := s.reg.rebuilds.Load(); got != 1 {
 		t.Fatalf("rebuilds=%d, want 1 (cold cache dir)", got)
 	}
@@ -87,11 +109,7 @@ func TestRegistryRebuildThenCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	e2, err := s2.reg.acquire(context.Background(), "g0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.reg.release(e2)
+	acquireRelease(t, s2, "g0")
 	if got := s2.reg.rebuilds.Load(); got != 0 {
 		t.Fatalf("rebuilds=%d on a warm cache dir, want 0; log: %v", got, lc2.lines)
 	}
@@ -104,11 +122,7 @@ func TestRegistryCorruptCacheRebuilt(t *testing.T) {
 	wl := testWorkload(t, 69)
 	lc := &logCapture{}
 	s := newTestServer(t, Config{CoalesceWindow: time.Millisecond, Logf: lc.logf}, wl)
-	e, err := s.reg.acquire(context.Background(), "g0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.reg.release(e)
+	acquireRelease(t, s, "g0")
 	cacheDir, fasta := s.cfg.CacheDir, s.cfg.Genomes[0].Fasta
 	s.Close()
 
@@ -138,25 +152,12 @@ func TestRegistryCorruptCacheRebuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	e2, err := s2.reg.acquire(context.Background(), "g0")
-	if err != nil {
-		t.Fatalf("acquire over corrupt cache: %v", err)
-	}
-	s2.reg.release(e2)
+	acquireRelease(t, s2, "g0")
 	if got := s2.reg.rebuilds.Load(); got != 1 {
 		t.Fatalf("rebuilds=%d over a corrupt cache, want 1", got)
 	}
 	if !lc2.contains("checksum mismatch") {
 		t.Fatalf("staleness reason never logged; log: %v", lc2.lines)
-	}
-}
-
-func TestRegistryUnknownGenome(t *testing.T) {
-	wl := testWorkload(t, 61)
-	s := newTestServer(t, Config{CoalesceWindow: time.Millisecond}, wl)
-	_, err := s.reg.acquire(context.Background(), "nope")
-	if !errors.Is(err, ErrUnknownGenome) {
-		t.Fatalf("err=%v, want ErrUnknownGenome", err)
 	}
 }
 
@@ -168,39 +169,23 @@ func TestRegistryLRUEviction(t *testing.T) {
 		MaxResident:    1,
 	}, testWorkload(t, 62), testWorkload(t, 63))
 
-	ctx := context.Background()
-	e0, err := s.reg.acquire(ctx, "g0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.reg.release(e0)
-	e1, err := s.reg.acquire(ctx, "g1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.reg.release(e1)
+	acquireRelease(t, s, "g0")
+	acquireRelease(t, s, "g1")
 
 	if got := s.reg.evictions.Load(); got != 1 {
 		t.Fatalf("evictions=%d after exceeding budget, want 1", got)
 	}
-	s.reg.mu.Lock()
-	st0, st1 := s.reg.entries["g0"].state, s.reg.entries["g1"].state
-	m0 := s.reg.entries["g0"].mapped
-	s.reg.mu.Unlock()
-	if st0 != entryCold || m0 != nil {
-		t.Fatalf("g0 not evicted to cold (state %d, mapped %v)", st0, m0 != nil)
+	g0, g1 := stateOf(s, "g0"), stateOf(s, "g1")
+	if g0.State != "cold" || g0.CacheBytes != 0 {
+		t.Fatalf("g0 not evicted to cold (state %s, cache bytes %d)", g0.State, g0.CacheBytes)
 	}
-	if st1 != entryReady {
-		t.Fatalf("g1 state %d, want ready", st1)
+	if g1.State != "ready" {
+		t.Fatalf("g1 state %s, want ready", g1.State)
 	}
 
 	// Reload after eviction must work (and count a fresh load, not a
 	// rebuild — the cache file survived the unmap).
-	e0, err = s.reg.acquire(ctx, "g0")
-	if err != nil {
-		t.Fatalf("reacquire after eviction: %v", err)
-	}
-	s.reg.release(e0)
+	acquireRelease(t, s, "g0")
 	if got := s.reg.rebuilds.Load(); got != 2 {
 		t.Fatalf("rebuilds=%d, want 2 (one per distinct genome, none on reload)", got)
 	}
@@ -218,36 +203,33 @@ func TestRegistryNoEvictionWhileInUse(t *testing.T) {
 	}, testWorkload(t, 64), testWorkload(t, 65))
 
 	ctx := context.Background()
-	e0, err := s.reg.acquire(ctx, "g0")
-	if err != nil {
+	g0, g1 := s.genomes["g0"], s.genomes["g1"]
+	if _, err := s.reg.acquire(ctx, g0); err != nil {
 		t.Fatal(err)
 	}
 	// g0 stays acquired while g1 loads: nothing evictable.
-	e1, err := s.reg.acquire(ctx, "g1")
-	if err != nil {
+	if _, err := s.reg.acquire(ctx, g1); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.reg.evictions.Load(); got != 0 {
-		t.Fatalf("evicted %d entries while in use", got)
+		t.Fatalf("evicted %d genomes while in use", got)
 	}
 	if got := s.reg.overBudget.Load(); got == 0 {
 		t.Fatal("budget overshoot never counted")
 	}
-	s.reg.mu.Lock()
-	st0 := s.reg.entries["g0"].state
-	s.reg.mu.Unlock()
-	if st0 != entryReady {
-		t.Fatalf("g0 state %d while referenced, want ready", st0)
+	if st := stateOf(s, "g0"); st.State != "ready" || st.Refcnt != 1 {
+		t.Fatalf("g0 state %s refcnt %d while referenced, want ready and 1", st.State, st.Refcnt)
 	}
-	s.reg.release(e0)
-	s.reg.release(e1)
+	s.reg.release(g0)
+	s.reg.release(g1)
 }
 
 // TestRegistrySingleFlight: concurrent acquires of a cold genome share one
-// load.
+// load; every other acquire finds it resident.
 func TestRegistrySingleFlight(t *testing.T) {
 	wl := testWorkload(t, 66)
 	s := newTestServer(t, Config{CoalesceWindow: time.Millisecond}, wl)
+	g := s.genomes["g0"]
 
 	const n = 16
 	var wg sync.WaitGroup
@@ -256,10 +238,10 @@ func TestRegistrySingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e, err := s.reg.acquire(context.Background(), "g0")
+			_, err := s.reg.acquire(context.Background(), g)
 			errs[i] = err
 			if err == nil {
-				s.reg.release(e)
+				s.reg.release(g)
 			}
 		}()
 	}
@@ -272,57 +254,70 @@ func TestRegistrySingleFlight(t *testing.T) {
 	if got := s.reg.loads.Load(); got != 1 {
 		t.Fatalf("loads=%d for %d concurrent acquires, want 1", got, n)
 	}
-	if got := s.reg.hits.Load(); got != n {
-		t.Fatalf("hits=%d, want %d", got, n)
+	if got := s.reg.hits.Load(); got != n-1 {
+		t.Fatalf("hits=%d, want %d", got, n-1)
+	}
+	if st := stateOf(s, "g0"); st.State != "ready" || st.Refcnt != 0 {
+		t.Fatalf("g0 state %s refcnt %d after every release, want ready and 0", st.State, st.Refcnt)
 	}
 }
 
 // TestRegistryLoadFailure: a genome whose FASTA is missing fails the load,
-// reports the error to every waiter, and stays retryable (cold).
+// reports the error, and stays retryable: cold, and the next acquire loads
+// again.
 func TestRegistryLoadFailure(t *testing.T) {
 	wl := testWorkload(t, 67)
 	s := newTestServer(t, Config{CoalesceWindow: time.Millisecond}, wl)
-	// Register a second, broken genome by hand.
-	s.reg.mu.Lock()
-	s.reg.entries["broken"] = &entry{name: "broken", fasta: filepath.Join(s.cfg.CacheDir, "missing.fasta")}
-	s.reg.mu.Unlock()
+	// A second, broken genome built by hand; acquire needs only the struct.
+	broken := &genome{srv: s, name: "broken", fasta: filepath.Join(s.cfg.CacheDir, "missing.fasta")}
 
-	_, err := s.reg.acquire(context.Background(), "broken")
-	if err == nil {
-		t.Fatal("acquire of a genome with a missing FASTA succeeded")
+	for i := 0; i < 2; i++ {
+		if _, err := s.reg.acquire(context.Background(), broken); err == nil {
+			t.Fatalf("acquire %d of a genome with a missing FASTA succeeded", i)
+		}
+		s.reg.mu.Lock()
+		cold := broken.aligner == nil && !broken.loading && broken.refcnt == 0
+		s.reg.mu.Unlock()
+		if !cold {
+			t.Fatalf("acquire %d: failed genome not left cold and unpinned (retryable)", i)
+		}
 	}
-	s.reg.mu.Lock()
-	st := s.reg.entries["broken"].state
-	s.reg.mu.Unlock()
-	if st != entryCold {
-		t.Fatalf("failed entry state %d, want cold (retryable)", st)
+	if got := s.reg.loads.Load(); got != 2 {
+		t.Fatalf("loads=%d after two failed acquires, want 2 (each retries)", got)
 	}
 	// The healthy genome is unaffected.
-	e, err := s.reg.acquire(context.Background(), "g0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.reg.release(e)
+	acquireRelease(t, s, "g0")
 }
 
-// TestRegistryAcquireCtxCancel: a caller that gives up while a load is in
-// flight gets its context error; the load itself completes for the next
-// caller.
+// TestRegistryAcquireCtxCancel: a caller whose context is cancelled while
+// it waits for the load lock gets its context error and starts no load;
+// the genome stays cold for the next caller.
 func TestRegistryAcquireCtxCancel(t *testing.T) {
 	wl := testWorkload(t, 68)
 	s := newTestServer(t, Config{CoalesceWindow: time.Millisecond}, wl)
 
 	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	s.reg.load.Lock()
+	go func() {
+		_, err := s.reg.acquire(ctx, s.genomes["g0"])
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		s.reg.load.Unlock()
+		t.Fatalf("acquire of a cold genome returned (%v) while another load held the lock", err)
+	case <-time.After(50 * time.Millisecond):
+	}
 	cancel()
-	s.reg.mu.Lock()
-	e := s.reg.entries["g0"]
-	e.state = entryLoading
-	e.ready = make(chan struct{})
-	s.reg.mu.Unlock()
-
-	if _, err := s.reg.acquire(ctx, "g0"); !errors.Is(err, context.Canceled) {
+	s.reg.load.Unlock()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want context.Canceled", err)
 	}
-	// Unwedge the synthetic loading state so Close doesn't find it.
-	s.reg.finishLoad(e, nil, nil, errors.New("synthetic"))
+	if got := s.reg.loads.Load(); got != 0 {
+		t.Fatalf("loads=%d, want 0: a cancelled caller started a load", got)
+	}
+	if st := stateOf(s, "g0"); st.State != "cold" || st.Refcnt != 0 {
+		t.Fatalf("g0 state %s refcnt %d, want cold and 0", st.State, st.Refcnt)
+	}
 }

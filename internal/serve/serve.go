@@ -23,12 +23,13 @@
 //   - Genome registry. Genomes are named at construction; each resolves
 //     to a content-addressed GAXI index cache (indexio.CachePath) that
 //     is opened zero-copy by indexio.Ensure on first use — microseconds
-//     when the cache is fresh, a bounded-concurrency build+write+map when
-//     Ensure finds it missing or stale (the staleness reason is logged,
-//     never silently swallowed). Resident genomes are held under
-//     an LRU budget: acquiring a cold genome past the budget evicts the
-//     least-recently-used idle genome and unmaps its cache. A genome is
-//     never evicted while a batch is in flight against it (refcount).
+//     when the cache is fresh, a build+write+map when Ensure finds it
+//     missing or stale (the staleness reason is logged, never silently
+//     swallowed). A load runs on the goroutine that needs the genome, one
+//     load at a time. Resident genomes are held under an LRU budget:
+//     loading a cold genome past the budget evicts the least-recently-used
+//     idle genome and unmaps its cache. A genome is never evicted while a
+//     batch is in flight against it (refcount).
 //
 //   - Deadlines and drain. Each request carries its http.Request context;
 //     requests whose context is already done when the dispatcher assembles
@@ -111,10 +112,6 @@ type Config struct {
 	// never evicted, so a burst touching more than MaxResident genomes
 	// can transiently overshoot the budget rather than deadlock.
 	MaxResident int
-	// LoadConcurrency bounds concurrent index build/load work on registry
-	// misses, so a cold burst across many genomes cannot run the machine
-	// out of memory building every index at once (0 = 1).
-	LoadConcurrency int
 	// Logf receives operational log lines (registry loads with staleness
 	// reasons, evictions, drain transitions). Nil means log.Printf.
 	Logf func(format string, args ...any)
@@ -132,9 +129,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxResident <= 0 {
 		c.MaxResident = DefaultMaxResident
 	}
-	if c.LoadConcurrency <= 0 {
-		c.LoadConcurrency = 1
-	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
 	}
@@ -147,11 +141,11 @@ func (c Config) withDefaults() Config {
 // requests have finished — http.Server.Shutdown provides exactly that
 // barrier.
 type Server struct {
-	cfg      Config
-	logf     func(string, ...any)
-	reg      *registry
-	batchers map[string]*batcher
-	mux      *http.ServeMux
+	cfg     Config
+	logf    func(string, ...any)
+	reg     *registry
+	genomes map[string]*genome
+	mux     *http.ServeMux
 
 	base     context.Context
 	cancel   context.CancelFunc
@@ -163,7 +157,7 @@ type Server struct {
 // New validates cfg, builds the genome registry and one coalescing
 // dispatcher per genome, and returns a Server ready to mount. No genome is
 // loaded yet; call Preload for warm starts or let the first request pay
-// the (bounded-concurrency) load.
+// the load.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Genomes) == 0 {
@@ -184,20 +178,26 @@ func New(cfg Config) (*Server, error) {
 	}
 	base, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:      cfg,
-		logf:     cfg.Logf,
-		reg:      newRegistry(cfg),
-		batchers: make(map[string]*batcher, len(cfg.Genomes)),
-		base:     base,
-		cancel:   cancel,
+		cfg:     cfg,
+		logf:    cfg.Logf,
+		genomes: make(map[string]*genome, len(cfg.Genomes)),
+		base:    base,
+		cancel:  cancel,
 	}
-	for _, g := range cfg.Genomes {
-		b := newBatcher(s, g.Name)
-		s.batchers[g.Name] = b
+	s.reg = &registry{
+		core:        cfg.Core,
+		cacheDir:    cfg.CacheDir,
+		maxResident: cfg.MaxResident,
+		logf:        cfg.Logf,
+		genomes:     s.genomes,
+	}
+	for _, gc := range cfg.Genomes {
+		g := &genome{srv: s, name: gc.Name, fasta: gc.Fasta, in: make(chan pending, cfg.QueueLimit)}
+		s.genomes[gc.Name] = g
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			b.run(base)
+			g.run(base)
 		}()
 	}
 	s.mux = s.buildMux()
@@ -208,20 +208,20 @@ func New(cfg Config) (*Server, error) {
 // GET /healthz.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Preload warm-loads every genome marked GenomeConfig.Preload (all of
-// them when none is marked and all is true), respecting the registry's
-// load-concurrency bound sequentially. Loading more genomes than
-// MaxResident is not an error — the LRU keeps the last ones resident.
+// Preload warm-loads, one after another, every genome when all is true,
+// and otherwise every genome marked GenomeConfig.Preload. Loading more
+// genomes than MaxResident is not an error — the LRU keeps the last ones
+// resident.
 func (s *Server) Preload(ctx context.Context, all bool) error {
-	for _, g := range s.cfg.Genomes {
-		if !g.Preload && !all {
+	for _, gc := range s.cfg.Genomes {
+		if !gc.Preload && !all {
 			continue
 		}
-		e, err := s.reg.acquire(ctx, g.Name)
-		if err != nil {
-			return fmt.Errorf("serve: preload %q: %w", g.Name, err)
+		g := s.genomes[gc.Name]
+		if _, err := s.reg.acquire(ctx, g); err != nil {
+			return fmt.Errorf("serve: preload %q: %w", gc.Name, err)
 		}
-		s.reg.release(e)
+		s.reg.release(g)
 	}
 	return nil
 }

@@ -247,11 +247,9 @@ func TestServeOverloadSheds(t *testing.T) {
 				QueueLimit:     2,
 			}, wl)
 			// The genome stays cold and the test holds the registry's load
-			// gate, so no admitted request can finish before the whole burst
+			// lock, so no admitted request can finish before the whole burst
 			// has met the admission limit, however the goroutines schedule.
-			for i := 0; i < cap(s.reg.loadSem); i++ {
-				s.reg.loadSem <- struct{}{}
-			}
+			s.reg.load.Lock()
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
 
@@ -276,9 +274,7 @@ func TestServeOverloadSheds(t *testing.T) {
 					t.Fatal("burst never reached admission")
 				}
 			}
-			for i := 0; i < cap(s.reg.loadSem); i++ {
-				<-s.reg.loadSem
-			}
+			s.reg.load.Unlock()
 			wg.Wait()
 			ok, shed := 0, 0
 			for i, c := range codes {
@@ -313,6 +309,35 @@ func TestServeOverloadSheds(t *testing.T) {
 	}
 }
 
+// TestServeResidentGenomeNotBlockedByLoad: a request for a resident genome
+// is answered while another genome's load holds the registry's load lock;
+// only a cold genome waits for it.
+func TestServeResidentGenomeNotBlockedByLoad(t *testing.T) {
+	wl := testWorkload(t, 50)
+	s := newTestServer(t, Config{CoalesceWindow: time.Millisecond, MaxResident: 2}, wl)
+	if err := s.Preload(context.Background(), true); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	offline, err := core.New(wl.Ref, testCore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := wl.Reads[0].Seq
+	want, _ := offline.AlignBatch([]dna.Seq{read})
+
+	s.reg.load.Lock()
+	defer s.reg.load.Unlock()
+	client := ts.Client()
+	client.Timeout = 5 * time.Second
+	resp, body := postRead(t, client, ts.URL+"/align/g0", read)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s), want 200", resp.StatusCode, body)
+	}
+	sameAsOffline(t, 0, body, want[0])
+}
+
 // TestServeExpiredRequestDropped: a request whose context is already dead
 // when the dispatcher assembles its batch is dropped unaligned and
 // answered with the context error.
@@ -325,13 +350,13 @@ func TestServeExpiredRequestDropped(t *testing.T) {
 	if err := s.Preload(context.Background(), true); err != nil {
 		t.Fatal(err)
 	}
-	b := s.batchers["g0"]
+	g := s.genomes["g0"]
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	dead := pending{ctx: ctx, read: wl.Reads[0].Seq, res: make(chan result, 1)}
 	live := pending{ctx: context.Background(), read: wl.Reads[1].Seq, res: make(chan result, 1)}
-	if !b.enqueue(dead) || !b.enqueue(live) {
+	if !g.enqueue(dead) || !g.enqueue(live) {
 		t.Fatal("enqueue refused with an empty queue")
 	}
 	select {
@@ -350,7 +375,7 @@ func TestServeExpiredRequestDropped(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("live request never answered")
 	}
-	if got := b.expired.Load(); got != 1 {
+	if got := g.expired.Load(); got != 1 {
 		t.Fatalf("expired counter %d, want 1", got)
 	}
 }

@@ -66,34 +66,31 @@ func (s *Server) Snapshot() Snapshot {
 			OverBudget: s.reg.overBudget.Load(),
 		},
 	}
-	for name, b := range s.batchers {
+	for name, g := range s.genomes {
 		gs := GenomeStats{
 			Name:         name,
-			Admitted:     b.admitted.Load(),
-			Rejected:     b.rejected.Load(),
-			Expired:      b.expired.Load(),
-			Completed:    b.completed.Load(),
-			QueueDepth:   b.depth.Load(),
-			Batches:      b.batches.Load(),
-			BatchedReads: b.batched.Load(),
-			MaxBatch:     b.maxBatch.Load(),
+			State:        "cold",
+			Admitted:     g.admitted.Load(),
+			Rejected:     g.rejected.Load(),
+			Expired:      g.expired.Load(),
+			Completed:    g.completed.Load(),
+			QueueDepth:   int64(len(g.in)),
+			Batches:      g.batches.Load(),
+			BatchedReads: g.batched.Load(),
+			MaxBatch:     g.maxBatch.Load(),
 		}
-		b.mu.Lock()
-		gs.Pipeline = b.pstats
-		b.mu.Unlock()
+		g.mu.Lock()
+		gs.Pipeline = g.pstats
+		g.mu.Unlock()
 		s.reg.mu.Lock()
-		if e := s.reg.entries[name]; e != nil {
-			switch e.state {
-			case entryReady:
-				gs.State = "ready"
-			case entryLoading:
-				gs.State = "loading"
-			default:
-				gs.State = "cold"
-			}
-			gs.Refcnt = e.refcnt
-			gs.CacheBytes = e.bytes
+		switch {
+		case g.loading:
+			gs.State = "loading"
+		case g.aligner != nil:
+			gs.State = "ready"
+			gs.CacheBytes = g.mapped.SizeBytes()
 		}
+		gs.Refcnt = g.refcnt
 		s.reg.mu.Unlock()
 		snap.Genomes = append(snap.Genomes, gs)
 	}
