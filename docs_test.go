@@ -126,6 +126,9 @@ var (
 	qualified = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?(?:\(.*\))?$`)
 	// metric is a BENCHMARK.json-shaped name: layer.snake_case.
 	metric = regexp.MustCompile(`^[a-z]+\.[a-z0-9]+(?:_[a-z0-9]+)+$`)
+	// bareTest is a span that names a test function without its package;
+	// a trailing * makes it a prefix.
+	bareTest = regexp.MustCompile(`^((?:Test|Benchmark|Fuzz)[A-Z_]\w*)(\*?)$`)
 	// flagSpan is a span that is a flag, alone or with its value.
 	flagSpan = regexp.MustCompile(`^-([a-z][a-z0-9-]*)(?:[ =].*)?$`)
 	// command is a fenced or backticked shell line that runs one of the
@@ -137,11 +140,13 @@ var (
 // TestDocsResolve checks that the documents name only what exists: each
 // backticked pkg.Ident or pkg.Type.Member of a repository package resolves
 // in that package's non-test sources (a Test, Benchmark or Fuzz function
-// in its test files), each flag a document quotes or passes to one of the
-// commands is defined by one, and each metric-shaped name is a
-// BENCHMARK.json metric.
+// in its test files), each bare Test, Benchmark or Fuzz name (or name*
+// prefix) is a test function somewhere in the tree, each flag a document
+// quotes or passes to one of the commands is defined by one, and each
+// metric-shaped name is a BENCHMARK.json metric.
 func TestDocsResolve(t *testing.T) {
 	pkgs := repoPackages(t)
+	tests := treeTests(t)
 	flags := commandFlags(t)
 	metrics := benchmarkMetrics(t)
 	checkFlags := func(where, line string) {
@@ -176,6 +181,12 @@ func TestDocsResolve(t *testing.T) {
 				checkFlags(where, span)
 				if f := flagSpan.FindStringSubmatch(span); f != nil && flags[f[1]] == nil {
 					t.Errorf("%s: `%s` quotes -%s, which no command defines", where, span, f[1])
+				}
+				if b := bareTest.FindStringSubmatch(span); b != nil {
+					if !tests.has(b[1], b[2] == "*") {
+						t.Errorf("%s: `%s` names no test function in the tree", where, span)
+					}
+					continue
 				}
 				if metric.MatchString(span) {
 					if !metrics[span] {
@@ -321,6 +332,50 @@ func benchmarkMetrics(t *testing.T) map[string]bool {
 		metrics[m.Name] = true
 	}
 	return metrics
+}
+
+// testNames is the set of Test, Benchmark and Fuzz functions in the tree.
+type testNames map[string]bool
+
+// treeTests collects the test functions of every _test.go file in the
+// tree, the root package and commands included.
+func treeTests(t *testing.T) testNames {
+	t.Helper()
+	names := testNames{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if skipDir(p) {
+			return filepath.SkipDir
+		}
+		for _, f := range parseTests(t, p) {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && testFunc.MatchString(fn.Name.Name) {
+					names[fn.Name.Name] = true
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// has reports whether name is a test function or, with prefix set, begins
+// one.
+func (n testNames) has(name string, prefix bool) bool {
+	if !prefix {
+		return n[name]
+	}
+	for fn := range n {
+		if strings.HasPrefix(fn, name) {
+			return true
+		}
+	}
+	return false
 }
 
 // skipDir reports the directories no walk enters: git metadata, fixture

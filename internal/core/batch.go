@@ -1,7 +1,5 @@
 package core
 
-import "genax/internal/hw"
-
 // Candidate flags. candReverse occupies bit 0 so the filter's diagonal key
 // reproduces the fused loop's (diagonal<<1 | strand) layout exactly.
 const (
@@ -18,7 +16,6 @@ type cand struct {
 	read               int32 // window-relative read index
 	seedStart, seedEnd int32
 	refPos             int32
-	workIdx            int32 // index into batch.work, -1 when untraced
 	flags              uint8
 }
 
@@ -30,21 +27,13 @@ type batch struct {
 	win   *window
 	seg   int32
 	cands []cand
-	// work holds one hw.LaneWork per (read, strand) of the claimed chunk
-	// when the window is traced: SeedOps filled by seedOne (left zero for
-	// a retired read), ExtJobs appended by process.
-	work []hw.LaneWork
 }
 
-// reset rebinds the batch to a window and segment. Traced ExtJobs slices
-// were handed to the window's trace, so the old items are dropped rather
-// than reused.
+// reset rebinds the batch to a window and segment.
 //
 //genax:hotpath
 func (b *batch) reset(w *window, seg int32) {
 	b.win = w
 	b.seg = seg
 	b.cands = b.cands[:0]
-	clear(b.work)
-	b.work = b.work[:0]
 }

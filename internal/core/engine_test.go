@@ -27,13 +27,17 @@ func TestEngineByteIdentity(t *testing.T) {
 		oracle *Aligner
 		reads  []dna.Seq
 		paths  []string
+		reRuns bool // the oracle re-executes tracebacks on these reads
 	}{
-		{"short", shortOracle, workloadReads(swl, 80), []string{"batch", "stream"}},
-		{"k80", longOracle, kilobaseReads(lwl, 2), []string{"batch"}},
+		{"short", shortOracle, workloadReads(swl, 80), []string{"batch", "stream"}, false},
+		{"k80", longOracle, kilobaseReads(lwl, 2), []string{"batch"}, true},
 	} {
 		want, wantStats := in.oracle.AlignBatch(in.reads)
 		if wantStats.Extensions == 0 {
 			t.Fatalf("%s: oracle ran no extensions", in.name)
+		}
+		if in.reRuns && wantStats.ReRuns == 0 {
+			t.Errorf("%s: oracle reported no re-runs", in.name)
 		}
 		bp := in.oracle.Config()
 		bp.Engine, bp.Workers, bp.StreamWindow = EngineBitSilla, 3, 17

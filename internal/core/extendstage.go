@@ -3,27 +3,9 @@ package core
 import (
 	"genax/internal/align"
 	"genax/internal/bitsilla"
-	"genax/internal/dna"
 	"genax/internal/extend"
 	"genax/internal/sillax"
 )
-
-// countingEngine wraps every extension engine uniformly, folding each
-// call's work report (Extension.Cycles and ReRuns, in the engine's native
-// unit) into the lane stats.
-type countingEngine struct {
-	inner  extend.Engine
-	cycles *int64
-	reruns *int64
-}
-
-//genax:hotpath
-func (e countingEngine) Extend(ref, query dna.Seq) extend.Extension {
-	res := e.inner.Extend(ref, query)
-	*e.cycles += int64(res.Cycles)
-	*e.reruns += int64(res.ReRuns)
-	return res
-}
 
 // extendLane is a lane's extension half: the engine selected by
 // Config.Engine behind the stitcher with its reversal scratch. At a
@@ -36,18 +18,16 @@ type extendLane struct {
 	stats *Stats // the owning lane's work counters
 }
 
-// newEngine builds one lane's extension engine per Config.Engine, wiring
-// the engine's work counters into the lane's stats.
-func (a *Aligner) newEngine(stats *Stats) extend.Engine {
+// newEngine builds one lane's extension engine per Config.Engine; process
+// counts its work from the stitcher's per-call Cycles and ReRuns.
+func (a *Aligner) newEngine() extend.Engine {
 	k, sc := a.cfg.K, a.cfg.Scoring
-	var inner extend.Engine
 	switch a.cfg.Engine {
 	case EngineSillaX:
-		inner = extend.SillaXEngine{M: sillax.NewTracebackMachine(k, sc)}
+		return extend.SillaXEngine{M: sillax.NewTracebackMachine(k, sc)}
 	default: // EngineBitSilla
-		inner = extend.BitSillaEngine{M: bitsilla.New(k, sc)}
+		return extend.BitSillaEngine{M: bitsilla.New(k, sc)}
 	}
-	return countingEngine{inner: inner, cycles: &stats.ExtensionCycles, reruns: &stats.ReRuns}
 }
 
 // exactCigar materializes the single-run cigar of a whole-read exact match.
@@ -81,9 +61,10 @@ func betterThan(res align.Result, rank int64, sl *slot) bool {
 // and merges outcomes into the window's slots. Slot writes need no lock:
 // within a segment a read belongs to exactly one claimed chunk, and the
 // segment barrier orders the claims of successive segments, so each slot
-// has a single writer at a time. Exact-match candidates skip extension — their score is the full
-// match and the cigar is materialized only on adoption, keeping the fast
-// path allocation-free for out-scored positions.
+// has a single writer at a time, as does each trace item. Exact-match
+// candidates skip extension — their score is the full match and the cigar
+// is materialized only on adoption, keeping the fast path allocation-free
+// for out-scored positions.
 //
 //genax:hotpath
 func (l *extendLane) process(b *batch) {
@@ -108,12 +89,15 @@ func (l *extendLane) process(b *batch) {
 		if reverse {
 			q = w.revs[c.read]
 		}
-		cyclesBefore := l.stats.ExtensionCycles
 		res := l.st.AlignAt(scoring, l.a.ref, q, int(c.seedStart), int(c.seedEnd), int(c.refPos), l.a.cfg.K)
 		res.Reverse = reverse
+		cycles := int64(l.st.Cycles)
 		l.stats.Extensions++
-		if c.workIdx >= 0 {
-			b.work[c.workIdx].ExtJobs = append(b.work[c.workIdx].ExtJobs, l.stats.ExtensionCycles-cyclesBefore)
+		l.stats.ExtensionCycles += cycles
+		l.stats.ReRuns += int64(l.st.ReRuns)
+		if w.trace != nil {
+			it := w.item(b.seg, c.read, reverse)
+			it.ExtJobs = append(it.ExtJobs, cycles)
 		}
 		if betterThan(res, rank, sl) {
 			sl.res, sl.rank, sl.aligned = res, rank, true

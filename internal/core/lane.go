@@ -1,9 +1,6 @@
 package core
 
-import (
-	"genax/internal/extend"
-	"genax/internal/hw"
-)
+import "genax/internal/extend"
 
 // lane is the one kind of worker the package runs: a seeder, a filter and
 // an extension engine wired back to back around one lane-local batch.
@@ -30,7 +27,7 @@ func (a *Aligner) newLane() *lane {
 		maxGap:   int32(a.cfg.K),
 		stats:    &l.stats,
 	}
-	l.ext = extendLane{a: a, st: extend.Stitcher{Eng: a.newEngine(&l.stats)}, stats: &l.stats}
+	l.ext = extendLane{a: a, st: extend.Stitcher{Eng: a.newEngine()}, stats: &l.stats}
 	return l
 }
 
@@ -91,9 +88,9 @@ func (a *Aligner) runWindow(w *window) {
 // chunks of reads off the segment cursor until none are left; a chunk's
 // candidates for one segment form the lane's batch, which is seeded,
 // filtered and extended before the next claim. A read an earlier segment
-// resolved exactly is retired: not seeded again, and traced as two empty
-// hw.LaneWork items. An empty batch skips the later stages unless the
-// window is traced, in which case its items still have to reach the trace.
+// resolved exactly is retired: not seeded again. An empty batch skips the
+// later stages; on a traced run the stages write their trace items in
+// place (window.item).
 func (l *lane) run(w *window) {
 	a := l.a
 	inst := a.cfg.Instrument
@@ -129,19 +126,16 @@ func (l *lane) run(w *window) {
 				//    wholly in e, whose uncapped exactMatch found it;
 				//  - an equal hit loses to e on merge rank.
 				if w.exact[i] {
-					if w.trace != nil {
-						b.work = append(b.work, hw.LaneWork{}, hw.LaneWork{})
-					}
 					continue
 				}
-				l.seed.seedOne(w.reads[i], int32(i), false, w, b)
-				l.seed.seedOne(w.revs[i], int32(i), true, w, b)
+				l.seed.seedOne(w.reads[i], int32(i), false, b)
+				l.seed.seedOne(w.revs[i], int32(i), true, b)
 			}
 			t1 := inst.now()
 			if inst != nil {
 				inst.Seed.record(t0, t1, 1, int64(len(b.cands)))
 			}
-			if len(b.cands) == 0 && w.trace == nil {
+			if len(b.cands) == 0 {
 				continue
 			}
 			l.filt.filter(b)
@@ -149,17 +143,12 @@ func (l *lane) run(w *window) {
 			if inst != nil {
 				inst.Filter.record(t1, t2, 1, int64(len(b.cands)))
 			}
-			if len(b.cands) == 0 && w.trace == nil {
+			if len(b.cands) == 0 {
 				continue
 			}
 			l.ext.process(b)
 			if inst != nil {
 				inst.Extend.record(t2, inst.now(), 1, int64(len(b.cands)))
-			}
-			if w.trace != nil {
-				// Two items per read, in read order: the trace comes out
-				// segment-major whichever lane claimed the chunk.
-				copy(w.trace[2*(int64(s)*n+start):], b.work)
 			}
 		}
 		w.bar.await()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"genax/internal/dna"
-	"genax/internal/hw"
 	"genax/internal/seed"
 )
 
@@ -30,31 +29,28 @@ func (l *seedLane) bind(si *seed.SegmentIndex) {
 // order). The seeder's result is scratch-backed and valid only until the
 // next Seed call, so every hit is copied into the batch here. Exact-match
 // reads short-circuit: their hits are flagged candExact so process skips
-// SillaX entirely (§V).
+// SillaX entirely (§V). A traced run records the lookups as SeedOps.
 //
 //genax:hotpath
-func (l *seedLane) seedOne(q dna.Seq, readIdx int32, reverse bool, w *window, b *batch) {
+func (l *seedLane) seedOne(q dna.Seq, readIdx int32, reverse bool, b *batch) {
 	sd := l.sd
 	before := sd.Stats
 	seeds := sd.Seed(q)
 	after := sd.Stats
-	l.stats.IndexLookups += int64(after.IndexLookups - before.IndexLookups)
-	l.stats.CAMLookups += int64(after.CAMLookups - before.CAMLookups)
+	lookups := int64(after.IndexLookups - before.IndexLookups)
+	cams := int64(after.CAMLookups - before.CAMLookups)
+	l.stats.IndexLookups += lookups
+	l.stats.CAMLookups += cams
 	l.stats.SeedsEmitted += int64(after.SeedsEmitted - before.SeedsEmitted)
 	l.stats.HitsEmitted += int64(after.HitsEmitted - before.HitsEmitted)
 	exact := after.ExactReads > before.ExactReads
 	if exact {
 		// One claimant per read per segment, and the segment barrier
 		// orders claims across segments, so this write cannot race.
-		w.exact[readIdx] = true
+		b.win.exact[readIdx] = true
 	}
-	workIdx := int32(-1)
-	if w.trace != nil {
-		b.work = append(b.work, hw.LaneWork{
-			SeedOps: int64(after.IndexLookups-before.IndexLookups) +
-				int64(after.CAMLookups-before.CAMLookups),
-		})
-		workIdx = int32(len(b.work) - 1)
+	if b.win.trace != nil {
+		b.win.item(b.seg, readIdx, reverse).SeedOps = lookups + cams
 	}
 	var flags uint8
 	if reverse {
@@ -70,7 +66,6 @@ func (l *seedLane) seedOne(q dna.Seq, readIdx int32, reverse bool, w *window, b 
 				seedStart: int32(s.Start),
 				seedEnd:   int32(s.End),
 				refPos:    h,
-				workIdx:   workIdx,
 				flags:     flags,
 			})
 		}

@@ -47,8 +47,23 @@ type window struct {
 	// stats collects the lanes' work counters when they are returned.
 	stats Stats
 	// trace is non-nil on a traced run: one hw.LaneWork per (segment,
-	// read, strand) in that order; each lane fills the items of its chunks.
+	// read, strand), laid out by item and written in place by the lanes.
 	trace []hw.LaneWork
+}
+
+// item returns the trace item of (segment, read, strand) on a traced run,
+// at 2*(seg*n+read)+strand with the forward strand first. Each item has
+// one writer: within a segment a read belongs to exactly one claimed
+// chunk, so only the lane that claimed it touches its items. A read an
+// earlier segment retired is skipped, so its later items stay zero.
+//
+//genax:hotpath
+func (w *window) item(seg, read int32, reverse bool) *hw.LaneWork {
+	i := 2 * (int64(seg)*int64(len(w.reads)) + int64(read))
+	if reverse {
+		i++
+	}
+	return &w.trace[i]
 }
 
 // getWindow takes an idle window off the free list, or makes one.

@@ -86,6 +86,10 @@ func (e BitSillaEngine) Extend(ref, query dna.Seq) Extension {
 type Stitcher struct {
 	Eng Engine
 
+	// Cycles and ReRuns are the last AlignAt call's work: the sum of its
+	// left and right Extension reports, zero for a side it did not extend.
+	Cycles, ReRuns int
+
 	revRef, revQuery dna.Seq // reversed-string scratch for left extensions
 }
 
@@ -121,6 +125,7 @@ func (st *Stitcher) AlignAt(sc align.Scoring, ref, read dna.Seq, seedStart, seed
 		}
 		right = st.Eng.Extend(ref[rightRef:hi], read[seedEnd:])
 	}
+	st.Cycles, st.ReRuns = left.Cycles+right.Cycles, left.ReRuns+right.ReRuns
 
 	cig := make(align.Cigar, 0, len(left.Cigar)+len(right.Cigar)+2)
 	if seedStart > 0 {
@@ -143,14 +148,4 @@ func (st *Stitcher) AlignAt(sc align.Scoring, ref, read dna.Seq, seedStart, seed
 		Score:  left.Score + seedLen*sc.Match + right.Score,
 		Cigar:  cig,
 	}
-}
-
-// AlignAt is the one-shot convenience form of Stitcher.AlignAt; hot paths
-// should hold a Stitcher instead so the reversal scratch is reused.
-func AlignAt(eng Engine, sc align.Scoring, ref, read dna.Seq, seedStart, seedEnd, refPos, margin int) align.Result {
-	if margin < 0 {
-		margin = 0
-	}
-	st := Stitcher{Eng: eng}
-	return st.AlignAt(sc, ref, read, seedStart, seedEnd, refPos, margin)
 }

@@ -72,6 +72,52 @@ func TestEngineWorkReports(t *testing.T) {
 	}
 }
 
+// fakeEngine reports made-up work on every call and keeps the sums of
+// what it reported, so a test can compare them with the stitcher's.
+type fakeEngine struct{ calls, cycles, reruns int }
+
+func (e *fakeEngine) Extend(ref, query dna.Seq) Extension {
+	e.calls++
+	cycles, reruns := 7*len(query)+e.calls, len(ref)
+	e.cycles += cycles
+	e.reruns += reruns
+	return Extension{Cycles: cycles, ReRuns: reruns}
+}
+
+// TestStitcherCountsWorkPerCall checks that Stitcher.Cycles and ReRuns
+// are one AlignAt call's work: the sum of its left and right engine
+// calls, whichever of them the seed's place in the read leaves to run.
+func TestStitcherCountsWorkPerCall(t *testing.T) {
+	r := rand.New(rand.NewSource(132))
+	sc := align.BWAMEMDefaults()
+	ref := randSeq(r, 200)
+	read := ref[100:150].Clone()
+	eng := &fakeEngine{}
+	st := Stitcher{Eng: eng}
+	for _, tc := range []struct {
+		name               string
+		seedStart, seedEnd int
+		calls              int
+	}{
+		{"mid-read", 20, 30, 2},
+		{"read start", 0, 20, 1},
+		{"read end", 30, 50, 1},
+		{"whole read", 0, 50, 0},
+	} {
+		before := *eng
+		st.AlignAt(sc, ref, read, tc.seedStart, tc.seedEnd, 100+tc.seedStart, 8)
+		if got := eng.calls - before.calls; got != tc.calls {
+			t.Errorf("%s: %d engine calls, want %d", tc.name, got, tc.calls)
+		}
+		if want := eng.cycles - before.cycles; st.Cycles != want {
+			t.Errorf("%s: Cycles = %d, want %d", tc.name, st.Cycles, want)
+		}
+		if want := eng.reruns - before.reruns; st.ReRuns != want {
+			t.Errorf("%s: ReRuns = %d, want %d", tc.name, st.ReRuns, want)
+		}
+	}
+}
+
 // TestBitSillaStitchParity runs whole stitched alignments through the
 // bit-parallel and cycle-level engines: the composed results (position,
 // score, cigar) must be byte-identical, not just the raw extensions.
@@ -102,9 +148,9 @@ func TestAlignAtPerfectRead(t *testing.T) {
 	ref := randSeq(r, 2000)
 	sc := align.BWAMEMDefaults()
 	for _, ne := range engines(16) {
-		name, eng := ne.name, ne.eng
+		name, st := ne.name, Stitcher{Eng: ne.eng}
 		read := ref[700:801].Clone()
-		res := AlignAt(eng, sc, ref, read, 20, 60, 720, 16)
+		res := st.AlignAt(sc, ref, read, 20, 60, 720, 16)
 		if res.Score != 101 {
 			t.Errorf("%s: score = %d, want 101", name, res.Score)
 		}
@@ -121,12 +167,12 @@ func TestAlignAtValidCigars(t *testing.T) {
 	r := rand.New(rand.NewSource(121))
 	sc := align.BWAMEMDefaults()
 	for _, ne := range engines(16) {
-		name, eng := ne.name, ne.eng
+		name, st := ne.name, Stitcher{Eng: ne.eng}
 		for trial := 0; trial < 100; trial++ {
 			ref := randSeq(r, 1500)
 			pos := 200 + r.Intn(1000)
 			read := plantRead(r, ref, pos, 101, 40, 60, r.Intn(5))
-			res := AlignAt(eng, sc, ref, read, 40, 60, pos+40, 16)
+			res := st.AlignAt(sc, ref, read, 40, 60, pos+40, 16)
 			if err := res.Cigar.Validate(ref[res.RefPos:], read); err != nil {
 				t.Fatalf("%s trial %d: invalid cigar %v: %v", name, trial, res.Cigar, err)
 			}
@@ -146,13 +192,13 @@ func TestAlignAtEnginesAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(122))
 	sc := align.BWAMEMDefaults()
 	eng := engines(20)
-	banded, sillaX := eng[0].eng, eng[1].eng
+	banded, sillaX := Stitcher{Eng: eng[0].eng}, Stitcher{Eng: eng[1].eng}
 	for trial := 0; trial < 120; trial++ {
 		ref := randSeq(r, 1500)
 		pos := 200 + r.Intn(1000)
 		read := plantRead(r, ref, pos, 101, 45, 65, r.Intn(6))
-		a := AlignAt(banded, sc, ref, read, 45, 65, pos+45, 20)
-		b := AlignAt(sillaX, sc, ref, read, 45, 65, pos+45, 20)
+		a := banded.AlignAt(sc, ref, read, 45, 65, pos+45, 20)
+		b := sillaX.AlignAt(sc, ref, read, 45, 65, pos+45, 20)
 		if a.Score != b.Score {
 			t.Fatalf("trial %d: banded %d vs sillax %d", trial, a.Score, b.Score)
 		}
@@ -164,20 +210,20 @@ func TestAlignAtSeedAtReadBoundary(t *testing.T) {
 	ref := randSeq(r, 500)
 	sc := align.BWAMEMDefaults()
 	for _, ne := range engines(8) {
-		name, eng := ne.name, ne.eng
+		name, st := ne.name, Stitcher{Eng: ne.eng}
 		// Seed at the very start of the read.
 		read := ref[100:150].Clone()
-		res := AlignAt(eng, sc, ref, read, 0, 20, 100, 8)
+		res := st.AlignAt(sc, ref, read, 0, 20, 100, 8)
 		if res.Score != 50 || res.RefPos != 100 {
 			t.Errorf("%s start-seed: %+v", name, res)
 		}
 		// Seed at the very end.
-		res = AlignAt(eng, sc, ref, read, 30, 50, 130, 8)
+		res = st.AlignAt(sc, ref, read, 30, 50, 130, 8)
 		if res.Score != 50 || res.RefPos != 100 {
 			t.Errorf("%s end-seed: %+v", name, res)
 		}
 		// Whole-read seed.
-		res = AlignAt(eng, sc, ref, read, 0, 50, 100, 8)
+		res = st.AlignAt(sc, ref, read, 0, 50, 100, 8)
 		if res.Score != 50 || res.Cigar.String() != "50=" {
 			t.Errorf("%s full-seed: %+v", name, res)
 		}
@@ -189,11 +235,11 @@ func TestAlignAtRefBoundary(t *testing.T) {
 	ref := randSeq(r, 200)
 	sc := align.BWAMEMDefaults()
 	for _, ne := range engines(8) {
-		name, eng := ne.name, ne.eng
+		name, st := ne.name, Stitcher{Eng: ne.eng}
 		// Seed so close to the reference start that the left window is
 		// clamped; the left read part must be clipped, not crash.
 		read := append(randSeq(r, 10), ref[0:40]...)
-		res := AlignAt(eng, sc, ref, read, 10, 50, 0, 8)
+		res := st.AlignAt(sc, ref, read, 10, 50, 0, 8)
 		if err := res.Cigar.Validate(ref[res.RefPos:], read); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -202,7 +248,7 @@ func TestAlignAtRefBoundary(t *testing.T) {
 		}
 		// Seed ending exactly at the reference end.
 		read2 := append(ref[160:200].Clone(), randSeq(r, 10)...)
-		res2 := AlignAt(eng, sc, ref, read2, 0, 40, 160, 8)
+		res2 := st.AlignAt(sc, ref, read2, 0, 40, 160, 8)
 		if err := res2.Cigar.Validate(ref[res2.RefPos:], read2); err != nil {
 			t.Fatalf("%s end: %v", name, err)
 		}
@@ -216,8 +262,8 @@ func TestAlignAtIndelRead(t *testing.T) {
 	// Read = ref[100:201] with 3 bases deleted at read offset 70.
 	read := append(ref[100:170].Clone(), ref[173:201]...)
 	for _, ne := range engines(16) {
-		name, eng := ne.name, ne.eng
-		res := AlignAt(eng, sc, ref, read, 10, 50, 110, 16)
+		name, st := ne.name, Stitcher{Eng: ne.eng}
+		res := st.AlignAt(sc, ref, read, 10, 50, 110, 16)
 		if err := res.Cigar.Validate(ref[res.RefPos:], read); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -229,8 +275,8 @@ func TestAlignAtIndelRead(t *testing.T) {
 }
 
 // TestStitcherMatchesOneShot checks that a reused Stitcher produces exactly
-// what the one-shot AlignAt produces — the scratch buffers must never leak
-// state between extensions.
+// what a fresh one produces — the scratch buffers must never leak state
+// between extensions.
 func TestStitcherMatchesOneShot(t *testing.T) {
 	r := rand.New(rand.NewSource(130))
 	sc := align.BWAMEMDefaults()
@@ -242,9 +288,10 @@ func TestStitcherMatchesOneShot(t *testing.T) {
 			pos := 100 + r.Intn(2500)
 			read := plantRead(r, ref, pos, 101, 40, 60, r.Intn(6))
 			got := st.AlignAt(sc, ref, read, 40, 60, pos+40, 16)
-			want := AlignAt(eng, sc, ref, read, 40, 60, pos+40, 16)
+			fresh := Stitcher{Eng: eng}
+			want := fresh.AlignAt(sc, ref, read, 40, 60, pos+40, 16)
 			if got.Score != want.Score || got.RefPos != want.RefPos || got.Cigar.String() != want.Cigar.String() {
-				t.Fatalf("%s trial %d: stitcher %v vs one-shot %v", name, trial, got, want)
+				t.Fatalf("%s trial %d: reused stitcher %v vs fresh %v", name, trial, got, want)
 			}
 		}
 	}

@@ -43,13 +43,12 @@ type genome struct {
 	in chan pending
 
 	// Serve-layer counters, exported by /statsz.
-	admitted  atomic.Int64 // requests admitted past the queue bound
-	rejected  atomic.Int64 // requests shed with 429
-	expired   atomic.Int64 // admitted requests dropped unaligned (context done)
-	completed atomic.Int64 // requests answered with an alignment result
-	batches   atomic.Int64 // coalesced flushes dispatched
-	batched   atomic.Int64 // reads aligned via coalesced flushes
-	maxBatch  atomic.Int64 // largest flush so far
+	admitted atomic.Int64 // requests admitted past the queue bound
+	rejected atomic.Int64 // requests shed with 429
+	expired  atomic.Int64 // admitted requests dropped unaligned (context done)
+	batches  atomic.Int64 // coalesced flushes dispatched
+	batched  atomic.Int64 // reads aligned via coalesced flushes
+	maxBatch atomic.Int64 // largest flush so far
 
 	// pstats accumulates core.Stats across flushes.
 	mu     sync.Mutex
@@ -156,7 +155,6 @@ func (g *genome) flush(ctx context.Context, batch []pending) {
 	}
 
 	n := int64(len(live))
-	g.completed.Add(n)
 	g.batches.Add(1)
 	g.batched.Add(n)
 	for {

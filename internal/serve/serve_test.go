@@ -175,11 +175,11 @@ func TestServeCoalescedMatchesOffline(t *testing.T) {
 				t.Fatalf("snapshot has %d genomes, want 1", len(snap.Genomes))
 			}
 			g := snap.Genomes[0]
-			if g.Admitted != int64(len(reads)) || g.Completed != int64(len(reads)) {
-				t.Fatalf("admitted=%d completed=%d, want both %d", g.Admitted, g.Completed, len(reads))
+			if g.Admitted != int64(len(reads)) || g.BatchedReads != int64(len(reads)) {
+				t.Fatalf("admitted=%d batched=%d, want both %d", g.Admitted, g.BatchedReads, len(reads))
 			}
-			if g.Batches == 0 || g.BatchedReads != int64(len(reads)) {
-				t.Fatalf("batches=%d batched=%d, want >0 and %d", g.Batches, g.BatchedReads, len(reads))
+			if g.Batches == 0 {
+				t.Fatal("batches=0, want >0")
 			}
 			if window > 0 && g.MaxBatch < 2 {
 				t.Fatalf("max batch %d: concurrent requests never coalesced", g.MaxBatch)

@@ -18,7 +18,6 @@ type GenomeStats struct {
 	Admitted     int64 `json:"admitted"`
 	Rejected     int64 `json:"rejected"`
 	Expired      int64 `json:"expired"`
-	Completed    int64 `json:"completed"`
 	QueueDepth   int64 `json:"queue_depth"`
 	Batches      int64 `json:"batches"`
 	BatchedReads int64 `json:"batched_reads"`
@@ -73,7 +72,6 @@ func (s *Server) Snapshot() Snapshot {
 			Admitted:     g.admitted.Load(),
 			Rejected:     g.rejected.Load(),
 			Expired:      g.expired.Load(),
-			Completed:    g.completed.Load(),
 			QueueDepth:   int64(len(g.in)),
 			Batches:      g.batches.Load(),
 			BatchedReads: g.batched.Load(),
