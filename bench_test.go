@@ -72,7 +72,7 @@ func BenchmarkFig14FullSW(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := f.pairs[i%len(f.pairs)]
-		a.Align(p.ref, p.query, sw.Extend)
+		a.Align(p.ref, p.query)
 	}
 }
 

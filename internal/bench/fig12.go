@@ -35,7 +35,7 @@ func (r Fig12Result) String() string {
 			r.Traceback[i].AreaUm2, r.Traceback[i].PowerUw)
 	}
 	fmt.Fprintf(&b, "paper anchors: edit machine @2GHz = 0.012 mm²/0.047 W (K=40);\n")
-	fmt.Fprintf(&b, "  traceback @2GHz = 1.41 mm²/1.54 W; edit PE @5GHz = 9.7 µm² (30x under banded-SW's 300 µm²)\n")
+	fmt.Fprintf(&b, "  traceback @2GHz = 1.41 mm²/1.54 W; edit PE @5GHz = 9.7 µm² (30x under banded-SW's %.0f µm²)\n", hw.BandedSWPEAreaUm2)
 	fmt.Fprintf(&b, "model: edit machine @2GHz = %.4f mm²/%.4f W; traceback = %.3f mm²/%.3f W; edit PE @5GHz = %.2f µm²\n",
 		hw.MachineArea(hw.EditPE, 40, 2), hw.MachinePower(hw.EditPE, 40, 2),
 		hw.MachineArea(hw.TracebackPE, 40, 2), hw.MachinePower(hw.TracebackPE, 40, 2),

@@ -82,7 +82,7 @@ func Fig14(spec WorkloadSpec, n int) Fig14Result {
 		PaperSWSharpKhits: hw.SWSharpGPUKHitsPerSec,
 	}
 	res.BandedSWKhits = rate(func(p extPair) { banded.Extend(p.ref, p.query) })
-	res.FullSWKhits = rate(func(p extPair) { full.Align(p.ref, p.query, sw.Extend) })
+	res.FullSWKhits = rate(func(p extPair) { full.Align(p.ref, p.query) })
 	res.MyersKhits = rate(func(p extPair) { sw.MyersDistance(p.ref, p.query) })
 
 	var cycles int64

@@ -41,8 +41,8 @@ type Stats struct {
 	Aligned    int // reads with a reported alignment
 }
 
-// Aligner is a single-threaded alignment engine. The index is shared and
-// read-only; Clone cheap-copies the engine for another goroutine.
+// Aligner is a single-threaded alignment engine: its extension scratch and
+// Stats are not safe for concurrent use.
 type Aligner struct {
 	ref  dna.Seq
 	idx  *fmindex.SMEMIndex
@@ -65,17 +65,6 @@ func New(ref dna.Seq, opts Options) *Aligner {
 		idx:  fmindex.BuildSMEMIndex(ref),
 		st:   extend.Stitcher{Eng: extend.BandedEngine{A: sw.NewBandedAligner(opts.Scoring, opts.Band)}},
 		opts: opts,
-	}
-}
-
-// Clone returns an aligner sharing the index but with private scratch
-// state, for use on another goroutine.
-func (a *Aligner) Clone() *Aligner {
-	return &Aligner{
-		ref:  a.ref,
-		idx:  a.idx,
-		st:   extend.Stitcher{Eng: extend.BandedEngine{A: sw.NewBandedAligner(a.opts.Scoring, a.opts.Band)}},
-		opts: a.opts,
 	}
 }
 

@@ -112,20 +112,6 @@ func TestAlignTooShortRead(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	wl := testWorkload(205, 20000, 0.01)
-	a := New(wl.Ref, DefaultOptions())
-	b := a.Clone()
-	res1, ok1 := a.Align(wl.Reads[0].Seq)
-	res2, ok2 := b.Align(wl.Reads[0].Seq)
-	if ok1 != ok2 || res1.Score != res2.Score || res1.RefPos != res2.RefPos {
-		t.Error("clone disagrees with original")
-	}
-	if b.Stats.Reads != 1 || a.Stats.Reads != 1 {
-		t.Error("stats shared between clones")
-	}
-}
-
 func TestStatsCount(t *testing.T) {
 	wl := testWorkload(206, 20000, 0.02)
 	a := New(wl.Ref, DefaultOptions())

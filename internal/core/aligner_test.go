@@ -308,19 +308,6 @@ func TestAlignReadAllocs(t *testing.T) {
 	t.Logf("AlignRead allocs: %.2f per call (budget %.1f)", avg, budget)
 }
 
-// TestAlignReadMatchesBatch checks the one-read window against the batch
-// path on a read mix covering exact and noisy cases.
-func TestAlignReadMatchesBatch(t *testing.T) {
-	pl, wl := testAligner(t, smallConfig(), 417, 25000, 0.02)
-	reads := workloadReads(wl, 30)
-	want, _ := pl.AlignBatch(reads)
-	got := make([]ReadResult, len(reads))
-	for i, r := range reads {
-		got[i].Result, got[i].Aligned = pl.AlignRead(r)
-	}
-	sameResults(t, "single", got, want)
-}
-
 // TestSingleLaneSteadyStateAllocs pins the allocation budget of one fused
 // lane on a noisy read mix: with every lane buffer warm, aligning a read
 // through seed → filter → extend may allocate only the adopted result

@@ -45,32 +45,6 @@ func longConfig() Config {
 	return cfg
 }
 
-// TestChainingSerialParallelIdentical is the chaining determinism gate:
-// anchor chains collapse identically however chunks fall to lanes — one
-// lane in one batch and four lanes over small stream windows must agree
-// byte for byte, including the chain work counters. (TestDeterminismMatrix
-// sweeps the rest of the worker × path × index grid.)
-func TestChainingSerialParallelIdentical(t *testing.T) {
-	cfg := longConfig()
-	cfg.Workers = 1
-	base, wl := longReadAligner(t, cfg, 420)
-	reads := workloadReads(wl, 18)
-	want, wantStats := base.AlignBatch(reads)
-	if wantStats.ChainGroups == 0 || wantStats.ChainKept == 0 {
-		t.Fatalf("chaining not exercised: stats %+v", wantStats)
-	}
-	if wantStats.ChainKept >= wantStats.ChainAnchors {
-		t.Fatalf("chaining collapsed nothing: %d anchors -> %d kept", wantStats.ChainAnchors, wantStats.ChainKept)
-	}
-	cfg = base.Config()
-	cfg.Workers, cfg.StreamWindow = 4, 8
-	got, stats := runPath(t, base.Ref(), cfg, "stream", reads)
-	sameResults(t, "4-lane stream", got, want)
-	if stats != wantStats {
-		t.Errorf("4-lane stream stats %+v, want %+v", stats, wantStats)
-	}
-}
-
 // TestChainingReducesExtensions pins the point of the stage: with
 // chaining, long reads reach the extend lanes with fewer candidates, and
 // alignment outcomes survive the collapse.

@@ -68,8 +68,13 @@ func TestDeterminismMatrix(t *testing.T) {
 		{"long-K80", long, kilobaseReads(lwl, 6)},
 	} {
 		want, wantStats := fx.base.AlignBatch(fx.reads)
-		if fx.base == long && wantStats.ChainGroups < int64(len(fx.reads)) {
-			t.Fatalf("%s: chaining not exercised: %+v", fx.name, wantStats)
+		if fx.base == long {
+			if wantStats.ChainGroups < int64(len(fx.reads)) {
+				t.Fatalf("%s: chaining not exercised: %+v", fx.name, wantStats)
+			}
+			if wantStats.ChainKept >= wantStats.ChainAnchors {
+				t.Fatalf("%s: chaining collapsed nothing: %d anchors -> %d kept", fx.name, wantStats.ChainAnchors, wantStats.ChainKept)
+			}
 		}
 		var wantWork Stats // what an AlignRead loop can report
 		wantWork.merge(wantStats)

@@ -45,9 +45,6 @@ func (a *Automaton) K() int { return a.k }
 // pattern length, unlike Silla's (K+1)² (§II, Figure 1).
 func (a *Automaton) NumStates() int { return a.programmed }
 
-// Pattern returns the compiled pattern.
-func (a *Automaton) Pattern() dna.Seq { return a.pattern }
-
 // Match runs the automaton over input and reports the edit distance
 // between input and the pattern when it is at most K.
 func (a *Automaton) Match(input dna.Seq) (dist int, ok bool) {

@@ -32,7 +32,7 @@ type CAM struct {
 	// is the per-entry match bit.
 	matched []bool
 
-	// Stats accumulated across operations (reset with ResetStats).
+	// Stats accumulated across operations.
 	Lookups  int // associative probes
 	Writes   int // entry loads
 	Overflow int // times a set larger than the CAM had to be handled
@@ -57,9 +57,6 @@ func NewCAM(size int) *CAM {
 
 // Size returns the capacity.
 func (c *CAM) Size() int { return c.size }
-
-// ResetStats clears the counters.
-func (c *CAM) ResetStats() { c.Lookups, c.Writes, c.Overflow = 0, 0, 0 }
 
 // grow replaces the table with a fresh 2^bits-slot one. The generation
 // restarts at 1 over the zeroed tags, so no slot is live.

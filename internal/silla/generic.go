@@ -9,95 +9,7 @@ func DistanceOf[T comparable](r, q []T, k int) (dist int, ok bool) {
 	if k < 0 {
 		panic("silla: negative edit bound")
 	}
-	n, m := len(r), len(q)
-	if diff := n - m; diff > k || -diff > k {
-		return 0, false
-	}
-	w := k + 1
-	sz := w * w
-	layer0 := make([]bool, sz)
-	layer1 := make([]bool, sz)
-	wait := make([]bool, sz)
-	next0 := make([]bool, sz)
-	next1 := make([]bool, sz)
-	nextW := make([]bool, sz)
-	layer0[0] = true
-	maxCycle := n + k
-	if m+k > maxCycle {
-		maxCycle = m + k
-	}
-	for c := 0; c <= maxCycle; c++ {
-		ai, ad := c-n, c-m
-		if ai >= 0 && ai <= k && ad >= 0 && ad <= k {
-			idx := ai*w + ad
-			if layer0[idx] {
-				return ai + ad, true
-			}
-			if layer1[idx] {
-				return ai + ad + 1, ai+ad+1 <= k
-			}
-		}
-		anyNext := false
-		for i := 0; i <= k; i++ {
-			riPos := c - i
-			for d := 0; d+i <= k; d++ {
-				idx := i*w + d
-				l0, l1, wt := layer0[idx], layer1[idx], wait[idx]
-				if !l0 && !l1 && !wt {
-					continue
-				}
-				if wt && i+d+2 <= k {
-					next0[(i+1)*w+d+1] = true
-					anyNext = true
-				}
-				if !l0 && !l1 {
-					continue
-				}
-				qdPos := c - d
-				match := riPos >= 0 && riPos < n && qdPos >= 0 && qdPos < m && r[riPos] == q[qdPos]
-				if match {
-					if l0 {
-						next0[idx] = true
-					}
-					if l1 {
-						next1[idx] = true
-					}
-					anyNext = true
-					continue
-				}
-				if l0 && i+d+1 <= k {
-					if i+1 <= k {
-						next0[(i+1)*w+d] = true
-					}
-					if d+1 <= k {
-						next0[i*w+d+1] = true
-					}
-					next1[idx] = true
-					anyNext = true
-				}
-				if l1 && i+d+2 <= k {
-					if i+1 <= k {
-						next1[(i+1)*w+d] = true
-					}
-					if d+1 <= k {
-						next1[i*w+d+1] = true
-					}
-					nextW[idx] = true
-					anyNext = true
-				}
-			}
-		}
-		layer0, next0 = next0, layer0
-		layer1, next1 = next1, layer1
-		wait, nextW = nextW, wait
-		for i := range next0 {
-			next0[i], next1[i], nextW[i] = false, false, false
-		}
-		if !anyNext {
-			break
-		}
-	}
-	return 0, false
+	return distance(New(k), r, q)
 }
 
 // DistanceStrings is DistanceOf over the bytes of two strings.

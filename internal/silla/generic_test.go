@@ -5,22 +5,6 @@ import (
 	"testing"
 )
 
-func TestDistanceOfMatchesDNASilla(t *testing.T) {
-	r := rand.New(rand.NewSource(36))
-	for _, k := range []int{0, 1, 3, 6} {
-		a := New(k)
-		for trial := 0; trial < 150; trial++ {
-			x := randSeq(r, r.Intn(30))
-			y := mutate(r, x, r.Intn(k+2))
-			d1, ok1 := a.Distance(x, y)
-			d2, ok2 := DistanceOf(x, y, k)
-			if ok1 != ok2 || (ok1 && d1 != d2) {
-				t.Fatalf("k=%d: generic (%d,%v) != dna (%d,%v)", k, d2, ok2, d1, ok1)
-			}
-		}
-	}
-}
-
 func TestDistanceStrings(t *testing.T) {
 	cases := []struct {
 		a, b string

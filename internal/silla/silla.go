@@ -20,8 +20,10 @@ package silla
 import "genax/internal/dna"
 
 // Automaton is a Silla instance for a fixed maximum edit distance K.
-// Scratch state is reused between calls, so an Automaton is not safe for
-// concurrent use; allocate one per goroutine (they are small: O(K²)).
+// Distance (DNA) and DistanceOf (any comparable alphabet) both run its one
+// collapsed-3D loop, distance. The activation grids are reused between
+// calls, so an Automaton is not safe for concurrent use; allocate one per
+// goroutine (they are small: O(K²)).
 type Automaton struct {
 	k int
 	// Activation grids, flattened (K+1)x(K+1), indexed i*(k+1)+d.
@@ -29,16 +31,6 @@ type Automaton struct {
 	// layer1: one pending substitution; wait: the collapse buffer.
 	layer0, layer1, wait []bool
 	next0, next1, nextW  []bool
-	// activeStates accumulates per-cycle active state counts when
-	// tracing is enabled (used by the ablation benches).
-	Trace *Trace
-}
-
-// Trace optionally records per-cycle activity for analysis.
-type Trace struct {
-	// ActivePerCycle[c] is the number of active states (all layers) at
-	// the start of cycle c.
-	ActivePerCycle []int
 }
 
 // New returns a Silla automaton with edit bound k >= 0.
@@ -76,15 +68,18 @@ func (a *Automaton) clear() {
 // Distance computes the Levenshtein distance between r and q. It reports
 // ok=false when the distance exceeds K, in which case dist is unspecified.
 func (a *Automaton) Distance(r, q dna.Seq) (dist int, ok bool) {
+	return distance(a, r, q)
+}
+
+// distance is the collapsed-3D Silla: it runs r against q on a's grids and
+// reports their edit distance when it is at most a.k.
+func distance[T comparable](a *Automaton, r, q []T) (dist int, ok bool) {
 	k := a.k
 	n, m := len(r), len(q)
 	if diff := n - m; diff > k || -diff > k {
 		return 0, false
 	}
 	a.clear()
-	if a.Trace != nil {
-		a.Trace.ActivePerCycle = a.Trace.ActivePerCycle[:0]
-	}
 	w := k + 1
 	a.layer0[0] = true
 	// Acceptance for state (i,d) happens at cycle c with c-i == n and
@@ -94,27 +89,12 @@ func (a *Automaton) Distance(r, q dna.Seq) (dist int, ok bool) {
 		maxCycle = m + k
 	}
 	for c := 0; c <= maxCycle; c++ {
-		if a.Trace != nil {
-			count := 0
-			for idx := range a.layer0 {
-				if a.layer0[idx] {
-					count++
-				}
-				if a.layer1[idx] {
-					count++
-				}
-				if a.wait[idx] {
-					count++
-				}
-			}
-			a.Trace.ActivePerCycle = append(a.Trace.ActivePerCycle, count)
-		}
 		// Acceptance check: the unique candidate this cycle.
 		ai, ad := c-n, c-m
 		if ai >= 0 && ai <= k && ad >= 0 && ad <= k {
 			idx := ai*w + ad
 			if a.layer0[idx] {
-				return ai + ad, ai+ad <= k
+				return ai + ad, true
 			}
 			if a.layer1[idx] {
 				return ai + ad + 1, ai+ad+1 <= k
@@ -124,18 +104,16 @@ func (a *Automaton) Distance(r, q dna.Seq) (dist int, ok bool) {
 		anyNext := false
 		for i := 0; i <= k; i++ {
 			riPos := c - i
-			for d := 0; d <= k-i; d++ {
+			for d := 0; d+i <= k; d++ {
 				idx := i*w + d
 				l0, l1, wt := a.layer0[idx], a.layer1[idx], a.wait[idx]
 				if !l0 && !l1 && !wt {
 					continue
 				}
-				if wt {
+				if wt && i+d+2 <= k {
 					// Wait state fires into (i+1,d+1) of layer 0.
-					if i+1 <= k && d+1 <= k && i+d+2 <= k {
-						a.next0[(i+1)*w+d+1] = true
-						anyNext = true
-					}
+					a.next0[(i+1)*w+d+1] = true
+					anyNext = true
 				}
 				if !l0 && !l1 {
 					continue
@@ -152,29 +130,25 @@ func (a *Automaton) Distance(r, q dna.Seq) (dist int, ok bool) {
 					anyNext = true
 					continue
 				}
-				if l0 {
-					if i+d+1 <= k {
-						if i+1 <= k {
-							a.next0[(i+1)*w+d] = true // insertion
-						}
-						if d+1 <= k {
-							a.next0[i*w+d+1] = true // deletion
-						}
-						a.next1[idx] = true // substitution into layer 1
-						anyNext = true
+				if l0 && i+d+1 <= k {
+					if i+1 <= k {
+						a.next0[(i+1)*w+d] = true // insertion
 					}
+					if d+1 <= k {
+						a.next0[i*w+d+1] = true // deletion
+					}
+					a.next1[idx] = true // substitution into layer 1
+					anyNext = true
 				}
-				if l1 {
-					if i+d+2 <= k {
-						if i+1 <= k {
-							a.next1[(i+1)*w+d] = true
-						}
-						if d+1 <= k {
-							a.next1[i*w+d+1] = true
-						}
-						a.nextW[idx] = true // second substitution: wait, then merge
-						anyNext = true
+				if l1 && i+d+2 <= k {
+					if i+1 <= k {
+						a.next1[(i+1)*w+d] = true
 					}
+					if d+1 <= k {
+						a.next1[i*w+d+1] = true
+					}
+					a.nextW[idx] = true // second substitution: wait, then merge
+					anyNext = true
 				}
 			}
 		}
@@ -183,62 +157,6 @@ func (a *Automaton) Distance(r, q dna.Seq) (dist int, ok bool) {
 		a.wait, a.nextW = a.nextW, a.wait
 		for i := range a.next0 {
 			a.next0[i], a.next1[i], a.nextW[i] = false, false, false
-		}
-		if !anyNext {
-			break
-		}
-	}
-	return 0, false
-}
-
-// IndelDistance computes the minimum number of insertions plus deletions
-// aligning r and q when substitutions are forbidden — the indel Silla of
-// §III-A with (K+1)²/2 states. It reports ok=false above the bound.
-func (a *Automaton) IndelDistance(r, q dna.Seq) (dist int, ok bool) {
-	k := a.k
-	n, m := len(r), len(q)
-	if diff := n - m; diff > k || -diff > k {
-		return 0, false
-	}
-	a.clear()
-	w := k + 1
-	a.layer0[0] = true
-	maxCycle := n + k
-	if m+k > maxCycle {
-		maxCycle = m + k
-	}
-	for c := 0; c <= maxCycle; c++ {
-		ai, ad := c-n, c-m
-		if ai >= 0 && ai <= k && ad >= 0 && ad <= k && a.layer0[ai*w+ad] {
-			return ai + ad, true
-		}
-		anyNext := false
-		for i := 0; i <= k; i++ {
-			for d := 0; d <= k-i; d++ {
-				idx := i*w + d
-				if !a.layer0[idx] {
-					continue
-				}
-				riPos, qdPos := c-i, c-d
-				if riPos >= 0 && riPos < n && qdPos >= 0 && qdPos < m && r[riPos] == q[qdPos] {
-					a.next0[idx] = true
-					anyNext = true
-					continue
-				}
-				if i+d+1 <= k {
-					if i+1 <= k {
-						a.next0[(i+1)*w+d] = true
-					}
-					if d+1 <= k {
-						a.next0[i*w+d+1] = true
-					}
-					anyNext = true
-				}
-			}
-		}
-		a.layer0, a.next0 = a.next0, a.layer0
-		for i := range a.next0 {
-			a.next0[i] = false
 		}
 		if !anyNext {
 			break

@@ -175,12 +175,11 @@ func indelDistanceDP(a, b dna.Seq) int {
 func TestIndelDistanceMatchesLCS(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
 	for _, k := range []int{0, 1, 2, 4, 8} {
-		a := New(k)
 		for trial := 0; trial < 150; trial++ {
 			x := randSeq(r, r.Intn(20))
 			y := mutate(r, x, r.Intn(k+2))
 			want := indelDistanceDP(x, y)
-			got, ok := a.IndelDistance(x, y)
+			got, ok := indelDistanceOf(x, y, k)
 			if want <= k {
 				if !ok || got != want {
 					t.Fatalf("k=%d: indel Silla %d,%v; LCS oracle %d (x=%v y=%v)", k, got, ok, want, x, y)
@@ -205,22 +204,6 @@ func TestNumStates(t *testing.T) {
 	}
 	if NumStates3D(40) <= New(40).NumStates() {
 		t.Error("3D must be larger than collapsed")
-	}
-}
-
-func TestTraceRecordsActivity(t *testing.T) {
-	a := New(3)
-	a.Trace = &Trace{}
-	x := dna.MustParseSeq("ACGTACGT")
-	y := dna.MustParseSeq("ACGAACGT")
-	if _, ok := a.Distance(x, y); !ok {
-		t.Fatal("distance failed")
-	}
-	if len(a.Trace.ActivePerCycle) == 0 {
-		t.Fatal("no trace recorded")
-	}
-	if a.Trace.ActivePerCycle[0] != 1 {
-		t.Errorf("cycle 0 active = %d, want 1 (start state only)", a.Trace.ActivePerCycle[0])
 	}
 }
 

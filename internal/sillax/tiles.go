@@ -50,9 +50,6 @@ func NewTileArray(baseK, p int) *TileArray {
 	return &TileArray{baseK: baseK, p: p, used: make(map[TileID]bool)}
 }
 
-// BaseK returns the per-tile edit bound.
-func (ta *TileArray) BaseK() int { return ta.baseK }
-
 // NumTriangles returns the total triangular engines on the die (2 p²).
 func (ta *TileArray) NumTriangles() int { return 2 * ta.p * ta.p }
 

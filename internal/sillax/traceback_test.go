@@ -55,7 +55,7 @@ func TestTracebackMatchesGotohScore(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		query := randSeq(r, 30+r.Intn(70))
 		ref := mutate(r, query, r.Intn(4))
-		want := full.Align(ref, query, sw.Extend)
+		want := full.Align(ref, query)
 		got := tm.Extend(ref, query)
 		if got.Score != want.Score {
 			t.Fatalf("trial %d: machine %d, Gotoh %d", trial, got.Score, want.Score)

@@ -217,12 +217,6 @@ type LongReadProfile struct {
 	ReverseFraction float64
 }
 
-// DefaultLongReadProfile is a nanopore-like shape scaled to fit the
-// synthetic genomes the benches use.
-func DefaultLongReadProfile() LongReadProfile {
-	return LongReadProfile{MeanLength: 10000, Coverage: 2, ErrorRate: 0.1, IndelErrorFrac: 0.7, ReverseFraction: 0.5}
-}
-
 // SimulateLong draws variable-length long reads from the donor. The error
 // loop is the Illumina model's, applied per base over kilobase spans with
 // a proportional margin, so indel-heavy reads still come out full length.

@@ -5,66 +5,6 @@ import (
 	"genax/internal/dna"
 )
 
-// BandedEditDistance computes the Levenshtein distance between a and b
-// restricted to a diagonal band of radius k (Ukkonen). It reports ok=false
-// when the distance exceeds k, in which case dist is unspecified.
-func BandedEditDistance(a, b dna.Seq, k int) (dist int, ok bool) {
-	n, m := len(a), len(b)
-	if diff := n - m; diff > k || -diff > k {
-		return 0, false
-	}
-	width := 2*k + 1
-	const inf = 1 << 29
-	prev := make([]int, width)
-	cur := make([]int, width)
-	// Row i covers a-prefix length i; band column c maps to j = i + c - k.
-	for c := range prev {
-		if j := c - k; j >= 0 && j <= m && j <= k {
-			prev[c] = j
-		} else {
-			prev[c] = inf
-		}
-	}
-	for i := 1; i <= n; i++ {
-		for c := 0; c < width; c++ {
-			j := i + c - k
-			if j < 0 || j > m {
-				cur[c] = inf
-				continue
-			}
-			if j == 0 {
-				cur[c] = i
-				continue
-			}
-			best := inf
-			if prev[c] < inf { // diagonal: (i-1, j-1)
-				d := prev[c]
-				if a[i-1] != b[j-1] {
-					d++
-				}
-				best = d
-			}
-			if c+1 < width && prev[c+1] < inf { // up: (i-1, j) deletion from a
-				if d := prev[c+1] + 1; d < best {
-					best = d
-				}
-			}
-			if c-1 >= 0 && cur[c-1] < inf { // left: (i, j-1) insertion
-				if d := cur[c-1] + 1; d < best {
-					best = d
-				}
-			}
-			cur[c] = best
-		}
-		prev, cur = cur, prev
-	}
-	d := prev[m-n+k]
-	if d > k {
-		return 0, false
-	}
-	return d, true
-}
-
 // BandedAligner runs the banded affine-gap extension DP — the "banded
 // Smith-Waterman" that BWA-MEM and the paper's SeqAn CPU baseline use
 // (§VIII-C: O(KN) time, 2K+1 band around the principal diagonal).
@@ -98,7 +38,7 @@ func (ba *BandedAligner) Band() int { return ba.band }
 // machines' cycle counts.
 func (ba *BandedAligner) Cells() int { return ba.cells }
 
-// Extend performs anchored extension (mode Extend of Aligner) inside the
+// Extend performs the anchored extension of Aligner.Align inside the
 // band: both sequences anchored at 0, best prefix-pair score wins, query
 // suffix soft-clipped. It is the software twin of the SillaX scoring
 // machine and the per-hit kernel of the BWA-MEM-like baseline.

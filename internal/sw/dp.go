@@ -1,30 +1,15 @@
 // Package sw implements the software approximate-string-matching baselines
 // the paper compares against (§II, §VII, §VIII-C): full Smith-Waterman with
-// affine gaps and traceback (Gotoh), a banded variant, and Myers' bit-vector
-// edit distance. These serve three roles: CPU baselines for the Fig 14/15
-// benchmarks, components of the BWA-MEM-like software pipeline, and oracles
-// for the Silla/SillaX property tests.
+// affine gaps and traceback (Gotoh) in BWA-MEM's seed-extension mode, its
+// banded variant, and Myers' bit-vector edit distance. These serve three
+// roles: CPU baselines for the Fig 14/15 benchmarks, components of the
+// BWA-MEM-like software pipeline, and oracles for the Silla/SillaX property
+// tests.
 package sw
 
 import (
 	"genax/internal/align"
 	"genax/internal/dna"
-)
-
-// Mode selects the boundary conditions of the affine-gap DP.
-type Mode int
-
-const (
-	// Global aligns all of both sequences (Needleman-Wunsch / Gotoh).
-	Global Mode = iota
-	// Local finds the best-scoring pair of substrings (Smith-Waterman);
-	// unaligned query ends are reported as soft clips.
-	Local
-	// Extend anchors both sequences at position 0 and maximizes the
-	// score over every prefix pair — BWA-MEM's seed-extension step with
-	// clipping (§IV-B): the best score seen anywhere wins and the
-	// remaining query suffix is soft-clipped.
-	Extend
 )
 
 // negInf is a sentinel low enough to never win a max but far from
@@ -56,9 +41,12 @@ func NewAligner(sc align.Scoring) *Aligner {
 	return &Aligner{sc: sc}
 }
 
-// Align aligns query against ref under the given mode and returns the best
-// alignment with a full edit trace.
-func (a *Aligner) Align(ref, query dna.Seq, mode Mode) align.Result {
+// Align extends query along ref and returns the best alignment with a full
+// edit trace. Both sequences are anchored at position 0 and the score is
+// maximized over every prefix pair — BWA-MEM's seed-extension step with
+// clipping (§IV-B): the best score seen anywhere wins, never below the
+// empty extension's 0, and the remaining query suffix is soft-clipped.
+func (a *Aligner) Align(ref, query dna.Seq) align.Result {
 	n, m := len(ref), len(query)
 	cols := n + 1
 	rows := m + 1
@@ -90,12 +78,7 @@ func (a *Aligner) Align(ref, query dna.Seq, mode Mode) align.Result {
 		i := idx(0, r)
 		e[i] = negInf
 		f[i] = -open - ext*int32(r-1)
-		switch mode {
-		case Local:
-			h[i] = 0
-		default:
-			h[i] = f[i]
-		}
+		h[i] = f[i]
 		fromH[i] = matD
 		fromD[i] = matD
 	}
@@ -103,21 +86,13 @@ func (a *Aligner) Align(ref, query dna.Seq, mode Mode) align.Result {
 		i := idx(q, 0)
 		f[i] = negInf
 		e[i] = -open - ext*int32(q-1)
-		switch mode {
-		case Local:
-			h[i] = 0
-		default:
-			h[i] = e[i]
-		}
+		h[i] = e[i]
 		fromH[i] = matI
 		fromI[i] = matI
 	}
 
-	bestScore := int32(negInf)
+	bestScore := int32(0)
 	bestQ, bestR := 0, 0
-	if mode == Local || mode == Extend {
-		bestScore = 0
-	}
 	for q := 1; q <= m; q++ {
 		qb := query[q-1]
 		rowi := idx(q, 0)
@@ -158,37 +133,27 @@ func (a *Aligner) Align(ref, query dna.Seq, mode Mode) align.Result {
 			if f[i] > hv {
 				hv, from = f[i], matD
 			}
-			if mode == Local && hv < 0 {
-				hv, from = 0, matH
-			}
 			h[i], fromH[i] = hv, from
-			if mode == Local || mode == Extend {
-				if hv > bestScore {
-					bestScore, bestQ, bestR = hv, q, r
-				}
+			if hv > bestScore {
+				bestScore, bestQ, bestR = hv, q, r
 			}
 		}
 	}
-	if mode == Global {
-		bestScore, bestQ, bestR = h[idx(m, n)], m, n
-	}
-	return a.traceback(ref, query, mode, int(bestScore), bestQ, bestR)
+	return a.traceback(ref, query, int(bestScore), bestQ, bestR)
 }
 
-// traceback reconstructs the edit trace ending at cell (bq, br) in matrix H.
-func (a *Aligner) traceback(ref, query dna.Seq, mode Mode, score, bq, br int) align.Result {
+// traceback reconstructs the edit trace ending at cell (bq, br) in matrix
+// H, soft-clipping the query suffix past bq.
+func (a *Aligner) traceback(ref, query dna.Seq, score, bq, br int) align.Result {
 	cols := a.cols
 	var rev align.Cigar
-	if tail := len(query) - bq; tail > 0 && mode != Global {
+	if tail := len(query) - bq; tail > 0 {
 		rev = rev.Append(align.OpClip, tail)
 	}
 	q, r := bq, br
 	mat := matH
 	for q > 0 || r > 0 {
 		i := q*cols + r
-		if mode == Local && mat == matH && a.h[i] == 0 {
-			break
-		}
 		switch mat {
 		case matH:
 			if q == 0 {
@@ -223,11 +188,7 @@ func (a *Aligner) traceback(ref, query dna.Seq, mode Mode, score, bq, br int) al
 			mat = int(from)
 		}
 	}
-	if mode == Local && q > 0 {
-		rev = rev.Append(align.OpClip, q)
-	}
-	cig := rev.Reverse()
-	return align.Result{RefPos: r, Score: score, Cigar: cig}
+	return align.Result{Score: score, Cigar: rev.Reverse()}
 }
 
 // EditDistance computes the plain Levenshtein distance by full dynamic

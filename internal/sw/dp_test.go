@@ -97,40 +97,10 @@ func TestMyersRandomPairs(t *testing.T) {
 	}
 }
 
-func TestBandedEditDistanceMatchesDP(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 300; trial++ {
-		a := randSeq(r, 20+r.Intn(60))
-		b := mutate(r, a, r.Intn(8))
-		want := EditDistance(a, b)
-		for _, k := range []int{1, 2, 4, 8, 16} {
-			got, ok := BandedEditDistance(a, b, k)
-			if want <= k {
-				if !ok || got != want {
-					t.Fatalf("trial %d k=%d: got %d,%v want %d,true", trial, k, got, ok, want)
-				}
-			} else if ok && got < want {
-				t.Fatalf("trial %d k=%d: banded reported %d below true distance %d", trial, k, got, want)
-			}
-		}
-	}
-}
-
-func TestBandedEditDistanceLengthGap(t *testing.T) {
-	a := randSeq(rand.New(rand.NewSource(14)), 30)
-	b := a[:10]
-	if _, ok := BandedEditDistance(a, b, 5); ok {
-		t.Error("length difference 20 accepted with k=5")
-	}
-	if d, ok := BandedEditDistance(a, b, 20); !ok || d != 20 {
-		t.Errorf("got %d,%v want 20,true", d, ok)
-	}
-}
-
 // enumerateGlobal exhaustively scores every global alignment of ref[ri:] vs
-// query[qi:]; prev is the preceding op for affine-gap accounting. It is the
-// independent oracle for the Gotoh implementation (exponential, tiny inputs
-// only).
+// query[qi:]; prev is the preceding op for affine-gap accounting. Over every
+// prefix pair it is the independent oracle for the Gotoh extension
+// (exponential, tiny inputs only).
 func enumerateGlobal(ref, query dna.Seq, ri, qi int, prev align.Op, sc align.Scoring) int {
 	if ri == len(ref) && qi == len(query) {
 		return 0
@@ -182,27 +152,6 @@ func enumerateExtend(ref, query dna.Seq, sc align.Scoring) int {
 	return best
 }
 
-func TestGlobalAgainstEnumeration(t *testing.T) {
-	r := rand.New(rand.NewSource(15))
-	sc := align.BWAMEMDefaults()
-	al := NewAligner(sc)
-	for trial := 0; trial < 150; trial++ {
-		ref := randSeq(r, r.Intn(7))
-		query := randSeq(r, r.Intn(7))
-		want := enumerateGlobal(ref, query, 0, 0, 0, sc)
-		res := al.Align(ref, query, Global)
-		if res.Score != want {
-			t.Fatalf("trial %d: Global score %d, oracle %d (ref=%v query=%v)", trial, res.Score, want, ref, query)
-		}
-		if err := res.Cigar.Validate(ref, query); err != nil {
-			t.Fatalf("trial %d: invalid cigar %v: %v", trial, res.Cigar, err)
-		}
-		if got := res.Cigar.Score(sc); got != want {
-			t.Fatalf("trial %d: cigar rescore %d != %d (cigar %v)", trial, got, want, res.Cigar)
-		}
-	}
-}
-
 func TestExtendAgainstEnumeration(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	sc := align.BWAMEMDefaults()
@@ -211,7 +160,7 @@ func TestExtendAgainstEnumeration(t *testing.T) {
 		ref := randSeq(r, r.Intn(7))
 		query := randSeq(r, r.Intn(7))
 		want := enumerateExtend(ref, query, sc)
-		res := al.Align(ref, query, Extend)
+		res := al.Align(ref, query)
 		if res.Score != want {
 			t.Fatalf("trial %d: Extend score %d, oracle %d (ref=%v query=%v)", trial, res.Score, want, ref, query)
 		}
@@ -221,45 +170,12 @@ func TestExtendAgainstEnumeration(t *testing.T) {
 	}
 }
 
-func TestGlobalUnitScoringIsEditDistance(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	al := NewAligner(align.Unit())
-	for trial := 0; trial < 100; trial++ {
-		a := randSeq(r, r.Intn(30))
-		b := mutate(r, a, r.Intn(5))
-		res := al.Align(a, b, Global)
-		if want := -EditDistance(a, b); res.Score != want {
-			t.Fatalf("unit global score %d, want %d", res.Score, want)
-		}
-	}
-}
-
-func TestLocalAlignment(t *testing.T) {
-	sc := align.BWAMEMDefaults()
-	al := NewAligner(sc)
-	ref := dna.MustParseSeq("TTTTTACGTACGTTTTT")
-	query := dna.MustParseSeq("GGACGTACGTGG")
-	res := al.Align(ref, query, Local)
-	if res.Score != 8 {
-		t.Errorf("local score = %d, want 8", res.Score)
-	}
-	if res.RefPos != 5 {
-		t.Errorf("local RefPos = %d, want 5", res.RefPos)
-	}
-	if err := res.Cigar.Validate(ref[res.RefPos:], query); err != nil {
-		t.Errorf("invalid local cigar %v: %v", res.Cigar, err)
-	}
-	if res.Cigar.String() != "2S8=2S" {
-		t.Errorf("local cigar = %v, want 2S8=2S", res.Cigar)
-	}
-}
-
 func TestExtendClipsPoorTail(t *testing.T) {
 	sc := align.BWAMEMDefaults()
 	al := NewAligner(sc)
 	ref := dna.MustParseSeq("ACGTACGTAAAAAAAA")
 	query := dna.MustParseSeq("ACGTACGTTTTTTTTT")
-	res := al.Align(ref, query, Extend)
+	res := al.Align(ref, query)
 	if res.Score != 8 {
 		t.Errorf("score = %d, want 8", res.Score)
 	}
@@ -273,10 +189,10 @@ func TestAlignerScratchReuse(t *testing.T) {
 	al := NewAligner(sc)
 	r := rand.New(rand.NewSource(18))
 	big := randSeq(r, 80)
-	al.Align(big, mutate(r, big, 4), Global)
+	al.Align(big, mutate(r, big, 4))
 	// A smaller alignment after a bigger one must still be correct.
 	a := dna.MustParseSeq("ACGT")
-	res := al.Align(a, a, Global)
+	res := al.Align(a, a)
 	if res.Score != 4 || res.Cigar.String() != "4=" {
 		t.Errorf("after reuse: %v", res)
 	}
@@ -286,15 +202,15 @@ func TestAlignEmptyInputs(t *testing.T) {
 	sc := align.BWAMEMDefaults()
 	al := NewAligner(sc)
 	q := dna.MustParseSeq("ACG")
-	res := al.Align(dna.Seq{}, q, Extend)
+	res := al.Align(dna.Seq{}, q)
 	if res.Score != 0 || res.Cigar.String() != "3S" {
 		t.Errorf("empty-ref extend = %v", res)
 	}
-	res = al.Align(q, dna.Seq{}, Global)
-	if res.Score != -(sc.GapOpen + 3*sc.GapExtend) {
-		t.Errorf("empty-query global score = %d", res.Score)
+	res = al.Align(q, dna.Seq{})
+	if res.Score != 0 || len(res.Cigar) != 0 {
+		t.Errorf("empty-query extend = %v", res)
 	}
-	res = al.Align(dna.Seq{}, dna.Seq{}, Global)
+	res = al.Align(dna.Seq{}, dna.Seq{})
 	if res.Score != 0 || len(res.Cigar) != 0 {
 		t.Errorf("empty-empty = %v", res)
 	}
