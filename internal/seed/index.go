@@ -39,9 +39,9 @@ type Tables struct {
 	// Positions is every occurrence list concatenated in k-mer order.
 	Positions []int32
 	// Presence is a bitmap over the k-mer space: bit km is set iff the
-	// k-mer occurs in the segment. The common absent-k-mer probe (a read
-	// tested against a segment it does not belong to) resolves here and
-	// goes no further.
+	// k-mer occurs in the segment. A seeding lane reads it once per window
+	// in Seeder.Seed's pre-pass, for all of a read's windows together, and
+	// resolves only the present ones any further.
 	Presence []uint64
 	// Rank[w] is the number of set bits in Presence[:w], so the rank of a
 	// present k-mer km — its index into Start — is
@@ -246,10 +246,10 @@ func (si *SegmentIndex) K() int { return si.codec.K() }
 
 // Lookup returns the sorted (strictly ascending) local positions of km.
 //
-// It is the presence test only, kept small enough to inline into
-// Seeder.lookup (CI checks `can inline (*SegmentIndex).Lookup`): most
-// probes are of absent k-mers and end here. A present k-mer tail-calls
-// hits for rank → offsets → clamp.
+// It is the presence test only, kept small enough to inline
+// (TestHotPathInlines checks it): an absent k-mer ends here, and a present
+// one tail-calls hits for rank → span → clamp. The seeding lanes do not
+// probe through it; their pre-pass reads Presence and span directly.
 //
 // BORROW CONTRACT: the returned slice aliases the index's shared position
 // table, which every lane bound to this segment reads concurrently. It is
@@ -268,31 +268,44 @@ func (si *SegmentIndex) Lookup(km dna.Kmer) []int32 {
 	return si.hits(km)
 }
 
-// hits returns the occurrence list of a k-mer whose presence bit is set:
-// rank → two adjacent start entries → a window of the position table. Out
-// of line so that Lookup stays inlinable.
-//
-// Clamp, never panic: a mapped view skips the full structural scan (it
-// would fault every page), so a corrupt rank word or start entry that
-// slipped past the file checksums must degrade to "no hits", not a crash.
-// Built and validated tables never take either clamp.
+// hits returns the occurrence list of a k-mer whose presence bit is set.
+// Out of line so that Lookup stays inlinable.
 //
 //go:noinline
 //genax:borrowed
 //genax:hotpath
-func (si *SegmentIndex) hits(km dna.Kmer) []int32 {
+func (si *SegmentIndex) hits(km dna.Kmer) []int32 { return si.positions(si.spanOf(km)) }
+
+// span is a present k-mer's occurrence list: [lo, hi) of Positions.
+type span struct{ lo, hi int32 }
+
+// spanOf is the one rank → span path: rank → two adjacent start entries.
+// hits and the seeding lanes' pre-pass (Seeder.Seed) both take it.
+//
+// Clamp, never panic: a mapped view skips the full structural scan (it
+// would fault every page), so a corrupt rank word or start entry that
+// slipped past the file checksums must degrade to an empty span ("no
+// hits"), not a crash. Built and validated tables never take the clamp.
+//
+//genax:hotpath
+func (si *SegmentIndex) spanOf(km dna.Kmer) span {
 	t := &si.tab
 	below := t.Presence[km>>6] & (1<<(km&63) - 1)
 	r := uint(t.Rank[km>>6]) + uint(bits.OnesCount64(below))
-	if r+1 >= uint(len(t.Start)) {
-		return nil
+	if r+1 < uint(len(t.Start)) {
+		lo, hi := t.Start[r], t.Start[r+1]
+		if lo >= 0 && hi >= lo && int(hi) <= len(t.Positions) {
+			return span{lo, hi}
+		}
 	}
-	lo, hi := t.Start[r], t.Start[r+1]
-	if lo < 0 || hi < lo || int(hi) > len(t.Positions) {
-		return nil
-	}
-	return t.Positions[lo:hi]
+	return span{}
 }
+
+// positions borrows s's window of Positions, under Lookup's contract.
+//
+//genax:borrowed
+//genax:hotpath
+func (si *SegmentIndex) positions(s span) []int32 { return si.tab.Positions[s.lo:s.hi] }
 
 // LookupAt encodes the k-mer of read at pos and returns its hits. ok is
 // false when the window does not fit in the read. The returned slice is

@@ -84,6 +84,7 @@ type Seeder struct {
 	// delta-normalized incoming hits of one intersect call; seedBuf backs
 	// the returned seeds; winBuf backs the exact-match window list; scan
 	// memoizes the read's per-position k-mers for the current Seed call;
+	// present and spans are the probe table filled from scan (see probe);
 	// arena is the flat hit-list buffer every emitted Positions slice is
 	// carved from (see emit for its lifetime rules).
 	inBuf   []int32
@@ -92,6 +93,8 @@ type Seeder struct {
 	seedBuf []Seed
 	winBuf  []segWin
 	scan    []dna.Kmer
+	present []uint64
+	spans   []span
 	arena   []int32
 }
 
@@ -124,18 +127,18 @@ func (sd *Seeder) Options() Options { return sd.opts }
 func (sd *Seeder) adopt() { sd.live ^= 1 }
 
 // lookup charges an index-table access and returns the (sorted, local)
-// hits of the window at read position q. The k-mer comes from the per-read
-// memo Seed filled and the probe takes the presence-bitmap pre-filter; the
-// model counts one table access per in-bounds window.
+// hits of the window at read position q. The answer comes from the probe
+// table, not the index; the model counts one table access per in-bounds
+// window, as the chip makes one.
 //
 //genax:borrowed
 //genax:hotpath
 func (sd *Seeder) lookup(q int) ([]int32, bool) {
-	if q < 0 || q >= len(sd.scan) {
+	if uint(q) >= uint(len(sd.scan)) {
 		return nil, false
 	}
 	sd.Stats.IndexLookups++
-	return sd.si.Lookup(sd.scan[q]), true
+	return sd.hitsAt(q), true
 }
 
 // hitsAt is lookup without the IndexLookups charge, for re-reading a window
@@ -144,10 +147,45 @@ func (sd *Seeder) lookup(q int) ([]int32, bool) {
 //genax:borrowed
 //genax:hotpath
 func (sd *Seeder) hitsAt(q int) []int32 {
-	if q < 0 || q >= len(sd.scan) {
+	if uint(q) >= uint(len(sd.scan)) || sd.present[uint(q)>>6]>>(uint(q)&63)&1 == 0 {
 		return nil
 	}
-	return sd.si.Lookup(sd.scan[q])
+	return sd.si.positions(sd.spans[q])
+}
+
+// probe is Seed's pre-pass over the window memo: bit q of present is set
+// iff window q's k-mer occurs in the segment, and then spans[q] is its
+// span. The first loop's loads do not depend on each other, so the core
+// overlaps their cache misses. probe reports whether any bit is set.
+//
+//genax:hotpath
+func (sd *Seeder) probe() bool {
+	sd.fit(len(sd.scan))
+	pres := sd.si.tab.Presence
+	var seen uint64
+	for w := range sd.present {
+		var word uint64
+		for i, km := range sd.scan[w<<6 : min(w<<6+64, len(sd.scan))] {
+			word |= (pres[km>>6] >> (km & 63) & 1) << i
+		}
+		sd.present[w] = word
+		seen |= word
+	}
+	for q, km := range sd.scan {
+		if sd.present[q>>6]>>(q&63)&1 != 0 {
+			sd.spans[q] = sd.si.spanOf(km)
+		}
+	}
+	return seen != 0
+}
+
+// fit sizes the probe table for n windows. It allocates only when a read
+// has more windows than any before it on this lane.
+func (sd *Seeder) fit(n int) {
+	if cap(sd.spans) < n {
+		sd.spans, sd.present = make([]span, n), make([]uint64, (n+63)/64)
+	}
+	sd.spans, sd.present = sd.spans[:n], sd.present[:(n+63)/64]
 }
 
 // intersect intersects the sorted candidate set cur (pivot-normalized)
@@ -327,8 +365,17 @@ func (sd *Seeder) Seed(read dna.Seq) []Seed {
 	// memo, including RMEM restarts and refine re-probes of the same
 	// position.
 	sd.scan = sd.si.codec.AppendScan(sd.scan[:0], read)
+	seen := sd.probe()
 	if !sd.opts.SMEMFilter {
 		return sd.naiveSeeds(read)
+	}
+	if !seen {
+		// No window is present: charge the probes the executed path makes.
+		sd.Stats.IndexLookups += m - k + 1
+		if sd.opts.ExactFastPath {
+			sd.Stats.IndexLookups++
+		}
+		return nil
 	}
 	if sd.opts.ExactFastPath {
 		if out, ok := sd.exactMatch(read); ok {
