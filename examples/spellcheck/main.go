@@ -2,9 +2,9 @@
 // "can also be easily extended to solve other important problems such as
 // ... automatic spell correction" — nothing in Silla depends on the DNA
 // alphabet. This example fuzzy-matches misspelled words against a
-// dictionary with one string-independent automaton per edit bound,
-// contrasted with the classical Levenshtein automaton, which would need a
-// freshly compiled machine per dictionary word.
+// dictionary with Silla's automaton, whose structure depends on the edit
+// bound alone, contrasted with the classical Levenshtein automaton, which
+// would need a freshly compiled machine per dictionary word.
 package main
 
 import (
@@ -35,7 +35,8 @@ func main() {
 		}
 		var hits []hit
 		for _, w := range dictionary {
-			// One automaton structure serves every (query, word) pair —
+			// DistanceStrings builds a fresh automaton for each pair. Its
+			// structure depends only on k, never on the two strings —
 			// the string independence that makes SillaX practical.
 			if d, ok := silla.DistanceStrings(q, w, k); ok {
 				hits = append(hits, hit{w, d})

@@ -249,7 +249,7 @@ func (si *SegmentIndex) K() int { return si.codec.K() }
 // It is the presence test only, kept small enough to inline
 // (TestHotPathInlines checks it): an absent k-mer ends here, and a present
 // one tail-calls hits for rank → span → clamp. The seeding lanes do not
-// probe through it; their pre-pass reads Presence and span directly.
+// probe through it; their pre-pass reads Presence and spanOf directly.
 //
 // BORROW CONTRACT: the returned slice aliases the index's shared position
 // table, which every lane bound to this segment reads concurrently. It is
