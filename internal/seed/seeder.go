@@ -84,7 +84,7 @@ type Seeder struct {
 	// delta-normalized incoming hits of one intersect call; seedBuf backs
 	// the returned seeds; winBuf backs the exact-match window list; scan
 	// memoizes the read's per-position k-mers for the current Seed call;
-	// present and spans are the probe table filled from scan (see probe);
+	// spans is the probe table filled from scan (see probe);
 	// arena is the flat hit-list buffer every emitted Positions slice is
 	// carved from (see emit for its lifetime rules).
 	inBuf   []int32
@@ -93,7 +93,6 @@ type Seeder struct {
 	seedBuf []Seed
 	winBuf  []segWin
 	scan    []dna.Kmer
-	present []uint64
 	spans   []span
 	arena   []int32
 }
@@ -147,32 +146,31 @@ func (sd *Seeder) lookup(q int) ([]int32, bool) {
 //genax:borrowed
 //genax:hotpath
 func (sd *Seeder) hitsAt(q int) []int32 {
-	if uint(q) >= uint(len(sd.scan)) || sd.present[uint(q)>>6]>>(uint(q)&63)&1 == 0 {
+	if uint(q) >= uint(len(sd.spans)) {
 		return nil
 	}
 	return sd.si.positions(sd.spans[q])
 }
 
-// probe is Seed's pre-pass over the window memo: bit q of present is set
-// iff window q's k-mer occurs in the segment, and then spans[q] is its
-// span. The first loop's loads do not depend on each other, so the core
-// overlaps their cache misses. probe reports whether any bit is set.
+// probe is Seed's pre-pass over the window memo: spans[q] becomes window
+// q's span in the segment, empty when its k-mer is absent. The first loop
+// is branch-free and its loads do not depend on each other, so the core
+// overlaps their cache misses; it leaves an absent window's span empty and
+// a present one's non-empty, and the second loop resolves the latter.
+// probe reports whether any window is present.
 //
 //genax:hotpath
 func (sd *Seeder) probe() bool {
 	sd.fit(len(sd.scan))
 	pres := sd.si.tab.Presence
-	var seen uint64
-	for w := range sd.present {
-		var word uint64
-		for i, km := range sd.scan[w<<6 : min(w<<6+64, len(sd.scan))] {
-			word |= (pres[km>>6] >> (km & 63) & 1) << i
-		}
-		sd.present[w] = word
-		seen |= word
+	var seen int32
+	for q, km := range sd.scan {
+		bit := int32(pres[km>>6] >> (km & 63) & 1)
+		sd.spans[q] = span{0, bit}
+		seen |= bit
 	}
 	for q, km := range sd.scan {
-		if sd.present[q>>6]>>(q&63)&1 != 0 {
+		if sd.spans[q].hi != 0 {
 			sd.spans[q] = sd.si.spanOf(km)
 		}
 	}
@@ -183,9 +181,9 @@ func (sd *Seeder) probe() bool {
 // has more windows than any before it on this lane.
 func (sd *Seeder) fit(n int) {
 	if cap(sd.spans) < n {
-		sd.spans, sd.present = make([]span, n), make([]uint64, (n+63)/64)
+		sd.spans = make([]span, n)
 	}
-	sd.spans, sd.present = sd.spans[:n], sd.present[:(n+63)/64]
+	sd.spans = sd.spans[:n]
 }
 
 // intersect intersects the sorted candidate set cur (pivot-normalized)
