@@ -1,9 +1,29 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// checkGolden compares a figure's rendering with the checked-in
+// testdata/<name>.golden. The renderings compared this way hold model
+// numbers and work counts only, no host timings, so they repeat byte for
+// byte at any GOMAXPROCS. A change that means to move a number edits the
+// file in the same diff and says why; every other change must leave it
+// byte-identical. Fig 14 and Fig 15 have host-timed rows and stay out.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from %s; if the change means to move it, replace the file with:\n%s\nwant:\n%s", name, path, got, want)
+	}
+}
 
 func TestFig12(t *testing.T) {
 	r := Fig12()
@@ -16,6 +36,7 @@ func TestFig12(t *testing.T) {
 			t.Errorf("rendering missing %q", want)
 		}
 	}
+	checkGolden(t, "fig12", s)
 }
 
 func TestFig13Quick(t *testing.T) {
@@ -36,7 +57,7 @@ func TestFig13Quick(t *testing.T) {
 	if !strings.Contains(r.String(), "7.59") {
 		t.Error("paper anchor missing from rendering")
 	}
-	t.Log(r.String())
+	checkGolden(t, "fig13", r.String())
 }
 
 func TestFig14Quick(t *testing.T) {
@@ -69,7 +90,7 @@ func TestFig16Quick(t *testing.T) {
 	if r.ExactFraction <= 0 || r.ExactFraction >= 1 {
 		t.Errorf("exact fraction %.3f degenerate", r.ExactFraction)
 	}
-	t.Log(r.String())
+	checkGolden(t, "fig16", r.String())
 }
 
 func TestFig15Quick(t *testing.T) {
@@ -98,8 +119,9 @@ func TestValidateQuick(t *testing.T) {
 	if r.ScoreVariance > 0.02 {
 		t.Errorf("score variance %.4f%% too high vs paper's 0.0023%%", 100*r.ScoreVariance)
 	}
-	t.Log(r.String())
+	checkGolden(t, "validate", r.String())
 	if !strings.Contains(Table2String(), "172.78") {
 		t.Error("Table II anchor missing")
 	}
+	checkGolden(t, "table2", Table2String())
 }
