@@ -245,42 +245,27 @@ func (si *SegmentIndex) Tables() Tables { return si.tab }
 func (si *SegmentIndex) K() int { return si.codec.K() }
 
 // Lookup returns the sorted (strictly ascending) local positions of km.
-//
-// It is the presence test only, kept small enough to inline
-// (TestHotPathInlines checks it): an absent k-mer ends here, and a present
-// one tail-calls hits for rank → span → clamp. The seeding lanes do not
-// probe through it; their pre-pass reads Presence and spanOf directly.
+// The seeding lanes do not probe through it; their pre-pass reads
+// Presence and spanOf directly (Seeder.probe).
 //
 // BORROW CONTRACT: the returned slice aliases the index's shared position
 // table, which every lane bound to this segment reads concurrently. It is
 // a read-only view, valid for the index's lifetime; callers must never
-// mutate, sort, or append through it. Code that needs to reorder or
-// normalize hits (the CAM intersection paths) must copy into lane-owned
-// scratch first — see Seeder.intersect, which delta-normalizes into its
-// inBuf before any strategy runs.
+// mutate, sort, or append through it.
 //
 //genax:borrowed
-//genax:hotpath
 func (si *SegmentIndex) Lookup(km dna.Kmer) []int32 {
 	if si.tab.Presence[km>>6]&(1<<(km&63)) == 0 {
 		return nil
 	}
-	return si.hits(km)
+	return si.positions(si.spanOf(km))
 }
-
-// hits returns the occurrence list of a k-mer whose presence bit is set.
-// Out of line so that Lookup stays inlinable.
-//
-//go:noinline
-//genax:borrowed
-//genax:hotpath
-func (si *SegmentIndex) hits(km dna.Kmer) []int32 { return si.positions(si.spanOf(km)) }
 
 // span is a present k-mer's occurrence list: [lo, hi) of Positions.
 type span struct{ lo, hi int32 }
 
 // spanOf is the one rank → span path: rank → two adjacent start entries.
-// hits and the seeding lanes' pre-pass (Seeder.Seed) both take it.
+// Lookup and the seeding lanes' pre-pass (Seeder.probe) both take it.
 //
 // Clamp, never panic: a mapped view skips the full structural scan (it
 // would fault every page), so a corrupt rank word or start entry that

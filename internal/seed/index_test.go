@@ -135,89 +135,11 @@ func TestBuildSegmentedIndexErrors(t *testing.T) {
 	}
 }
 
-func TestCAMBasics(t *testing.T) {
-	c := NewCAM(4)
-	if !c.Load([]int32{1, 5, 9}) {
-		t.Fatal("Load of 3 entries into size-4 CAM failed")
-	}
-	if c.Writes != 3 {
-		t.Errorf("Writes = %d", c.Writes)
-	}
-	got := c.IntersectProbeInto(nil, []int32{5, 6, 9, 10})
-	if len(got) != 2 || got[0] != 5 || got[1] != 9 {
-		t.Errorf("IntersectProbeInto = %v", got)
-	}
-	if c.Lookups != 4 {
-		t.Errorf("Lookups = %d, want 4", c.Lookups)
-	}
-	if c.Load(make([]int32, 5)) {
-		t.Error("oversized Load succeeded")
-	}
-	if c.Overflow != 1 {
-		t.Errorf("Overflow = %d", c.Overflow)
-	}
-}
-
-func TestCAMIntersectBinary(t *testing.T) {
-	c := NewCAM(4)
-	sorted := []int32{2, 4, 6, 8, 10, 12, 14, 16}
-	got := c.IntersectBinaryInto(nil, []int32{1, 4, 9, 16}, sorted)
-	if len(got) != 2 || got[0] != 4 || got[1] != 16 {
-		t.Errorf("IntersectBinaryInto = %v", got)
-	}
-	if c.Lookups == 0 {
-		t.Error("binary intersection charged no lookups")
-	}
-	if got := c.IntersectBinaryInto(nil, nil, sorted); got != nil {
-		t.Errorf("empty cur: %v", got)
-	}
-	if got := c.IntersectBinaryInto(nil, []int32{1}, nil); got != nil {
-		t.Errorf("empty hits: %v", got)
-	}
-}
-
-func TestCAMIntersectChunked(t *testing.T) {
-	c := NewCAM(4)
-	cur := []int32{1, 3, 5, 7, 9, 11}
-	incoming := []int32{2, 3, 5, 8, 9, 10, 11, 20, 21}
-	got := c.IntersectChunkedInto(nil, cur, incoming)
-	want := []int32{3, 5, 9, 11}
-	if len(got) != len(want) {
-		t.Fatalf("IntersectChunkedInto = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("IntersectChunkedInto[%d] = %d, want %d (order must follow cur)", i, got[i], want[i])
-		}
-	}
-	// 3 chunks of <=4 entries, 6 probes each.
-	if c.Lookups != 18 {
-		t.Errorf("Lookups = %d, want 18", c.Lookups)
-	}
-	if got := c.IntersectChunkedInto(nil, nil, incoming); got != nil {
-		t.Errorf("empty cur: %v", got)
-	}
-	if got := c.IntersectChunkedInto(nil, cur, nil); got != nil {
-		t.Errorf("empty incoming: %v", got)
-	}
-}
-
-func TestBinaryCost(t *testing.T) {
-	if BinaryCost(0, 100) != 0 || BinaryCost(100, 0) != 0 {
-		t.Error("empty sets must cost nothing")
-	}
-	if got := BinaryCost(10, 1024); got != 10*11 {
-		t.Errorf("BinaryCost(10,1024) = %d, want 110", got)
-	}
-	if got := BinaryCost(1, 1); got != 1 {
-		t.Errorf("BinaryCost(1,1) = %d, want 1", got)
-	}
-}
-
 func TestIntersectionStrategiesAgree(t *testing.T) {
-	// Whatever strategy the cost dispatcher picks, the resulting seed
-	// sets must be identical; pin this by comparing seeders whose CAM
-	// sizes force different strategies.
+	// BinarySearch moves only the CAM charge: with it off, the modelled
+	// FSM streams oversized lists through the CAM instead, and the seeds
+	// must be identical. The repeat-rich reference gives hit lists far
+	// beyond the CAM's capacity.
 	r := rand.New(rand.NewSource(117))
 	ref := make(dna.Seq, 20000) // poly-A: worst-case hit lists
 	for i := range ref {
@@ -228,30 +150,26 @@ func TestIntersectionStrategiesAgree(t *testing.T) {
 	si, _ := BuildSegmentIndex(ref, 0, 0, 6)
 	base := DefaultOptions()
 	base.MinSeedLen = 12
-	small := base
-	small.CAMSize = 8
 	noBin := base
 	noBin.BinarySearch = false
 	sdBase := NewSeeder(si, base)
-	sdSmall := NewSeeder(si, small)
 	sdNoBin := NewSeeder(si, noBin)
 	for trial := 0; trial < 20; trial++ {
 		start := r.Intn(len(ref) - 101)
 		read := ref[start : start+101].Clone()
 		a := sdBase.Seed(read)
-		b := sdSmall.Seed(read)
 		c := sdNoBin.Seed(read)
-		if len(a) != len(b) || len(a) != len(c) {
-			t.Fatalf("trial %d: seed counts differ: %d/%d/%d", trial, len(a), len(b), len(c))
+		if len(a) != len(c) {
+			t.Fatalf("trial %d: seed counts differ: %d/%d", trial, len(a), len(c))
 		}
 		for i := range a {
-			if a[i].Start != b[i].Start || a[i].End != b[i].End || len(a[i].Positions) != len(b[i].Positions) {
-				t.Fatalf("trial %d seed %d differs between CAM sizes", trial, i)
-			}
-			if a[i].Start != c[i].Start || a[i].End != c[i].End || len(a[i].Positions) != len(c[i].Positions) {
+			if a[i].Start != c[i].Start || a[i].End != c[i].End || !slices.Equal(a[i].Positions, c[i].Positions) {
 				t.Fatalf("trial %d seed %d differs with binary search off", trial, i)
 			}
 		}
+	}
+	if sdBase.Stats.CAMLookups >= sdNoBin.Stats.CAMLookups {
+		t.Errorf("binary search did not cut CAM lookups: %d vs %d", sdBase.Stats.CAMLookups, sdNoBin.Stats.CAMLookups)
 	}
 }
 
@@ -409,9 +327,9 @@ func TestLookupBorrowContract(t *testing.T) {
 	snapshot := append([]int32(nil), si.tab.Positions...)
 	for _, opts := range []Options{
 		DefaultOptions(),
-		{MinSeedLen: 10, CAMSize: 8, SMEMFilter: true, BinaryExtension: true, Probing: true, ExactFastPath: true},
-		{MinSeedLen: 10, CAMSize: 512, SMEMFilter: true, BinaryExtension: true, BinarySearch: false},
-		{MinSeedLen: 10, CAMSize: 512, SMEMFilter: false},
+		{MinSeedLen: 10, SMEMFilter: true, BinaryExtension: true, Probing: true, ExactFastPath: true},
+		{MinSeedLen: 10, SMEMFilter: true, BinaryExtension: true, BinarySearch: false},
+		{MinSeedLen: 10, SMEMFilter: false},
 	} {
 		sd := NewSeeder(si, opts)
 		for trial := 0; trial < 25; trial++ {

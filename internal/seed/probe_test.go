@@ -14,17 +14,14 @@ import (
 // TestHotPathInlines asks the compiler whether the probe path still
 // inlines. Every seeding probe ends in Seeder.lookup or hitsAt, which read
 // the lane's probe table; if either grows past the inlining budget each
-// probe pays a call, and nothing else fails. SegmentIndex.Lookup is the
-// index's own presence test, off the seeding path (SegmentedIndex.Hash and
-// LookupAt call it); it stays pinned until hits' //go:noinline, which only
-// protects its budget, goes. The test needs the go tool: without it, it
-// fails rather than skip.
+// probe pays a call, and nothing else fails. The test needs the go tool:
+// without it, it fails rather than skip.
 func TestHotPathInlines(t *testing.T) {
 	out, err := exec.Command("go", "build", "-gcflags=-m=2", ".").CombinedOutput()
 	if err != nil {
 		t.Fatalf("go build -gcflags=-m=2: %v\n%s", err, out)
 	}
-	for _, fn := range []string{"(*SegmentIndex).Lookup", "(*Seeder).lookup", "(*Seeder).hitsAt"} {
+	for _, fn := range []string{"(*Seeder).lookup", "(*Seeder).hitsAt"} {
 		if bytes.Contains(out, []byte("can inline "+fn+" with cost")) {
 			continue
 		}

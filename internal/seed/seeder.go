@@ -7,8 +7,6 @@ import "genax/internal/dna"
 type Options struct {
 	// MinSeedLen is BWA-MEM's minimum reported seed length (19 default).
 	MinSeedLen int
-	// CAMSize is the per-lane CAM capacity (512 in GenAx).
-	CAMSize int
 	// SMEMFilter enables RMEM/SMEM computation; disabled, the seeder is
 	// the naive hash baseline that forwards every k-mer window's hits.
 	SMEMFilter bool
@@ -16,9 +14,11 @@ type Options struct {
 	// RMEMs to their exact length (optimization two); disabled, RMEMs
 	// stop at multiples of k and carry correspondingly more hits.
 	BinaryExtension bool
-	// BinarySearch enables the sorted-position-table binary search for
-	// hit lists that exceed the CAM; disabled, oversized lists stream
-	// through the CAM in chunks (the Fig 16b "linear" baseline).
+	// BinarySearch lets the modelled FSM binary-search the sorted position
+	// table when that is cheaper than the CAM; disabled, lists too large
+	// for the CAM stream through it in chunks (the Fig 16b "linear"
+	// baseline). It changes only the CAMLookups charge (see camCost): the
+	// host intersects every set the same way.
 	BinarySearch bool
 	// Probing looks up several low-stride second k-mers and starts the
 	// intersection from the smallest hit set (optimization three).
@@ -32,7 +32,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		MinSeedLen:      19,
-		CAMSize:         512,
 		SMEMFilter:      true,
 		BinaryExtension: true,
 		BinarySearch:    true,
@@ -56,7 +55,7 @@ type Stats struct {
 	Reads        int
 	ExactReads   int // reads resolved by the exact-match fast path
 	IndexLookups int // index-table accesses
-	CAMLookups   int // associative/binary probe operations
+	CAMLookups   int // modelled CAM loads and probes (see camCost)
 	SeedsEmitted int
 	HitsEmitted  int // total (seed, position) pairs sent to extension
 }
@@ -68,11 +67,10 @@ type segWin struct {
 }
 
 // Seeder is one seeding lane bound to a segment index. A lane is long-lived:
-// Reset rebinds it to the next segment's tables while the CAM and all
-// scratch buffers survive, so steady-state seeding does not allocate.
+// Reset rebinds it to the next segment's tables while all scratch buffers
+// survive, so steady-state seeding does not allocate.
 type Seeder struct {
 	si   *SegmentIndex
-	cam  *CAM
 	opts Options
 	// Stats accumulates across Seed calls; reset it directly.
 	Stats Stats
@@ -80,14 +78,12 @@ type Seeder struct {
 	// Lane-owned scratch. curBuf double-buffers the candidate sets flowing
 	// through intersect: writes always go to the buffer live does NOT name,
 	// and adopt flips live when the caller keeps a result, so an input set
-	// is never overwritten while still being read. inBuf holds the
-	// delta-normalized incoming hits of one intersect call; seedBuf backs
-	// the returned seeds; winBuf backs the exact-match window list; scan
+	// is never overwritten while still being read. seedBuf backs the
+	// returned seeds; winBuf backs the exact-match window list; scan
 	// memoizes the read's per-position k-mers for the current Seed call;
 	// spans is the probe table filled from scan (see probe);
 	// arena is the flat hit-list buffer every emitted Positions slice is
 	// carved from (see emit for its lifetime rules).
-	inBuf   []int32
 	curBuf  [2][]int32
 	live    int
 	seedBuf []Seed
@@ -102,18 +98,14 @@ func NewSeeder(si *SegmentIndex, opts Options) *Seeder {
 	if opts.MinSeedLen < 1 {
 		opts.MinSeedLen = 1
 	}
-	if opts.CAMSize < 1 {
-		opts.CAMSize = 512
-	}
-	return &Seeder{si: si, cam: NewCAM(opts.CAMSize), opts: opts}
+	return &Seeder{si: si, opts: opts}
 }
 
 // Reset rebinds the lane to another segment's tables in place, mirroring
 // the chip streaming a fresh per-segment table pair into SRAM while the
-// lane hardware persists: the CAM, scratch buffers, and accumulated Stats
-// all survive. The new index must use the same k-mer length workflow as
-// any previous one only in the sense that Seed consults si.K() per call —
-// differing k is allowed.
+// lane hardware persists: scratch buffers and accumulated Stats survive.
+// Seed reads si.K() on every call, so the new index may use a different
+// k-mer length.
 func (sd *Seeder) Reset(si *SegmentIndex) { sd.si = si }
 
 // Options returns the lane configuration.
@@ -187,68 +179,16 @@ func (sd *Seeder) fit(n int) {
 }
 
 // intersect intersects the sorted candidate set cur (pivot-normalized)
-// with the hits of window q (normalized by delta = q - pivot), charging
-// the CAM model per §V. The dispatcher is cost-aware, as the hardware FSM
-// knows both set sizes: it probes the smaller set against the CAM when
-// everything fits, binary-searches the sorted position list when that is
-// cheaper (optimization two), and — with binary search disabled — streams
-// oversized lists through the CAM in chunks.
+// with the hits of window q (normalized by delta = q - pivot) into the
+// buffer live does not name, and charges the CAM operations the chip's
+// FSM would spend on the two set sizes (§V).
 //
 //genax:borrowed
 //genax:hotpath
 func (sd *Seeder) intersect(cur []int32, raw []int32, delta int32) []int32 {
-	incoming := sd.inBuf[:0]
-	for _, h := range raw {
-		incoming = append(incoming, h-delta)
-	}
-	sd.inBuf = incoming
-	cam := sd.cam
-	const inf = 1 << 60
-	// Feasible strategies and their CAM-operation costs (loads + probes;
-	// binary search runs against the sorted position table instead and
-	// pays log2 probes per candidate). The FSM knows both set sizes and
-	// picks the cheapest.
-	probeIncomingCost, probeCurCost, chunkedCost, binaryCost := inf, inf, inf, inf
-	if len(cur) <= cam.Size() {
-		probeIncomingCost = len(cur) + len(incoming)
-	}
-	if len(incoming) <= cam.Size() {
-		probeCurCost = len(incoming) + len(cur)
-	}
-	chunks := (len(incoming) + cam.Size() - 1) / cam.Size()
-	chunkedCost = len(incoming) + len(cur)*chunks
-	if sd.opts.BinarySearch {
-		binaryCost = BinaryCost(len(cur), len(incoming))
-	}
-
-	dst := sd.curBuf[1-sd.live][:0]
-	var out []int32
-	switch minOf(probeIncomingCost, probeCurCost, chunkedCost, binaryCost) {
-	case binaryCost:
-		out = cam.IntersectBinaryInto(dst, cur, incoming)
-	case probeIncomingCost:
-		cam.Load(cur)
-		out = cam.IntersectProbeInto(dst, incoming)
-	case probeCurCost:
-		cam.Load(incoming)
-		out = cam.IntersectProbeInto(dst, cur)
-	default:
-		out = cam.IntersectChunkedInto(dst, cur, incoming)
-	}
-	sd.curBuf[1-sd.live] = out
-	sd.Stats.CAMLookups = cam.Lookups + cam.Writes
-	return out
-}
-
-//genax:hotpath
-func minOf(vs ...int) int {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
+	sd.Stats.CAMLookups += camCost(len(cur), len(raw), camSize, sd.opts.BinarySearch)
+	sd.curBuf[1-sd.live] = intersectSorted(sd.curBuf[1-sd.live][:0], cur, raw, delta)
+	return sd.curBuf[1-sd.live]
 }
 
 // rmem computes the right-maximal exact match from pivot p: the matched

@@ -74,9 +74,9 @@ func TestSeedsMatchFMWithoutFastPathAndProbing(t *testing.T) {
 	gold := fmindex.BuildSMEMIndex(ref)
 	variants := []Options{
 		DefaultOptions(),
-		{MinSeedLen: 19, CAMSize: 512, SMEMFilter: true, BinaryExtension: true, Probing: false, ExactFastPath: false},
-		{MinSeedLen: 19, CAMSize: 512, SMEMFilter: true, BinaryExtension: true, Probing: true, ExactFastPath: false},
-		{MinSeedLen: 19, CAMSize: 16, SMEMFilter: true, BinaryExtension: true, Probing: true, ExactFastPath: true},
+		{MinSeedLen: 19, SMEMFilter: true, BinaryExtension: true, Probing: false, ExactFastPath: false},
+		{MinSeedLen: 19, SMEMFilter: true, BinaryExtension: true, Probing: true, ExactFastPath: false},
+		{MinSeedLen: 19, SMEMFilter: true, BinaryExtension: true, Probing: true, ExactFastPath: true},
 	}
 	for trial := 0; trial < 40; trial++ {
 		start := r.Intn(len(ref) - 120)
@@ -139,8 +139,8 @@ func TestBinaryExtensionReducesHits(t *testing.T) {
 	r := rand.New(rand.NewSource(113))
 	ref := randSeq(r, 20000)
 	si, _ := BuildSegmentIndex(ref, 0, 0, 6)
-	with := NewSeeder(si, Options{MinSeedLen: 10, CAMSize: 512, SMEMFilter: true, BinaryExtension: true})
-	without := NewSeeder(si, Options{MinSeedLen: 10, CAMSize: 512, SMEMFilter: true, BinaryExtension: false})
+	with := NewSeeder(si, Options{MinSeedLen: 10, SMEMFilter: true, BinaryExtension: true})
+	without := NewSeeder(si, Options{MinSeedLen: 10, SMEMFilter: true, BinaryExtension: false})
 	for trial := 0; trial < 50; trial++ {
 		start := r.Intn(len(ref) - 120)
 		read := mutate(r, ref[start:start+101].Clone(), 2+r.Intn(3))
@@ -158,8 +158,8 @@ func TestSMEMFilterReducesHits(t *testing.T) {
 	r := rand.New(rand.NewSource(114))
 	ref := randSeq(r, 20000)
 	si, _ := BuildSegmentIndex(ref, 0, 0, 6)
-	smem := NewSeeder(si, Options{MinSeedLen: 10, CAMSize: 512, SMEMFilter: true, BinaryExtension: true})
-	naive := NewSeeder(si, Options{MinSeedLen: 10, CAMSize: 512, SMEMFilter: false})
+	smem := NewSeeder(si, Options{MinSeedLen: 10, SMEMFilter: true, BinaryExtension: true})
+	naive := NewSeeder(si, Options{MinSeedLen: 10, SMEMFilter: false})
 	for trial := 0; trial < 50; trial++ {
 		start := r.Intn(len(ref) - 120)
 		read := mutate(r, ref[start:start+101].Clone(), 2)
@@ -174,7 +174,8 @@ func TestSMEMFilterReducesHits(t *testing.T) {
 
 func TestProbingReducesCAMLookups(t *testing.T) {
 	// Fig 16b: starting the intersection from a small hit set cuts CAM
-	// work on repetitive references.
+	// work on repetitive references, with binary search on as in the
+	// figure's "binary + probing" bar.
 	r := rand.New(rand.NewSource(115))
 	// Repetitive reference: AT-rich so many k-mers have huge hit sets.
 	ref := make(dna.Seq, 30000)
@@ -186,8 +187,8 @@ func TestProbingReducesCAMLookups(t *testing.T) {
 		}
 	}
 	si, _ := BuildSegmentIndex(ref, 0, 0, 6)
-	withP := NewSeeder(si, Options{MinSeedLen: 10, CAMSize: 128, SMEMFilter: true, BinaryExtension: true, Probing: true})
-	noP := NewSeeder(si, Options{MinSeedLen: 10, CAMSize: 128, SMEMFilter: true, BinaryExtension: true, Probing: false})
+	withP := NewSeeder(si, Options{MinSeedLen: 10, SMEMFilter: true, BinaryExtension: true, BinarySearch: true, Probing: true})
+	noP := NewSeeder(si, Options{MinSeedLen: 10, SMEMFilter: true, BinaryExtension: true, BinarySearch: true, Probing: false})
 	for trial := 0; trial < 30; trial++ {
 		start := r.Intn(len(ref) - 120)
 		read := mutate(r, ref[start:start+101].Clone(), 2)
@@ -274,6 +275,36 @@ func TestSeederResetAcrossSegments(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStatsResetCountsOnlyLaterReads holds the Stats doc's "reset it
+// directly": after sd.Stats = Stats{}, the counters describe only the
+// reads seeded since, so a lane that seeded read A, was reset and then
+// seeded read B reports exactly what a fresh lane reports for B alone.
+func TestStatsResetCountsOnlyLaterReads(t *testing.T) {
+	r := rand.New(rand.NewSource(121))
+	ref := randSeq(r, 8000)
+	si, err := BuildSegmentIndex(ref, 0, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mutate(r, ref[1000:1101].Clone(), 2)
+	b := mutate(r, ref[5000:5101].Clone(), 2)
+	sd := NewSeeder(si, DefaultOptions())
+	sd.Seed(a)
+	if sd.Stats.CAMLookups == 0 {
+		t.Fatal("read A charged no CAM lookups; the test needs one that does")
+	}
+	sd.Stats = Stats{}
+	sd.Seed(b)
+	fresh := NewSeeder(si, DefaultOptions())
+	fresh.Seed(b)
+	if fresh.Stats.CAMLookups == 0 {
+		t.Fatal("read B charged no CAM lookups; the test needs one that does")
+	}
+	if sd.Stats != fresh.Stats {
+		t.Errorf("after a reset the lane reports %+v, a fresh lane %+v", sd.Stats, fresh.Stats)
 	}
 }
 
