@@ -282,6 +282,8 @@ func TestSeederResetAcrossSegments(t *testing.T) {
 // directly": after sd.Stats = Stats{}, the counters describe only the
 // reads seeded since, so a lane that seeded read A, was reset and then
 // seeded read B reports exactly what a fresh lane reports for B alone.
+// Without a reset the counters add up: A then B reports the two fresh
+// counts' sum.
 func TestStatsResetCountsOnlyLaterReads(t *testing.T) {
 	r := rand.New(rand.NewSource(121))
 	ref := randSeq(r, 8000)
@@ -305,6 +307,14 @@ func TestStatsResetCountsOnlyLaterReads(t *testing.T) {
 	}
 	if sd.Stats != fresh.Stats {
 		t.Errorf("after a reset the lane reports %+v, a fresh lane %+v", sd.Stats, fresh.Stats)
+	}
+	freshA := NewSeeder(si, DefaultOptions())
+	freshA.Seed(a)
+	both := NewSeeder(si, DefaultOptions())
+	both.Seed(a)
+	both.Seed(b)
+	if want := freshA.Stats.CAMLookups + fresh.Stats.CAMLookups; both.Stats.CAMLookups != want {
+		t.Errorf("A then B charged %d CAM lookups, want %d + %d", both.Stats.CAMLookups, freshA.Stats.CAMLookups, fresh.Stats.CAMLookups)
 	}
 }
 
