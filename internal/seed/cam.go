@@ -23,15 +23,11 @@ const camSize = 512
 //genax:hotpath
 func camCost(nCur, nIn, size int, binary bool) int {
 	cost := nIn + nCur*((nIn+size-1)/size)
-	if (nCur <= size || nIn <= size) && nCur+nIn < cost {
-		cost = nCur + nIn
+	if nCur <= size || nIn <= size {
+		cost = min(cost, nCur+nIn)
 	}
 	if binary {
-		b := nCur * bits.Len(uint(nIn))
-		if nIn == 0 {
-			b = 0
-		}
-		cost = min(cost, b)
+		cost = min(cost, nCur*bits.Len(uint(nIn))) // bits.Len(0) == 0
 	}
 	return cost
 }
