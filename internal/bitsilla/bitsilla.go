@@ -32,7 +32,9 @@
 //     offer whose completion bound falls below L can neither set the best
 //     nor lie on its traceback chain, so dropping it is unobservable. The
 //     cycle model streams those states anyway; dropping them leaves about
-//     one live site per cycle on a well-matching read.
+//     one live site per cycle on a well-matching read. The pass fills only
+//     the diagonals that a path scoring at least the gapless witness can
+//     reach (the score band, widebound.go).
 //
 // Machines are not safe for concurrent use; allocate one per lane.
 package bitsilla
@@ -165,8 +167,9 @@ func futileThr(remR, remQ int, a, floor int32) int32 {
 //
 //genax:hotpath
 func (m *Machine) Extend(ref, query dna.Seq) Result {
-	if res, ok := m.tryGapless(ref, query); ok {
+	res, l0, ok := m.tryGapless(ref, query)
+	if ok {
 		return res
 	}
-	return m.extendWide(ref, query)
+	return m.extendWide(ref, query, l0)
 }

@@ -223,10 +223,10 @@ func TestBitsillaSteadyStateAllocs(t *testing.T) {
 	hard := mutate(r, ref, 6)
 	easy := ref[:100].Clone()
 	easy[50] = (easy[50] + 1) % dna.NumBases
-	if _, ok := bm.tryGapless(ref, hard); ok {
+	if _, _, ok := bm.tryGapless(ref, hard); ok {
 		t.Fatal("hard read certified; the grid's budget is untested")
 	}
-	if _, ok := bm.tryGapless(ref, easy); !ok {
+	if _, _, ok := bm.tryGapless(ref, easy); !ok {
 		t.Fatal("easy read not certified; the gapless step's budget is untested")
 	}
 	for _, query := range []dna.Seq{hard, easy} {
@@ -259,6 +259,20 @@ func BenchmarkExtend(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m.Extend(ref, query)
+		}
+	})
+	// Two substitutions cost more than a gap (2·(1+4) > 6+1), so the
+	// gapless step refuses this read and the grid runs, banded at h = 4 by
+	// the gapless witness: the short_err2 extension that reaches the grid.
+	twoSub := ref[:101].Clone()
+	for _, p := range []int{30, 70} {
+		twoSub[p] = (twoSub[p] + 1) % dna.NumBases
+	}
+	b.Run("bitsilla-grid", func(b *testing.B) {
+		m := New(40, sc)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.Extend(ref, twoSub)
 		}
 	})
 	b.Run("sillax", func(b *testing.B) {

@@ -37,20 +37,7 @@ func FuzzBitsillaVsSillaX(f *testing.F) {
 	f.Add(uint8(1), []byte("ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT"), []byte("ACGTACGTACGTACGTACGTACGTACGTACTGCATGCATG"))
 	f.Fuzz(func(t *testing.T, kRaw uint8, refB, qB []byte) {
 		k := int(kRaw) % (MaxWordK + 1)
-		if len(refB) > 300 {
-			refB = refB[:300]
-		}
-		if len(qB) > 300 {
-			qB = qB[:300]
-		}
-		ref := make(dna.Seq, len(refB))
-		for i, b := range refB {
-			ref[i] = dna.Base(b & 3)
-		}
-		query := make(dna.Seq, len(qB))
-		for i, b := range qB {
-			query[i] = dna.Base(b & 3)
-		}
+		ref, query := fuzzSeq(refB, 300), fuzzSeq(qB, 300)
 		sc := align.BWAMEMDefaults()
 		got := New(k, sc).Extend(ref, query)
 		want := sillax.NewTracebackMachine(k, sc).Extend(ref, query)
@@ -65,4 +52,17 @@ func FuzzBitsillaVsSillaX(f *testing.F) {
 			t.Fatalf("k=%d: invalid cigar %s: %v", k, got.Cigar, err)
 		}
 	})
+}
+
+// fuzzSeq decodes fuzzed bytes into a sequence of at most n bases, one
+// base per byte (its low two bits).
+func fuzzSeq(b []byte, n int) dna.Seq {
+	if len(b) > n {
+		b = b[:n]
+	}
+	s := make(dna.Seq, len(b))
+	for i, x := range b {
+		s[i] = dna.Base(x & 3)
+	}
+	return s
 }

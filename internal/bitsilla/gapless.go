@@ -33,6 +33,12 @@ package bitsilla
 // A certified call reports the grid's cycle count, which depends only on
 // the lengths and K, so the architectural work model does not see the
 // step. It crosses no §IV-D mux, so its MuxCrossings is zero.
+//
+// Whether it certifies or not, the scan also yields the gapless witness
+// L0: the best score of a diagonal prefix with at most K mismatches,
+// floored at the empty extension's 0. That prefix is a path the grid runs
+// (one edit per substitution), so L0 <= S, and the bound pass bands its
+// table by it (widebound.go) without scanning the diagonal again.
 
 import (
 	"genax/internal/align"
@@ -41,25 +47,26 @@ import (
 )
 
 // tryGapless runs the certified gapless step: the grid-identical result
-// and true, or false when the certification rule does not hold.
+// and true, or false when the certification rule does not hold. Either
+// way it returns the gapless witness L0.
 //
 //genax:hotpath
-func (m *Machine) tryGapless(ref, query dna.Seq) (Result, bool) {
+func (m *Machine) tryGapless(ref, query dna.Seq) (Result, int32, bool) {
 	qn := len(query)
 	a, b := int(m.cs.A), int(m.cs.B)
-	if qn == 0 || a < 1 || b < 1 {
-		return Result{}, false
-	}
-	n := min(qn, len(ref))
+	n, k := min(qn, len(ref)), m.k
 	s, x := 0, 0
 	best, bestJ, bestX := 0, 0, 0
+	wit := -1 // L0 once the (K+1)-th mismatch has frozen it
 	unique := true
 	for j := 0; j < n; j++ {
 		if query[j] == ref[j] {
 			s += a
 		} else {
 			s -= b
-			x++
+			if x++; x == k+1 {
+				wit = best // the best prefix with at most K mismatches
+			}
 		}
 		if s > best {
 			best, bestJ, bestX, unique = s, j+1, x, true
@@ -67,8 +74,11 @@ func (m *Machine) tryGapless(ref, query dna.Seq) (Result, bool) {
 			unique = false
 		}
 	}
-	if !unique || best <= 0 || bestX > m.k || best <= qn*a-int(m.cs.Open) {
-		return Result{}, false
+	if wit < 0 {
+		wit = best
+	}
+	if qn == 0 || a < 1 || b < 1 || !unique || best <= 0 || bestX > k || best <= qn*a-int(m.cs.Open) {
+		return Result{}, int32(wit), false
 	}
 	cig := m.revBuf[:0]
 	for j := 0; j < bestJ; j++ {
@@ -86,5 +96,5 @@ func (m *Machine) tryGapless(ref, query dna.Seq) (Result, bool) {
 		QueryLen: bestJ,
 		RefLen:   bestJ,
 		Cycles:   sillax.StreamCycles(len(ref), qn, m.k) + 1 + 4*m.k,
-	}, true
+	}, int32(wit), true
 }

@@ -24,7 +24,7 @@ func TestGaplessMatchesGrid(t *testing.T) {
 		t.Helper()
 		m.wide.bound = -1 // the grid always stores a witness >= 0 here
 		got := m.Extend(ref, query)
-		_, ok := m.tryGapless(ref, query)
+		_, l0, ok := m.tryGapless(ref, query)
 		if held.String() != heldStr {
 			t.Fatalf("k=%d: earlier certified cigar mutated: %s, was %s", m.k, held, heldStr)
 		}
@@ -34,7 +34,7 @@ func TestGaplessMatchesGrid(t *testing.T) {
 		if !ok {
 			return false
 		}
-		want := m.extendWide(ref, query)
+		want := m.extendWide(ref, query, l0)
 		if got.Score != want.Score || got.QueryLen != want.QueryLen || got.RefLen != want.RefLen ||
 			got.Cigar.String() != want.Cigar.String() || got.Cycles != want.Cycles {
 			t.Fatalf("k=%d ref=%v query=%v:\ngapless (score=%d q=%d r=%d cigar=%s cycles=%d)\ngrid    (score=%d q=%d r=%d cigar=%s cycles=%d)",
@@ -88,7 +88,7 @@ func TestGaplessCertifyEdges(t *testing.T) {
 	expect := func(k int, sc align.Scoring, ref, query dna.Seq, want bool, label string) {
 		t.Helper()
 		m := New(k, sc)
-		if _, ok := m.tryGapless(ref, query); ok != want {
+		if _, _, ok := m.tryGapless(ref, query); ok != want {
 			t.Errorf("%s: certified=%v, want %v", label, ok, want)
 		}
 		checkSame(t, k, ref, query, m.Extend(ref, query), sillax.NewTracebackMachine(k, sc).Extend(ref, query))

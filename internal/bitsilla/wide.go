@@ -104,10 +104,14 @@ type wideState struct {
 	ref, query                        dna.Seq
 	maxCycle                          int
 
-	// bound is the pass's certified lower bound on the final best score
-	// (wideWitness); constant across the pass, so replay sees the same
-	// pruning floor without checkpointing it.
+	// bound is the pass's certified lower bound on the final best score,
+	// max(L, L0) of the table's witness and the gapless one; constant
+	// across the pass, so replay sees the same pruning floor without
+	// checkpointing it.
 	bound int32
+	// band is the suffix table's half-width h <= K in diagonals (see
+	// wideSuffixBound).
+	band int
 	// stab is the pass's suffix bound table (wideSuffixBound): per
 	// in-band position and entry state, an upper bound on the score any
 	// state there can still add. Like bound it is constant across the
@@ -367,7 +371,8 @@ func (m *Machine) stepWide(c int) bool {
 	// most v + U, so v must reach pb+1 - U. The generic futileThr floor
 	// stays as the fallback for positions off the table's band.
 	stab := wd.stab
-	sw := 2*k + 1
+	h := wd.band
+	sw := 2*h + 1
 	useU := len(stab) >= (qn+1)*sw*3
 
 	// Target rows: sources in row i write row i (match, substitution,
@@ -451,7 +456,7 @@ func (m *Machine) stepWide(c int) bool {
 					thrM, thrI, thrD := thr, thr, thr
 					if useU {
 						qp := c + 1 - d
-						j := d - i + k
+						j := d - i + h
 						if uint(j) < uint(sw) && uint(qp) <= uint(qn) {
 							o := (qp*sw + j) * 3
 							if u := pb + 1 - stab[o]; u > thrM {
@@ -791,18 +796,22 @@ func (m *Machine) stepWide(c int) bool {
 	return any
 }
 
-// extendWide runs the bound pass, the forward pass over the trail ring,
-// then the backward walk over the time-indexed trail, replaying evicted
-// windows on demand. Every register the walk visits was written this pass
-// at exactly the cycle it holds, so each code read names the true source.
-func (m *Machine) extendWide(ref, query dna.Seq) Result {
+// extendWide runs the bound pass, banded by the witness l0 <= S, the
+// forward pass over the trail ring, then the backward walk over the
+// time-indexed trail, replaying evicted windows on demand. Every register
+// the walk visits was written this pass at exactly the cycle it holds, so
+// each code read names the true source.
+func (m *Machine) extendWide(ref, query dna.Seq, l0 int32) Result {
 	wd := m.wide
 	n, qn := len(ref), len(query)
 	maxCycle := sillax.StreamCycles(n, qn, m.k)
 	wd.ref, wd.query = ref, query
 	wd.maxCycle = maxCycle
+	// The score band: past ±h every path scores below l0 (widebound.go).
+	gapOpen := int(m.cs.Open - m.cs.Ext)
+	wd.band = min(m.k, max(0, (int(m.cs.A)*qn-gapOpen-int(l0))/int(m.cs.Ext)))
 	m.wideSuffixBound(ref, query)
-	wd.bound = m.wideWitness(ref, query)
+	wd.bound = max(m.wideWitness(ref, query), l0)
 	m.ensureWide(maxCycle)
 	m.resetWide()
 	wd.best, wd.bestI, wd.bestD, wd.bestCycle, wd.bestPlan = 0, 0, 0, 0, pM0

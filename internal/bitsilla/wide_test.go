@@ -1,6 +1,7 @@
 package bitsilla
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -60,22 +61,30 @@ func mutateRate(r *rand.Rand, s dna.Seq, rate, indelFrac float64) dna.Seq {
 }
 
 // TestWideWitnessSound holds the bound pass to its contract at one word
-// and at several. The witness score is never negative and never above the
+// and at several. The pruning floor max(L, L0) is never below the gapless
+// witness L0, L0 is never negative, and the floor is never above the
 // pass's final score (L > S could prune the optimum); it equals the score
 // on low-error reads whose best path fits the edit budget — 101 bp reads
 // against 141 bp windows at K ≤ MaxWordK, kilobase reads past it; and an
 // input whose best path needs more than K edits takes the truncation
-// branch and still matches the oracle. It drives the grid directly: a call
-// the gapless step certifies would leave the previous pass's bound behind.
+// branch and still matches the oracle. Some passes must run a band
+// narrower than ±K, so the floor is checked on banded tables too. It
+// drives the grid directly: a call the gapless step certifies would leave
+// the previous pass's bound behind.
 func TestWideWitnessSound(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	sc := align.BWAMEMDefaults()
+	banded := 0
 	extend := func(bm *Machine, ref, query dna.Seq) Result {
 		t.Helper()
-		res := bm.extendWide(ref, query)
-		if L := int(bm.wide.bound); L < 0 || L > res.Score {
-			t.Fatalf("k=%d: witness %d outside [0, score %d] (ref %d bp, query %d bp)",
-				bm.k, L, res.Score, len(ref), len(query))
+		_, l0, _ := bm.tryGapless(ref, query)
+		res := bm.extendWide(ref, query, l0)
+		if L := bm.wide.bound; l0 < 0 || L < l0 || int(L) > res.Score {
+			t.Fatalf("k=%d band %d: floor %d outside [L0 %d, score %d], or L0 < 0 (ref %d bp, query %d bp)",
+				bm.k, bm.wide.band, L, l0, res.Score, len(ref), len(query))
+		}
+		if bm.wide.band < bm.k {
+			banded++
 		}
 		return res
 	}
@@ -111,10 +120,44 @@ func TestWideWitnessSound(t *testing.T) {
 	}
 	bm := New(k, sc)
 	res := extend(bm, ref, query)
-	if path := bm.wide.stab[k*3]; bm.wide.bound >= path {
+	if path := bm.wide.stab[bm.wide.band*3]; bm.wide.bound >= path {
 		t.Fatalf("witness %d not truncated below the table's path score %d", bm.wide.bound, path)
 	}
 	checkSame(t, k, ref, query, res, sillax.NewTracebackMachine(k, sc).Extend(ref, query))
+	if banded == 0 {
+		t.Fatal("no pass ran a band narrower than ±K; the banded floor is unchecked")
+	}
+}
+
+// TestWideBandEdge puts the optimum on the score band's edge. Under
+// scoring {1, 4, 6, 2} the query X·Y against the reference X·G·Y (plus K
+// bases of slack) aligns through the g-base deletion G for qn − 6 − 2g,
+// one more than clipping after X. The gapless witness is L0 = |X| =
+// qn − 7 − 2g, so h = ⌊(qn − 6 − L0)/2⌋ = g and the optimum runs exactly
+// at |δ| = h. Under BWA scoring (GapExtend 1) a path on the edge can only
+// tie L0, so a band one diagonal too narrow passes the other tests; here
+// it clips after X instead of aligning through the deletion.
+func TestWideBandEdge(t *testing.T) {
+	r := rand.New(rand.NewSource(103))
+	sc := align.Scoring{Match: 1, Mismatch: 4, GapOpen: 6, GapExtend: 2}
+	const k, qn = 16, 60
+	m := New(k, sc)
+	tm := sillax.NewTracebackMachine(k, sc)
+	for g := 1; g <= 6; g++ {
+		x, gap, y := randSeq(r, qn-7-2*g), randSeq(r, g), randSeq(r, 7+2*g)
+		// G neither starts like Y nor ends like X, so the deletion has one
+		// placement and the gapless scan stops gaining at X's end.
+		for gap[0] == y[0] || gap[g-1] == x[len(x)-1] {
+			gap = randSeq(r, g)
+		}
+		query := append(x.Clone(), y...)
+		ref := append(append(append(x.Clone(), gap...), y...), randSeq(r, k)...)
+		want := tm.Extend(ref, query)
+		checkSame(t, k, ref, query, m.Extend(ref, query), want)
+		if cig := fmt.Sprintf("%d=%dD%d=", len(x), g, len(y)); want.Cigar.String() != cig || m.wide.band != g {
+			t.Errorf("g=%d: oracle %s at band %d; want the deletion %s on the band's edge", g, want.Cigar, m.wide.band, cig)
+		}
+	}
 }
 
 // TestBitsillaWideGappyRandom drives the multi-word engine with gap-heavy
@@ -282,7 +325,7 @@ func TestBitsillaWideRingAllocatedOnce(t *testing.T) {
 		var rings []*uint64
 		for pass, lens := range tc.passes {
 			ref := randSeq(r, lens[0])
-			bm.extendWide(ref, mutate(r, ref[:lens[1]], 4))
+			bm.extendWide(ref, mutate(r, ref[:lens[1]], 4), 0)
 			if ring := &bm.wide.trail[:1][0]; len(rings) == 0 || rings[len(rings)-1] != ring {
 				rings = append(rings, ring)
 			}

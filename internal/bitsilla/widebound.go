@@ -24,22 +24,22 @@ package bitsilla
 // always the score of one concrete machine-legal witness alignment.
 //
 // One backward pass yields both bounds. wideSuffixBound fills the suffix
-// table U over the full ±K band, and wideWitness reads L off that table's
-// own best path: from the origin's closed entry it follows, cell by cell,
-// whichever option produced the stored value — close (match or
-// substitution), insertion, deletion, or, in a closed state, stop at the
-// >= 0 floor. Every step is a transition the machine allows, priced with
-// the machine's costs. One edit per substitution, inserted base and
+// table U over the score band ±h (see there), and wideWitness reads L off
+// that table's own best path: from the origin's closed entry it follows,
+// cell by cell, whichever option produced the stored value — close (match
+// or substitution), insertion, deletion, or, in a closed state, stop at
+// the >= 0 floor. Every step is a transition the machine allows, priced
+// with the machine's costs. One edit per substitution, inserted base and
 // deleted base is exactly the machine's budget i + d + layer (the
 // i+d+1+layer <= k branch guards of stepWide), and it never falls along a
 // path, so every prefix with at most K edits is a path the machine runs
-// (|refPos - qPos| <= edits <= K keeps it inside the band). Only closed
-// prefixes count, because the machine records a best only from closed
-// states; it clips the query tail for free, so the best such prefix scores
-// some alignment the machine also scores, and L <= S. When the whole path
-// fits the budget its score is U(origin) >= S, so L = S; past the budget
-// the walk returns the best prefix before the (K+1)-th edit — weaker, but
-// still a witness, so there is no fallback.
+// (|refPos - qPos| <= edits <= K; the walk never leaves the band either).
+// Only closed prefixes count, because the machine records a best only
+// from closed states; it clips the query tail for free, so the best such
+// prefix scores some alignment the machine also scores, and L <= S. When
+// the whole path fits the budget its score is U(origin) >= S, so L = S;
+// past the budget the walk returns the best prefix before the (K+1)-th
+// edit — weaker, but still a witness, so there is no fallback.
 
 import "genax/internal/dna"
 
@@ -49,7 +49,7 @@ import "genax/internal/dna"
 const wideSuffixFree = int32(1) << 28
 
 // wideSuffixBound fills the suffix bound table for one extension: for
-// every position (refPos, qPos) with |refPos - qPos| <= K and entry state
+// every position (refPos, qPos) with |refPos - qPos| <= h and entry state
 // (closed, insertion, deletion), an UPPER bound on the score any state
 // there can still add — the free-end banded affine DP run backward, with
 // no edit budget (dropping a constraint only raises an upper bound). A
@@ -62,18 +62,30 @@ const wideSuffixFree = int32(1) << 28
 // was already a best candidate when written — that floor is what keeps
 // every potential recording alive.
 //
-// The band is the FULL +-K diagonal range: every machine path keeps
-// |d - i| <= i + d <= K, so a position outside the band is unreachable
-// and a move across the band edge is machine-illegal — the boundary is a
-// true -inf, which is what makes the interior tight. (A generous band-exit
-// bound would leak inward at -ext per diagonal and cap the whole table
-// near the generic floor.) Layout: (qPos*(2K+1) + j)*3 + state, with
-// j = refPos - qPos + K and states closed/ins/del.
+// The band is the score band |refPos - qPos| <= h, with
+// h = min(K, floor((a*qn - GapOpen - L0) / GapExtend)) for a witness
+// L0 <= S (extendWide passes the gapless one, gapless.go). A path through
+// a cell |δ| diagonals off the origin's carries a gap of at least |δ|
+// bases and at most qn matches, so it scores at most
+// a*qn - GapOpen - |δ|*GapExtend, which for |δ| > h is strictly below
+// L0 <= S. So no chain that can reach S ever leaves the band: for every
+// chain the pruning must keep, a move across the edge is a true -inf, and
+// U over the band still bounds what such a chain can add. Cells off the
+// band lie on no such chain; stepWide gives them the generic floor, which
+// only prunes less. At h = K the edge is machine-illegal outright (every
+// machine path keeps |d - i| <= i + d <= K). The band does not leak: a
+// narrow band with a GENEROUS exit bound would bleed that bound inward at
+// -ext per diagonal and cap the whole table near the generic floor, but
+// the score band's edge grants nothing, because nothing past it can
+// reach S. The floor in h is exact, never one less: a path at |δ| = h
+// can still reach L0, and with GapExtend > 1 beat it (TestWideBandEdge
+// plants one). Layout: (qPos*(2h+1) + j)*3 + state, with
+// j = refPos - qPos + h and states closed/ins/del.
 func (m *Machine) wideSuffixBound(ref, query dna.Seq) {
 	n, qn := len(ref), len(query)
 	a, b, open, ext := m.cs.A, m.cs.B, m.cs.Open, m.cs.Ext
-	kk := m.k
-	w := 2*kk + 1
+	h := m.wide.band
+	w := 2*h + 1
 	need := (qn + 1) * w * 3
 	wd := m.wide
 	if cap(wd.stab) < need {
@@ -84,7 +96,7 @@ func (m *Machine) wideSuffixBound(ref, query dna.Seq) {
 	// Query exhausted: nothing can close (a close consumes query), so
 	// gap states have no future and closed states gain nothing more.
 	for j := 0; j < w; j++ {
-		r := qn + j - kk
+		r := qn + j - h
 		o := (qn*w + j) * 3
 		if r < 0 || r > n {
 			tab[o], tab[o+1], tab[o+2] = wideSuffixFree, wideSuffixFree, wideSuffixFree
@@ -95,7 +107,7 @@ func (m *Machine) wideSuffixBound(ref, query dna.Seq) {
 	for q := qn - 1; q >= 0; q-- {
 		row, nxt := q*w*3, (q+1)*w*3
 		for j := w - 1; j >= 0; j-- {
-			r := q + j - kk
+			r := q + j - h
 			o := row + j*3
 			if r < 0 || r > n {
 				tab[o], tab[o+1], tab[o+2] = wideSuffixFree, wideSuffixFree, wideSuffixFree
@@ -153,9 +165,10 @@ func (m *Machine) wideSuffixBound(ref, query dna.Seq) {
 
 // wideWitness walks the suffix table's best path forward from the origin
 // and returns the certified lower bound L: the best score of a closed
-// prefix of that path with at most K edits. Options are tried in a fixed
-// order (stop, close, insertion, deletion) and the first whose value
-// reproduces the stored entry is taken, so the walk is deterministic.
+// prefix of that path with at most K edits (the band narrows the table,
+// not the budget). Options are tried in a fixed order (stop, close,
+// insertion, deletion) and the first whose value reproduces the stored
+// entry is taken, so the walk is deterministic.
 // Every step consumes a query or a reference base, so it ends within
 // qn + n steps.
 //
@@ -163,15 +176,15 @@ func (m *Machine) wideSuffixBound(ref, query dna.Seq) {
 func (m *Machine) wideWitness(ref, query dna.Seq) int32 {
 	n, qn := len(ref), len(query)
 	a, b, open, ext := m.cs.A, m.cs.B, m.cs.Open, m.cs.Ext
-	kk := m.k
-	w := 2*kk + 1
+	h := m.wide.band
+	w := 2*h + 1
 	tab := m.wide.stab
 	const stClosed, stIns, stDel = 0, 1, 2
-	q, j, st := 0, kk, stClosed
+	q, j, st := 0, h, stClosed
 	score, best := int32(0), int32(0)
 	edits := 0
 	for {
-		r := q + j - kk
+		r := q + j - h
 		row := q * w * 3
 		u := tab[row+j*3+st]
 		if st == stClosed {
@@ -192,7 +205,7 @@ func (m *Machine) wideWitness(ref, query dna.Seq) int32 {
 				score += step
 				edits += e
 				q, st = q+1, stClosed
-				if edits > kk {
+				if edits > m.k {
 					return best
 				}
 				continue
@@ -214,7 +227,7 @@ func (m *Machine) wideWitness(ref, query dna.Seq) int32 {
 		default:
 			return best
 		}
-		if edits++; edits > kk {
+		if edits++; edits > m.k {
 			return best
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"genax/internal/align"
-	"genax/internal/dna"
 	"genax/internal/sillax"
 )
 
@@ -28,20 +27,7 @@ func FuzzBitsillaWideVsSillaX(f *testing.F) {
 	f.Add(uint8(1), uint8(7), []byte("ACGTACGTACGTACGTACGTA"), []byte("ACGTACGTACGTACGTACGT"))
 	f.Fuzz(func(t *testing.T, kRaw, winRaw uint8, refB, qB []byte) {
 		k := MaxWordK + 1 + int(kRaw)%(191-MaxWordK)
-		if len(refB) > 400 {
-			refB = refB[:400]
-		}
-		if len(qB) > 400 {
-			qB = qB[:400]
-		}
-		ref := make(dna.Seq, len(refB))
-		for i, b := range refB {
-			ref[i] = dna.Base(b & 3)
-		}
-		query := make(dna.Seq, len(qB))
-		for i, b := range qB {
-			query[i] = dna.Base(b & 3)
-		}
+		ref, query := fuzzSeq(refB, 400), fuzzSeq(qB, 400)
 		sc := align.BWAMEMDefaults()
 		m := New(k, sc)
 		m.wide.winC = 2 + int(winRaw)%63
