@@ -94,7 +94,9 @@ type Result struct {
 	// 64-bit word boundary — signals through the §IV-D reconfiguration
 	// muxes, the software twin of sillax.ComposedEditMachine.MuxCrossings.
 	// Zero for K ≤ MaxWordK (one word per row, no boundary to cross) and
-	// on calls the gapless step certifies (the grid never runs).
+	// on calls the gapless step certifies (the grid never runs). It counts
+	// only writes that survive pruning, so unlike Score, Cigar and Cycles
+	// it depends on the pruning floor and the suffix table's band.
 	MuxCrossings int64
 }
 

@@ -15,9 +15,9 @@ import (
 // two targets pin BWA-MEM costs, under which a path on the score band's
 // edge (widebound.go) can only tie the gapless witness; with GapExtend > 1
 // the edge is strict, so a band one diagonal too narrow drops the optimum.
-// The edit bound is mapped into [0, MaxWordK]. The checked-in corpus
-// doubles as a regression gate in CI (go test replays every seed even
-// without -fuzz).
+// The edit bound is mapped into [0, MaxWordK]. The f.Add seeds are its
+// checked-in corpus: plain go test replays them without -fuzz, so they
+// double as a regression gate.
 func FuzzBitsillaScoringVsSillaX(f *testing.F) {
 	// The planted deletion of TestWideBandEdge at g = 2 under {1, 4, 6, 2},
 	// K = 16: X·Y against X·G·Y plus slack aligns through the 2-base gap

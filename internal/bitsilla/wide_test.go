@@ -61,32 +61,39 @@ func mutateRate(r *rand.Rand, s dna.Seq, rate, indelFrac float64) dna.Seq {
 }
 
 // TestWideWitnessSound holds the bound pass to its contract at one word
-// and at several. The pruning floor max(L, L0) is never below the gapless
-// witness L0, L0 is never negative, and the floor is never above the
-// pass's final score (L > S could prune the optimum); it equals the score
-// on low-error reads whose best path fits the edit budget — 101 bp reads
+// and at several. The suffix table's witness L is never negative and never
+// above the pass's final score S (L > S could prune the optimum); it equals
+// S on low-error reads whose best path fits the edit budget — 101 bp reads
 // against 141 bp windows at K ≤ MaxWordK, kilobase reads past it; and an
 // input whose best path needs more than K edits takes the truncation
-// branch and still matches the oracle. Some passes must run a band
-// narrower than ±K, so the floor is checked on banded tables too. It
-// drives the grid directly: a call the gapless step certifies would leave
-// the previous pass's bound behind.
+// branch and still matches the oracle. Each pass runs banded by its
+// gapless witness L0, and the pruning floor max(L, L0) lies in [L0, S].
+// Some passes must run a band narrower than ±K, so L is checked on banded
+// tables too. It drives the grid directly: a call the gapless step
+// certifies would leave the previous pass's bound behind.
 func TestWideWitnessSound(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	sc := align.BWAMEMDefaults()
 	banded := 0
-	extend := func(bm *Machine, ref, query dna.Seq) Result {
+	// extend returns the pass's result and the witness L that wideWitness
+	// reads off the pass's own banded table.
+	extend := func(bm *Machine, ref, query dna.Seq) (Result, int32) {
 		t.Helper()
 		_, l0, _ := bm.tryGapless(ref, query)
 		res := bm.extendWide(ref, query, l0)
-		if L := bm.wide.bound; l0 < 0 || L < l0 || int(L) > res.Score {
+		L := bm.wideWitness(ref, query)
+		if L < 0 || int(L) > res.Score {
+			t.Fatalf("k=%d band %d: witness %d outside [0, score %d] (ref %d bp, query %d bp)",
+				bm.k, bm.wide.band, L, res.Score, len(ref), len(query))
+		}
+		if fl := bm.wide.bound; l0 < 0 || fl < l0 || int(fl) > res.Score {
 			t.Fatalf("k=%d band %d: floor %d outside [L0 %d, score %d], or L0 < 0 (ref %d bp, query %d bp)",
-				bm.k, bm.wide.band, L, l0, res.Score, len(ref), len(query))
+				bm.k, bm.wide.band, fl, l0, res.Score, len(ref), len(query))
 		}
 		if bm.wide.band < bm.k {
 			banded++
 		}
-		return res
+		return res, L
 	}
 	for _, k := range []int{0, 4, 19, 40, 63, 64, 65, 80, 127, 191} {
 		bm := New(k, sc)
@@ -102,9 +109,9 @@ func TestWideWitnessSound(t *testing.T) {
 		}
 		for trial := 0; trial < reads; trial++ {
 			ref := randSeq(r, refLen)
-			res := extend(bm, ref, mutateRate(r, ref[:readLen], 0.02, 0.3))
-			if int(bm.wide.bound) != res.Score {
-				t.Fatalf("k=%d: %d bp read at 2%% error: witness %d, score %d", k, readLen, bm.wide.bound, res.Score)
+			res, L := extend(bm, ref, mutateRate(r, ref[:readLen], 0.02, 0.3))
+			if int(L) != res.Score {
+				t.Fatalf("k=%d band %d: %d bp read at 2%% error: witness %d, score %d", k, bm.wide.band, readLen, L, res.Score)
 			}
 		}
 	}
@@ -119,13 +126,13 @@ func TestWideWitnessSound(t *testing.T) {
 		query[p] = (query[p] + 1) % dna.NumBases
 	}
 	bm := New(k, sc)
-	res := extend(bm, ref, query)
-	if path := bm.wide.stab[bm.wide.band*3]; bm.wide.bound >= path {
-		t.Fatalf("witness %d not truncated below the table's path score %d", bm.wide.bound, path)
+	res, L := extend(bm, ref, query)
+	if path := bm.wide.stab[bm.wide.band*3]; L >= path {
+		t.Fatalf("witness %d not truncated below the table's path score %d", L, path)
 	}
 	checkSame(t, k, ref, query, res, sillax.NewTracebackMachine(k, sc).Extend(ref, query))
 	if banded == 0 {
-		t.Fatal("no pass ran a band narrower than ±K; the banded floor is unchecked")
+		t.Fatal("no pass ran a band narrower than ±K; the banded witness is unchecked")
 	}
 }
 
