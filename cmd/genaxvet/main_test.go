@@ -44,7 +44,7 @@ var mutants = []mutant{
 	{"hotpath/address-of-literal", "hotpath", "internal/core/seedstage.go",
 		[]string{"b.cands = append(b.cands, cand{", "b.cands = append(b.cands, *&cand{"}, `^&.*cand composite literal`},
 	{"hotpath/fmt", "hotpath", "internal/seed/index.go",
-		[]string{"\tt := &si.tab\n\tbelow :=", "\tt := &si.tab\n\t_ = fmt.Sprint()\n\tbelow :="}, `^call to fmt\.Sprint`},
+		[]string{"\tt := &si.tab\n\tr := uint(", "\tt := &si.tab\n\t_ = fmt.Sprint()\n\tr := uint("}, `^call to fmt\.Sprint`},
 	{"hotpath/boxing", "hotpath", "internal/core/seedstage.go",
 		[]string{"\tsd := l.sd\n", "\tsd := l.sd\n\t_ = any(readIdx)\n"}, `^value of type int32 converted as interface`},
 	{"hotpath/misplaced", "hotpath", "internal/seed/seeder.go",
@@ -73,20 +73,20 @@ var mutants = []mutant{
 	// and the seed package lends its tables under //genax:borrowed.
 	{"borrow/field-store", "borrow", "internal/core/seedstage.go",
 		[]string{"\tstats *Stats // the owning lane's work counters\n", "\tstats *Stats // the owning lane's work counters\n\tlast  []seed.Seed\n",
-			"\tseeds := sd.Seed(q)\n", "\tseeds := sd.Seed(q)\n\tl.last = seeds\n"}, `^borrowed slice stored to a struct field`},
+			"\tseeds := sd.SeedRows(q, b.win.readRows(readIdx, reverse))\n", "\tseeds := sd.SeedRows(q, b.win.readRows(readIdx, reverse))\n\tl.last = seeds\n"}, `^borrowed slice stored to a struct field`},
 	{"borrow/global-store", "borrow", "internal/core/seedstage.go",
 		[]string{"// seedLane is a lane's seeding half", "var lastSeeds []seed.Seed\n\n// seedLane is a lane's seeding half",
-			"\tseeds := sd.Seed(q)\n", "\tseeds := sd.Seed(q)\n\tlastSeeds = seeds\n"}, `^borrowed slice stored to package-level variable lastSeeds`},
+			"\tseeds := sd.SeedRows(q, b.win.readRows(readIdx, reverse))\n", "\tseeds := sd.SeedRows(q, b.win.readRows(readIdx, reverse))\n\tlastSeeds = seeds\n"}, `^borrowed slice stored to package-level variable lastSeeds`},
 	{"borrow/closure-capture", "borrow", "internal/core/seedstage.go",
-		[]string{"\tseeds := sd.Seed(q)\n", "\tseeds := sd.Seed(q)\n\tdefer func() { _ = len(seeds) }()\n"}, `^borrowed slice seeds captured by closure`},
+		[]string{"\tseeds := sd.SeedRows(q, b.win.readRows(readIdx, reverse))\n", "\tseeds := sd.SeedRows(q, b.win.readRows(readIdx, reverse))\n\tdefer func() { _ = len(seeds) }()\n"}, `^borrowed slice seeds captured by closure`},
 	{"borrow/goroutine-capture", "borrow", "internal/core/seedstage.go",
-		[]string{"\tseeds := sd.Seed(q)\n", "\tseeds := sd.Seed(q)\n\tgo println(len(seeds))\n"}, `^borrowed slice seeds captured by goroutine`},
+		[]string{"\tseeds := sd.SeedRows(q, b.win.readRows(readIdx, reverse))\n", "\tseeds := sd.SeedRows(q, b.win.readRows(readIdx, reverse))\n\tgo println(len(seeds))\n"}, `^borrowed slice seeds captured by goroutine`},
 	{"borrow/append", "borrow", "internal/core/seedstage.go",
-		[]string{"\tseeds := sd.Seed(q)\n", "\tseeds := sd.Seed(q)\n\tseeds = append(seeds, seed.Seed{})\n"}, `^append to a borrowed slice`},
+		[]string{"\tseeds := sd.SeedRows(q, b.win.readRows(readIdx, reverse))\n", "\tseeds := sd.SeedRows(q, b.win.readRows(readIdx, reverse))\n\tseeds = append(seeds, seed.Seed{})\n"}, `^append to a borrowed slice`},
 	{"borrow/write-through", "borrow", "internal/core/seedstage.go",
 		[]string{"\t\tfor _, h := range s.Positions {\n", "\t\tfor j, h := range s.Positions {\n\t\t\ts.Positions[j] = h + 1\n"}, `^write through a borrowed slice`},
 	{"borrow/send", "borrow", "internal/core/seedstage.go",
-		[]string{"\tseeds := sd.Seed(q)\n", "\tseeds := sd.Seed(q)\n\tch := make(chan []seed.Seed, 1)\n\tch <- seeds\n"}, `^borrowed slice sent on a channel`},
+		[]string{"\tseeds := sd.SeedRows(q, b.win.readRows(readIdx, reverse))\n", "\tseeds := sd.SeedRows(q, b.win.readRows(readIdx, reverse))\n\tch := make(chan []seed.Seed, 1)\n\tch <- seeds\n"}, `^borrowed slice sent on a channel`},
 	{"borrow/unannotated-return", "borrow", "internal/seed/seeder.go",
 		[]string{"//genax:borrowed\n//genax:hotpath\nfunc (sd *Seeder) hitsAt(", "//genax:hotpath\nfunc (sd *Seeder) hitsAt("}, `^borrowed slice returned from hitsAt`},
 	{"borrow/misplaced", "borrow", "internal/seed/index.go",

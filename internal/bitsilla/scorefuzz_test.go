@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"genax/internal/align"
-	"genax/internal/dna"
 	"genax/internal/sillax"
 )
 
@@ -23,25 +22,14 @@ func FuzzBitsillaScoringVsSillaX(f *testing.F) {
 	// K = 16: X·Y against X·G·Y plus slack aligns through the 2-base gap
 	// exactly on the band's edge (49=2D11=); a scoring where a mismatch is
 	// free; and an exact match the gapless step certifies.
-	planted := func(s string) []byte {
-		seq, err := dna.ParseSeq(s)
-		if err != nil {
-			f.Fatal(err)
-		}
-		out := make([]byte, len(seq))
-		for i, b := range seq {
-			out[i] = byte(b)
-		}
-		return out
-	}
 	x := "GGGTAGGATACGGCGGAGGGCACGTCAATACGGTTCAATGCCCTACTGC"
 	y := "GCTCTTGTGGT"
 	f.Add(uint8(16), uint8(0), uint8(4), uint8(6), uint8(1),
-		planted(x+"AT"+y+"TCATCTGCATGGAGAG"), planted(x+y))
+		fuzzBases(x+"AT"+y+"TCATCTGCATGGAGAG"), fuzzBases(x+y))
 	f.Add(uint8(8), uint8(1), uint8(0), uint8(3), uint8(0),
-		planted("ACGTTGCAACGTTGCA"), planted("ACGATGCAACGTAGCA"))
+		fuzzBases("ACGTTGCAACGTTGCA"), fuzzBases("ACGATGCAACGTAGCA"))
 	f.Add(uint8(4), uint8(3), uint8(7), uint8(15), uint8(3),
-		planted("ACGTACGTACGT"), planted("ACGTACGTACGT"))
+		fuzzBases("ACGTACGTACGT"), fuzzBases("ACGTACGTACGT"))
 	f.Fuzz(func(t *testing.T, kRaw, ma, mm, gOpen, gExt uint8, refB, qB []byte) {
 		k := int(kRaw) % (MaxWordK + 1)
 		sc := align.Scoring{

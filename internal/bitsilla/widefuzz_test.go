@@ -18,13 +18,13 @@ func FuzzBitsillaWideVsSillaX(f *testing.F) {
 	// mapping below), include gap blocks long enough to cross bit 63, and
 	// cover empty/all-clip inputs, tiny replay windows, and an exact prefix
 	// the gapless step certifies at K=65.
-	f.Add(uint8(0), uint8(0), []byte("ACGTACGT"), []byte("ACGTACGT"))
-	f.Add(uint8(1), uint8(2), []byte("TTTTTTTTTTTTTTTT"), []byte("CCCCCCCC"))
-	f.Add(uint8(63), uint8(1), []byte("ACGTACGTACGTACGTACGT"), []byte("ACGTACTACGTACGTACGT"))
-	f.Add(uint8(64), uint8(3), []byte{}, []byte("ACGT"))
-	f.Add(uint8(127), uint8(62), []byte("GGGG"), []byte{})
-	f.Add(uint8(128), uint8(5), []byte("ACACACACACACACACACACACACAC"), []byte("ACAC"))
-	f.Add(uint8(1), uint8(7), []byte("ACGTACGTACGTACGTACGTA"), []byte("ACGTACGTACGTACGTACGT"))
+	f.Add(uint8(0), uint8(0), fuzzBases("ACGTACGT"), fuzzBases("ACGTACGT"))
+	f.Add(uint8(1), uint8(2), fuzzBases("TTTTTTTTTTTTTTTT"), fuzzBases("CCCCCCCC"))
+	f.Add(uint8(63), uint8(1), fuzzBases("ACGTACGTACGTACGTACGT"), fuzzBases("ACGTACTACGTACGTACGT"))
+	f.Add(uint8(64), uint8(3), []byte{}, fuzzBases("ACGT"))
+	f.Add(uint8(127), uint8(62), fuzzBases("GGGG"), []byte{})
+	f.Add(uint8(128), uint8(5), fuzzBases("ACACACACACACACACACACACACAC"), fuzzBases("ACAC"))
+	f.Add(uint8(1), uint8(7), fuzzBases("ACGTACGTACGTACGTACGTA"), fuzzBases("ACGTACGTACGTACGTACGT"))
 	f.Fuzz(func(t *testing.T, kRaw, winRaw uint8, refB, qB []byte) {
 		k := MaxWordK + 1 + int(kRaw)%(191-MaxWordK)
 		ref, query := fuzzSeq(refB, 400), fuzzSeq(qB, 400)

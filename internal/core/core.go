@@ -161,10 +161,10 @@ type Aligner struct {
 	// it negative, before the first call, to disable chaining.
 	chainMin int
 
-	// mu guards the free lists. They are plain slices, not the sync
-	// package's collector-emptied pool: a garbage collection must not
-	// drop them, or every GC would cost a wide extension engine per lane
-	// and peak memory would vary run to run.
+	// mu guards the free lists and host. The lists are plain slices, not
+	// the sync package's collector-emptied pool: a garbage collection
+	// must not drop them, or every GC would cost a wide extension engine
+	// per lane and peak memory would vary run to run.
 	mu sync.Mutex
 	// lanes holds idle fused lanes, at most Workers: more could not run
 	// at once, so a burst's surplus is dropped on return.
@@ -172,6 +172,8 @@ type Aligner struct {
 	// wins holds idle windows, at most Workers+1: one per call that can
 	// make progress at once, plus the one a stream fills meanwhile.
 	wins []*window
+	// host sums the lanes' host seeding counters, folded in at checkin.
+	host HostSeeding
 }
 
 // New resolves cfg's defaults and builds the per-segment tables for ref,
@@ -227,6 +229,14 @@ func (a *Aligner) Ref() dna.Seq { return a.ref }
 
 // NumSegments returns the segment count.
 func (a *Aligner) NumSegments() int { return a.cfg.Index.NumSegments() }
+
+// HostSeeding returns the host seeding counters of every window the
+// aligner has completed since New.
+func (a *Aligner) HostSeeding() HostSeeding {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.host
+}
 
 // Index returns the segmented index the aligner runs against — the one
 // built by New or the prebuilt one passed via Config.Index. Callers (the

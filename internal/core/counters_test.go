@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -104,5 +105,48 @@ func TestCountersGolden(t *testing.T) {
 	}
 	if got := renderCounters(t); got != string(want) {
 		t.Errorf("counters differ from %s; if the change means to move them, replace the file with:\n%s\nwant:\n%s", countersGolden, got, want)
+	}
+}
+
+// hostCountersGolden is the checked-in rendering of the host seeding
+// counters (HostSeeding) on the shapes above. They are not the chip's, so
+// they live in their own file: a host-side change to the seeding may move
+// them, in the same diff and saying why, and must leave countersGolden be.
+const hostCountersGolden = "testdata/host_counters.golden"
+
+// renderHostCounters aligns every shape on a fresh aligner and renders its
+// host seeding counters, one line per shape.
+func renderHostCounters(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	for _, s := range counterShapes {
+		ref, reads := s.counterInputs()
+		a, err := New(ref, s.config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.AlignBatch(reads)
+		h := a.HostSeeding()
+		fmt.Fprintf(&b, "%s rowLoads=%d spanResolves=%d segmentsSkipped=%d\n", s.name, h.RowLoads, h.SpanResolves, h.SegmentsSkipped)
+	}
+	return b.String()
+}
+
+// TestHostCountersGolden pins the host seeding counters — rows loaded into
+// the window state, spans resolved, segments skipped — at GOMAXPROCS 1 and
+// 2, so at one lane and at two: like the chip's counters they must not
+// depend on which lane claims a read at which segment.
+func TestHostCountersGolden(t *testing.T) {
+	want, err := os.ReadFile(hostCountersGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := renderHostCounters(t)
+		runtime.GOMAXPROCS(prev)
+		if got != string(want) {
+			t.Errorf("GOMAXPROCS %d: host counters differ from %s; if the change means to move them, replace the file with:\n%s\nwant:\n%s", procs, hostCountersGolden, got, want)
+		}
 	}
 }

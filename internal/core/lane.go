@@ -50,13 +50,17 @@ func (a *Aligner) checkout(dst []*lane, n int) []*lane {
 	return dst
 }
 
-// checkin folds the run's lane counters into the window and returns its
-// lanes to the free list, dropping any beyond Workers idle.
+// checkin folds the run's lane counters into the window, and their host
+// seeding counters into the aligner's, and returns its lanes to the free
+// list, dropping any beyond Workers idle.
 func (a *Aligner) checkin(w *window) {
 	for _, l := range w.lanes {
 		w.stats.merge(l.stats)
 	}
 	a.mu.Lock()
+	for _, l := range w.lanes {
+		a.host.add(l.seed.takeHost())
+	}
 	keep := min(len(w.lanes), a.cfg.Workers-len(a.lanes))
 	a.lanes = append(a.lanes, w.lanes[:keep]...)
 	a.mu.Unlock()

@@ -24,10 +24,23 @@ func (l *seedLane) bind(si *seed.SegmentIndex) {
 	}
 }
 
+// takeHost returns the host seeding counters gathered since the last call
+// and zeroes them.
+func (l *seedLane) takeHost() seed.HostStats {
+	if l.sd == nil {
+		return seed.HostStats{}
+	}
+	h := l.sd.Host
+	l.sd.Host = seed.HostStats{}
+	return h
+}
+
 // seedOne seeds one oriented read against the bound segment and appends
 // its extension candidates to b in canonical order (seed order, then hit
-// order). The seeder's result is scratch-backed and valid only until the
-// next Seed call, so every hit is copied into the batch here. Exact-match
+// order). The read's window state in b.win carries its rows from the set
+// group's first segment to the group's later ones (seed.Seeder.SeedRows).
+// The seeder's result is scratch-backed and valid only until the next
+// Seed call, so every hit is copied into the batch here. Exact-match
 // reads short-circuit: their hits are flagged candExact so process skips
 // SillaX entirely (§V). A traced run records the lookups as SeedOps.
 //
@@ -35,7 +48,7 @@ func (l *seedLane) bind(si *seed.SegmentIndex) {
 func (l *seedLane) seedOne(q dna.Seq, readIdx int32, reverse bool, b *batch) {
 	sd := l.sd
 	before := sd.Stats
-	seeds := sd.Seed(q)
+	seeds := sd.SeedRows(q, b.win.readRows(readIdx, reverse))
 	after := sd.Stats
 	lookups := int64(after.IndexLookups - before.IndexLookups)
 	cams := int64(after.CAMLookups - before.CAMLookups)

@@ -1,6 +1,9 @@
 package core
 
-import "genax/internal/align"
+import (
+	"genax/internal/align"
+	"genax/internal/seed"
+)
 
 // Stats aggregates the lanes' work counters (the measured coefficients the
 // hw throughput model consumes). Work counters are sums over lane-local
@@ -22,6 +25,24 @@ type Stats struct {
 	// chaining stage: groups chained, anchors fed in, representatives kept.
 	// Anchors minus kept is extension work avoided.
 	ChainGroups, ChainAnchors, ChainKept int64
+}
+
+// HostSeeding counts the host's own seeding work (seed.HostStats): rows
+// loaded into the window state, spans resolved, and (read, strand,
+// segment) seedings skipped because the segment holds none of the read's
+// windows. It sits beside Stats, not in it: Stats holds the chip's
+// counters, which the hardware model consumes, and these have no chip
+// counterpart. Like Stats they do not depend on Workers.
+// Aligner.HostSeeding returns the totals since New.
+type HostSeeding struct {
+	RowLoads, SpanResolves, SegmentsSkipped int64
+}
+
+// add folds one lane's counters into t.
+func (t *HostSeeding) add(s seed.HostStats) {
+	t.RowLoads += int64(s.RowLoads)
+	t.SpanResolves += int64(s.SpanResolves)
+	t.SegmentsSkipped += int64(s.SegmentsSkipped)
 }
 
 // ReadResult is the outcome for one read.

@@ -34,6 +34,17 @@ type window struct {
 
 	slots []slot
 	exact []bool // read resolved via the exact-match fast path somewhere
+	// rows is the reads' window state for the current set group: one byte
+	// per (read, strand, window), the window's row of the group's table
+	// (seed.Seeder.SeedRows). rowAt[i] is where read i's forward run
+	// starts; its reverse run follows it and ends at rowAt[i+1]. The lane
+	// that claims a read at a group's first segment loads its bytes, and
+	// the group's later segments read them: a read may reach a different
+	// lane at every segment, so the state cannot live in a lane. Like
+	// exact, each byte has one writer per segment and the segment barrier
+	// orders the write before every later read.
+	rows  []uint8
+	rowAt []int
 
 	// cursors hand out chunk claims per segment; chunk is the claim size.
 	cursors []atomic.Int64
@@ -64,6 +75,18 @@ func (w *window) item(seg, read int32, reverse bool) *hw.LaneWork {
 		i++
 	}
 	return &w.trace[i]
+}
+
+// readRows returns read i's window state on one strand (see rows).
+//
+//genax:hotpath
+func (w *window) readRows(i int32, reverse bool) []uint8 {
+	lo, hi := w.rowAt[i], w.rowAt[i+1]
+	mid := lo + (hi-lo)/2
+	if reverse {
+		return w.rows[mid:hi:hi]
+	}
+	return w.rows[lo:mid:mid]
 }
 
 // getWindow takes an idle window off the free list, or makes one.
@@ -98,8 +121,8 @@ func (a *Aligner) putWindow(w *window) {
 
 // prepare readies the window for the reads in w.reads: it computes
 // reverse complements into the reused backing buffer, resets the merge
-// slots and per-segment cursors, and sizes the run at one lane per chunk
-// up to Workers.
+// slots and per-segment cursors, sizes the window state, and sizes the run
+// at one lane per chunk up to Workers.
 func (w *window) prepare(a *Aligner, traced bool) {
 	n := len(w.reads)
 	total := 0
@@ -131,6 +154,21 @@ func (w *window) prepare(a *Aligner, traced bool) {
 	}
 	w.exact = w.exact[:n]
 	clear(w.exact)
+	// Every byte of rows is loaded before it is read, so it is not cleared.
+	if cap(w.rowAt) < n+1 {
+		w.rowAt = make([]int, n+1)
+	}
+	w.rowAt = w.rowAt[:n+1]
+	k, at := a.cfg.Index.K, 0
+	for i, r := range w.reads {
+		w.rowAt[i] = at
+		at += 2 * max(0, len(r)-k+1)
+	}
+	w.rowAt[n] = at
+	if cap(w.rows) < at {
+		w.rows = make([]uint8, at)
+	}
+	w.rows = w.rows[:at]
 
 	segs := a.cfg.Index.NumSegments()
 	if cap(w.cursors) < segs {

@@ -12,7 +12,7 @@ import (
 	"genax/internal/seed"
 )
 
-// GAXI v3: the file is the in-memory layout. Every table is stored exactly
+// GAXI v4: the file is the in-memory layout. Every table is stored exactly
 // as the seed stage consumes it — fixed-width, little-endian, 4 KiB-aligned
 // — so OpenMapped can hand the pipeline zero-copy views of the page cache
 // and cold start is O(header), not O(index). This is the software analog of
@@ -24,15 +24,16 @@ import (
 //
 //	offset  size  field
 //	0       4     magic "GAXI"
-//	4       4     format version (3)
+//	4       4     format version (4)
 //	8       4     k-mer length k
-//	12      4     section count S (= 1 + 4·numSegments)
+//	12      4     section count S (= 1 + G + 3·numSegments, G set groups)
 //	16      8     segment length
 //	24      8     overlap
 //	32      8     reference length (bases)
 //	40      8     FNV-1a hash of the reference bases
 //	48      8     number of segments
-//	56      4     shard group size (segments per resident group, ≥ 1)
+//	56      4     shard group size (segments per resident group: a multiple
+//	              of 8, or every segment)
 //	60      4     header length H (= 64 + 32·S + 4)
 //	64      32·S  section table (see below)
 //	H-4     4     header CRC-32 (IEEE) over bytes [0, H-4)
@@ -44,26 +45,38 @@ import (
 // Section table entry (32 bytes):
 //
 //	offset  size  field
-//	0       4     kind (1 ref, 2 start, 3 positions, 4 presence, 5 rank)
-//	4       4     segment id (0 for the ref section)
+//	0       4     kind (1 ref, 2 start, 3 positions, 4 rows, 5 rank)
+//	4       4     segment id (0 for the ref section; the set group's
+//	              first segment for a rows section)
 //	8       8     absolute file offset (4 KiB-aligned)
 //	16      8     data length in bytes (before padding)
 //	24      4     CRC-32 (IEEE) of the section data
 //	28      4     reserved (0)
 //
-// Sections appear in file order: ref first, then (start, positions,
-// presence, rank) per segment in ascending segment id. Section bodies, with
-// n the segment's window count (see seed.Tables for the semantics):
+// A set group is up to 8 consecutive segments, 8g to 8g+7 (seed.SetGroup-
+// Size), whose presence bits share one k-mer-major row table. Sections
+// appear in file order: ref first, then per set group its rows section
+// followed by (start, positions, rank) for each of its segments in
+// ascending id. Section bodies, with n the segment's window count and w the
+// group's row width (its segment count rounded up to 1, 2, 4 or 8; see
+// seed.Tables for the semantics):
 //
 //	ref        refLen bytes, one base per byte (dna.Base is a byte code)
+//	rows       ⌈4^k·w/64⌉ uint64 — row km is the w bits at bit km·w, and
+//	           bit i of it is set iff segment 8g+i holds k-mer km
 //	start      d+1 int32, 0 ≤ d ≤ n — one offset per present k-mer, then
 //	           the sentinel n
 //	positions  n int32 — every occurrence list concatenated in k-mer order
-//	presence   ⌈4^k/64⌉ uint64 — the presence bitmap
-//	rank       ⌈4^k/64⌉ uint32 — set bits before each presence word
+//	rank       ⌈4^k/64⌉ uint32 — the segment's present k-mers below each
+//	           64-k-mer block
 //
-// The rank prefix is derivable from the bitmap; it is stored so that
-// opening a file never scans one.
+// At w equal to the group's segment count the row table holds exactly the
+// bits of v3's per-segment presence bitmaps (a group of 3, 5, 6 or 7 pads
+// its rows to w columns); it lets a seeding lane read a k-mer's presence
+// in all of a group's segments with one load. A shard group never splits a
+// set group, so a shard group's sections are one run of pages. The rank
+// prefix is derivable from the rows; it is stored so that opening a file
+// never scans them.
 //
 // Integrity ladder, cheapest first: (1) the header CRC and the section
 // table's bounds, alignment, order and geometry-implied sizes — all
@@ -82,13 +95,19 @@ const (
 	sectionRef       = 1
 	sectionStart     = 2
 	sectionPositions = 3
-	sectionPresence  = 4
+	sectionRows      = 4
 	sectionRank      = 5
 
-	// sectionsPerSeg is how many sections each segment contributes, in
-	// kind order sectionStart..sectionRank.
-	sectionsPerSeg = 4
+	// sectionsPerSeg is how many sections each segment contributes:
+	// start, positions, rank.
+	sectionsPerSeg = 3
+	// setGroupSpan is how many section-table entries a full set group
+	// takes: its rows, then each segment's.
+	setGroupSpan = 1 + sectionsPerSeg*seed.SetGroupSize
 )
+
+// segKinds is a segment's section kinds in file order.
+var segKinds = [sectionsPerSeg]uint32{sectionStart, sectionPositions, sectionRank}
 
 // section is one parsed section-table entry.
 type section struct {
@@ -107,10 +126,41 @@ type header struct {
 	sections                   []section
 }
 
-// segSections returns segment seg's sections in kind order.
+// numSections returns the section count of a file of numSegs segments.
+func numSections(numSegs int) int {
+	return 1 + (numSegs+seed.SetGroupSize-1)/seed.SetGroupSize + sectionsPerSeg*numSegs
+}
+
+// sectionAt returns the (kind, segment) the layout puts at section-table
+// entry i.
+func sectionAt(i int) (kind, seg uint32) {
+	if i == 0 {
+		return sectionRef, 0
+	}
+	g, r := (i-1)/setGroupSpan, (i-1)%setGroupSpan
+	if r == 0 {
+		return sectionRows, uint32(g * seed.SetGroupSize)
+	}
+	return segKinds[(r-1)%sectionsPerSeg], uint32(g*seed.SetGroupSize + (r-1)/sectionsPerSeg)
+}
+
+// rowsSection returns the rows section of the set group holding seg.
+func (h *header) rowsSection(seg int) section {
+	return h.sections[1+seg/seed.SetGroupSize*setGroupSpan]
+}
+
+// segSections returns segment seg's sections in file order: start,
+// positions, rank.
 func (h *header) segSections(seg int) []section {
-	at := 1 + sectionsPerSeg*seg
+	at := 2 + seg/seed.SetGroupSize + sectionsPerSeg*seg
 	return h.sections[at : at+sectionsPerSeg]
+}
+
+// setWidth returns the row width of the set group holding seg in a file of
+// numSegs segments.
+func setWidth(seg, numSegs int) int {
+	first := seg / seed.SetGroupSize * seed.SetGroupSize
+	return seed.RowWidth(numSegs - first)
 }
 
 // numShardGroups returns how many shard groups the header's partition
@@ -204,10 +254,12 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // WriteShards serializes sx, built from ref, to w, partitioning the
 // segments into shard groups of groupSize segments each (the last group may
 // be short). groupSize <= 0 or >= the segment count puts every segment in
-// one group — plain mmap with no streaming partition. The group size is a
-// residency hint baked into the header, not a data layout change: the
-// tables are identical regardless, which is why the index hash is
-// invariant across shard settings.
+// one group — plain mmap with no streaming partition. A shard group never
+// splits a set group, so any other groupSize is rounded up to a multiple
+// of 8 (shardGroupSize). The group size is a residency hint baked into the
+// header, not a data layout change: the tables are identical regardless,
+// which is why the index hash is invariant across shard settings. sx must
+// lay its set groups out as seed.BuildSegmentedIndex does.
 func WriteShards(w io.Writer, sx *seed.SegmentedIndex, ref dna.Seq, groupSize int) error {
 	if sx == nil {
 		return fmt.Errorf("indexio: nil index")
@@ -216,18 +268,13 @@ func WriteShards(w io.Writer, sx *seed.SegmentedIndex, ref dna.Seq, groupSize in
 		return fmt.Errorf("indexio: index covers %d bases, reference has %d", sx.RefLen, len(ref))
 	}
 	numSegs := sx.NumSegments()
-	if groupSize <= 0 || groupSize > numSegs {
-		groupSize = numSegs
-	}
-	if groupSize < 1 {
-		groupSize = 1
-	}
+	groupSize = shardGroupSize(numSegs, groupSize)
 
 	type body struct {
 		section
 		emit emitter
 	}
-	sections := make([]body, 0, 1+sectionsPerSeg*numSegs)
+	sections := make([]body, 0, numSections(numSegs))
 	add := func(kind uint32, seg int, length int, e emitter) {
 		sections = append(sections, body{
 			section: section{kind: kind, seg: uint32(seg), len: uint64(length)},
@@ -237,9 +284,14 @@ func WriteShards(w io.Writer, sx *seed.SegmentedIndex, ref dna.Seq, groupSize in
 	add(sectionRef, 0, len(ref), emitSeq(ref))
 	for id, si := range sx.Samples {
 		t := si.Tables()
+		if t.Col != id%seed.SetGroupSize || t.Width != setWidth(id, numSegs) {
+			return fmt.Errorf("indexio: segment %d is column %d of a %d-bit row, the layout needs column %d of %d", id, t.Col, t.Width, id%seed.SetGroupSize, setWidth(id, numSegs))
+		}
+		if t.Col == 0 {
+			add(sectionRows, id, 8*len(t.Rows), emitWords(t.Rows))
+		}
 		add(sectionStart, id, 4*len(t.Start), emitWords(t.Start))
 		add(sectionPositions, id, 4*len(t.Positions), emitWords(t.Positions))
-		add(sectionPresence, id, 8*len(t.Presence), emitWords(t.Presence))
 		add(sectionRank, id, 4*len(t.Rank), emitWords(t.Rank))
 	}
 
@@ -330,7 +382,7 @@ func checkStamp(data []byte) error {
 		return fmt.Errorf("indexio: bad magic %q", data[:4])
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != Version {
-		return fmt.Errorf("indexio: unsupported format version %d (current %d)", v, Version)
+		return fmt.Errorf("indexio: unsupported format version %d (current %d): rebuild the cache", v, Version)
 	}
 	return nil
 }
@@ -375,11 +427,12 @@ func parseHeader(data []byte, size int64) (*header, error) {
 		return nil, fmt.Errorf("indexio: a %d-byte file cannot describe %d segments", size, want)
 	}
 	h.numSegs = want
-	if h.groupSize < 1 || (h.numSegs > 0 && h.groupSize > h.numSegs) {
+	if h.groupSize < 1 || (h.numSegs > 0 && h.groupSize > h.numSegs) ||
+		(h.groupSize%seed.SetGroupSize != 0 && h.groupSize != max(h.numSegs, 1)) {
 		return nil, fmt.Errorf("indexio: shard group size %d invalid for %d segments", h.groupSize, h.numSegs)
 	}
-	if int(sectionCount) != 1+sectionsPerSeg*h.numSegs {
-		return nil, fmt.Errorf("indexio: %d sections in file, %d segments imply %d", sectionCount, h.numSegs, 1+sectionsPerSeg*h.numSegs)
+	if int(sectionCount) != numSections(h.numSegs) {
+		return nil, fmt.Errorf("indexio: %d sections in file, %d segments imply %d", sectionCount, h.numSegs, numSections(h.numSegs))
 	}
 	if h.headerLen != fixedHeaderLen+sectionEntryLen*int(sectionCount)+4 {
 		return nil, fmt.Errorf("indexio: header length %d inconsistent with %d sections", h.headerLen, sectionCount)
@@ -392,7 +445,8 @@ func parseHeader(data []byte, size int64) (*header, error) {
 		return nil, fmt.Errorf("indexio: header checksum mismatch (file %08x, computed %08x): cache is corrupt", stored, got)
 	}
 
-	presenceWords := (uint64(1)<<(2*uint(h.k)) + 63) / 64
+	numKmers := 1 << (2 * uint(h.k))
+	rankWords := uint64(numKmers+63) / 64
 	h.sections = make([]section, sectionCount)
 	limit := uint64(size - 4) // sections end before the file CRC footer
 	prevEnd := uint64(alignUp(h.headerLen))
@@ -405,11 +459,7 @@ func parseHeader(data []byte, size int64) (*header, error) {
 			len:  binary.LittleEndian.Uint64(e[16:]),
 			crc:  binary.LittleEndian.Uint32(e[24:]),
 		}
-		wantKind, wantSeg := uint32(sectionRef), uint32(0)
-		if i > 0 {
-			wantSeg = uint32((i - 1) / sectionsPerSeg)
-			wantKind = uint32(sectionStart + (i-1)%sectionsPerSeg)
-		}
+		wantKind, wantSeg := sectionAt(i)
 		if s.kind != wantKind || s.seg != wantSeg {
 			return nil, fmt.Errorf("indexio: section %d is (kind %d, seg %d), layout requires (kind %d, seg %d)", i, s.kind, s.seg, wantKind, wantSeg)
 		}
@@ -434,13 +484,14 @@ func parseHeader(data []byte, size int64) (*header, error) {
 			if s.len != 4*windows {
 				return nil, fmt.Errorf("indexio: segment %d holds %d position bytes, %d windows need %d", s.seg, s.len, windows, 4*windows)
 			}
-		case sectionPresence:
-			if s.len != 8*presenceWords {
-				return nil, fmt.Errorf("indexio: segment %d presence bitmap holds %d bytes, k=%d needs %d", s.seg, s.len, h.k, 8*presenceWords)
+		case sectionRows:
+			w := setWidth(int(s.seg), h.numSegs)
+			if want := 8 * uint64(seed.RowWords(numKmers, w)); s.len != want {
+				return nil, fmt.Errorf("indexio: segment %d row table holds %d bytes, k=%d at width %d needs %d", s.seg, s.len, h.k, w, want)
 			}
 		case sectionRank:
-			if s.len != 4*presenceWords {
-				return nil, fmt.Errorf("indexio: segment %d rank prefix holds %d bytes, k=%d needs %d", s.seg, s.len, h.k, 4*presenceWords)
+			if s.len != 4*rankWords {
+				return nil, fmt.Errorf("indexio: segment %d rank prefix holds %d bytes, k=%d needs %d", s.seg, s.len, h.k, 4*rankWords)
 			}
 		}
 		prevEnd = s.off + s.len
@@ -485,13 +536,19 @@ func (h *header) bind(data []byte, ref dna.Seq) (*seed.SegmentedIndex, error) {
 		Samples: make([]*seed.SegmentIndex, h.numSegs),
 	}
 	body := func(s section) []byte { return data[s.off : s.off+s.len] }
+	var rows []uint64
 	for id := range sx.Samples {
+		if id%seed.SetGroupSize == 0 {
+			rows = u64(body(h.rowsSection(id)))
+		}
 		secs := h.segSections(id)
 		tab := seed.Tables{
 			Start:     i32(body(secs[0])),
 			Positions: i32(body(secs[1])),
-			Presence:  u64(body(secs[2])),
-			Rank:      u32(body(secs[3])),
+			Rows:      rows,
+			Width:     setWidth(id, h.numSegs),
+			Col:       id % seed.SetGroupSize,
+			Rank:      u32(body(secs[2])),
 		}
 		// The sentinel links the two tables; if it were wrong every lookup
 		// in the tail would clamp. One load, one page fault, no scan.
@@ -572,14 +629,22 @@ func Probe(path string, ref dna.Seq, k, segLen, overlap int) string {
 // "partition the cache into N groups") into the segments-per-group value
 // the header stores. It is the single flag→header conversion, shared by
 // every writer and staleness probe so they cannot disagree: shards <= 0 or
-// an empty index collapses to one all-spanning group, and a shard count
-// beyond the segment count clamps to one segment per group.
+// an empty index collapses to one all-spanning group, and otherwise the
+// group holds ⌈numSegs/shards⌉ segments rounded up to whole set groups
+// (shardGroupSize), so the file may have fewer groups than asked for.
 func GroupSizeForShards(numSegs, shards int) int {
 	if shards <= 0 || numSegs == 0 {
 		return numSegs
 	}
-	if shards > numSegs {
-		shards = numSegs
+	return shardGroupSize(numSegs, (numSegs+shards-1)/shards)
+}
+
+// shardGroupSize rounds a segments-per-group request up to a multiple of
+// the set group size, so no shard group splits a set group's row table; a
+// request of 0 or one that covers every segment is one all-spanning group.
+func shardGroupSize(numSegs, groupSize int) int {
+	if groupSize <= 0 || groupSize >= numSegs {
+		return max(numSegs, 1)
 	}
-	return (numSegs + shards - 1) / shards
+	return min(numSegs, (groupSize+seed.SetGroupSize-1)/seed.SetGroupSize*seed.SetGroupSize)
 }

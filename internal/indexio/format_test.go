@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -42,8 +43,13 @@ func writeBytes(t *testing.T, dir, name string, raw []byte) string {
 func TestMappedParity(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	ref := randSeq(r, 9000)
-	sx := buildIndex(t, ref, 2048, 128, 6)
-	for _, groupSize := range []int{0, 1, 2, 5} {
+	sx := buildIndex(t, ref, 512, 128, 6) // 18 segments: set groups of 8, 8 and 2
+	// A shard group is whole set groups: requests round up to a multiple
+	// of 8, and 0 or one covering every segment is one group.
+	for _, tc := range []struct{ groupSize, wantGS int }{
+		{0, 18}, {1, 8}, {2, 8}, {8, 8}, {9, 16}, {17, 18}, {18, 18}, {40, 18},
+	} {
+		groupSize := tc.groupSize
 		path := writeCacheFile(t, t.TempDir(), sx, ref, groupSize)
 		m, err := OpenMapped(path)
 		if err != nil {
@@ -60,15 +66,11 @@ func TestMappedParity(t *testing.T) {
 				t.Fatalf("groupSize %d: ref byte %d = %d, want %d", groupSize, i, b, ref[i])
 			}
 		}
-		if m.K() != 6 || m.SegLen() != 2048 || m.Overlap() != 128 {
+		if m.K() != 6 || m.SegLen() != 512 || m.Overlap() != 128 {
 			t.Fatalf("groupSize %d: geometry accessors %d/%d/%d", groupSize, m.K(), m.SegLen(), m.Overlap())
 		}
-		wantGS := groupSize
-		if wantGS <= 0 || wantGS > sx.NumSegments() {
-			wantGS = sx.NumSegments()
-		}
-		if m.ShardGroupSize() != wantGS {
-			t.Errorf("groupSize %d: header stores %d", groupSize, m.ShardGroupSize())
+		if m.ShardGroupSize() != tc.wantGS {
+			t.Errorf("groupSize %d: header stores %d, want %d", groupSize, m.ShardGroupSize(), tc.wantGS)
 		}
 		for id, si := range m.Index().Samples {
 			want := sx.Samples[id]
@@ -133,9 +135,14 @@ func resealed(good []byte, mutate func([]byte)) []byte {
 }
 
 // sectionOf returns the file offset of segment seg's section of the given
-// kind, read from the (valid) section table of raw.
+// kind (for sectionRows, its set group's), read from the (valid) section
+// table of raw.
 func sectionOf(raw []byte, seg int, kind uint32) int {
-	e := fixedHeaderLen + sectionEntryLen*(1+sectionsPerSeg*seg+int(kind-sectionStart))
+	i := 1 + seg/seed.SetGroupSize*setGroupSpan // the set group's rows
+	if kind != sectionRows {
+		i += 1 + sectionsPerSeg*(seg%seed.SetGroupSize) + slices.Index(segKinds[:], kind)
+	}
+	e := fixedHeaderLen + sectionEntryLen*i
 	return int(binary.LittleEndian.Uint64(raw[e+8:]))
 }
 
@@ -152,9 +159,10 @@ func TestInflatedSectionLengthRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Entry 1 is segment 0's start table; its length field is at
-	// 64 + 32·1 + 16. Inflate it to a multi-GiB claim.
-	lenAt := fixedHeaderLen + sectionEntryLen + 16
+	// Entry 1 is set group 0's row table and entry 2 segment 0's start
+	// table, whose length field is at 64 + 32·2 + 16. Inflate it to a
+	// multi-GiB claim.
+	lenAt := fixedHeaderLen + 2*sectionEntryLen + 16
 	cases := map[string]func([]byte){
 		"inflated length": func(b []byte) {
 			binary.LittleEndian.PutUint64(b[lenAt:], 8<<30)
@@ -169,7 +177,10 @@ func TestInflatedSectionLengthRejected(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[lenAt:], 0)
 		},
 		"short rank prefix": func(b []byte) {
-			binary.LittleEndian.PutUint64(b[lenAt+3*sectionEntryLen:], 8)
+			binary.LittleEndian.PutUint64(b[lenAt+2*sectionEntryLen:], 8)
+		},
+		"short row table": func(b []byte) {
+			binary.LittleEndian.PutUint64(b[lenAt-sectionEntryLen:], 8)
 		},
 		"misaligned offset": func(b []byte) {
 			off := binary.LittleEndian.Uint64(b[lenAt-8:])
@@ -179,7 +190,10 @@ func TestInflatedSectionLengthRejected(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[lenAt-8:], 0)
 		},
 		"wrong kind": func(b []byte) {
-			binary.LittleEndian.PutUint32(b[fixedHeaderLen+sectionEntryLen:], sectionPresence)
+			binary.LittleEndian.PutUint32(b[fixedHeaderLen+sectionEntryLen:], sectionStart)
+		},
+		"shard group splitting a set group": func(b []byte) {
+			binary.LittleEndian.PutUint32(b[56:], 1)
 		},
 		"inflated segment count": func(b []byte) {
 			binary.LittleEndian.PutUint64(b[48:], 1<<40)
@@ -253,10 +267,12 @@ func TestMappedCorruptTablesClamp(t *testing.T) {
 	}
 }
 
-// TestStaleVersionsRejected: files stamped by the two retired formats are
-// refused at every entry point, with the one reason a caller needs to
+// TestStaleVersionsRejected: files stamped by the three retired formats
+// are refused at every entry point, with the one reason a caller needs to
 // decide on a rebuild. (CachePath carries the version, so the auto-load
-// paths never even open such a file.)
+// paths never even open such a file.) A v3 file has per-segment presence
+// bitmaps where v4 has set-group rows; the version word alone refuses it,
+// before any of its section table is read.
 func TestStaleVersionsRejected(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	ref := randSeq(r, 4000)
@@ -265,8 +281,8 @@ func TestStaleVersionsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint32{1, 2} {
-		want := fmt.Sprintf("unsupported format version %d (current 3)", v)
+	for _, v := range []uint32{1, 2, 3} {
+		want := fmt.Sprintf("unsupported format version %d (current %d): rebuild the cache", v, Version)
 		stale := resealed(good, func(b []byte) { binary.LittleEndian.PutUint32(b[4:], v) })
 		path := writeBytes(t, t.TempDir(), "stale.gaxi", stale)
 		if reason := Probe(path, ref, 7, 1500, 100); reason != want {
@@ -287,7 +303,7 @@ func TestCachePathVersioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasSuffix(cur, "-v3.gaxi") {
+	if !strings.HasSuffix(cur, fmt.Sprintf("-v%d.gaxi", Version)) {
 		t.Errorf("CachePath %q does not pin the current version", cur)
 	}
 }
@@ -394,8 +410,8 @@ func residencyLaneWalk(m *Mapped, res *ShardResidency) int {
 func TestShardResidencyProtocol(t *testing.T) {
 	r := rand.New(rand.NewSource(26))
 	ref := randSeq(r, 8192)
-	sx := buildIndex(t, ref, 1024, 64, 5) // 8 segments
-	path := writeCacheFile(t, t.TempDir(), sx, ref, 2)
+	sx := buildIndex(t, ref, 256, 64, 5) // 32 segments
+	path := writeCacheFile(t, t.TempDir(), sx, ref, 8)
 	m, err := OpenMapped(path)
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +444,7 @@ func TestShardResidencyProtocol(t *testing.T) {
 }
 
 // fuzzBase is the small valid cache file FuzzOpenMapped mutates: k=4,
-// three 100-base segments, 14 page-aligned sections. Its layout is fixed by
+// three 100-base segments, 11 page-aligned sections (one set group). Its layout is fixed by
 // the seed, which is what lets the checked-in corpus aim at named fields.
 func fuzzBase(tb testing.TB) []byte {
 	ref := randSeq(rand.New(rand.NewSource(28)), 300)

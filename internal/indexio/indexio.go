@@ -4,15 +4,17 @@
 // and the benchmark load it back after validating that it matches the
 // reference and geometry in hand.
 //
-// There is one format, GAXI v3 (format.go): page-aligned, little-endian,
+// There is one format, GAXI v4 (format.go): page-aligned, little-endian,
 // fixed-width sections holding seed.Tables exactly as the seed stage reads
-// them — presence bitmap, rank prefix, compressed start table, positions —
-// plus the reference itself, so a mapped index is self-contained and the
-// genome never needs a heap copy. OpenMapped is the one reader: it uses the
-// file in place. Open adds the pin to the inputs in hand, and Ensure is the
-// one "use the cache or rebuild it" decision every caller shares. A file of
-// any other version is rejected with "unsupported format version N
-// (current 3)", which Ensure treats as a stale cache and rebuilds.
+// them — one presence row table per set group of up to 8 segments, then
+// each segment's compressed start table, positions and rank prefix — plus
+// the reference itself, so a mapped index is self-contained and the genome
+// never needs a heap copy. OpenMapped is the one reader: it uses the file
+// in place. Open adds the pin to the inputs in hand, and Ensure is the one
+// "use the cache or rebuild it" decision every caller shares. A file of
+// any other version — v3's per-segment presence bitmaps included — is
+// rejected with "unsupported format version N (current 4): rebuild the
+// cache", which Ensure treats as a stale cache and rebuilds.
 //
 // The file is self-validating — a cache built from a different reference,
 // geometry, or code version is rejected, never silently used — and every
@@ -34,7 +36,7 @@ import (
 const Magic = "GAXI"
 
 // Version is the one format version this package reads and writes.
-const Version = 3
+const Version = 4
 
 // RefHash returns the FNV-1a digest of the reference bases — the identity
 // the cache header pins, so a file can never be loaded against a different

@@ -204,7 +204,7 @@ func TestFileRoundTripAndCachePath(t *testing.T) {
 func TestEnsure(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	ref := randSeq(r, 6000)
-	sx := buildIndex(t, ref, 1024, 64, 6) // 6 segments
+	sx := buildIndex(t, ref, 256, 64, 6) // 24 segments: three set groups
 	other := append(dna.Seq(nil), ref...)
 	other[0] ^= 1
 	write := func(sx *seed.SegmentedIndex, ref dna.Seq, groupSize int) func(*testing.T, string) {
@@ -234,10 +234,10 @@ func TestEnsure(t *testing.T) {
 	}{
 		{"missing file", func(*testing.T, string) {}, 0, "no cache file", true, 1},
 		{"stale version", stale, 0, "unsupported format version 2", true, 1},
-		{"geometry mismatch", write(buildIndex(t, ref, 1024, 64, 7), ref, 0), 0, "geometry mismatch", true, 1},
-		{"other reference", write(buildIndex(t, other, 1024, 64, 6), other, 0), 0, "reference hash mismatch", true, 1},
+		{"geometry mismatch", write(buildIndex(t, ref, 256, 64, 7), ref, 0), 0, "geometry mismatch", true, 1},
+		{"other reference", write(buildIndex(t, other, 256, 64, 6), other, 0), 0, "reference hash mismatch", true, 1},
 		{"partition mismatch", write(sx, ref, 0), 2, "shard partition mismatch", true, 2},
-		{"any partition at shards 0", write(sx, ref, 3), 0, "", false, 2},
+		{"any partition at shards 0", write(sx, ref, 16), 0, "", false, 2},
 		{"current cache", write(sx, ref, 0), 0, "", false, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -249,7 +249,7 @@ func TestEnsure(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			m, reason, err := Ensure(path, ref, 6, 1024, 64, tc.shards)
+			m, reason, err := Ensure(path, ref, 6, 256, 64, tc.shards)
 			if err != nil {
 				t.Fatalf("Ensure: %v", err)
 			}
@@ -270,7 +270,7 @@ func TestEnsure(t *testing.T) {
 			if m.NumShardGroups() != tc.groups {
 				t.Errorf("%d shard groups, want %d", m.NumShardGroups(), tc.groups)
 			}
-			if again := Probe(path, ref, 6, 1024, 64); again != "" {
+			if again := Probe(path, ref, 6, 256, 64); again != "" {
 				t.Errorf("Probe after Ensure: %q", again)
 			}
 		})

@@ -120,12 +120,13 @@ func (m *Mapped) NumShardGroups() int { return m.hdr.numShardGroups() }
 func (m *Mapped) GroupOf(seg int) int { return seg / m.hdr.groupSize }
 
 // groupBytes returns the contiguous byte range holding every section of
-// shard group g (segment sections are laid out in ascending id order, so a
-// group is one run of pages, padding included).
+// shard group g (sections are laid out in ascending segment order and a
+// shard group is whole set groups, so it is one run of pages from its
+// first rows section, padding included).
 func (m *Mapped) groupBytes(g int) []byte {
 	gs := m.hdr.groupSize
 	first, last := g*gs, min((g+1)*gs, m.hdr.numSegs)-1
-	lo, hi := m.hdr.segSections(first)[0], m.hdr.segSections(last)[sectionsPerSeg-1]
+	lo, hi := m.hdr.rowsSection(first), m.hdr.segSections(last)[sectionsPerSeg-1]
 	return m.data[lo.off:min(alignUp(int(hi.off+hi.len)), len(m.data))]
 }
 

@@ -18,12 +18,13 @@
 //     multi-way selects), so "respects the context" means WaitGroup
 //     accounting or explicit ctx, not a select loop.
 //
-// In genax/internal/serve the admission queue, waiter channels, and
-// registry build slots are all bounded channels, and the dispatcher and
-// build goroutines are WaitGroup-tracked so StartDrain can sequence
-// shutdown. The analyzer runs over both packages' non-test files: tests
-// legitimately build unbuffered admission channels to exercise
-// backpressure.
+// In genax/internal/serve the admission queues and the waiter channels
+// are bounded channels, and the per-genome dispatcher goroutines are
+// WaitGroup-tracked so StartDrain can sequence shutdown. The registry
+// loads a genome inline, on the dispatcher that needs it, and starts no
+// goroutine of its own. The analyzer runs over both packages' non-test
+// files: tests legitimately build unbuffered admission channels to
+// exercise backpressure.
 package stagecontract
 
 import (

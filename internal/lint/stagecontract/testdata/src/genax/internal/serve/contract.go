@@ -2,8 +2,8 @@
 // analyzer over the serving layer; the import path impersonates the real
 // serve package so the contract applies. The shapes mirror the admission
 // path: a bounded intake queue of value-typed pending requests, signal
-// slots, a WaitGroup-tracked dispatcher, and context-bounded registry
-// build goroutines.
+// slots and a WaitGroup-tracked dispatcher; a context-bounded goroutine
+// covers the contract's other accounted form.
 package serve
 
 import (
@@ -66,9 +66,9 @@ func (b *batcher) rogueDispatcher() {
 	}()
 }
 
-// buildEntry mirrors the registry's build-on-miss goroutine: handing the
-// spawned call a context bounds it.
-func buildEntry(ctx context.Context) {
+// watchCancel is the context-bounded form: handing the spawned call a
+// context bounds it.
+func watchCancel(ctx context.Context) {
 	go func(ctx context.Context) {
 		<-ctx.Done()
 	}(ctx)

@@ -2,7 +2,10 @@
 // k-mer index and position tables sized for on-chip SRAM, a 512-entry CAM
 // per lane for hit-set intersection, and the RMEM/SMEM engine with the
 // paper's four optimizations — SMEM filtering, binary extension, low-stride
-// probing, and the exact-match fast path.
+// probing, and the exact-match fast path. The host, which has no SRAM,
+// stores the presence bits of up to 8 consecutive segments k-mer-major
+// (Tables.Rows), so a read loads each window's presence once for all of
+// them (Seeder.SeedRows).
 package seed
 
 import (
@@ -10,19 +13,20 @@ import (
 	"hash/fnv"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"genax/internal/dna"
 )
 
-// Tables is the thin view a SegmentIndex reads through: the presence bitmap
-// with its rank prefix, the compressed start table, and the position table,
-// as plain slices. The backing memory is either owned heap storage (the
-// build) or a borrowed window of a memory-mapped GAXI file
-// (indexio.OpenMapped) — the lookup paths are identical either way, which
-// is what keeps SegmentedIndex.Hash and every seed result byte-identical
-// across the in-memory, mapped, and sharded paths.
+// Tables is the thin view a SegmentIndex reads through: the row table of
+// its set group with the segment's rank prefix, the compressed start table,
+// and the position table, as plain slices. The backing memory is either
+// owned heap storage (the build) or a borrowed window of a memory-mapped
+// GAXI file (indexio.OpenMapped) — the lookup paths are identical either
+// way, which is what keeps SegmentedIndex.Hash and every seed result
+// byte-identical across the in-memory, mapped, and sharded paths.
 //
 // This is the host layout, sized by the segment's content. The chip's dense
 // 4(4^k+1)-byte index table is a model quantity only (IndexTableBytes,
@@ -38,14 +42,20 @@ type Tables struct {
 	Start []int32
 	// Positions is every occurrence list concatenated in k-mer order.
 	Positions []int32
-	// Presence is a bitmap over the k-mer space: bit km is set iff the
-	// k-mer occurs in the segment. A seeding lane reads it once per window
-	// in Seeder.Seed's pre-pass, for all of a read's windows together, and
-	// resolves only the present ones any further.
-	Presence []uint64
-	// Rank[w] is the number of set bits in Presence[:w], so the rank of a
-	// present k-mer km — its index into Start — is
-	// Rank[km>>6] + popcount(Presence[km>>6] & (1<<(km&63) - 1)).
+	// Rows is the presence table of the segment's set group, k-mer-major:
+	// k-mer km owns the Width bits at bit offset km·Width, and bit Col of
+	// that row is set iff this segment holds km. Every segment of a set
+	// group shares one Rows slice, so one load reads a k-mer's presence
+	// in all of them (see Seeder.SeedRows); at Width 1 it is a plain
+	// presence bitmap.
+	Rows []uint64
+	// Width is the row width in bits (1, 2, 4 or 8: RowWidth of the set
+	// group's segment count) and Col the segment's column, 0 ≤ Col < Width.
+	Width, Col int
+	// Rank[b] is the number of k-mers below 64·b that the segment holds,
+	// so the rank of a present k-mer km — its index into Start — is
+	// Rank[km>>6] plus the set bits of column Col over the rows of km's
+	// 64-k-mer block that lie below km.
 	Rank []uint32
 }
 
@@ -64,10 +74,49 @@ type SegmentIndex struct {
 	// tab is the table view: owned heap slices for built indexes, borrowed
 	// mapping windows for indexes opened in place.
 	tab Tables
+	// The row geometry of tab, derived once: lw = log2(Width), col =
+	// Col, rowMask the low Width bits, colMask bit Col of every row of a
+	// word.
+	lw, col uint
+	rowMask uint8
+	colMask uint64
 }
 
-// BuildSegmentIndex indexes ref (one segment) with k-mer length k. There is
-// one build, buildSparse, at every segment length and k.
+// SetGroupSize is the most segments one row table serves: set group g is
+// segments SetGroupSize·g up to SetGroupSize·g+SetGroupSize−1, and a row
+// is at most one byte.
+const SetGroupSize = 8
+
+// RowWidth returns the row width of a set group of n segments: n rounded
+// up to 1, 2, 4 or 8.
+func RowWidth(n int) int {
+	w := 1
+	for w < n && w < SetGroupSize {
+		w <<= 1
+	}
+	return w
+}
+
+// RowWords returns the row table length, in words, of a k-mer space of
+// numKmers at row width w. It divides before it multiplies, so no k-mer
+// space up to k = dna.MaxK overflows.
+func RowWords(numKmers, w int) int { return numKmers>>6*w + (numKmers&63*w+63)>>6 }
+
+// rankWords returns the rank prefix length: one word per 64-k-mer block.
+func rankWords(numKmers int) int { return (numKmers + 63) / 64 }
+
+// bindRows adopts t and derives its row geometry.
+func (si *SegmentIndex) bindRows(t Tables) {
+	si.tab = t
+	si.lw = uint(bits.TrailingZeros(uint(t.Width)))
+	si.col = uint(t.Col)
+	si.rowMask = uint8(1<<t.Width - 1)
+	si.colMask = ^uint64(0) / (1<<t.Width - 1) << uint(t.Col)
+}
+
+// BuildSegmentIndex indexes ref (one segment) with k-mer length k, as a
+// set group of its own (row width 1). There is one build, buildSparse,
+// then setRows, at every segment length and k.
 func BuildSegmentIndex(ref dna.Seq, id, offset, k int) (*SegmentIndex, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("seed: k-mer length %d must be positive", k)
@@ -76,36 +125,41 @@ func BuildSegmentIndex(ref dna.Seq, id, offset, k int) (*SegmentIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := max(0, len(ref)-k+1)
-	kms := codec.AppendScan(make([]dna.Kmer, 0, n), ref)
-	return &SegmentIndex{ID: id, Offset: offset, Ref: ref, codec: codec, tab: buildSparse(kms, k)}, nil
+	rows := make([]uint64, RowWords(codec.NumKmers(), 1))
+	si, tails := buildSegment(ref, id, offset, codec, &buildScratch{})
+	setRows([]*SegmentIndex{si}, rows, [][]uint16{tails}, 1)
+	return si, nil
 }
 
-// presenceWords returns the bitmap length for a k-mer space.
-func presenceWords(numKmers int) int { return (numKmers + 63) / 64 }
-
-// markPresence returns the presence bitmap of the window scan kms, its
-// rank prefix, and the number of distinct k-mers.
-func markPresence(kms []dna.Kmer, numKmers int) (presence []uint64, rank []uint32, distinct int) {
-	presence = make([]uint64, presenceWords(numKmers))
-	for _, km := range kms {
-		presence[km>>6] |= 1 << (km & 63)
-	}
-	rank = make([]uint32, len(presence))
-	for w, word := range presence {
-		rank[w] = uint32(distinct)
-		distinct += bits.OnesCount64(word)
-	}
-	return presence, rank, distinct
+// buildScratch is one build worker's reusable memory: the window scan and
+// the radix sort's first pass, which no table keeps. Reusing it from
+// segment to segment keeps the build's garbage, and so its peak memory,
+// down.
+type buildScratch struct {
+	kms   []dna.Kmer
+	byLow []int32
 }
 
-// buildSparse assembles the tables from the window scan (kms[p] is the
-// k-mer at position p) with a stable two-pass LSD radix sort of the
-// positions, k bits of the k-mer per pass, so nothing it allocates has 4^k
-// entries except the bitmap and its rank prefix. Positions enter ascending
-// and both passes are stable, so the result is grouped by k-mer and
-// ascending within each group.
-func buildSparse(kms []dna.Kmer, k int) Tables {
+// buildSegment indexes ref's sparse tables, and returns the tails its set
+// group's row fill needs (buildSparse, setRows).
+func buildSegment(ref dna.Seq, id, offset int, codec *dna.KmerCodec, sc *buildScratch) (*SegmentIndex, []uint16) {
+	if n := len(ref) - codec.K() + 1; cap(sc.kms) < n {
+		sc.kms = make([]dna.Kmer, 0, n)
+	}
+	sc.kms = codec.AppendScan(sc.kms[:0], ref)
+	tab, tails := buildSparse(sc.kms, codec.K(), sc)
+	return &SegmentIndex{ID: id, Offset: offset, Ref: ref, codec: codec, tab: tab}, tails
+}
+
+// buildSparse assembles the start, position and rank tables from the
+// window scan (kms[p] is the k-mer at position p) with a stable two-pass
+// LSD radix sort of the positions, k bits of the k-mer per pass, so
+// nothing it allocates has 4^k entries except the rank prefix. Positions
+// enter ascending and both passes are stable, so the result is grouped by
+// k-mer and ascending within each group, and walking the groups in k-mer
+// order yields the start table and the rank prefix. tails[r] is the r-th
+// present k-mer's place in its rowChunk of the k-mer space.
+func buildSparse(kms []dna.Kmer, k int, sc *buildScratch) (Tables, []uint16) {
 	n := len(kms)
 	mask := dna.Kmer(1)<<uint(k) - 1
 	lo, hi := make([]int32, 1<<uint(k)), make([]int32, 1<<uint(k))
@@ -118,7 +172,10 @@ func buildSparse(kms []dna.Kmer, k int) Tables {
 		lo[d], sumLo = sumLo, sumLo+lo[d]
 		hi[d], sumHi = sumHi, sumHi+hi[d]
 	}
-	byLow := make([]int32, n)
+	if cap(sc.byLow) < n {
+		sc.byLow = make([]int32, n)
+	}
+	byLow := sc.byLow[:n]
 	for p, km := range kms {
 		byLow[lo[km&mask]] = int32(p)
 		lo[km&mask]++
@@ -129,29 +186,88 @@ func buildSparse(kms []dna.Kmer, k int) Tables {
 		positions[hi[d]] = p
 		hi[d]++
 	}
-	presence, rank, distinct := markPresence(kms, 1<<(2*uint(k)))
-	start := make([]int32, distinct+1)
-	r := 0
+	start := make([]int32, n+1)
+	tails := make([]uint16, n)
+	rank := make([]uint32, rankWords(1<<(2*uint(k))))
+	r := 0 // present k-mers seen
+	prev := dna.Kmer(0)
 	for i, p := range positions {
-		if i == 0 || kms[p] != kms[positions[i-1]] {
-			start[r] = int32(i)
-			r++
+		km := kms[p]
+		if i > 0 && km == prev {
+			continue
+		}
+		prev = km
+		rank[km>>6]++ // a count per block, prefix-summed below
+		start[r] = int32(i)
+		tails[r] = uint16(km % rowChunk)
+		r++
+	}
+	below := uint32(0)
+	for b, c := range rank {
+		rank[b], below = below, below+c
+	}
+	start[r] = int32(n)
+	// Sized for one run per window, the table is kept as is unless most
+	// windows repeat a k-mer.
+	if start = start[:r+1]; 2*r < n {
+		start = slices.Clone(start)
+	}
+	return Tables{Start: start, Positions: positions, Rank: rank}, tails[:r]
+}
+
+// setRows binds segment i of a built set group to column i of rows and
+// fills the table on up to workers goroutines (fillRows).
+func setRows(group []*SegmentIndex, rows []uint64, tails [][]uint16, workers int) {
+	for col, si := range group {
+		t := si.tab
+		t.Rows, t.Width, t.Col = rows, RowWidth(len(group)), col
+		si.bindRows(t)
+	}
+	numKmers := group[0].codec.NumKmers()
+	parallel((numKmers+rowChunk-1)/rowChunk, workers, func(_, c int) {
+		fillRows(group, tails, c*rowChunk, min((c+1)*rowChunk, numKmers))
+	})
+}
+
+// rowChunk is how many k-mers of a row table fillRows writes as one unit:
+// 64 KiB of rows at width 8, so every column's bits land while the chunk
+// is in cache, and whole words, so chunks share none. A k-mer's place in
+// its chunk fits a uint16.
+const rowChunk = 1 << 16
+
+// fillRows sets the row bits of k-mers [lo, hi) for every segment of a
+// bound set group, where lo is a multiple of rowChunk and hi is lo+rowChunk
+// or the end of the k-mer space. The segment's present k-mers in that
+// range are its ranks Rank[lo>>6] up to Rank[hi>>6], ascending, and tails
+// (buildSparse) holds each one's place in the range. Concurrent calls on
+// disjoint ranges write disjoint words and need no atomics, and filling a
+// group a chunk at a time, not a segment at a time, streams the row table
+// through the cache once.
+func fillRows(group []*SegmentIndex, tails [][]uint16, lo, hi int) {
+	for i, si := range group {
+		t := &si.tab
+		end := len(tails[i])
+		if hi < si.codec.NumKmers() {
+			end = int(t.Rank[hi>>6])
+		}
+		for _, tail := range tails[i][t.Rank[lo>>6]:end] {
+			bit := uint(lo|int(tail)) << si.lw
+			t.Rows[bit>>6] |= 1 << (bit&63 + si.col)
 		}
 	}
-	start[distinct] = int32(n)
-	return Tables{Start: start, Positions: positions, Presence: presence, Rank: rank}
 }
 
 // NewSegmentIndexFromTables binds a SegmentIndex directly over a table
 // view — the zero-copy path the mapped GAXI loader uses: t's slices may
 // alias a read-only file mapping and are adopted, never copied. The length
-// invariants (bitmap and rank prefix sized for the k-mer space, positions
-// matching the window count, a start table of at least the sentinel and at
-// most one entry per window plus it) are always enforced; validate
-// additionally runs the full structural scan (ValidateTables), which
-// touches every table page and therefore defeats lazy residency — mapped
-// callers leave it false and rely on the clamped lookup path plus the
-// file's checksums instead.
+// invariants (a row width of 1, 2, 4 or 8 with the column inside it, row
+// table and rank prefix sized for the k-mer space, positions matching the
+// window count, a start table of at least the sentinel and at most one
+// entry per window plus it) are always enforced; validate additionally
+// runs the full structural scan (ValidateTables), which touches every
+// table page and therefore defeats lazy residency — mapped callers leave
+// it false and rely on the clamped lookup path plus the file's checksums
+// instead.
 func NewSegmentIndexFromTables(ref dna.Seq, id, offset, k int, t Tables, validate bool) (*SegmentIndex, error) {
 	if k < 1 || k > dna.MaxK {
 		return nil, fmt.Errorf("seed: k-mer length %d out of range [1,%d]", k, dna.MaxK)
@@ -165,11 +281,14 @@ func NewSegmentIndexFromTables(ref dna.Seq, id, offset, k int, t Tables, validat
 	if n < 0 {
 		n = 0
 	}
-	if len(t.Presence) != presenceWords(numKmers) {
-		return nil, fmt.Errorf("seed: presence bitmap holds %d words, k=%d needs %d", len(t.Presence), k, presenceWords(numKmers))
+	if t.Width != RowWidth(t.Width) || t.Col < 0 || t.Col >= t.Width {
+		return nil, fmt.Errorf("seed: column %d of a %d-bit row", t.Col, t.Width)
 	}
-	if len(t.Rank) != len(t.Presence) {
-		return nil, fmt.Errorf("seed: rank prefix holds %d words for %d presence words", len(t.Rank), len(t.Presence))
+	if len(t.Rows) != RowWords(numKmers, t.Width) {
+		return nil, fmt.Errorf("seed: row table holds %d words, k=%d at width %d needs %d", len(t.Rows), k, t.Width, RowWords(numKmers, t.Width))
+	}
+	if len(t.Rank) != rankWords(numKmers) {
+		return nil, fmt.Errorf("seed: rank prefix holds %d words, k=%d needs %d", len(t.Rank), k, rankWords(numKmers))
 	}
 	if len(t.Positions) != n {
 		return nil, fmt.Errorf("seed: %d positions for a %d-base segment (want %d windows)", len(t.Positions), len(ref), n)
@@ -177,7 +296,8 @@ func NewSegmentIndexFromTables(ref dna.Seq, id, offset, k int, t Tables, validat
 	if len(t.Start) < 1 || len(t.Start) > n+1 {
 		return nil, fmt.Errorf("seed: start table holds %d entries, %d windows allow 1 to %d", len(t.Start), n, n+1)
 	}
-	si := &SegmentIndex{ID: id, Offset: offset, Ref: ref, codec: codec, tab: t}
+	si := &SegmentIndex{ID: id, Offset: offset, Ref: ref, codec: codec}
+	si.bindRows(t)
 	if validate {
 		if err := si.ValidateTables(); err != nil {
 			return nil, err
@@ -187,8 +307,8 @@ func NewSegmentIndexFromTables(ref dna.Seq, id, offset, k int, t Tables, validat
 }
 
 // ValidateTables runs the full structural scan over the table view: no
-// presence bit beyond the k-mer space, every rank word equal to the
-// popcount before it, exactly one start entry per presence bit, a start
+// row bit beyond the k-mer space, every rank word equal to the count of
+// column bits before it, exactly one start entry per column bit, a start
 // table that begins at zero, increases strictly and ends at the position
 // count, and every occurrence list strictly ascending and in range. The
 // scan touches every page of every table, so mapped indexes run it only on
@@ -197,15 +317,17 @@ func (si *SegmentIndex) ValidateTables() error {
 	t := &si.tab
 	numKmers := si.codec.NumKmers()
 	n := len(t.Positions)
-	if tail := uint(numKmers) & 63; tail != 0 && t.Presence[len(t.Presence)-1]>>tail != 0 {
-		return fmt.Errorf("seed: presence bits set beyond the %d k-mers of k=%d", numKmers, si.codec.K())
+	if tail := uint(numKmers*t.Width) & 63; tail != 0 && t.Rows[len(t.Rows)-1]>>tail != 0 {
+		return fmt.Errorf("seed: row bits set beyond the %d k-mers of k=%d", numKmers, si.codec.K())
 	}
 	present := 0
-	for w, word := range t.Presence {
-		if int(t.Rank[w]) != present {
-			return fmt.Errorf("seed: rank prefix of presence word %d is %d, want %d", w, t.Rank[w], present)
+	for b := range t.Rank {
+		if int(t.Rank[b]) != present {
+			return fmt.Errorf("seed: rank prefix of k-mer block %d is %d, want %d", b, t.Rank[b], present)
 		}
-		present += bits.OnesCount64(word)
+		for _, word := range t.Rows[b<<si.lw : min((b+1)<<si.lw, len(t.Rows))] {
+			present += bits.OnesCount64(word & si.colMask)
+		}
 	}
 	if present != len(t.Start)-1 {
 		return fmt.Errorf("seed: %d presence bits for %d start entries", present, len(t.Start)-1)
@@ -245,8 +367,8 @@ func (si *SegmentIndex) Tables() Tables { return si.tab }
 func (si *SegmentIndex) K() int { return si.codec.K() }
 
 // Lookup returns the sorted (strictly ascending) local positions of km.
-// The seeding lanes do not probe through it; their pre-pass reads
-// Presence and spanOf directly (Seeder.probe).
+// The seeding lanes do not probe through it; they read rows and resolve
+// spans themselves (Seeder.SeedRows).
 //
 // BORROW CONTRACT: the returned slice aliases the index's shared position
 // table, which every lane bound to this segment reads concurrently. It is
@@ -255,17 +377,43 @@ func (si *SegmentIndex) K() int { return si.codec.K() }
 //
 //genax:borrowed
 func (si *SegmentIndex) Lookup(km dna.Kmer) []int32 {
-	if si.tab.Presence[km>>6]&(1<<(km&63)) == 0 {
+	if si.row(km)>>si.col&1 == 0 {
 		return nil
 	}
 	return si.positions(si.spanOf(km))
+}
+
+// row returns km's row of the set group table: bit i set iff the group's
+// segment i holds km.
+//
+//genax:hotpath
+func (si *SegmentIndex) row(km dna.Kmer) uint8 {
+	bit := uint(km) << si.lw
+	return uint8(si.tab.Rows[bit>>6]>>(bit&63)) & si.rowMask
+}
+
+// colRank counts the k-mers of km's 64-k-mer block below km that the
+// segment holds: the set bits of its column over the block's rows before
+// row km. A block is Width words, so this is one popcount at Width 1 and
+// up to eight at Width 8.
+//
+//genax:hotpath
+func (si *SegmentIndex) colRank(km dna.Kmer) uint {
+	bit := uint(km) << si.lw
+	last := bit >> 6
+	rows := si.tab.Rows
+	n := uint(bits.OnesCount64(rows[last] & si.colMask & (1<<(bit&63) - 1)))
+	for i := uint(km>>6) << si.lw; i < last; i++ {
+		n += uint(bits.OnesCount64(rows[i] & si.colMask))
+	}
+	return n
 }
 
 // span is a present k-mer's occurrence list: [lo, hi) of Positions.
 type span struct{ lo, hi int32 }
 
 // spanOf is the one rank → span path: rank → two adjacent start entries.
-// Lookup and the seeding lanes' pre-pass (Seeder.probe) both take it.
+// Lookup and the seeding lanes (Seeder.mark) both take it.
 //
 // Clamp, never panic: a mapped view skips the full structural scan (it
 // would fault every page), so a corrupt rank word or start entry that
@@ -275,8 +423,7 @@ type span struct{ lo, hi int32 }
 //genax:hotpath
 func (si *SegmentIndex) spanOf(km dna.Kmer) span {
 	t := &si.tab
-	below := t.Presence[km>>6] & (1<<(km&63) - 1)
-	r := uint(t.Rank[km>>6]) + uint(bits.OnesCount64(below))
+	r := uint(t.Rank[km>>6]) + si.colRank(km)
 	if r+1 < uint(len(t.Start)) {
 		lo, hi := t.Start[r], t.Start[r+1]
 		if lo >= 0 && hi >= lo && int(hi) <= len(t.Positions) {
@@ -317,6 +464,9 @@ func (si *SegmentIndex) PositionTableBytes() int { return 4 * len(si.tab.Positio
 // SegmentedIndex is the whole-genome structure: the reference cut into
 // fixed-size segments (512 for a human genome in §VI) with enough overlap
 // that any read-length window lies wholly inside at least one segment.
+// Samples[s] is column s mod SetGroupSize of set group s / SetGroupSize:
+// the segments of a group share one row table, and a group's first
+// segment is its column 0.
 type SegmentedIndex struct {
 	RefLen  int
 	SegLen  int
@@ -352,12 +502,15 @@ func BuildSegmentedIndex(ref dna.Seq, segLen, overlap, k int) (*SegmentedIndex, 
 	return BuildSegmentedIndexWith(ref, segLen, overlap, k, 0)
 }
 
-// BuildSegmentedIndexWith is BuildSegmentedIndex on a bounded worker pool:
-// segments are independent, so up to workers of them build concurrently
-// (workers <= 0 means GOMAXPROCS). Workers claim segment ids off an atomic
-// cursor and write into pre-assigned slots, so assembly order — and the
-// resulting index — is deterministic regardless of scheduling; on error the
-// lowest-numbered failing segment's error is returned.
+// BuildSegmentedIndexWith is BuildSegmentedIndex on a bounded worker pool
+// (workers <= 0 means GOMAXPROCS). It builds one set group at a time, in
+// two phases. First the group's segments build their sparse tables
+// concurrently, as segments are independent. Then the group's row table is
+// allocated and filled a k-mer chunk at a time, chunks concurrently
+// (fillRows): the rows are written directly, with no per-segment bitmap
+// built and transposed. Workers claim units off an atomic cursor and write
+// into pre-assigned slots or disjoint words, so the resulting index is
+// identical for every worker count.
 func BuildSegmentedIndexWith(ref dna.Seq, segLen, overlap, k, workers int) (*SegmentedIndex, error) {
 	if segLen <= 0 {
 		return nil, fmt.Errorf("seed: segment length %d must be positive", segLen)
@@ -367,6 +520,10 @@ func BuildSegmentedIndexWith(ref dna.Seq, segLen, overlap, k, workers int) (*Seg
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("seed: k-mer length %d must be positive", k)
+	}
+	codec, err := dna.NewKmerCodec(k)
+	if err != nil {
+		return nil, err
 	}
 	offs := segmentOffsets(len(ref), segLen)
 	sx := &SegmentedIndex{
@@ -379,31 +536,35 @@ func BuildSegmentedIndexWith(ref dna.Seq, segLen, overlap, k, workers int) (*Seg
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(offs) {
-		workers = len(offs)
+	scratch := make([]buildScratch, workers)
+	for first := 0; first < len(offs); first += SetGroupSize {
+		group := sx.Samples[first:min(first+SetGroupSize, len(offs))]
+		// The row table comes before the segments' scratch, so that is
+		// recycled around it rather than under it.
+		rows := make([]uint64, RowWords(codec.NumKmers(), RowWidth(len(group))))
+		tails := make([][]uint16, len(group))
+		parallel(len(group), workers, func(w, i int) {
+			off := offs[first+i]
+			end := min(off+segLen+overlap, len(ref))
+			group[i], tails[i] = buildSegment(ref[off:end], first+i, off, codec, &scratch[w])
+		})
+		setRows(group, rows, tails, workers)
 	}
-	buildOne := func(id int) error {
-		off := offs[id]
-		end := off + segLen + overlap
-		if end > len(ref) {
-			end = len(ref)
-		}
-		si, err := BuildSegmentIndex(ref[off:end], id, off, k)
-		if err != nil {
-			return err
-		}
-		sx.Samples[id] = si
-		return nil
-	}
+	return sx, nil
+}
+
+// parallel runs fn(w, 0) … fn(w, n-1) on up to workers goroutines, which
+// claim indices off an atomic cursor; w is the claiming worker's number,
+// below workers. With one worker it runs them in order on the caller's
+// goroutine.
+func parallel(n, workers int, fn func(w, i int)) {
+	workers = min(workers, n)
 	if workers <= 1 {
-		for id := range offs {
-			if err := buildOne(id); err != nil {
-				return nil, err
-			}
+		for i := 0; i < n; i++ {
+			fn(0, i)
 		}
-		return sx, nil
+		return
 	}
-	errs := make([]error, len(offs))
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -411,21 +572,15 @@ func BuildSegmentedIndexWith(ref dna.Seq, segLen, overlap, k, workers int) (*Seg
 		go func() {
 			defer wg.Done()
 			for {
-				id := int(cursor.Add(1)) - 1
-				if id >= len(offs) {
+				i := int(cursor.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				errs[id] = buildOne(id)
+				fn(w, i)
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sx, nil
 }
 
 // NumSegments returns the segment count.
@@ -457,9 +612,9 @@ func (sx *SegmentedIndex) Hash() uint64 {
 		put(uint64(len(si.Ref)))
 		put(uint64(si.K()))
 		put(uint64(len(si.tab.Start) - 1))
-		for w, word := range si.tab.Presence {
-			for ; word != 0; word &= word - 1 {
-				km := dna.Kmer(w<<6 + bits.TrailingZeros64(word))
+		for w, word := range si.tab.Rows {
+			for word &= si.colMask; word != 0; word &= word - 1 {
+				km := dna.Kmer((uint(w)<<6 + uint(bits.TrailingZeros64(word))) >> si.lw)
 				put(uint64(km))
 				put(uint64(len(si.Lookup(km))))
 			}

@@ -207,7 +207,7 @@ func checkAgainstDense(t *testing.T, si *SegmentIndex, start, positions []int32,
 	if dense := positions[start[km]:start[km+1]]; !slices.Equal(hits, dense) {
 		t.Fatalf("k=%d kmer %d: Lookup returned %v, dense table holds %v", si.K(), km, hits, dense)
 	}
-	if present := si.tab.Presence[km>>6]&(1<<(km&63)) != 0; present != (len(hits) > 0) {
+	if present := si.row(km)>>si.col&1 != 0; present != (len(hits) > 0) {
 		t.Fatalf("k=%d kmer %d: presence bit %v but %d hits", si.K(), km, present, len(hits))
 	}
 }

@@ -13,15 +13,17 @@ import (
 
 // TestHotPathInlines asks the compiler whether the probe path still
 // inlines. Every seeding probe ends in Seeder.lookup or hitsAt, which read
-// the lane's probe table; if either grows past the inlining budget each
-// probe pays a call, and nothing else fails. The test needs the go tool:
-// without it, it fails rather than skip.
+// the lane's probe table; the per-segment loop extracts each window's row
+// (SegmentIndex.row) and ranks each held k-mer in its column
+// (SegmentIndex.colRank). If any of them grows past the inlining budget
+// each call pays a call, and nothing else fails. The test needs the go
+// tool: without it, it fails rather than skip.
 func TestHotPathInlines(t *testing.T) {
 	out, err := exec.Command("go", "build", "-gcflags=-m=2", ".").CombinedOutput()
 	if err != nil {
 		t.Fatalf("go build -gcflags=-m=2: %v\n%s", err, out)
 	}
-	for _, fn := range []string{"(*Seeder).lookup", "(*Seeder).hitsAt"} {
+	for _, fn := range []string{"(*Seeder).lookup", "(*Seeder).hitsAt", "(*SegmentIndex).row", "(*SegmentIndex).colRank"} {
 		if bytes.Contains(out, []byte("can inline "+fn+" with cost")) {
 			continue
 		}
@@ -38,7 +40,10 @@ func TestHotPathInlines(t *testing.T) {
 // TestProbeTableMatchesLookup holds the pre-pass to the index: after Seed,
 // every window's probe-table answer is exactly what SegmentIndex.Lookup
 // returns for its k-mer, across reads that belong to the segment, reads
-// that do not, and a lane rebound from one segment to another.
+// that do not, and a lane rebound from one segment to another. An exact
+// read's fast path reads only every k-th window and the last, so Seed
+// leaves its other held windows unresolved; resolveRest, which the SMEM
+// loop runs first, must fill them in with Lookup's answer too.
 func TestProbeTableMatchesLookup(t *testing.T) {
 	r := rand.New(rand.NewSource(121))
 	ref := randSeq(r, 6000)
@@ -53,6 +58,7 @@ func TestProbeTableMatchesLookup(t *testing.T) {
 		for _, si := range sx.Samples {
 			lane.Reset(si)
 			lane.Seed(read)
+			lane.resolveRest()
 			for q, km := range lane.scan {
 				want, got := si.Lookup(km), lane.hitsAt(q)
 				if !slices.Equal(got, want) {

@@ -60,6 +60,16 @@ type Stats struct {
 	HitsEmitted  int // total (seed, position) pairs sent to extension
 }
 
+// HostStats counts seeding work the host does and the chip has no
+// counterpart for, so the hardware model never reads it: rows loaded (one
+// per window per set group, or per segment through Seed), spans resolved
+// (rank → start-table reads, one per held window a probe may read), and
+// segments skipped (Seed or SeedRows calls whose segment holds none of the
+// read's windows, which therefore scan and probe nothing).
+type HostStats struct {
+	RowLoads, SpanResolves, SegmentsSkipped int
+}
+
 // segWin is one stride-k window of the exact-match fast path.
 type segWin struct {
 	q    int
@@ -72,8 +82,10 @@ type segWin struct {
 type Seeder struct {
 	si   *SegmentIndex
 	opts Options
-	// Stats accumulates across Seed calls; reset it directly.
+	// Stats accumulates across Seed calls; reset it directly. Host does
+	// the same for the host-only counters.
 	Stats Stats
+	Host  HostStats
 
 	// Lane-owned scratch. curBuf double-buffers the candidate sets flowing
 	// through intersect: writes always go to the buffer live does NOT name,
@@ -81,15 +93,17 @@ type Seeder struct {
 	// is never overwritten while still being read. seedBuf backs the
 	// returned seeds; winBuf backs the exact-match window list; scan
 	// memoizes the read's per-position k-mers for the current Seed call;
-	// spans is the probe table filled from scan (see probe);
-	// arena is the flat hit-list buffer every emitted Positions slice is
-	// carved from (see emit for its lifetime rules).
+	// spans is the probe table marked from the read's rows (see mark);
+	// rowBuf holds Seed's rows, which no caller keeps; arena is the flat
+	// hit-list buffer every emitted Positions slice is carved from (see
+	// emit for its lifetime rules).
 	curBuf  [2][]int32
 	live    int
 	seedBuf []Seed
 	winBuf  []segWin
 	scan    []dna.Kmer
 	spans   []span
+	rowBuf  []uint8
 	arena   []int32
 }
 
@@ -144,38 +158,88 @@ func (sd *Seeder) hitsAt(q int) []int32 {
 	return sd.si.positions(sd.spans[q])
 }
 
-// probe is Seed's pre-pass over the window memo: spans[q] becomes window
-// q's span in the segment, empty when its k-mer is absent. The first loop
-// is branch-free and its loads do not depend on each other, so the core
-// overlaps their cache misses; it leaves an absent window's span empty and
-// a present one's non-empty, and the second loop resolves the latter.
-// probe reports whether any window is present.
+// loadRows fills rows with the row of every window in the scan memo: one
+// load per window, all independent, so the core overlaps their misses.
 //
 //genax:hotpath
-func (sd *Seeder) probe() bool {
-	sd.fit(len(sd.scan))
-	pres := sd.si.tab.Presence
-	var seen int32
+func (sd *Seeder) loadRows(rows []uint8) {
 	for q, km := range sd.scan {
-		bit := int32(pres[km>>6] >> (km & 63) & 1)
-		sd.spans[q] = span{0, bit}
-		seen |= bit
+		rows[q] = sd.si.row(km)
 	}
-	for q, km := range sd.scan {
-		if sd.spans[q].hi != 0 {
-			sd.spans[q] = sd.si.spanOf(km)
-		}
-	}
-	return seen != 0
+	sd.Host.RowLoads += len(sd.scan)
 }
 
-// fit sizes the probe table for n windows. It allocates only when a read
-// has more windows than any before it on this lane.
+// names reports whether the bound segment holds any window of rows.
+//
+//genax:hotpath
+func (sd *Seeder) names(rows []uint8) bool {
+	var any uint8
+	for _, r := range rows {
+		any |= r
+	}
+	return any>>sd.si.col&1 != 0
+}
+
+// unresolved marks a probe-table window the segment holds whose span is
+// not resolved yet; no probe reads one.
+var unresolved = span{-1, -1}
+
+// mark fills the probe table from rows: a window the bound segment holds
+// is marked unresolved, any other gets the empty span. Then it resolves
+// the windows exactMatch and naiveSeeds read — every k-th and the last —
+// so that an exact read, whose fast path reads nothing else, pays the
+// rank and start-table reads of those few windows only.
+//
+//genax:hotpath
+func (sd *Seeder) mark(rows []uint8, k int) {
+	sd.spans = sd.spans[:len(rows)]
+	col := sd.si.col
+	for q, r := range rows {
+		sd.spans[q] = span{}
+		if r>>col&1 != 0 {
+			sd.spans[q] = unresolved
+		}
+	}
+	last := len(rows) - 1
+	for q := 0; q <= last; q += k {
+		if sd.spans[q] == unresolved {
+			sd.resolve(q)
+		}
+	}
+	if sd.spans[last] == unresolved {
+		sd.resolve(last)
+	}
+}
+
+// resolveRest resolves every window mark left unresolved.
+//
+//genax:hotpath
+func (sd *Seeder) resolveRest() {
+	for q, s := range sd.spans {
+		if s == unresolved {
+			sd.resolve(q)
+		}
+	}
+}
+
+// resolve gives window q its span: rank, then two start entries.
+//
+//genax:hotpath
+func (sd *Seeder) resolve(q int) {
+	sd.spans[q] = sd.si.spanOf(sd.scan[q])
+	sd.Host.SpanResolves++
+}
+
+// fit sizes the probe table and the row scratch for n windows. It
+// allocates only when a read has more windows than any before it on this
+// lane.
 func (sd *Seeder) fit(n int) {
 	if cap(sd.spans) < n {
 		sd.spans = make([]span, n)
 	}
-	sd.spans = sd.spans[:n]
+	if cap(sd.rowBuf) < n {
+		sd.rowBuf = make([]uint8, n)
+	}
 }
 
 // intersect intersects the sorted candidate set cur (pivot-normalized)
@@ -291,7 +355,27 @@ func (sd *Seeder) refine(read dna.Seq, p, last int, cur []int32) (int, []int32) 
 //
 //genax:borrowed
 //genax:hotpath
-func (sd *Seeder) Seed(read dna.Seq) []Seed {
+func (sd *Seeder) Seed(read dna.Seq) []Seed { return sd.seed(read, nil) }
+
+// SeedRows is Seed for a caller that keeps a read's rows across the
+// segments of a set group. rows has one byte per window of read
+// (len(read)-k+1). At the group's first segment (Tables.Col 0) SeedRows
+// loads every window's row into rows; at the group's later segments it
+// reads them, and scans and probes the read only if some window's row
+// names the segment. So a read pays one row load per window per set
+// group, not one presence load per window per segment. The caller hands
+// the same rows, untouched, to every segment of the group in order from
+// its first. Seeds, counters and the result's lifetime are Seed's.
+//
+//genax:borrowed
+//genax:hotpath
+func (sd *Seeder) SeedRows(read dna.Seq, rows []uint8) []Seed { return sd.seed(read, rows) }
+
+// seed is Seed and SeedRows; nil rows means lane scratch, loaded afresh.
+//
+//genax:borrowed
+//genax:hotpath
+func (sd *Seeder) seed(read dna.Seq, rows []uint8) []Seed {
 	sd.Stats.Reads++
 	sd.arena = sd.arena[:0]
 	k := sd.si.K()
@@ -299,21 +383,38 @@ func (sd *Seeder) Seed(read dna.Seq) []Seed {
 	if m < k {
 		return nil
 	}
-	// Encode every window of the read once; all probes below hit this
-	// memo, including RMEM restarts and refine re-probes of the same
-	// position.
-	sd.scan = sd.si.codec.AppendScan(sd.scan[:0], read)
-	seen := sd.probe()
-	if !sd.opts.SMEMFilter {
-		return sd.naiveSeeds(read)
+	n := m - k + 1
+	sd.fit(n)
+	// Encode every window of the read once, here or once the rows name
+	// the segment; all probes below hit this memo, including RMEM restarts
+	// and refine re-probes of the same position.
+	scanned := rows == nil || sd.si.col == 0
+	if rows == nil {
+		rows = sd.rowBuf
 	}
-	if !seen {
+	rows = rows[:n]
+	if scanned {
+		sd.scan = sd.si.codec.AppendScan(sd.scan[:0], read)
+		sd.loadRows(rows)
+	}
+	if sd.opts.SMEMFilter && !sd.names(rows) {
 		// No window is present: charge the probes the executed path makes.
-		sd.Stats.IndexLookups += m - k + 1
+		sd.Host.SegmentsSkipped++
+		sd.spans = sd.spans[:0]
+		sd.Stats.IndexLookups += n
 		if sd.opts.ExactFastPath {
 			sd.Stats.IndexLookups++
 		}
 		return nil
+	}
+	if !scanned {
+		sd.scan = sd.si.codec.AppendScan(sd.scan[:0], read)
+	}
+	// The fast path and the naive baseline read only the stride windows;
+	// the rest are resolved only when the SMEM loop is to read them.
+	sd.mark(rows, k)
+	if !sd.opts.SMEMFilter {
+		return sd.naiveSeeds(read)
 	}
 	if sd.opts.ExactFastPath {
 		if out, ok := sd.exactMatch(read); ok {
@@ -321,6 +422,7 @@ func (sd *Seeder) Seed(read dna.Seq) []Seed {
 			return out
 		}
 	}
+	sd.resolveRest()
 	out := sd.seedBuf[:0]
 	maxEnd := -1
 	for p := 0; p+k <= m; p++ {

@@ -60,11 +60,16 @@ func TestFromTablesRejectsBadGeometry(t *testing.T) {
 		name string
 		tab  Tables
 	}{
-		{"empty start", Tables{Start: nil, Positions: good.Positions, Presence: good.Presence, Rank: good.Rank}},
-		{"long start", Tables{Start: make([]int32, len(good.Positions)+2), Positions: good.Positions, Presence: good.Presence, Rank: good.Rank}},
-		{"short pos", Tables{Start: good.Start, Positions: good.Positions[:1], Presence: good.Presence, Rank: good.Rank}},
-		{"short presence", Tables{Start: good.Start, Positions: good.Positions, Presence: good.Presence[:1], Rank: good.Rank[:1]}},
-		{"short rank", Tables{Start: good.Start, Positions: good.Positions, Presence: good.Presence, Rank: good.Rank[:1]}},
+		{"empty start", Tables{Start: nil, Positions: good.Positions, Rows: good.Rows, Width: 1, Rank: good.Rank}},
+		{"long start", Tables{Start: make([]int32, len(good.Positions)+2), Positions: good.Positions, Rows: good.Rows, Width: 1, Rank: good.Rank}},
+		{"short pos", Tables{Start: good.Start, Positions: good.Positions[:1], Rows: good.Rows, Width: 1, Rank: good.Rank}},
+		{"short rows", Tables{Start: good.Start, Positions: good.Positions, Rows: good.Rows[:1], Width: 1, Rank: good.Rank[:1]}},
+		{"short rank", Tables{Start: good.Start, Positions: good.Positions, Rows: good.Rows, Width: 1, Rank: good.Rank[:1]}},
+		{"rows too short for width 2", Tables{Start: good.Start, Positions: good.Positions, Rows: good.Rows, Width: 2, Rank: good.Rank}},
+		{"width 3", Tables{Start: good.Start, Positions: good.Positions, Rows: good.Rows, Width: 3, Rank: good.Rank}},
+		{"width 0", Tables{Start: good.Start, Positions: good.Positions, Rows: good.Rows, Rank: good.Rank}},
+		{"column outside the row", Tables{Start: good.Start, Positions: good.Positions, Rows: good.Rows, Width: 1, Col: 1, Rank: good.Rank}},
+		{"negative column", Tables{Start: good.Start, Positions: good.Positions, Rows: good.Rows, Width: 1, Col: -1, Rank: good.Rank}},
 	} {
 		if _, err := NewSegmentIndexFromTables(ref, 0, 0, 5, tc.tab, false); err == nil {
 			t.Errorf("%s: bind accepted", tc.name)
@@ -92,17 +97,17 @@ func TestValidateTablesAndClampedLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	absent := bits.TrailingZeros64(^built.tab.Presence[3]) // a clear bit of word 3
+	absent := bits.TrailingZeros64(^built.tab.Rows[3]) // a clear bit of word 3
 	cases := []struct {
 		name   string
 		from   *SegmentIndex
 		mutate func(Tables) Tables
 		want   string // ValidateTables' message; "" if the mutation may stay legal
 	}{
-		{"rank off by one", built, func(t Tables) Tables { t.Rank[7]++; return t }, "rank prefix of presence word 7"},
-		{"rank far out of range", built, func(t Tables) Tables { t.Rank[2] = 1 << 31; return t }, "rank prefix of presence word 2"},
+		{"rank off by one", built, func(t Tables) Tables { t.Rank[7]++; return t }, "rank prefix of k-mer block 7"},
+		{"rank far out of range", built, func(t Tables) Tables { t.Rank[2] = 1 << 31; return t }, "rank prefix of k-mer block 2"},
 		{"presence bit with no start entry", built, func(t Tables) Tables {
-			t.Presence[3] |= 1 << absent
+			t.Rows[3] |= 1 << absent
 			for w := 4; w < len(t.Rank); w++ {
 				t.Rank[w]++
 			}
@@ -118,7 +123,7 @@ func TestValidateTablesAndClampedLookups(t *testing.T) {
 		{"start begins past zero", built, func(t Tables) Tables { t.Start[0] = 1; return t }, "start table begins at 1"},
 		{"sentinel short of position count", built, func(t Tables) Tables { t.Start[len(t.Start)-1]--; return t }, "start table ends at"},
 		{"sentinel past position count", built, func(t Tables) Tables { t.Start[len(t.Start)-1] += 100; return t }, "start table ends at"},
-		{"bits beyond 4^k", tiny, func(t Tables) Tables { t.Presence[0] |= 1 << 16; return t }, "presence bits set beyond the 16 k-mers"},
+		{"bits beyond 4^k", tiny, func(t Tables) Tables { t.Rows[0] |= 1 << 16; return t }, "row bits set beyond the 16 k-mers"},
 		{"position out of range", built, func(t Tables) Tables { t.Positions[0] = int32(len(t.Positions) + 7); return t }, "outside [0,"},
 		{"position order", built, func(t Tables) Tables { t.Positions[len(t.Positions)-1] = t.Positions[0]; return t }, ""},
 	}
@@ -127,7 +132,9 @@ func TestValidateTablesAndClampedLookups(t *testing.T) {
 		tab := tc.mutate(Tables{
 			Start:     slices.Clone(src.Start),
 			Positions: slices.Clone(src.Positions),
-			Presence:  slices.Clone(src.Presence),
+			Rows:      slices.Clone(src.Rows),
+			Width:     src.Width,
+			Col:       src.Col,
 			Rank:      slices.Clone(src.Rank),
 		})
 		k, segRef := tc.from.K(), tc.from.Ref
