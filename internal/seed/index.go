@@ -505,10 +505,10 @@ func BuildSegmentedIndex(ref dna.Seq, segLen, overlap, k int) (*SegmentedIndex, 
 // BuildSegmentedIndexWith is BuildSegmentedIndex on a bounded worker pool
 // (workers <= 0 means GOMAXPROCS). It builds one set group at a time, in
 // two phases. First the group's segments build their sparse tables
-// concurrently, as segments are independent. Then the group's row table is
-// allocated and filled a k-mer chunk at a time, chunks concurrently
-// (fillRows): the rows are written directly, with no per-segment bitmap
-// built and transposed. Workers claim units off an atomic cursor and write
+// concurrently, as segments are independent, beside the allocation of the
+// group's row table. Then the table is filled a k-mer chunk at a time,
+// chunks concurrently (fillRows): the rows are written directly, with no
+// per-segment bitmap built and transposed. Workers claim units off an atomic cursor and write
 // into pre-assigned slots or disjoint words, so the resulting index is
 // identical for every worker count.
 func BuildSegmentedIndexWith(ref dna.Seq, segLen, overlap, k, workers int) (*SegmentedIndex, error) {
@@ -539,11 +539,18 @@ func BuildSegmentedIndexWith(ref dna.Seq, segLen, overlap, k, workers int) (*Seg
 	scratch := make([]buildScratch, workers)
 	for first := 0; first < len(offs); first += SetGroupSize {
 		group := sx.Samples[first:min(first+SetGroupSize, len(offs))]
-		// The row table comes before the segments' scratch, so that is
-		// recycled around it rather than under it.
-		rows := make([]uint64, RowWords(codec.NumKmers(), RowWidth(len(group))))
+		var rows []uint64
 		tails := make([][]uint16, len(group))
-		parallel(len(group), workers, func(w, i int) {
+		parallel(1+len(group), workers, func(w, u int) {
+			if u == 0 {
+				// The row table is the first unit: it is zeroed beside
+				// the first segment's build, and it comes before the
+				// segments' scratch, which is then recycled around it
+				// rather than under it.
+				rows = make([]uint64, RowWords(codec.NumKmers(), RowWidth(len(group))))
+				return
+			}
+			i := u - 1
 			off := offs[first+i]
 			end := min(off+segLen+overlap, len(ref))
 			group[i], tails[i] = buildSegment(ref[off:end], first+i, off, codec, &scratch[w])
