@@ -355,7 +355,7 @@ func (sd *Seeder) refine(read dna.Seq, p, last int, cur []int32) (int, []int32) 
 //
 //genax:borrowed
 //genax:hotpath
-func (sd *Seeder) Seed(read dna.Seq) []Seed { return sd.seed(read, nil) }
+func (sd *Seeder) Seed(read dna.Seq) []Seed { return sd.SeedRows(read, nil) }
 
 // SeedRows is Seed for a caller that keeps a read's rows across the
 // segments of a set group. rows has one byte per window of read
@@ -365,17 +365,12 @@ func (sd *Seeder) Seed(read dna.Seq) []Seed { return sd.seed(read, nil) }
 // names the segment. So a read pays one row load per window per set
 // group, not one presence load per window per segment. The caller hands
 // the same rows, untouched, to every segment of the group in order from
-// its first. Seeds, counters and the result's lifetime are Seed's.
+// its first. Nil rows means lane scratch, loaded afresh: that is Seed.
+// Seeds, counters and the result's lifetime are Seed's.
 //
 //genax:borrowed
 //genax:hotpath
-func (sd *Seeder) SeedRows(read dna.Seq, rows []uint8) []Seed { return sd.seed(read, rows) }
-
-// seed is Seed and SeedRows; nil rows means lane scratch, loaded afresh.
-//
-//genax:borrowed
-//genax:hotpath
-func (sd *Seeder) seed(read dna.Seq, rows []uint8) []Seed {
+func (sd *Seeder) SeedRows(read dna.Seq, rows []uint8) []Seed {
 	sd.Stats.Reads++
 	sd.arena = sd.arena[:0]
 	k := sd.si.K()
