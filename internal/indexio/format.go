@@ -53,27 +53,27 @@ import (
 //	24      4     CRC-32 (IEEE) of the section data
 //	28      4     reserved (0)
 //
-// A set group is up to 8 consecutive segments, 8g to 8g+7 (seed.SetGroup-
-// Size), whose presence bits share one k-mer-major row table. Sections
-// appear in file order: ref first, then per set group its rows section
-// followed by (start, positions, rank) for each of its segments in
-// ascending id. Section bodies, with n the segment's window count and w the
-// group's row width (its segment count rounded up to 1, 2, 4 or 8; see
-// seed.Tables for the semantics):
+// A set group is a run of 1, 2, 4 or 8 consecutive segments whose presence
+// bits share one k-mer-major row table: groups of 8 from segment 0, then a
+// short tail cut into groups of 4, 2 and 1 (seed.SetGroupOf defines the
+// layout). Sections appear in file order: ref first, then per set group its
+// rows section followed by (start, positions, rank) for each of its
+// segments in ascending id. Section bodies, with n the segment's window
+// count and w the group's width (its segment count; see seed.Tables for the
+// semantics):
 //
 //	ref        refLen bytes, one base per byte (dna.Base is a byte code)
 //	rows       ⌈4^k·w/64⌉ uint64 — row km is the w bits at bit km·w, and
-//	           bit i of it is set iff segment 8g+i holds k-mer km
+//	           bit i of it is set iff the group's segment i holds k-mer km
 //	start      d+1 int32, 0 ≤ d ≤ n — one offset per present k-mer, then
 //	           the sentinel n
 //	positions  n int32 — every occurrence list concatenated in k-mer order
 //	rank       ⌈4^k/64⌉ uint32 — the segment's present k-mers below each
 //	           64-k-mer block
 //
-// At w equal to the group's segment count the row table holds exactly the
-// bits of v3's per-segment presence bitmaps (a group of 3, 5, 6 or 7 pads
-// its rows to w columns); it lets a seeding lane read a k-mer's presence
-// in all of a group's segments with one load. A shard group never splits a
+// The row tables hold exactly the bits of v3's per-segment presence
+// bitmaps, transposed so that a seeding lane reads a k-mer's presence in
+// all of a group's segments with one load. A shard group never splits a
 // set group, so a shard group's sections are one run of pages. The rank
 // prefix is derivable from the rows; it is stored so that opening a file
 // never scans them.
@@ -101,9 +101,6 @@ const (
 	// sectionsPerSeg is how many sections each segment contributes:
 	// start, positions, rank.
 	sectionsPerSeg = 3
-	// setGroupSpan is how many section-table entries a full set group
-	// takes: its rows, then each segment's.
-	setGroupSpan = 1 + sectionsPerSeg*seed.SetGroupSize
 )
 
 // segKinds is a segment's section kinds in file order.
@@ -124,43 +121,37 @@ type header struct {
 	groupSize                  int
 	headerLen                  int
 	sections                   []section
+	// segAt[seg] is the index of segment seg's start section.
+	segAt []int
 }
 
-// numSections returns the section count of a file of numSegs segments.
-func numSections(numSegs int) int {
-	return 1 + (numSegs+seed.SetGroupSize-1)/seed.SetGroupSize + sectionsPerSeg*numSegs
-}
-
-// sectionAt returns the (kind, segment) the layout puts at section-table
-// entry i.
-func sectionAt(i int) (kind, seg uint32) {
-	if i == 0 {
-		return sectionRef, 0
+// layout returns the (kind, segment) of every section-table entry of a
+// file of numSegs segments, in file order: the ref, then per set group
+// (seed.SetGroupOf) its rows, tagged with its first segment, followed by
+// each of its segments' start, positions and rank.
+func layout(numSegs int) []section {
+	out := make([]section, 1, 1+(1+sectionsPerSeg)*numSegs)
+	out[0].kind = sectionRef
+	for id := 0; id < numSegs; id++ {
+		if _, col, _ := seed.SetGroupOf(id, numSegs); col == 0 {
+			out = append(out, section{kind: sectionRows, seg: uint32(id)})
+		}
+		for _, kind := range segKinds {
+			out = append(out, section{kind: kind, seg: uint32(id)})
+		}
 	}
-	g, r := (i-1)/setGroupSpan, (i-1)%setGroupSpan
-	if r == 0 {
-		return sectionRows, uint32(g * seed.SetGroupSize)
-	}
-	return segKinds[(r-1)%sectionsPerSeg], uint32(g*seed.SetGroupSize + (r-1)/sectionsPerSeg)
+	return out
 }
 
-// rowsSection returns the rows section of the set group holding seg.
-func (h *header) rowsSection(seg int) section {
-	return h.sections[1+seg/seed.SetGroupSize*setGroupSpan]
-}
+// rowsSection returns the rows section of the set group whose first
+// segment is first: the entry before first's start section.
+func (h *header) rowsSection(first int) section { return h.sections[h.segAt[first]-1] }
 
 // segSections returns segment seg's sections in file order: start,
 // positions, rank.
 func (h *header) segSections(seg int) []section {
-	at := 2 + seg/seed.SetGroupSize + sectionsPerSeg*seg
+	at := h.segAt[seg]
 	return h.sections[at : at+sectionsPerSeg]
-}
-
-// setWidth returns the row width of the set group holding seg in a file of
-// numSegs segments.
-func setWidth(seg, numSegs int) int {
-	first := seg / seed.SetGroupSize * seed.SetGroupSize
-	return seed.RowWidth(numSegs - first)
 }
 
 // numShardGroups returns how many shard groups the header's partition
@@ -259,7 +250,7 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // of 8 (shardGroupSize). The group size is a residency hint baked into the
 // header, not a data layout change: the tables are identical regardless,
 // which is why the index hash is invariant across shard settings. sx must
-// lay its set groups out as seed.BuildSegmentedIndex does.
+// lay its set groups out as seed.SetGroupOf does.
 func WriteShards(w io.Writer, sx *seed.SegmentedIndex, ref dna.Seq, groupSize int) error {
 	if sx == nil {
 		return fmt.Errorf("indexio: nil index")
@@ -274,7 +265,7 @@ func WriteShards(w io.Writer, sx *seed.SegmentedIndex, ref dna.Seq, groupSize in
 		section
 		emit emitter
 	}
-	sections := make([]body, 0, numSections(numSegs))
+	sections := make([]body, 0, 1+(1+sectionsPerSeg)*numSegs)
 	add := func(kind uint32, seg int, length int, e emitter) {
 		sections = append(sections, body{
 			section: section{kind: kind, seg: uint32(seg), len: uint64(length)},
@@ -284,8 +275,8 @@ func WriteShards(w io.Writer, sx *seed.SegmentedIndex, ref dna.Seq, groupSize in
 	add(sectionRef, 0, len(ref), emitSeq(ref))
 	for id, si := range sx.Samples {
 		t := si.Tables()
-		if t.Col != id%seed.SetGroupSize || t.Width != setWidth(id, numSegs) {
-			return fmt.Errorf("indexio: segment %d is column %d of a %d-bit row, the layout needs column %d of %d", id, t.Col, t.Width, id%seed.SetGroupSize, setWidth(id, numSegs))
+		if _, col, width := seed.SetGroupOf(id, numSegs); t.Col != col || t.Width != width {
+			return fmt.Errorf("indexio: segment %d is column %d of a %d-bit row, the layout needs column %d of %d", id, t.Col, t.Width, col, width)
 		}
 		if t.Col == 0 {
 			add(sectionRows, id, 8*len(t.Rows), emitWords(t.Rows))
@@ -431,8 +422,9 @@ func parseHeader(data []byte, size int64) (*header, error) {
 		(h.groupSize%seed.SetGroupSize != 0 && h.groupSize != max(h.numSegs, 1)) {
 		return nil, fmt.Errorf("indexio: shard group size %d invalid for %d segments", h.groupSize, h.numSegs)
 	}
-	if int(sectionCount) != numSections(h.numSegs) {
-		return nil, fmt.Errorf("indexio: %d sections in file, %d segments imply %d", sectionCount, h.numSegs, numSections(h.numSegs))
+	plan := layout(h.numSegs)
+	if int(sectionCount) != len(plan) {
+		return nil, fmt.Errorf("indexio: %d sections in file, %d segments imply %d", sectionCount, h.numSegs, len(plan))
 	}
 	if h.headerLen != fixedHeaderLen+sectionEntryLen*int(sectionCount)+4 {
 		return nil, fmt.Errorf("indexio: header length %d inconsistent with %d sections", h.headerLen, sectionCount)
@@ -448,6 +440,7 @@ func parseHeader(data []byte, size int64) (*header, error) {
 	numKmers := 1 << (2 * uint(h.k))
 	rankWords := uint64(numKmers+63) / 64
 	h.sections = make([]section, sectionCount)
+	h.segAt = make([]int, h.numSegs)
 	limit := uint64(size - 4) // sections end before the file CRC footer
 	prevEnd := uint64(alignUp(h.headerLen))
 	for i := range h.sections {
@@ -459,9 +452,8 @@ func parseHeader(data []byte, size int64) (*header, error) {
 			len:  binary.LittleEndian.Uint64(e[16:]),
 			crc:  binary.LittleEndian.Uint32(e[24:]),
 		}
-		wantKind, wantSeg := sectionAt(i)
-		if s.kind != wantKind || s.seg != wantSeg {
-			return nil, fmt.Errorf("indexio: section %d is (kind %d, seg %d), layout requires (kind %d, seg %d)", i, s.kind, s.seg, wantKind, wantSeg)
+		if want := plan[i]; s.kind != want.kind || s.seg != want.seg {
+			return nil, fmt.Errorf("indexio: section %d is (kind %d, seg %d), layout requires (kind %d, seg %d)", i, s.kind, s.seg, want.kind, want.seg)
 		}
 		if s.off%sectionAlign != 0 {
 			return nil, fmt.Errorf("indexio: section %d offset %d not %d-aligned", i, s.off, sectionAlign)
@@ -477,6 +469,7 @@ func parseHeader(data []byte, size int64) (*header, error) {
 				return nil, fmt.Errorf("indexio: ref section holds %d bytes, reference has %d", s.len, h.refLen)
 			}
 		case sectionStart:
+			h.segAt[s.seg] = i
 			if s.len%4 != 0 || s.len < 4 || s.len > 4*(windows+1) {
 				return nil, fmt.Errorf("indexio: segment %d start table holds %d bytes, %d windows allow 4 to %d", s.seg, s.len, windows, 4*(windows+1))
 			}
@@ -485,7 +478,7 @@ func parseHeader(data []byte, size int64) (*header, error) {
 				return nil, fmt.Errorf("indexio: segment %d holds %d position bytes, %d windows need %d", s.seg, s.len, windows, 4*windows)
 			}
 		case sectionRows:
-			w := setWidth(int(s.seg), h.numSegs)
+			_, _, w := seed.SetGroupOf(int(s.seg), h.numSegs)
 			if want := 8 * uint64(seed.RowWords(numKmers, w)); s.len != want {
 				return nil, fmt.Errorf("indexio: segment %d row table holds %d bytes, k=%d at width %d needs %d", s.seg, s.len, h.k, w, want)
 			}
@@ -538,7 +531,8 @@ func (h *header) bind(data []byte, ref dna.Seq) (*seed.SegmentedIndex, error) {
 	body := func(s section) []byte { return data[s.off : s.off+s.len] }
 	var rows []uint64
 	for id := range sx.Samples {
-		if id%seed.SetGroupSize == 0 {
+		_, col, width := seed.SetGroupOf(id, h.numSegs)
+		if col == 0 {
 			rows = u64(body(h.rowsSection(id)))
 		}
 		secs := h.segSections(id)
@@ -546,8 +540,8 @@ func (h *header) bind(data []byte, ref dna.Seq) (*seed.SegmentedIndex, error) {
 			Start:     i32(body(secs[0])),
 			Positions: i32(body(secs[1])),
 			Rows:      rows,
-			Width:     setWidth(id, h.numSegs),
-			Col:       id % seed.SetGroupSize,
+			Width:     width,
+			Col:       col,
 			Rank:      u32(body(secs[2])),
 		}
 		// The sentinel links the two tables; if it were wrong every lookup

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -138,12 +137,14 @@ func resealed(good []byte, mutate func([]byte)) []byte {
 // kind (for sectionRows, its set group's), read from the (valid) section
 // table of raw.
 func sectionOf(raw []byte, seg int, kind uint32) int {
-	i := 1 + seg/seed.SetGroupSize*setGroupSpan // the set group's rows
-	if kind != sectionRows {
-		i += 1 + sectionsPerSeg*(seg%seed.SetGroupSize) + slices.Index(segKinds[:], kind)
+	if kind == sectionRows {
+		seg, _, _ = seed.SetGroupOf(seg, int(binary.LittleEndian.Uint64(raw[48:])))
 	}
-	e := fixedHeaderLen + sectionEntryLen*i
-	return int(binary.LittleEndian.Uint64(raw[e+8:]))
+	for e := fixedHeaderLen; ; e += sectionEntryLen {
+		if binary.LittleEndian.Uint32(raw[e:]) == kind && int(binary.LittleEndian.Uint32(raw[e+4:])) == seg {
+			return int(binary.LittleEndian.Uint64(raw[e+8:]))
+		}
+	}
 }
 
 // TestInflatedSectionLengthRejected: a corrupt (or hostile) section length

@@ -49,8 +49,9 @@ type Tables struct {
 	// in all of them (see Seeder.SeedRows); at Width 1 it is a plain
 	// presence bitmap.
 	Rows []uint64
-	// Width is the row width in bits (1, 2, 4 or 8: RowWidth of the set
-	// group's segment count) and Col the segment's column, 0 ≤ Col < Width.
+	// Width is the row width in bits, which is the set group's segment
+	// count (1, 2, 4 or 8), and Col the segment's column, 0 ≤ Col < Width
+	// (see SetGroupOf).
 	Width, Col int
 	// Rank[b] is the number of k-mers below 64·b that the segment holds,
 	// so the rank of a present k-mer km — its index into Start — is
@@ -82,19 +83,30 @@ type SegmentIndex struct {
 	colMask uint64
 }
 
-// SetGroupSize is the most segments one row table serves: set group g is
-// segments SetGroupSize·g up to SetGroupSize·g+SetGroupSize−1, and a row
-// is at most one byte.
+// SetGroupSize is the most segments one row table serves, so a row is at
+// most one byte.
 const SetGroupSize = 8
 
-// RowWidth returns the row width of a set group of n segments: n rounded
-// up to 1, 2, 4 or 8.
-func RowWidth(n int) int {
-	w := 1
-	for w < n && w < SetGroupSize {
-		w <<= 1
+// SetGroupOf returns where segment id of an index of numSegs segments sits
+// in the set-group layout: the group's first segment, id's column in it,
+// and the group's width, which is both its segment count and its row width
+// in bits. Segments are cut into groups of SetGroupSize from segment 0, and
+// a short tail into groups of 4, 2 and 1 in that order (7 = 4+2+1), so
+// every group's width is a power of two that it fills and the row tables
+// hold exactly one bit per (segment, k-mer). It is the one place the
+// layout is defined: the build, the cache writer and the cache reader all
+// call it.
+func SetGroupOf(id, numSegs int) (first, col, width int) {
+	first, width = id&^(SetGroupSize-1), SetGroupSize
+	for {
+		for first+width > numSegs {
+			width >>= 1
+		}
+		if id < first+width {
+			return first, id - first, width
+		}
+		first += width
 	}
-	return w
 }
 
 // RowWords returns the row table length, in words, of a k-mer space of
@@ -215,12 +227,13 @@ func buildSparse(kms []dna.Kmer, k int, sc *buildScratch) (Tables, []uint16) {
 	return Tables{Start: start, Positions: positions, Rank: rank}, tails[:r]
 }
 
-// setRows binds segment i of a built set group to column i of rows and
-// fills the table on up to workers goroutines (fillRows).
+// setRows binds segment i of a built set group (a run of 1, 2, 4 or 8
+// segments, SetGroupOf) to column i of rows and fills the table on up to
+// workers goroutines (fillRows).
 func setRows(group []*SegmentIndex, rows []uint64, tails [][]uint16, workers int) {
 	for col, si := range group {
 		t := si.tab
-		t.Rows, t.Width, t.Col = rows, RowWidth(len(group)), col
+		t.Rows, t.Width, t.Col = rows, len(group), col
 		si.bindRows(t)
 	}
 	numKmers := group[0].codec.NumKmers()
@@ -281,7 +294,7 @@ func NewSegmentIndexFromTables(ref dna.Seq, id, offset, k int, t Tables, validat
 	if n < 0 {
 		n = 0
 	}
-	if t.Width != RowWidth(t.Width) || t.Col < 0 || t.Col >= t.Width {
+	if t.Width < 1 || t.Width > SetGroupSize || t.Width&(t.Width-1) != 0 || t.Col < 0 || t.Col >= t.Width {
 		return nil, fmt.Errorf("seed: column %d of a %d-bit row", t.Col, t.Width)
 	}
 	if len(t.Rows) != RowWords(numKmers, t.Width) {
@@ -464,9 +477,8 @@ func (si *SegmentIndex) PositionTableBytes() int { return 4 * len(si.tab.Positio
 // SegmentedIndex is the whole-genome structure: the reference cut into
 // fixed-size segments (512 for a human genome in §VI) with enough overlap
 // that any read-length window lies wholly inside at least one segment.
-// Samples[s] is column s mod SetGroupSize of set group s / SetGroupSize:
-// the segments of a group share one row table, and a group's first
-// segment is its column 0.
+// Samples are laid out in set groups (SetGroupOf): the segments of a group
+// share one row table, and a group's first segment is its column 0.
 type SegmentedIndex struct {
 	RefLen  int
 	SegLen  int
@@ -537,8 +549,9 @@ func BuildSegmentedIndexWith(ref dna.Seq, segLen, overlap, k, workers int) (*Seg
 		workers = runtime.GOMAXPROCS(0)
 	}
 	scratch := make([]buildScratch, workers)
-	for first := 0; first < len(offs); first += SetGroupSize {
-		group := sx.Samples[first:min(first+SetGroupSize, len(offs))]
+	for first := 0; first < len(offs); {
+		_, _, width := SetGroupOf(first, len(offs))
+		group := sx.Samples[first : first+width]
 		var rows []uint64
 		tails := make([][]uint16, len(group))
 		parallel(1+len(group), workers, func(w, u int) {
@@ -547,7 +560,7 @@ func BuildSegmentedIndexWith(ref dna.Seq, segLen, overlap, k, workers int) (*Seg
 				// the first segment's build, and it comes before the
 				// segments' scratch, which is then recycled around it
 				// rather than under it.
-				rows = make([]uint64, RowWords(codec.NumKmers(), RowWidth(len(group))))
+				rows = make([]uint64, RowWords(codec.NumKmers(), width))
 				return
 			}
 			i := u - 1
@@ -556,6 +569,7 @@ func BuildSegmentedIndexWith(ref dna.Seq, segLen, overlap, k, workers int) (*Seg
 			group[i], tails[i] = buildSegment(ref[off:end], first+i, off, codec, &scratch[w])
 		})
 		setRows(group, rows, tails, workers)
+		first += width
 	}
 	return sx, nil
 }

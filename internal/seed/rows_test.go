@@ -8,19 +8,40 @@ import (
 	"genax/internal/dna"
 )
 
-// TestRowWidth pins the row width of a set group: its segment count
-// rounded up to 1, 2, 4 or 8.
-func TestRowWidth(t *testing.T) {
-	for n, want := range []int{1, 1, 2, 4, 4, 8, 8, 8, 8} {
-		if got := RowWidth(n); got != want {
-			t.Errorf("RowWidth(%d) = %d, want %d", n, got, want)
+// TestSetGroupOf pins the set-group layout: groups of 8 from segment 0,
+// then the short tail in groups of 4, 2 and 1, each group a run of
+// consecutive segments whose width is its segment count.
+func TestSetGroupOf(t *testing.T) {
+	for _, tc := range []struct {
+		numSegs int
+		want    []int // group widths in order
+	}{
+		{1, []int{1}}, {2, []int{2}}, {3, []int{2, 1}}, {4, []int{4}}, {5, []int{4, 1}},
+		{6, []int{4, 2}}, {7, []int{4, 2, 1}}, {8, []int{8}}, {9, []int{8, 1}},
+		{13, []int{8, 4, 1}}, {15, []int{8, 4, 2, 1}}, {16, []int{8, 8}}, {23, []int{8, 8, 4, 2, 1}},
+	} {
+		numSegs, want := tc.numSegs, tc.want
+		var got []int
+		for id := 0; id < numSegs; id++ {
+			first, col, width := SetGroupOf(id, numSegs)
+			if col == 0 {
+				got = append(got, width)
+			}
+			if first != id-col || len(got) == 0 || width != got[len(got)-1] || col >= width {
+				t.Fatalf("SetGroupOf(%d, %d) = (%d, %d, %d) in groups %v", id, numSegs, first, col, width, got)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%d segments: groups %v, want %v", numSegs, got, want)
 		}
 	}
 }
 
 // TestRowLayoutDifferential holds the set-group row tables to brute force
 // on random genomes cut into 1 to 17 segments, which covers row widths 1,
-// 2, 4 and 8 and a short last group:
+// 2, 4 and 8 and every short tail:
+//   - each segment sits at its SetGroupOf column and width, and the row
+//     tables hold as many words as one presence bitmap per segment;
 //   - every segment's row bit and Lookup answer, for every k-mer, equal a
 //     scan of the segment's reference;
 //   - seeding a read through one rows buffer carried across a set group's
@@ -47,12 +68,15 @@ func TestRowLayoutDifferential(t *testing.T) {
 			t.Fatalf("%d segments built, want %d", sx.NumSegments(), segs)
 		}
 		occ := make([][][]int32, segs) // occ[s][km]: brute-force occurrence list
+		rowWords := 0
 		for s, si := range sx.Samples {
-			first := s / SetGroupSize * SetGroupSize
-			w := RowWidth(min(SetGroupSize, segs-first))
-			if si.tab.Width != w || si.tab.Col != s-first || &si.tab.Rows[0] != &sx.Samples[first].tab.Rows[0] {
+			first, col, w := SetGroupOf(s, segs)
+			if si.tab.Width != w || si.tab.Col != col || &si.tab.Rows[0] != &sx.Samples[first].tab.Rows[0] {
 				t.Fatalf("segs %d seg %d: column %d of a %d-bit row, want column %d of the %d-bit row of segment %d",
-					segs, s, si.tab.Col, si.tab.Width, s-first, w, first)
+					segs, s, si.tab.Col, si.tab.Width, col, w, first)
+			}
+			if col == 0 {
+				rowWords += len(si.tab.Rows)
 			}
 			widths[w] = true
 			occ[s] = make([][]int32, codec.NumKmers())
@@ -69,6 +93,11 @@ func TestRowLayoutDifferential(t *testing.T) {
 					t.Fatalf("segs %d seg %d k-mer %d: row bit %v, %d occurrences", segs, s, km, held, len(want))
 				}
 			}
+		}
+		// The row tables hold one bit per (segment, k-mer): exactly the
+		// per-segment bitmaps' words.
+		if want := segs * RowWords(codec.NumKmers(), 1); rowWords != want {
+			t.Fatalf("segs %d: row tables hold %d words, per-segment bitmaps %d", segs, rowWords, want)
 		}
 
 		lanes := [2]*Seeder{NewSeeder(sx.Samples[0], DefaultOptions()), NewSeeder(sx.Samples[0], DefaultOptions())}
