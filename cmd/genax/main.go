@@ -136,7 +136,7 @@ func cmdIndex(args []string) error {
 	refPath := fs.String("ref", "", "reference FASTA")
 	kmer := fs.Int("kmer", 12, "k-mer length")
 	segLen := fs.Int("segment", 1<<20, "segment length (bases)")
-	shards := fs.Int("shards", 0, "partition the cache into N shard groups for bounded-residency streaming (0 = keep any partition, one group when writing)")
+	shards := fs.Int("shards", 0, "partition the cache into up to N shard groups for bounded-residency streaming; a group is whole runs of 8 segments, so the cache may get fewer than N (0 = keep any partition, one group when writing)")
 	verify := fs.Bool("verify", false, "check the cache file (checksums, geometry, structure) and exit without building")
 	out := fs.String("out", "auto",
 		`index cache output: "auto" writes the keyed cache file next to -ref (the one align auto-loads), anything else is an explicit path`)

@@ -11,12 +11,12 @@ import (
 // longReadAligner builds an Aligner over a kilobase-read workload with a
 // multi-word edit bound, so the chaining pass and the wide bitsilla
 // datapath are both on the executed path.
-func longReadAligner(t *testing.T, cfg Config, seedVal int64) (*Aligner, *sim.Workload) {
+func longReadAligner(t *testing.T, cfg Config, seedVal int64, segLen int) (*Aligner, *sim.Workload) {
 	t.Helper()
 	wl := sim.NewLongReadWorkload(seedVal, 28000,
 		sim.VariantProfile{SNPRate: 0.001, IndelRate: 0.0002, MaxIndel: 6},
 		sim.LongReadProfile{MeanLength: 1100, Coverage: 0.9, ErrorRate: 0.05, IndelErrorFrac: 0.7, ReverseFraction: 0.5})
-	idx, err := seed.BuildSegmentedIndex(wl.Ref, 14336, 1800, 12)
+	idx, err := seed.BuildSegmentedIndex(wl.Ref, segLen, 1800, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func longConfig() Config {
 // chaining, long reads reach the extend lanes with fewer candidates, and
 // alignment outcomes survive the collapse.
 func TestChainingReducesExtensions(t *testing.T) {
-	plOn, wl := longReadAligner(t, longConfig(), 421)
+	plOn, wl := longReadAligner(t, longConfig(), 421, 14336)
 	reads := workloadReads(wl, 14)
 	resOn, statsOn := plOn.AlignBatch(reads)
 

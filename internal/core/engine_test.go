@@ -20,7 +20,7 @@ func TestEngineByteIdentity(t *testing.T) {
 	shortOracle, swl := testAligner(t, short, 440, 30000, 0.03)
 	long := smallConfig()
 	long.K, long.Engine = 80, EngineSillaX
-	longOracle, lwl := longReadAligner(t, long, 442)
+	longOracle, lwl := longReadAligner(t, long, 442, 14336)
 
 	for _, in := range []struct {
 		name   string

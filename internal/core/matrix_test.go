@@ -54,11 +54,16 @@ func runPath(t *testing.T, ref dna.Seq, cfg Config, path string, reads []dna.Seq
 // at a time — on short reads (one-word datapath) and on kilobase reads at
 // K=80 (two words per row, chaining on). Run under -race it is also the
 // data-race gate for the lanes' shared cursors, slots and barrier.
+//
+// Both fixtures cut their genome into more than 8 segments (15 and 10), so
+// the sharded runs move between shard groups, which are whole runs of 8
+// segments.
 func TestDeterminismMatrix(t *testing.T) {
 	sc, lc := smallConfig(), smallConfig()
 	sc.K, lc.K = 40, 80
+	sc.SegmentLen = 2048
 	short, swl := testAligner(t, sc, 410, 30000, 0.02)
-	long, lwl := longReadAligner(t, lc, 424)
+	long, lwl := longReadAligner(t, lc, 424, 3072)
 	for _, fx := range []struct {
 		name  string
 		base  *Aligner
@@ -88,6 +93,9 @@ func TestDeterminismMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
+		if m.NumShardGroups() < 2 {
+			t.Fatalf("%s: %d segments make %d shard group, want at least 2", fx.name, m.Index().NumSegments(), m.NumShardGroups())
+		}
 
 		for _, workers := range []int{1, 2, 3, 8} {
 			for _, path := range []struct {
@@ -147,7 +155,7 @@ func TestAlignBatchWarmAllocs(t *testing.T) {
 
 	lc := smallConfig()
 	lc.K, lc.Workers = 80, 2
-	long, lwl := longReadAligner(t, lc, 431)
+	long, lwl := longReadAligner(t, lc, 431, 14336)
 	lreads := workloadReads(lwl, 12)
 	// A lane's wide machine grows to the largest extension it has seen, and
 	// which lane claims which read varies, so warmth arrives over a few
