@@ -11,7 +11,6 @@
 //	genax-bench all       everything above
 //
 // Flags: -quick shrinks the workload; -genome/-coverage/-seed resize it;
-// -engine selects the extension engine (bitsilla (default) or sillax);
 // -pairs sizes fig14; -cpuprofile/-memprofile write pprof profiles of the
 // selected experiment (see EXPERIMENTS.md for the profiling workflow).
 package main
@@ -24,7 +23,6 @@ import (
 	"runtime/pprof"
 
 	"genax/internal/bench"
-	"genax/internal/core"
 )
 
 func main() {
@@ -38,7 +36,6 @@ func run() int {
 	genome := flag.Int("genome", 0, "override synthetic genome length (bases)")
 	coverage := flag.Float64("coverage", 0, "override read coverage")
 	seed := flag.Int64("seed", 0, "override workload RNG seed")
-	engine := flag.String("engine", "", "extension engine: bitsilla (default) or sillax")
 	pairs := flag.Int("pairs", 2000, "extension pairs for fig14")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memprofile := flag.String("memprofile", "", "write a post-run heap profile to this file")
@@ -64,12 +61,6 @@ func run() int {
 	}
 	if *seed != 0 {
 		spec.Seed = *seed
-	}
-	switch spec.Engine = core.Engine(*engine); spec.Engine {
-	case "", core.EngineBitSilla, core.EngineSillaX:
-	default:
-		fmt.Fprintf(os.Stderr, "genax-bench: unknown engine %q (want bitsilla or sillax)\n", *engine)
-		return 2
 	}
 
 	if *cpuprofile != "" {

@@ -234,7 +234,6 @@ func cmdAlign(args []string) error {
 	kmer := fs.Int("kmer", 12, "k-mer length")
 	segLen := fs.Int("segment", 1<<20, "segment length (bases)")
 	k := fs.Int("k", 40, "SillaX edit bound")
-	engine := fs.String("engine", "bitsilla", "extension engine: bitsilla or sillax")
 	stats := fs.Bool("stats", false, "print pipeline statistics to stderr")
 	indexFlag := fs.String("index", "auto",
 		`index cache, always mapped: "auto" uses the keyed cache next to -ref and writes it when missing or stale, "" builds the tables in process without a cache, anything else is an explicit cache path`)
@@ -258,7 +257,6 @@ func cmdAlign(args []string) error {
 	cfg.KmerLen = *kmer
 	cfg.SegmentLen = *segLen
 	cfg.K = *k
-	cfg.Engine = core.Engine(*engine)
 	var res *indexio.ShardResidency
 	if *indexFlag != "" {
 		m, err := openIndex(*indexFlag, *refPath, ref, cfg)

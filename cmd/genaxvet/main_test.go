@@ -52,7 +52,7 @@ var mutants = []mutant{
 
 	// determinism: internal/core is a deterministic package.
 	{"determinism/map-range", "determinism", "internal/core/core.go",
-		[]string{"\tswitch cfg.Engine {\n", "\tfor range map[string]bool{} {\n\t}\n\tswitch cfg.Engine {\n"}, `^range over map`},
+		[]string{"\tif cfg.SegmentLen < cfg.Overlap {\n", "\tfor range map[string]bool{} {\n\t}\n\tif cfg.SegmentLen < cfg.Overlap {\n"}, `^range over map`},
 	{"determinism/wall-clock", "determinism", "internal/core/core.go",
 		[]string{"\t\"fmt\"\n", "\t\"fmt\"\n\t\"time\"\n", "\tif cfg.Workers <= 0 {\n", "\t_ = time.Now()\n\tif cfg.Workers <= 0 {\n"}, `^time\.Now in deterministic`},
 	{"determinism/global-rand", "determinism", "internal/core/core.go",

@@ -41,7 +41,6 @@ func main() {
 	cfg.KmerLen = 12
 	cfg.SegmentLen = 10_000
 	cfg.Overlap = 3*1200/2 + k + 16
-	cfg.Engine = core.EngineBitSilla
 	aligner, err := core.New(wl.Ref, cfg)
 	if err != nil {
 		panic(err)

@@ -19,10 +19,8 @@ func main() {
 		sim.ReadProfile{Length: 101, Coverage: 0.5, ErrorRate: 0.02, ReverseFraction: 0.5})
 	fmt.Printf("reference: %d bp, reads: %d\n", len(wl.Ref), len(wl.Reads))
 
-	// 2. A GenAx instance: per-segment k-mer tables plus SillaX lanes.
-	// cfg.Engine picks the extension engine: bitsilla (the default) or
-	// the cycle-level sillax oracle (core.EngineSillaX), which gives
-	// byte-identical results.
+	// 2. A GenAx instance: per-segment k-mer tables plus SillaX lanes,
+	// which extend on the bit-parallel Silla machine.
 	cfg := core.DefaultConfig()
 	cfg.SegmentLen = 32_768 // several segments even on a toy genome
 	aligner, err := core.New(wl.Ref, cfg)

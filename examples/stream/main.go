@@ -26,8 +26,7 @@ func main() {
 	//    seeding, filtering and extending its share of the reads; the
 	//    chip's 128:4 seeding:extension split (§VI) is different silicon,
 	//    which a host core is not. Extension runs on the bit-parallel
-	//    engine by default; cfg.Engine = core.EngineSillaX gives
-	//    byte-identical results from the cycle model.
+	//    Silla engine.
 	cfg := core.DefaultConfig()
 	cfg.SegmentLen = 32_768
 	cfg.StreamWindow = 64

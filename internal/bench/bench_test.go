@@ -120,6 +120,11 @@ func TestValidateQuick(t *testing.T) {
 		t.Errorf("score variance %.4f%% too high vs paper's 0.0023%%", 100*r.ScoreVariance)
 	}
 	checkGolden(t, "validate", r.String())
+	// The cycle model extends byte-identically to bitsilla, so its
+	// rendering must match the same golden.
+	cyc := CoreConfig(QuickWorkload())
+	cyc.CycleModel = true
+	checkGolden(t, "validate", validate(QuickWorkload(), cyc).String())
 	if !strings.Contains(Table2String(), "172.78") {
 		t.Error("Table II anchor missing")
 	}

@@ -38,7 +38,7 @@ func Fig15(spec WorkloadSpec) Fig15Result {
 	cfg := CoreConfig(spec)
 	// The throughput model consumes cycles-per-extension including the
 	// §IV-C re-runs, which only the cycle-level machine counts.
-	cfg.Engine = core.EngineSillaX
+	cfg.CycleModel = true
 	aligner, err := core.New(wl.Ref, cfg)
 	if err != nil {
 		panic(err)

@@ -25,9 +25,14 @@ type ValidateResult struct {
 
 // Validate runs both pipelines over the workload.
 func Validate(spec WorkloadSpec) ValidateResult {
+	return validate(spec, CoreConfig(spec))
+}
+
+// validate runs GenAx under cfg, so the tests can render the experiment
+// on the cycle model too.
+func validate(spec WorkloadSpec, cfg core.Config) ValidateResult {
 	wl := spec.Build()
 	reads := ReadSeqs(wl)
-	cfg := CoreConfig(spec)
 	aligner, err := core.New(wl.Ref, cfg)
 	if err != nil {
 		panic(err)

@@ -24,10 +24,6 @@ type WorkloadSpec struct {
 	// 1-base indels (Fig 13 raises it to exercise CIGAR-diverse trails).
 	IndelErrorFrac float64
 	ReadLen        int
-	// Engine selects the extension engine ("" = the bit-parallel
-	// default). Figure reproductions that need the cycle model's re-run
-	// accounting pin core.EngineSillaX regardless of this field.
-	Engine core.Engine
 }
 
 // DefaultWorkload is the standard experiment input.
@@ -68,6 +64,5 @@ func CoreConfig(w WorkloadSpec) core.Config {
 		cfg.SegmentLen = 4096
 	}
 	cfg.Overlap = w.ReadLen + cfg.K + 16
-	cfg.Engine = w.Engine
 	return cfg
 }

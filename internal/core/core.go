@@ -61,22 +61,6 @@ const DefaultWindow = 1024
 // without it.
 const DefaultChainMinLen = 1000
 
-// Engine names the extension engine backing the extend lanes. Both
-// engines produce full-query cigars through the same extend.Stitcher and
-// are byte-identical to one another by construction.
-type Engine string
-
-const (
-	// EngineBitSilla is the bit-parallel Silla machine — the production
-	// default: same observable semantics as the cycle model at
-	// word-parallel speed.
-	EngineBitSilla Engine = "bitsilla"
-	// EngineSillaX is the cycle-level SillaX traceback machine, kept as
-	// the reference oracle and for hardware figure reproductions that
-	// need per-cycle re-run accounting.
-	EngineSillaX Engine = "sillax"
-)
-
 // Config parametrizes a GenAx instance.
 type Config struct {
 	// K is the SillaX edit bound (40 in the paper): the margin allowed
@@ -84,8 +68,11 @@ type Config struct {
 	K int
 	// Scoring is the extension scheme (BWA-MEM defaults).
 	Scoring align.Scoring
-	// Engine selects the extension engine ("" = EngineBitSilla).
-	Engine Engine
+	// CycleModel extends on the cycle-level sillax.TracebackMachine
+	// instead of bitsilla. Results are byte-identical; only figure
+	// reproductions that count the §IV-C re-runs and the oracle tests
+	// set it.
+	CycleModel bool
 	// KmerLen is the index k-mer size (12 in the paper; smaller values
 	// keep laptop-scale index tables dense).
 	KmerLen int
@@ -186,13 +173,6 @@ func New(ref dna.Seq, cfg Config) (*Aligner, error) {
 	if cfg.SegmentLen < cfg.Overlap {
 		return nil, fmt.Errorf("core: segment length %d below overlap %d", cfg.SegmentLen, cfg.Overlap)
 	}
-	switch cfg.Engine {
-	case "":
-		cfg.Engine = EngineBitSilla
-	case EngineBitSilla, EngineSillaX:
-	default:
-		return nil, fmt.Errorf("core: unknown engine %q", cfg.Engine)
-	}
 	if idx := cfg.Index; idx != nil {
 		switch {
 		case idx.RefLen != len(ref):
@@ -220,8 +200,8 @@ func New(ref dna.Seq, cfg Config) (*Aligner, error) {
 	return &Aligner{cfg: cfg, ref: ref, chainMin: DefaultChainMinLen}, nil
 }
 
-// Config returns the resolved configuration: Engine, Workers,
-// StreamWindow and Index are the values the aligner runs with.
+// Config returns the resolved configuration: Workers, StreamWindow and
+// Index are the values the aligner runs with.
 func (a *Aligner) Config() Config { return a.cfg }
 
 // Ref returns the reference.

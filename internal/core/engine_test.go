@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"genax/internal/dna"
@@ -16,10 +15,10 @@ import (
 // whole aligner.
 func TestEngineByteIdentity(t *testing.T) {
 	short := smallConfig()
-	short.Engine = EngineSillaX
+	short.CycleModel = true
 	shortOracle, swl := testAligner(t, short, 440, 30000, 0.03)
 	long := smallConfig()
-	long.K, long.Engine = 80, EngineSillaX
+	long.K, long.CycleModel = 80, true
 	longOracle, lwl := longReadAligner(t, long, 442, 14336)
 
 	for _, in := range []struct {
@@ -40,7 +39,7 @@ func TestEngineByteIdentity(t *testing.T) {
 			t.Errorf("%s: oracle reported no re-runs", in.name)
 		}
 		bp := in.oracle.Config()
-		bp.Engine, bp.Workers, bp.StreamWindow = EngineBitSilla, 3, 17
+		bp.CycleModel, bp.Workers, bp.StreamWindow = false, 3, 17
 		for _, path := range in.paths {
 			got, gotStats := runPath(t, in.oracle.Ref(), bp, path, in.reads)
 			label := in.name + "/" + path
@@ -57,30 +56,6 @@ func TestEngineByteIdentity(t *testing.T) {
 			if gotStats.ReRuns != 0 {
 				t.Errorf("%s: bit-vector engine reported %d re-runs, want 0", label, gotStats.ReRuns)
 			}
-		}
-	}
-}
-
-// TestEngineValidation pins selector resolution: empty means bitsilla,
-// the two engines are accepted, and any other name is rejected at
-// construction.
-func TestEngineValidation(t *testing.T) {
-	pl, _ := testAligner(t, smallConfig(), 442, 12000, 0)
-	if got := pl.Config().Engine; got != EngineBitSilla {
-		t.Errorf("default engine resolved to %q, want %q", got, EngineBitSilla)
-	}
-	for _, eng := range []Engine{EngineBitSilla, EngineSillaX} {
-		cfg := pl.Config()
-		cfg.Engine = eng
-		if _, err := New(pl.Ref(), cfg); err != nil {
-			t.Errorf("engine %q rejected: %v", eng, err)
-		}
-	}
-	for _, eng := range []Engine{"banded", "cuda", "cascade", "genasm"} {
-		cfg := pl.Config()
-		cfg.Engine = eng
-		if _, err := New(pl.Ref(), cfg); err == nil || !strings.Contains(err.Error(), "unknown engine") {
-			t.Errorf("engine %q: err %v, want unknown engine", eng, err)
 		}
 	}
 }

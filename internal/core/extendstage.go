@@ -7,27 +7,26 @@ import (
 	"genax/internal/sillax"
 )
 
-// extendLane is a lane's extension half: the engine selected by
-// Config.Engine behind the stitcher with its reversal scratch. At a
-// multi-word K the engine is the expensive part of a lane — a wide
-// bitsilla machine with its trail ring — which is why lanes are kept on
-// the Aligner instead of built per call.
+// extendLane is a lane's extension half: the engine newEngine builds
+// behind the stitcher with its reversal scratch. At a multi-word K the
+// engine is the expensive part of a lane — a wide bitsilla machine with
+// its trail ring — which is why lanes are kept on the Aligner instead of
+// built per call.
 type extendLane struct {
 	a     *Aligner
 	st    extend.Stitcher
 	stats *Stats // the owning lane's work counters
 }
 
-// newEngine builds one lane's extension engine per Config.Engine; process
-// counts its work from the stitcher's per-call Cycles and ReRuns.
+// newEngine builds one lane's extension engine: bitsilla, or the
+// cycle-level SillaX machine under Config.CycleModel; process counts its
+// work from the stitcher's per-call Cycles and ReRuns.
 func (a *Aligner) newEngine() extend.Engine {
 	k, sc := a.cfg.K, a.cfg.Scoring
-	switch a.cfg.Engine {
-	case EngineSillaX:
+	if a.cfg.CycleModel {
 		return extend.SillaXEngine{M: sillax.NewTracebackMachine(k, sc)}
-	default: // EngineBitSilla
-		return extend.BitSillaEngine{M: bitsilla.New(k, sc)}
 	}
+	return extend.BitSillaEngine{M: bitsilla.New(k, sc)}
 }
 
 // exactCigar materializes the single-run cigar of a whole-read exact match.

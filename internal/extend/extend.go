@@ -28,8 +28,7 @@ type Extension struct {
 	// the grid's count on calls its gapless step certifies too), DP cells
 	// for the banded aligner — and ReRuns counts traceback re-executions
 	// (SillaX only). Every engine fills Cycles so the stage
-	// instrumentation sees uniform busy counters regardless of
-	// core.Config.Engine.
+	// instrumentation sees uniform busy counters whichever engine runs.
 	Cycles, ReRuns int
 }
 

@@ -223,6 +223,13 @@ func TestInflatedSectionLengthRejected(t *testing.T) {
 	if reason := Probe(path, ref, 6, 2048, 64); !strings.Contains(reason, "checksum") {
 		t.Errorf("body flip: Probe = %q, want checksum mismatch", reason)
 	}
+	// A file whose only damage is its trailing whole-file CRC must fail
+	// Probe too.
+	badSum := append([]byte(nil), good...)
+	badSum[len(badSum)-1] ^= 0x5a
+	if reason := Probe(writeBytes(t, dir, "footerflip.gaxi", badSum), ref, 6, 2048, 64); !strings.Contains(reason, "checksum") {
+		t.Errorf("footer flip: Probe = %q, want checksum mismatch", reason)
+	}
 	m, err := OpenMapped(path)
 	if err != nil {
 		t.Fatalf("body flip: OpenMapped rejected (header is intact): %v", err)
