@@ -13,6 +13,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -38,6 +39,27 @@ type alignResponse struct {
 }
 
 func main() {
+	sum, err := run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("served %d reads over HTTP: %d aligned, %d mismatches vs AlignRead\n",
+		sum.Served, sum.Aligned, sum.Mismatches)
+	if sum.Mismatches > 0 {
+		log.Fatal("served results diverged from offline alignment")
+	}
+	fmt.Println("every served response is byte-identical to the offline answer")
+}
+
+// summary is what one run of the example served.
+type summary struct {
+	Served, Aligned, Mismatches int
+}
+
+// run serves every read of a synthetic workload over HTTP and checks each
+// response against AlignRead. It fails if any request fails.
+func run() (summary, error) {
+	var sum summary
 	// 1. A synthetic genome plus reads, and the reference written to a
 	//    FASTA file — the server builds (and caches) its index from the
 	//    file exactly like genaxd would.
@@ -45,26 +67,27 @@ func main() {
 		sim.ReadProfile{Length: 101, Coverage: 0.3, ErrorRate: 0.02, ReverseFraction: 0.5})
 	dir, err := os.MkdirTemp("", "genax-serve-example")
 	if err != nil {
-		log.Fatal(err)
+		return sum, err
 	}
 	defer os.RemoveAll(dir)
 	fasta := filepath.Join(dir, "demo.fasta")
 	f, err := os.Create(fasta)
 	if err != nil {
-		log.Fatal(err)
+		return sum, err
 	}
 	if err := dna.WriteFasta(f, []dna.FastaRecord{{Name: "demo", Seq: wl.Ref}}, 0); err != nil {
-		log.Fatal(err)
+		return sum, err
 	}
 	if err := f.Close(); err != nil {
-		log.Fatal(err)
+		return sum, err
 	}
 
 	// 2. The serving layer genaxd mounts: one genome, index cache in the
-	//    temp dir. CoalesceWindow is left at 0, so the dispatcher arms no
-	//    timer: each flush takes the posts already queued (up to MaxBatch)
-	//    and aligns them as one batch. A second run against the same cache
-	//    dir would map the index in microseconds instead of rebuilding.
+	//    temp dir, and the default batching policy: no timer, so each
+	//    flush starts on arrival and takes the posts already queued behind
+	//    it (up to MaxBatch) as one batch. A second run against the same
+	//    cache dir would map the index in microseconds instead of
+	//    rebuilding.
 	cfg := core.DefaultConfig()
 	cfg.KmerLen = 8
 	cfg.SegmentLen = 4096
@@ -76,11 +99,11 @@ func main() {
 		Logf:     func(string, ...any) {},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return sum, err
 	}
 	defer srv.Close()
 	if err := srv.Preload(context.Background(), true); err != nil {
-		log.Fatal(err)
+		return sum, err
 	}
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -89,47 +112,52 @@ func main() {
 	//    over the same reference.
 	oracle, err := core.New(wl.Ref, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return sum, err
 	}
 
-	// 4. Post every read concurrently — the traffic shape coalescing
-	//    exists for — and compare each served response with AlignRead.
+	// 4. Post every read concurrently — the traffic shape the dispatcher
+	//    batches — and compare each served response with AlignRead.
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	aligned, mismatches := 0, 0
+	var errs []error
 	for _, rd := range wl.Reads {
 		wg.Add(1)
 		go func(read dna.Seq) {
 			defer wg.Done()
-			resp, err := http.Post(hs.URL+"/align/demo", "text/plain", strings.NewReader(read.String()))
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer resp.Body.Close()
-			var got alignResponse
-			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-				log.Fatal(err)
-			}
+			got, err := post(hs.URL+"/align/demo", read)
 			res, ok := oracle.AlignRead(read)
 			same := got.Aligned == ok &&
 				(!ok || (got.Pos == res.RefPos && got.Score == res.Score &&
 					got.Cigar == res.Cigar.String() && got.Reverse == res.Reverse))
 			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				errs = append(errs, err)
+				return
+			}
+			sum.Served++
 			if got.Aligned {
-				aligned++
+				sum.Aligned++
 			}
 			if !same {
-				mismatches++
+				sum.Mismatches++
 			}
-			mu.Unlock()
 		}(rd.Seq)
 	}
 	wg.Wait()
+	return sum, errors.Join(errs...)
+}
 
-	fmt.Printf("served %d reads over HTTP: %d aligned, %d mismatches vs AlignRead\n",
-		len(wl.Reads), aligned, mismatches)
-	if mismatches > 0 {
-		log.Fatal("served results diverged from offline alignment")
+// post sends one read to url and decodes the JSON answer.
+func post(url string, read dna.Seq) (alignResponse, error) {
+	var got alignResponse
+	resp, err := http.Post(url, "text/plain", strings.NewReader(read.String()))
+	if err != nil {
+		return got, err
 	}
-	fmt.Println("every served response is byte-identical to the offline answer")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return got, fmt.Errorf("POST %s: status %s", url, resp.Status)
+	}
+	return got, json.NewDecoder(resp.Body).Decode(&got)
 }

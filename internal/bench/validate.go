@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 
 	"genax/internal/bwamem"
@@ -21,6 +22,10 @@ type ValidateResult struct {
 	EqualPosition int
 	ScoreVariance float64 // fraction of reads with differing scores
 	TableIIRows   []hw.AreaRow
+	// CigarDigest is FNV-64a over the CIGAR of every read GenAx aligned,
+	// in read order: the counts above see scores and positions only, so
+	// this is what lets the golden catch a changed alignment path.
+	CigarDigest uint64
 }
 
 // Validate runs both pipelines over the workload.
@@ -43,6 +48,13 @@ func validate(spec WorkloadSpec, cfg core.Config) ValidateResult {
 		MaxHits: 512, MinScore: cfg.MinScore,
 	})
 	res := ValidateResult{Reads: len(reads), TableIIRows: hw.DefaultChip().AreaBreakdown()}
+	digest := fnv.New64a()
+	for _, rr := range results {
+		if rr.Aligned {
+			_, _ = fmt.Fprintln(digest, rr.Result.Cigar) // hash writes never fail
+		}
+	}
+	res.CigarDigest = digest.Sum64()
 	for i, r := range reads {
 		swRes, swOK := bw.Align(r)
 		if swOK != results[i].Aligned {
@@ -74,6 +86,7 @@ func (r ValidateResult) String() string {
 	fmt.Fprintf(&b, "equal scores:    %d/%d (%.4f%%)\n", r.EqualScore, r.BothAligned, 100*float64(r.EqualScore)/maxf(1, float64(r.BothAligned)))
 	fmt.Fprintf(&b, "equal positions: %d/%d (position ties may map elsewhere with the same score)\n", r.EqualPosition, r.BothAligned)
 	fmt.Fprintf(&b, "variance: paper 0.0023%% | measured %.4f%%\n", 100*r.ScoreVariance)
+	fmt.Fprintf(&b, "GenAx CIGAR digest (FNV-64a, aligned reads in order): %016x\n", r.CigarDigest)
 	return b.String()
 }
 

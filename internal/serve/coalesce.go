@@ -29,9 +29,9 @@ type pending struct {
 }
 
 // genome is one served reference: its admission layer — a bounded intake
-// queue and a dispatcher goroutine that coalesces queued requests into
-// AlignBatch calls (flush on MaxBatch or CoalesceWindow, whichever first)
-// — and its residency in the registry. The queue bound doubles as the
+// queue and a dispatcher goroutine that flushes each request on arrival,
+// with whatever queued behind the last flush, as one AlignBatch call —
+// and its residency in the registry. The queue bound doubles as the
 // admission limit: a full queue is a 429, never growth.
 type genome struct {
 	srv   *Server
@@ -49,6 +49,11 @@ type genome struct {
 	batches  atomic.Int64 // coalesced flushes dispatched
 	batched  atomic.Int64 // reads aligned via coalesced flushes
 	maxBatch atomic.Int64 // largest flush so far
+
+	// batch and reads are the dispatcher's flush buffers: only it touches
+	// them, and run clears them after each flush so nothing stays pinned.
+	batch []pending
+	reads []dna.Seq
 
 	// pstats accumulates core.Stats across flushes.
 	mu     sync.Mutex
@@ -76,45 +81,47 @@ func (g *genome) enqueue(p pending) bool {
 	}
 }
 
-// run is the dispatcher loop: wait for a first request, coalesce, flush,
+// run is the dispatcher loop: wait for a first request, collect, flush,
 // repeat. Bounded by the server's base context; Close cancels it after
 // http.Server.Shutdown has guaranteed no handler is still waiting.
 func (g *genome) run(ctx context.Context) {
 	for {
 		select {
 		case p := <-g.in:
-			g.flush(ctx, g.collect(ctx, p))
+			g.batch = g.collect(ctx, p)
+			g.flush(ctx, g.batch)
+			clear(g.batch)
+			clear(g.reads)
 		case <-ctx.Done():
 			return
 		}
 	}
 }
 
-// collect assembles one batch behind first, closing it at MaxBatch. The
-// first request waits at most CoalesceWindow for company; a zero window
-// waits for none and takes only what is already queued.
+// collect assembles one batch behind first: every request already queued,
+// up to MaxBatch. It waits for nobody, so batches grow only while a flush
+// keeps the dispatcher busy; only a positive CoalesceWindow holds first.
 func (g *genome) collect(ctx context.Context, first pending) []pending {
-	batch := make([]pending, 1, g.srv.cfg.MaxBatch)
-	batch[0] = first
-	if g.srv.cfg.CoalesceWindow <= 0 {
-		// The dispatcher is the queue's only receiver, so a non-empty
-		// queue never blocks the receive.
-		for len(batch) < g.srv.cfg.MaxBatch && len(g.in) > 0 {
-			batch = append(batch, <-g.in)
+	batch := append(g.batch[:0], first)
+	if g.srv.cfg.CoalesceWindow > 0 {
+		timer := time.NewTimer(g.srv.cfg.CoalesceWindow)
+		defer timer.Stop()
+	wait:
+		for len(batch) < g.srv.cfg.MaxBatch {
+			select {
+			case p := <-g.in:
+				batch = append(batch, p)
+			case <-timer.C:
+				break wait
+			case <-ctx.Done():
+				break wait
+			}
 		}
-		return batch
 	}
-	timer := time.NewTimer(g.srv.cfg.CoalesceWindow)
-	defer timer.Stop()
-	for len(batch) < g.srv.cfg.MaxBatch {
-		select {
-		case p := <-g.in:
-			batch = append(batch, p)
-		case <-timer.C:
-			return batch
-		case <-ctx.Done():
-			return batch
-		}
+	// The dispatcher is the queue's only receiver, so a non-empty queue
+	// never blocks the receive.
+	for len(batch) < g.srv.cfg.MaxBatch && len(g.in) > 0 {
+		batch = append(batch, <-g.in)
 	}
 	return batch
 }
@@ -145,15 +152,12 @@ func (g *genome) flush(ctx context.Context, batch []pending) {
 	}
 	defer g.srv.reg.release(g)
 
-	reads := make([]dna.Seq, len(live))
-	for i, p := range live {
-		reads[i] = p.read
+	g.reads = g.reads[:0]
+	for _, p := range live {
+		g.reads = append(g.reads, p.read)
 	}
-	results, stats := al.AlignBatch(reads)
-	for i, rr := range results {
-		live[i].res <- result{rr: rr}
-	}
-
+	results, stats := al.AlignBatch(g.reads)
+	// Count the flush before answering: /statsz then covers every answer.
 	n := int64(len(live))
 	g.batches.Add(1)
 	g.batched.Add(n)
@@ -166,4 +170,7 @@ func (g *genome) flush(ctx context.Context, batch []pending) {
 	g.mu.Lock()
 	g.pstats.Merge(stats)
 	g.mu.Unlock()
+	for i, rr := range results {
+		live[i].res <- result{rr: rr}
+	}
 }

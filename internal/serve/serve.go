@@ -11,14 +11,13 @@
 //     request either enters the queue immediately or is rejected with
 //     429 + Retry-After — the queue bound is the admission limit, so
 //     overload sheds load instead of growing memory. The dispatcher
-//     coalesces queued requests into a batch, flushing on max-batch-size
-//     or max-delay (whichever comes first), aligns the batch with one
-//     core.Aligner.AlignBatch call, and fans the in-order results back out
-//     to the waiting requests. Per-request overhead (per-segment table
-//     streaming, cache residency) amortizes across the whole batch, and a
-//     batch spreads over every lane where a lone read occupies one. With
-//     CoalesceWindow zero the dispatcher waits for nobody: it takes what
-//     is already queued, up to MaxBatch, and flushes at once.
+//     is work-conserving: it flushes the first request at once, with every
+//     request already queued (up to MaxBatch), as one AlignBatch call and
+//     fans the in-order results back out. A lone read waits for nobody;
+//     batches grow only while a flush keeps the dispatcher busy, and then
+//     per-request overhead (table streaming, cache residency) amortizes
+//     and a batch spreads over every lane. A positive CoalesceWindow opts
+//     into a timer that holds the first request for company.
 //
 //   - Genome registry. Genomes are named at construction; each resolves
 //     to a content-addressed GAXI index cache (indexio.CachePath) that
@@ -40,7 +39,7 @@
 // The package obeys the stage-contract analyzer's discipline (genaxvet):
 // every data channel states its capacity and every goroutine is
 // WaitGroup-tracked or context-bounded. Unlike the kernel packages it is
-// not on the determinism list — coalescing is inherently timer-driven —
+// not on the determinism list — batch boundaries follow arrival timing —
 // but the *results* it serves are byte-identical to offline AlignBatch,
 // which the benchmark's serve_err2 correctness gate checks answer by answer.
 package serve
@@ -59,12 +58,12 @@ import (
 
 // Defaults for Config fields left zero.
 const (
-	// DefaultMaxBatch is the coalescing flush threshold: a batch is
-	// dispatched as soon as this many requests are waiting.
+	// DefaultMaxBatch caps a batch: one flush takes at most this many
+	// queued requests, and the rest wait for the next flush.
 	DefaultMaxBatch = 256
-	// DefaultCoalesceWindow is the maximum time the first request of a
-	// batch waits for company before the batch is flushed anyway.
-	DefaultCoalesceWindow = 2 * time.Millisecond
+	// DefaultCoalesceWindow is zero, the recommended policy: a flush
+	// takes what is already queued and waits for nobody.
+	DefaultCoalesceWindow time.Duration = 0
 	// DefaultMaxResident is the registry's LRU residency budget (genomes
 	// mapped at once).
 	DefaultMaxResident = 2
@@ -98,10 +97,10 @@ type Config struct {
 	CacheDir string
 	// MaxBatch caps a coalesced batch (0 = DefaultMaxBatch).
 	MaxBatch int
-	// CoalesceWindow is the flush delay bound: the first queued request
-	// waits at most this long before its batch is dispatched, full or
-	// not. Zero waits for nobody: a flush takes what is already queued,
-	// up to MaxBatch.
+	// CoalesceWindow is how long a batch's first request waits for company
+	// (0 = DefaultCoalesceWindow: nobody waits, a flush takes what is
+	// queued). A positive window is an opt-in trade of latency for batch
+	// size: every flush, a lone read's too, waits up to the window.
 	CoalesceWindow time.Duration
 	// QueueLimit bounds requests queued per genome. Admission beyond it
 	// is rejected with 429 + Retry-After (0 = 4*MaxBatch).
@@ -122,6 +121,9 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
+	}
+	if c.CoalesceWindow == 0 {
+		c.CoalesceWindow = DefaultCoalesceWindow
 	}
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 4 * c.MaxBatch

@@ -116,10 +116,10 @@ func sameAsOffline(t *testing.T, i int, body []byte, want core.ReadResult) {
 
 // TestServeCoalescedMatchesOffline is the core identity claim: many
 // concurrent single-read requests, coalesced into batches, produce results
-// byte-identical to offline AlignBatch. A zero window arms no timer, so a
-// flush takes only what is already queued, but every request still goes
-// through a batch: /statsz must count each read in one and show the
-// pipeline work the flushes did.
+// byte-identical to offline AlignBatch, under the default (a zero window:
+// no timer, a flush takes only what is already queued) and under an
+// opt-in timer. Every request goes through a batch either way: /statsz
+// must count each read in one and show the pipeline work the flushes did.
 func TestServeCoalescedMatchesOffline(t *testing.T) {
 	for _, window := range []time.Duration{2 * time.Millisecond, 0} {
 		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
@@ -188,6 +188,50 @@ func TestServeCoalescedMatchesOffline(t *testing.T) {
 				t.Fatal("pipeline stats never accumulated across flushes")
 			}
 		})
+	}
+}
+
+// TestServeDefaultFlushesOnArrival pins the default policy on a server
+// built with no batching settings at all: /statsz reports a zero window,
+// and a lone request is flushed on its own, as a batch of one, with the
+// offline answer. That requests queued behind a busy dispatcher still
+// leave together in one flush is TestServeOverloadSheds/window=0s.
+func TestServeDefaultFlushesOnArrival(t *testing.T) {
+	wl := testWorkload(t, 51)
+	s := newTestServer(t, Config{}, wl)
+	if err := s.Preload(context.Background(), true); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	offline, err := core.New(wl.Ref, testCore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := wl.Reads[0].Seq
+	want, _ := offline.AlignBatch([]dna.Seq{read})
+
+	resp, body := postRead(t, ts.Client(), ts.URL+"/align/g0", read)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s), want 200", resp.StatusCode, body)
+	}
+	sameAsOffline(t, 0, body, want[0])
+
+	resp, err = ts.Client().Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.CoalesceWindowUS != 0 {
+		t.Fatalf("default coalesce_window_us %d, want 0: the default must arm no timer", snap.CoalesceWindowUS)
+	}
+	if g := snap.Genomes[0]; g.Batches != 1 || g.MaxBatch != 1 {
+		t.Fatalf("a lone request took %d flushes, largest %d; want one flush of 1", g.Batches, g.MaxBatch)
 	}
 }
 
