@@ -1,8 +1,8 @@
 // Command genaxd serves alignment over HTTP: every single-read request
-// goes through its genome's queue and is flushed on arrival, in one
-// pipeline batch with whatever queued behind the previous flush, against
-// a registry of mmap-backed index caches with LRU residency and warm
-// preloading.
+// goes through its genome's queue and is coalesced into a pipeline batch
+// with whatever queued behind it (a lone request is flushed at once),
+// against a registry of mmap-backed index caches with LRU residency and
+// warm preloading.
 //
 // Usage:
 //
@@ -64,7 +64,7 @@ func main() {
 	workers := flag.Int("workers", 0, "lane budget per batch (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "coalesced batch size bound")
 	window := flag.Duration("coalesce-window", serve.DefaultCoalesceWindow,
-		"how long a batch's first request waits for company (0 = no timer: flush each request on arrival with what is already queued; >0 trades latency for batch size)")
+		"how long a batch that already has company waits for more (a lone request is flushed at once)")
 	queueLimit := flag.Int("queue-limit", 0, "admission limit per genome (0 = 4x max-batch); beyond it requests get 429")
 	maxResident := flag.Int("max-resident", serve.DefaultMaxResident, "genomes resident (mapped + aligner) at once; LRU beyond")
 	cacheDir := flag.String("cache-dir", "", "index cache directory (default: next to each FASTA)")
@@ -110,11 +110,8 @@ func main() {
 	hs := &http.Server{Addr: *listen, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	policy := "flush on arrival"
-	if *window > 0 {
-		policy = fmt.Sprintf("coalesce window %v", *window)
-	}
-	log.Printf("genaxd: serving %s on %s (%s, max batch %d)", genomes.String(), *listen, policy, *maxBatch)
+	log.Printf("genaxd: serving %s on %s (coalesce window %v under load, max batch %d)",
+		genomes.String(), *listen, *window, *maxBatch)
 
 	select {
 	case err := <-errc:

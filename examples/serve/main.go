@@ -83,9 +83,10 @@ func run() (summary, error) {
 	}
 
 	// 2. The serving layer genaxd mounts: one genome, index cache in the
-	//    temp dir, and the default batching policy: no timer, so each
-	//    flush starts on arrival and takes the posts already queued behind
-	//    it (up to MaxBatch) as one batch. A second run against the same
+	//    temp dir, and the default batching policy: a post that finds
+	//    nobody queued behind it is flushed at once, and one with company
+	//    waits up to DefaultCoalesceWindow for more (up to MaxBatch) before
+	//    they leave as one batch. A second run against the same
 	//    cache dir would map the index in microseconds instead of
 	//    rebuilding.
 	cfg := core.DefaultConfig()

@@ -29,8 +29,8 @@ type pending struct {
 }
 
 // genome is one served reference: its admission layer — a bounded intake
-// queue and a dispatcher goroutine that flushes each request on arrival,
-// with whatever queued behind the last flush, as one AlignBatch call —
+// queue and a dispatcher goroutine that flushes each request with whatever
+// queued behind it, as one AlignBatch call, at once when it came alone —
 // and its residency in the registry. The queue bound doubles as the
 // admission limit: a full queue is a 429, never growth.
 type genome struct {
@@ -99,29 +99,29 @@ func (g *genome) run(ctx context.Context) {
 }
 
 // collect assembles one batch behind first: every request already queued,
-// up to MaxBatch. It waits for nobody, so batches grow only while a flush
-// keeps the dispatcher busy; only a positive CoalesceWindow holds first.
+// up to MaxBatch. A lone first is flushed at once (the server is idle); a
+// batch with company shows load and waits up to CoalesceWindow for more.
 func (g *genome) collect(ctx context.Context, first pending) []pending {
 	batch := append(g.batch[:0], first)
-	if g.srv.cfg.CoalesceWindow > 0 {
-		timer := time.NewTimer(g.srv.cfg.CoalesceWindow)
-		defer timer.Stop()
-	wait:
-		for len(batch) < g.srv.cfg.MaxBatch {
-			select {
-			case p := <-g.in:
-				batch = append(batch, p)
-			case <-timer.C:
-				break wait
-			case <-ctx.Done():
-				break wait
-			}
-		}
-	}
 	// The dispatcher is the queue's only receiver, so a non-empty queue
 	// never blocks the receive.
 	for len(batch) < g.srv.cfg.MaxBatch && len(g.in) > 0 {
 		batch = append(batch, <-g.in)
+	}
+	if len(batch) == 1 || len(batch) == g.srv.cfg.MaxBatch {
+		return batch
+	}
+	timer := time.NewTimer(g.srv.cfg.CoalesceWindow)
+	defer timer.Stop()
+	for len(batch) < g.srv.cfg.MaxBatch {
+		select {
+		case p := <-g.in:
+			batch = append(batch, p)
+		case <-timer.C:
+			return batch
+		case <-ctx.Done():
+			return batch
+		}
 	}
 	return batch
 }

@@ -11,13 +11,13 @@
 //     request either enters the queue immediately or is rejected with
 //     429 + Retry-After — the queue bound is the admission limit, so
 //     overload sheds load instead of growing memory. The dispatcher
-//     is work-conserving: it flushes the first request at once, with every
-//     request already queued (up to MaxBatch), as one AlignBatch call and
-//     fans the in-order results back out. A lone read waits for nobody;
-//     batches grow only while a flush keeps the dispatcher busy, and then
-//     per-request overhead (table streaming, cache residency) amortizes
-//     and a batch spreads over every lane. A positive CoalesceWindow opts
-//     into a timer that holds the first request for company.
+//     takes the first request with every request already queued (up to
+//     MaxBatch), aligns them as one AlignBatch call and fans the in-order
+//     results back out. A lone read waits for nobody: the server is idle
+//     and it is flushed at once. Only a batch that already has company
+//     waits, up to CoalesceWindow, for more, so batches grow with the
+//     load; then per-request overhead (table streaming, cache residency)
+//     amortizes and a batch spreads over every lane.
 //
 //   - Genome registry. Genomes are named at construction; each resolves
 //     to a content-addressed GAXI index cache (indexio.CachePath) that
@@ -61,9 +61,9 @@ const (
 	// DefaultMaxBatch caps a batch: one flush takes at most this many
 	// queued requests, and the rest wait for the next flush.
 	DefaultMaxBatch = 256
-	// DefaultCoalesceWindow is zero, the recommended policy: a flush
-	// takes what is already queued and waits for nobody.
-	DefaultCoalesceWindow time.Duration = 0
+	// DefaultCoalesceWindow bounds how long a batch with company waits for
+	// more, about one loopback round trip; a lone request never waits.
+	DefaultCoalesceWindow = 200 * time.Microsecond
 	// DefaultMaxResident is the registry's LRU residency budget (genomes
 	// mapped at once).
 	DefaultMaxResident = 2
@@ -97,10 +97,10 @@ type Config struct {
 	CacheDir string
 	// MaxBatch caps a coalesced batch (0 = DefaultMaxBatch).
 	MaxBatch int
-	// CoalesceWindow is how long a batch's first request waits for company
-	// (0 = DefaultCoalesceWindow: nobody waits, a flush takes what is
-	// queued). A positive window is an opt-in trade of latency for batch
-	// size: every flush, a lone read's too, waits up to the window.
+	// CoalesceWindow is how long a batch that already has company waits
+	// for more before it is flushed, full or not (0 =
+	// DefaultCoalesceWindow). A lone request is flushed at once whatever
+	// the window: only a loaded server trades latency for batch size.
 	CoalesceWindow time.Duration
 	// QueueLimit bounds requests queued per genome. Admission beyond it
 	// is rejected with 429 + Retry-After (0 = 4*MaxBatch).
