@@ -1,8 +1,7 @@
 // Command genaxd serves alignment over HTTP: every single-read request
 // goes through its genome's queue and is coalesced into a pipeline batch
-// with whatever queued behind it (a lone request is flushed at once),
-// against a registry of mmap-backed index caches with LRU residency and
-// warm preloading.
+// (the batching the GenAx lanes are fast at), against a registry of
+// mmap-backed index caches with LRU residency and warm preloading.
 //
 // Usage:
 //
@@ -64,7 +63,7 @@ func main() {
 	workers := flag.Int("workers", 0, "lane budget per batch (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "coalesced batch size bound")
 	window := flag.Duration("coalesce-window", serve.DefaultCoalesceWindow,
-		"how long a batch that already has company waits for more (a lone request is flushed at once)")
+		"max wait for a batch to fill (0 = flush what is already queued, no timer)")
 	queueLimit := flag.Int("queue-limit", 0, "admission limit per genome (0 = 4x max-batch); beyond it requests get 429")
 	maxResident := flag.Int("max-resident", serve.DefaultMaxResident, "genomes resident (mapped + aligner) at once; LRU beyond")
 	cacheDir := flag.String("cache-dir", "", "index cache directory (default: next to each FASTA)")
@@ -110,7 +109,7 @@ func main() {
 	hs := &http.Server{Addr: *listen, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("genaxd: serving %s on %s (coalesce window %v under load, max batch %d)",
+	log.Printf("genaxd: serving %s on %s (coalesce window %v, max batch %d)",
 		genomes.String(), *listen, *window, *maxBatch)
 
 	select {

@@ -83,12 +83,11 @@ func run() (summary, error) {
 	}
 
 	// 2. The serving layer genaxd mounts: one genome, index cache in the
-	//    temp dir, and the default batching policy: a post that finds
-	//    nobody queued behind it is flushed at once, and one with company
-	//    waits up to DefaultCoalesceWindow for more (up to MaxBatch) before
-	//    they leave as one batch. A second run against the same
-	//    cache dir would map the index in microseconds instead of
-	//    rebuilding.
+	//    temp dir. CoalesceWindow keeps its zero value, the work-conserving
+	//    policy: the dispatcher arms no timer, and each flush takes the
+	//    posts already queued (up to MaxBatch) and aligns them as one
+	//    batch. A second run against the same cache dir would map the index
+	//    in microseconds instead of rebuilding.
 	cfg := core.DefaultConfig()
 	cfg.KmerLen = 8
 	cfg.SegmentLen = 4096

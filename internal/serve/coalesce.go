@@ -30,9 +30,9 @@ type pending struct {
 
 // genome is one served reference: its admission layer — a bounded intake
 // queue and a dispatcher goroutine that flushes each request with whatever
-// queued behind it, as one AlignBatch call, at once when it came alone —
-// and its residency in the registry. The queue bound doubles as the
-// admission limit: a full queue is a 429, never growth.
+// queued behind it as one AlignBatch call (a positive CoalesceWindow also
+// waits for more) — and its residency in the registry. The queue bound
+// doubles as the admission limit: a full queue is a 429, never growth.
 type genome struct {
 	srv   *Server
 	name  string
@@ -99,8 +99,9 @@ func (g *genome) run(ctx context.Context) {
 }
 
 // collect assembles one batch behind first: every request already queued,
-// up to MaxBatch. A lone first is flushed at once (the server is idle); a
-// batch with company shows load and waits up to CoalesceWindow for more.
+// up to MaxBatch. With no window that is the batch, so requests queue only
+// while a flush is running; a positive CoalesceWindow then also waits that
+// long for more.
 func (g *genome) collect(ctx context.Context, first pending) []pending {
 	batch := append(g.batch[:0], first)
 	// The dispatcher is the queue's only receiver, so a non-empty queue
@@ -108,7 +109,7 @@ func (g *genome) collect(ctx context.Context, first pending) []pending {
 	for len(batch) < g.srv.cfg.MaxBatch && len(g.in) > 0 {
 		batch = append(batch, <-g.in)
 	}
-	if len(batch) == 1 || len(batch) == g.srv.cfg.MaxBatch {
+	if g.srv.cfg.CoalesceWindow <= 0 || len(batch) == g.srv.cfg.MaxBatch {
 		return batch
 	}
 	timer := time.NewTimer(g.srv.cfg.CoalesceWindow)

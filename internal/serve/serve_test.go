@@ -116,10 +116,10 @@ func sameAsOffline(t *testing.T, i int, body []byte, want core.ReadResult) {
 
 // TestServeCoalescedMatchesOffline is the core identity claim: many
 // concurrent single-read requests, coalesced into batches, produce results
-// byte-identical to offline AlignBatch, under the default window (0
-// resolves to DefaultCoalesceWindow) and under a longer one. Every request
-// goes through a batch either way: /statsz must count each read in one and
-// show the pipeline work the flushes did.
+// byte-identical to offline AlignBatch. A zero window arms no timer, so a
+// flush takes only what is already queued, but every request still goes
+// through a batch: /statsz must count each read in one and show the
+// pipeline work the flushes did.
 func TestServeCoalescedMatchesOffline(t *testing.T) {
 	for _, window := range []time.Duration{2 * time.Millisecond, 0} {
 		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
@@ -191,34 +191,14 @@ func TestServeCoalescedMatchesOffline(t *testing.T) {
 	}
 }
 
-// TestServeDefaultFlushesOnArrival pins the default policy on a server
-// built with no batching settings at all: /statsz reports
-// DefaultCoalesceWindow, and a lone request is flushed on its own, as a
-// batch of one, with the offline answer. That requests queued behind a
-// busy dispatcher still leave together in one flush is
-// TestServeOverloadSheds/window=0s, which runs the default window.
+// TestServeDefaultFlushesOnArrival pins the zero Config's policy: no
+// window, so /statsz reports coalesce_window_us 0 and a lone request is
+// flushed on its own, as a batch of one, with the offline answer. That
+// requests queued behind a busy dispatcher leave together in one flush is
+// TestServeOverloadSheds/window=0s.
 func TestServeDefaultFlushesOnArrival(t *testing.T) {
 	wl := testWorkload(t, 51)
 	s := newTestServer(t, Config{}, wl)
-	snap := loneRequest(t, s, wl, http.DefaultClient)
-	if want := DefaultCoalesceWindow.Microseconds(); snap.CoalesceWindowUS != want {
-		t.Fatalf("default coalesce_window_us %d, want %d", snap.CoalesceWindowUS, want)
-	}
-}
-
-// TestServeLoneRequestSkipsWindow: a request that finds the dispatcher
-// idle and nobody queued behind it is flushed at once, however long the
-// window. A policy that held it for company would time the client out.
-func TestServeLoneRequestSkipsWindow(t *testing.T) {
-	wl := testWorkload(t, 52)
-	s := newTestServer(t, Config{CoalesceWindow: time.Hour}, wl)
-	loneRequest(t, s, wl, &http.Client{Timeout: 30 * time.Second})
-}
-
-// loneRequest preloads s, posts one read alone, checks it gets the offline
-// answer in a flush of its own, and returns /statsz.
-func loneRequest(t *testing.T, s *Server, wl *sim.Workload, client *http.Client) Snapshot {
-	t.Helper()
 	if err := s.Preload(context.Background(), true); err != nil {
 		t.Fatal(err)
 	}
@@ -231,13 +211,13 @@ func loneRequest(t *testing.T, s *Server, wl *sim.Workload, client *http.Client)
 	read := wl.Reads[0].Seq
 	want, _ := offline.AlignBatch([]dna.Seq{read})
 
-	resp, body := postRead(t, client, ts.URL+"/align/g0", read)
+	resp, body := postRead(t, ts.Client(), ts.URL+"/align/g0", read)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d (%s), want 200", resp.StatusCode, body)
 	}
 	sameAsOffline(t, 0, body, want[0])
 
-	resp, err = client.Get(ts.URL + "/statsz")
+	resp, err = ts.Client().Get(ts.URL + "/statsz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +227,12 @@ func loneRequest(t *testing.T, s *Server, wl *sim.Workload, client *http.Client)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if snap.CoalesceWindowUS != 0 {
+		t.Fatalf("zero Config: coalesce_window_us %d, want 0", snap.CoalesceWindowUS)
+	}
 	if g := snap.Genomes[0]; g.Batches != 1 || g.MaxBatch != 1 {
 		t.Fatalf("a lone request took %d flushes, largest %d; want one flush of 1", g.Batches, g.MaxBatch)
 	}
-	return snap
 }
 
 func TestServeUnknownGenome404(t *testing.T) {
@@ -294,8 +276,8 @@ func TestServeBadBody400(t *testing.T) {
 	}
 }
 
-// TestServeOverloadSheds verifies the admission limit under a long window
-// and the default one: the intake queue bounds admission either way, so
+// TestServeOverloadSheds verifies the admission limit with and without a
+// coalescing timer: the intake queue bounds admission either way, so
 // excess requests get 429 with a Retry-After hint and are counted, instead
 // of queuing unboundedly, and the requests that did queue leave in one
 // flush rather than one by one.
