@@ -1,18 +1,18 @@
 // Longread: kilobase reads end to end on the multi-word fast path.
 //
-// PR 9 made K > 63 first-class: score planes striped across
-// ⌈(K+1)/64⌉ machine words (each word a composed "tile", cross-word
-// shifts the §IV-D mux crossings), witness- and suffix-bound pruning
-// that keeps the live set to a corridor around the true alignment, and
-// an anchor-chaining stage that collapses a long read's many seed hits
-// into a handful of extensions. This example runs a long-read workload
-// through the full pipeline at K=80 and then puts one kilobase
-// extension on the wide datapath next to the cycle-level oracle it is
-// byte-identical to.
+// K > 63 is first-class: score planes striped across ⌈(K+1)/64⌉ machine
+// words (each word a composed "tile", cross-word shifts the §IV-D mux
+// crossings), witness- and suffix-bound pruning that keeps the live set
+// to a corridor around the true alignment, and an anchor-chaining stage
+// that collapses a long read's many seed hits into one extension per
+// locus. This example runs a long-read workload through the full
+// pipeline at K=80 and then puts one kilobase extension on the wide
+// datapath next to the cycle-level oracle it is byte-identical to.
 package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"genax/internal/align"
@@ -23,11 +23,48 @@ import (
 	"genax/internal/sim"
 )
 
+const k = 80
+
 func main() {
+	t, err := run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("pipeline: %d reads (mean 1200 bp), K=%d, %v wall\n", t.Reads, k, t.Wall.Round(time.Millisecond))
+	fmt.Printf("aligned %d/%d; anchor chaining collapsed %d anchors into %d extensions\n",
+		t.Aligned, t.Reads, t.Anchors, t.Kept)
+
+	fmt.Printf("\none %d bp extension at K=%d:\n", t.QueryLen, k)
+	fmt.Printf("  wide bitsilla  %12v  score=%d  mux crossings=%d\n", t.WideTime.Round(time.Microsecond), t.WideScore, t.MuxCrossings)
+	fmt.Printf("  sillax oracle  %12v  score=%d\n", t.OracleTime.Round(time.Microsecond), t.OracleScore)
+	if t.WideScore != t.OracleScore {
+		log.Fatal("MISMATCH — the engines must agree byte for byte")
+	}
+	fmt.Println("  identical scores; the wide path is the same machine,")
+	fmt.Println("  striped across words like §IV-D stripes one engine across tiles.")
+}
+
+// tally is what one run of the example measured.
+type tally struct {
+	Reads, Aligned int
+	// Anchors are the candidates chaining saw; Kept, the extensions it
+	// left for the extend stage.
+	Anchors, Kept int64
+	Wall          time.Duration
+
+	QueryLen               int
+	WideScore, OracleScore int
+	MuxCrossings           int64
+	WideTime, OracleTime   time.Duration
+}
+
+// run aligns a small long-read workload through the pipeline, then
+// extends one read on the wide datapath and on the cycle-level oracle.
+func run() (tally, error) {
+	var t tally
 	// A small long-read workload: 1.2 kb mean reads at 2% error with a
 	// heavy indel fraction — the regime that needs an edit budget far
 	// past 63, the largest K whose grid rows fit one word.
-	const k = 80
 	wl := sim.NewLongReadWorkload(9, 40_000, sim.DefaultVariantProfile(),
 		sim.LongReadProfile{MeanLength: 1200, Coverage: 0.3, ErrorRate: 0.02,
 			IndelErrorFrac: 0.3, ReverseFraction: 0.5})
@@ -43,20 +80,18 @@ func main() {
 	cfg.Overlap = 3*1200/2 + k + 16
 	aligner, err := core.New(wl.Ref, cfg)
 	if err != nil {
-		panic(err)
+		return t, err
 	}
 	t0 := time.Now()
 	results, stats := aligner.AlignBatch(reads)
-	wall := time.Since(t0)
-	aligned := 0
+	t.Wall = time.Since(t0)
+	t.Reads = len(reads)
 	for _, rr := range results {
 		if rr.Aligned {
-			aligned++
+			t.Aligned++
 		}
 	}
-	fmt.Printf("pipeline: %d reads (mean 1200 bp), K=%d, %v wall\n", len(reads), k, wall.Round(time.Millisecond))
-	fmt.Printf("aligned %d/%d; anchor chaining collapsed %d anchors into %d extensions\n",
-		aligned, len(reads), stats.ChainAnchors, stats.ChainKept)
+	t.Anchors, t.Kept = stats.ChainAnchors, stats.ChainKept
 
 	// One extension, wide datapath vs the cycle-level oracle: same score,
 	// same CIGAR, orders of magnitude apart in time. The wide machine also
@@ -76,24 +111,18 @@ func main() {
 		end = len(wl.Ref)
 	}
 	ref := wl.Ref[refPos:end]
+	t.QueryLen = len(query)
 
 	wide := bitsilla.New(k, sc)
 	t0 = time.Now()
 	wres := wide.Extend(ref, query)
-	wideT := time.Since(t0)
+	t.WideTime = time.Since(t0)
+	t.WideScore, t.MuxCrossings = wres.Score, wres.MuxCrossings
 
 	oracle := sillax.NewScoringMachine(k, sc)
 	t0 = time.Now()
 	ores := oracle.Extend(ref, query)
-	oracleT := time.Since(t0)
-
-	fmt.Printf("\none %d bp extension at K=%d:\n", len(query), k)
-	fmt.Printf("  wide bitsilla  %12v  score=%d  mux crossings=%d\n", wideT.Round(time.Microsecond), wres.Score, wres.MuxCrossings)
-	fmt.Printf("  sillax oracle  %12v  score=%d\n", oracleT.Round(time.Microsecond), ores.Score)
-	if wres.Score != ores.Score {
-		fmt.Println("  MISMATCH — the engines must agree byte for byte")
-		return
-	}
-	fmt.Println("  identical scores; the wide path is the same machine,")
-	fmt.Println("  striped across words like §IV-D stripes one engine across tiles.")
+	t.OracleTime = time.Since(t0)
+	t.OracleScore = ores.Score
+	return t, nil
 }

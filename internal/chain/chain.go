@@ -11,8 +11,11 @@
 //
 // The Chainer runs the classic one-dimensional DP over anchors sorted by
 // (reference position, query position): f(i) = max(w_i, max_j f(j) +
-// min(w_i, qAdv, rAdv) - len(|qAdv - rAdv|)) over valid predecessors j
-// with positive advances on both axes and a diagonal drift within maxGap.
+// min(w_i, Q1_i - Q1_j, R_i + w_i - R_j - w_j) - len(|qAdv - rAdv|)) over
+// valid predecessors j: starts advance on both axes (qAdv, rAdv > 0) and
+// the diagonal drift stays within maxGap. The gain counts bases past j's
+// end, minimap2's α, so a short anchor just before a long one joins its
+// locus's chain instead of being extended on its own.
 // The gap cost is logarithmic (bit length of the drift), as in minimap2's
 // concave γ: a linear cost would out-price the anchors themselves for any
 // K-scale indel, and the hard maxGap bound already rejects drifts one
@@ -135,12 +138,13 @@ func (c *Chainer) Collapse(maxGap int32) []int32 {
 			if gap > maxGap {
 				continue
 			}
+			// Gain: the bases i adds past j's end on each axis.
 			gain := wi
-			if qAdv < gain {
-				gain = qAdv
+			if qEnd := a[i].Q1 - a[j].Q1; qEnd < gain {
+				gain = qEnd
 			}
-			if rAdv < gain {
-				gain = rAdv
+			if rEnd := rAdv + wi - (a[j].Q1 - a[j].Q0); rEnd < gain {
+				gain = rEnd
 			}
 			sc := f[j] + gain - int32(bits.Len32(uint32(gap)))
 			if sc > f[i] {

@@ -45,6 +45,41 @@ func TestCollapseCollinear(t *testing.T) {
 	}
 }
 
+// TestCollapseShortAnchorBeforeLong: a short anchor one diagonal before a
+// long one (a long read's anchors at one locus, maxGap K=80) chains with it.
+// Counted from starts, the link gains only min(168, 22, 21) = 21, less than
+// the long anchor scores alone, so [0, 21) would be extended on its own.
+func TestCollapseShortAnchorBeforeLong(t *testing.T) {
+	anchors := []Anchor{
+		{Q0: 0, Q1: 21, R: 28273},
+		{Q0: 22, Q1: 190, R: 28294}, // longest (168)
+		{Q0: 400, Q1: 476, R: 28674},
+		{Q0: 1052, Q1: 1107, R: 29327},
+	}
+	if got := collapse(t, anchors, 80); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("one locus kept %v, want [1] (longest anchor)", got)
+	}
+}
+
+// TestCollapseSkippedAnchor: [409, 431) lies between [276, 408) and
+// [484, 665), each a diagonal off the last. Counted from starts, linking
+// [484, 665) straight to [276, 408) skips it and scores higher, so it
+// would be peeled off as a chain of its own; counted from ends, the route
+// through it wins and the locus stays one chain.
+func TestCollapseSkippedAnchor(t *testing.T) {
+	anchors := []Anchor{
+		{Q0: 0, Q1: 51, R: 87546},
+		{Q0: 176, Q1: 267, R: 87721},
+		{Q0: 276, Q1: 408, R: 87820},
+		{Q0: 409, Q1: 431, R: 87952},
+		{Q0: 484, Q1: 665, R: 88026}, // longest (181)
+		{Q0: 668, Q1: 705, R: 88209},
+	}
+	if got := collapse(t, anchors, 80); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("one locus kept %v, want [4] (longest anchor)", got)
+	}
+}
+
 // TestCollapseTwoLoci: two distant clusters stay two chains, each with its
 // own representative.
 func TestCollapseTwoLoci(t *testing.T) {

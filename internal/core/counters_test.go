@@ -150,3 +150,26 @@ func TestHostCountersGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestLongReadOneExtensionPerLocus: chaining leaves one candidate per
+// locus, so on the long_k80 shape — every read's anchors at one locus —
+// no (read, strand, segment) work item extends more than once. A read in
+// the overlap of two segments is still extended once in each.
+func TestLongReadOneExtensionPerLocus(t *testing.T) {
+	s := counterShapes[2]
+	if s.name != "long_k80" {
+		t.Fatalf("counterShapes[2] is %s, want long_k80", s.name)
+	}
+	ref, reads := s.counterInputs()
+	a, err := New(ref, s.config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, work := a.AlignBatchTraced(reads)
+	for i, wk := range work {
+		if len(wk.ExtJobs) > 1 {
+			seg, read, strand := i/(2*len(reads)), i/2%len(reads), i%2
+			t.Errorf("segment %d read %d strand %d: %d extensions, want at most 1", seg, read, strand, len(wk.ExtJobs))
+		}
+	}
+}

@@ -130,33 +130,33 @@ func (r *registry) evictLocked() {
 			r.logf("serve: residency %d over budget %d with every resident genome in use; overshooting", resident, r.maxResident)
 			return
 		}
-		r.evictGenomeLocked(victim)
+		r.evictions.Add(1)
+		r.logf("serve: genome %q evicted (LRU, budget %d)", victim.name, r.maxResident)
+		r.unmapLocked(victim)
 	}
 }
 
-// evictGenomeLocked drops one idle resident genome back to cold and
-// unmaps its cache. Safe only because refcnt == 0: nothing can be aligning
-// against the mapped tables.
-func (r *registry) evictGenomeLocked(g *genome) {
+// unmapLocked drops one idle resident genome back to cold and unmaps its
+// cache. Safe only because refcnt == 0: nothing can be aligning against
+// the mapped tables.
+func (r *registry) unmapLocked(g *genome) {
 	m := g.mapped
 	g.aligner = nil
 	g.mapped = nil
-	r.evictions.Add(1)
-	r.logf("serve: genome %q evicted (LRU, budget %d)", g.name, r.maxResident)
 	if err := m.Close(); err != nil {
 		r.logf("serve: genome %q: unmap: %v", g.name, err)
 	}
 }
 
-// closeAll unmaps every resident genome. The caller (Server.Close)
+// closeAll unmaps every resident genome; a shutdown is not an eviction,
+// so it is neither counted nor logged as one. The caller (Server.Close)
 // guarantees no acquirers remain, so no load is in flight either.
 func (r *registry) closeAll() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, g := range r.genomes {
 		if g.aligner != nil {
-			r.evictions.Add(-1) // shutdown unmap is not an LRU eviction
-			r.evictGenomeLocked(g)
+			r.unmapLocked(g)
 		}
 	}
 }

@@ -191,6 +191,24 @@ func TestRegistryLRUEviction(t *testing.T) {
 	}
 }
 
+// TestRegistryCloseIsNotEviction: shutdown unmaps every resident genome
+// without counting or logging an LRU eviction.
+func TestRegistryCloseIsNotEviction(t *testing.T) {
+	lc := &logCapture{}
+	s := newTestServer(t, Config{CoalesceWindow: time.Millisecond, Logf: lc.logf}, testWorkload(t, 61))
+	acquireRelease(t, s, "g0")
+	s.Close()
+	if got := s.reg.evictions.Load(); got != 0 {
+		t.Fatalf("evictions=%d after Close, want 0", got)
+	}
+	if st := stateOf(s, "g0"); st.State != "cold" {
+		t.Fatalf("g0 state %s after Close, want cold", st.State)
+	}
+	if lc.contains("evicted") {
+		t.Fatalf("Close logged an eviction; log: %v", lc.lines)
+	}
+}
+
 // TestRegistryNoEvictionWhileInUse: an entry with a positive refcount is
 // pinned; the budget overshoots (counted) instead of unmapping tables a
 // batch is reading.
