@@ -135,6 +135,10 @@ var (
 	// commands; flagTok finds its flags up to the first shell operator.
 	command = regexp.MustCompile(`(?:^|[\s/])(genax|genaxd|genax-bench|genaxvet)\s+(.*)$`)
 	flagTok = regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)
+	// repoPath is a span that begins with a path into the tree; goRun
+	// finds the path a fenced or backticked `go run` line builds.
+	repoPath = regexp.MustCompile(`^((?:internal|cmd|examples|benchmark)/\S*)`)
+	goRun    = regexp.MustCompile(`\bgo run \./(\S+)`)
 )
 
 // TestDocsResolve checks that the documents name only what exists: each
@@ -143,7 +147,9 @@ var (
 // in its test files), each bare Test, Benchmark or Fuzz name (or name*
 // prefix) is a test function somewhere in the tree, each flag a document
 // quotes or passes to one of the commands is defined by one, and each
-// metric-shaped name is a BENCHMARK.json metric.
+// metric-shaped name is a BENCHMARK.json metric, and each path a document
+// names (backticked under internal/, cmd/, examples/ or benchmark/, or
+// built by go run) exists.
 func TestDocsResolve(t *testing.T) {
 	pkgs := repoPackages(t)
 	tests := treeTests(t)
@@ -164,6 +170,22 @@ func TestDocsResolve(t *testing.T) {
 			}
 		}
 	}
+	checkPath := func(where, line string) {
+		var paths []string
+		if m := repoPath.FindStringSubmatch(line); m != nil {
+			paths = append(paths, m[1])
+		}
+		if m := goRun.FindStringSubmatch(line); m != nil {
+			paths = append(paths, m[1])
+		}
+		for _, p := range paths {
+			for _, alt := range expandBraces(p) {
+				if m, _ := filepath.Glob(strings.TrimSuffix(alt, "/")); len(m) == 0 {
+					t.Errorf("%s: %s does not exist", where, alt)
+				}
+			}
+		}
+	}
 	for _, doc := range docs {
 		fenced := false
 		for i, line := range strings.Split(readFile(t, doc), "\n") {
@@ -174,11 +196,13 @@ func TestDocsResolve(t *testing.T) {
 			}
 			if fenced {
 				checkFlags(where, line)
+				checkPath(where, strings.TrimSpace(line))
 				continue
 			}
 			for _, m := range backticked.FindAllStringSubmatch(line, -1) {
 				span := m[1]
 				checkFlags(where, span)
+				checkPath(where, span)
 				if f := flagSpan.FindStringSubmatch(span); f != nil && flags[f[1]] == nil {
 					t.Errorf("%s: `%s` quotes -%s, which no command defines", where, span, f[1])
 				}
@@ -204,6 +228,19 @@ func TestDocsResolve(t *testing.T) {
 			}
 		}
 	}
+}
+
+// expandBraces spells out the one {a,b,...} alternation of p, if any.
+func expandBraces(p string) []string {
+	i, j := strings.Index(p, "{"), strings.Index(p, "}")
+	if i < 0 || j < i {
+		return []string{p}
+	}
+	var out []string
+	for _, alt := range strings.Split(p[i+1:j], ",") {
+		out = append(out, p[:i]+alt+p[j+1:])
+	}
+	return out
 }
 
 // pkgDecls is one package's top-level names and, per type, its methods,

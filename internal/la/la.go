@@ -94,14 +94,3 @@ func (a *Automaton) Match(input dna.Seq) (dist int, ok bool) {
 	}
 	return 0, false
 }
-
-// ContextSwitchStates models a hardware LA accelerator processing a batch:
-// it returns the total number of states programmed when each of the reads
-// requires its own automaton (the per-read reprogramming the paper calls
-// prohibitive), versus the constant cost of one Silla.
-func ContextSwitchStates(readLens []int, k int) (laStates int, sillaStates int) {
-	for _, n := range readLens {
-		laStates += (k + 1) * (n + 1)
-	}
-	return laStates, 3 * (k + 1) * (k + 1) / 2
-}

@@ -87,20 +87,6 @@ func TestNumStatesGrowsWithPattern(t *testing.T) {
 	}
 }
 
-func TestContextSwitchStates(t *testing.T) {
-	lens := []int{101, 101, 101}
-	laTotal, sillaTotal := ContextSwitchStates(lens, 40)
-	if laTotal != 3*41*102 {
-		t.Errorf("laStates = %d", laTotal)
-	}
-	if sillaTotal != 3*41*41/2 {
-		t.Errorf("sillaStates = %d", sillaTotal)
-	}
-	if laTotal <= sillaTotal {
-		t.Error("per-read LA reprogramming must exceed the one-time Silla cost")
-	}
-}
-
 func TestNewPanicsOnNegativeK(t *testing.T) {
 	defer func() {
 		if recover() == nil {

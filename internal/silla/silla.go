@@ -20,10 +20,9 @@ package silla
 import "genax/internal/dna"
 
 // Automaton is a Silla instance for a fixed maximum edit distance K.
-// Distance (DNA) and DistanceOf (any comparable alphabet) both run its one
-// collapsed-3D loop, distance. The activation grids are reused between
-// calls, so an Automaton is not safe for concurrent use; allocate one per
-// goroutine (they are small: O(K²)).
+// Distance runs its one collapsed-3D loop over DNA. The activation grids
+// are reused between calls, so an Automaton is not safe for concurrent
+// use; allocate one per goroutine (they are small: O(K²)).
 type Automaton struct {
 	k int
 	// Activation grids, flattened (K+1)x(K+1), indexed i*(k+1)+d.
@@ -65,15 +64,10 @@ func (a *Automaton) clear() {
 	}
 }
 
-// Distance computes the Levenshtein distance between r and q. It reports
-// ok=false when the distance exceeds K, in which case dist is unspecified.
+// Distance computes the Levenshtein distance between r and q with the
+// collapsed-3D Silla. It reports ok=false when the distance exceeds K, in
+// which case dist is unspecified.
 func (a *Automaton) Distance(r, q dna.Seq) (dist int, ok bool) {
-	return distance(a, r, q)
-}
-
-// distance is the collapsed-3D Silla: it runs r against q on a's grids and
-// reports their edit distance when it is at most a.k.
-func distance[T comparable](a *Automaton, r, q []T) (dist int, ok bool) {
 	k := a.k
 	n, m := len(r), len(q)
 	if diff := n - m; diff > k || -diff > k {

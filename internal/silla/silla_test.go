@@ -55,29 +55,40 @@ func TestPaperExample(t *testing.T) {
 }
 
 func TestDistanceBasics(t *testing.T) {
-	a := New(3)
 	cases := []struct {
+		k    int
 		r, q string
 		want int
 		ok   bool
 	}{
-		{"", "", 0, true},
-		{"A", "A", 0, true},
-		{"A", "C", 1, true},
-		{"ACGT", "ACGT", 0, true},
-		{"ACGT", "AGT", 1, true},
-		{"ACGT", "AACGT", 1, true},
-		{"ACGT", "TGCA", 0, false}, // true distance is 4 > K
-		{"ACGA", "TCGA", 1, true},
-		{"AAAA", "TTTT", 0, false},
-		{"", "ACG", 3, true},
-		{"ACG", "", 3, true},
-		{"", "ACGT", 0, false},
+		{3, "", "", 0, true},
+		{3, "A", "A", 0, true},
+		{3, "A", "C", 1, true},
+		{3, "ACGT", "ACGT", 0, true},
+		{3, "ACGT", "AGT", 1, true},
+		{3, "ACGT", "AACGT", 1, true},
+		{3, "ACGT", "TGCA", 0, false}, // true distance is 4 > K
+		{3, "ACGA", "TCGA", 1, true},
+		{3, "AAAA", "TTTT", 0, false},
+		{3, "", "ACG", 3, true},
+		{3, "ACG", "", 3, true},
+		{3, "", "ACGT", 0, false},
+		// A distance of exactly K is accepted; the same pair at K-1 is not.
+		{5, "ACGTTGCA", "TCGATGGAAT", 5, true},
+		{4, "ACGTTGCA", "TCGATGGAAT", 0, false},
+		{5, "GATTACA", "TACTCAGG", 5, true},
+		{4, "GATTACA", "TACTCAGG", 0, false},
+		// K = 0 accepts equal strings, the empty pair included, and
+		// nothing else.
+		{0, "", "", 0, true},
+		{0, "ACGT", "ACGT", 0, true},
+		{0, "ACGT", "ACGA", 0, false},
+		{0, "", "A", 0, false},
 	}
 	for _, c := range cases {
-		got, ok := a.Distance(dna.MustParseSeq(c.r), dna.MustParseSeq(c.q))
+		got, ok := New(c.k).Distance(dna.MustParseSeq(c.r), dna.MustParseSeq(c.q))
 		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("Distance(%q,%q) = %d,%v; want %d,%v", c.r, c.q, got, ok, c.want, c.ok)
+			t.Errorf("K=%d: Distance(%q,%q) = %d,%v; want %d,%v", c.k, c.r, c.q, got, ok, c.want, c.ok)
 		}
 	}
 }
@@ -147,45 +158,6 @@ func TestCollapsedEquals3D(t *testing.T) {
 			d3, ok3 := Distance3D(x, y, k)
 			if ok2 != ok3 || (ok2 && d2 != d3) {
 				t.Fatalf("k=%d: collapsed (%d,%v) != 3D (%d,%v) for x=%v y=%v", k, d2, ok2, d3, ok3, x, y)
-			}
-		}
-	}
-}
-
-// indel oracle: minimum insertions+deletions = n + m - 2*LCS.
-func indelDistanceDP(a, b dna.Seq) int {
-	n, m := len(a), len(b)
-	prev := make([]int, m+1)
-	cur := make([]int, m+1)
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			if a[i-1] == b[j-1] {
-				cur[j] = prev[j-1] + 1
-			} else if prev[j] >= cur[j-1] {
-				cur[j] = prev[j]
-			} else {
-				cur[j] = cur[j-1]
-			}
-		}
-		prev, cur = cur, prev
-	}
-	return n + m - 2*prev[m]
-}
-
-func TestIndelDistanceMatchesLCS(t *testing.T) {
-	r := rand.New(rand.NewSource(34))
-	for _, k := range []int{0, 1, 2, 4, 8} {
-		for trial := 0; trial < 150; trial++ {
-			x := randSeq(r, r.Intn(20))
-			y := mutate(r, x, r.Intn(k+2))
-			want := indelDistanceDP(x, y)
-			got, ok := indelDistanceOf(x, y, k)
-			if want <= k {
-				if !ok || got != want {
-					t.Fatalf("k=%d: indel Silla %d,%v; LCS oracle %d (x=%v y=%v)", k, got, ok, want, x, y)
-				}
-			} else if ok {
-				t.Fatalf("k=%d: accepted %d but oracle %d > k", k, got, want)
 			}
 		}
 	}
