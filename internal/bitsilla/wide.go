@@ -117,6 +117,9 @@ type wideState struct {
 	// state there can still add. Like bound it is constant across the
 	// pass, so replay reproduces the same pruning without checkpoints.
 	stab []int32
+	// prof is the suffix table's reference profile, dna.NumBases*n
+	// close steps, refilled by every bound pass.
+	prof []int32
 }
 
 // initWide sizes the datapath for edit bound m.k.

@@ -81,86 +81,112 @@ const wideSuffixFree = int32(1) << 28
 // can still reach L0, and with GapExtend > 1 beat it (TestWideBandEdge
 // plants one). Layout: (qPos*(2h+1) + j)*3 + state, with
 // j = refPos - qPos + h and states closed/ins/del.
+//
+// The fill runs a row at a time, up from the exhausted query. Each row's
+// lattice range [jlo, jhi] is computed once; its edge cells, at the
+// reference's end (r = n: nothing closes or deletes) and on the band's
+// lowest diagonal (j = 0: no insertion entry), are peeled, and wideRow
+// fills the rest with no lattice test. It carries the deletion entry from
+// the cell above in a register, and takes each close step from the
+// reference profile prof[x*n + r] (a or -b for query base x) instead of
+// comparing bases. That cuts a cell's cost by more than half
+// (DESIGN.md). The
+// layout and every value are the plain recurrence's, cell for cell
+// (FuzzSuffixBoundVsRef), so stepWide, wideWitness and replay read the
+// table unchanged.
 func (m *Machine) wideSuffixBound(ref, query dna.Seq) {
 	n, qn := len(ref), len(query)
-	a, b, open, ext := m.cs.A, m.cs.B, m.cs.Open, m.cs.Ext
-	h := m.wide.band
-	w := 2*h + 1
-	need := (qn + 1) * w * 3
 	wd := m.wide
+	h := wd.band
+	w3 := 3 * (2*h + 1)
+	need := (qn + 1) * w3
 	if cap(wd.stab) < need {
 		wd.stab = make([]int32, need)
 	}
 	tab := wd.stab[:need]
 	wd.stab = tab
-	// Query exhausted: nothing can close (a close consumes query), so
-	// gap states have no future and closed states gain nothing more.
-	for j := 0; j < w; j++ {
-		r := qn + j - h
-		o := (qn*w + j) * 3
-		if r < 0 || r > n {
-			tab[o], tab[o+1], tab[o+2] = wideSuffixFree, wideSuffixFree, wideSuffixFree
+	if cap(wd.prof) < dna.NumBases*n {
+		wd.prof = make([]int32, dna.NumBases*n)
+	}
+	prof := wd.prof[:dna.NumBases*n]
+	for r, c := range ref {
+		for x := 0; x < dna.NumBases; x++ {
+			prof[x*n+r] = -m.cs.B
+		}
+		prof[int(c&3)*n+r] = m.cs.A
+	}
+	open, ext := m.cs.Open, m.cs.Ext
+	for q := qn; q >= 0; q-- {
+		cur := tab[q*w3 : q*w3+w3]
+		// The row's lattice cells are jlo..jhi (0 <= r <= n).
+		jlo, jhi := max(0, h-q), min(2*h, n+h-q)
+		head, tail := cur[:3*jlo], cur[max(3*jlo, 3*jhi+3):]
+		for i := range head {
+			head[i] = wideSuffixFree
+		}
+		for i := range tail {
+			tail[i] = wideSuffixFree
+		}
+		if q == qn {
+			// Query exhausted: nothing can close (a close consumes query),
+			// so gap states have no future and closed states gain nothing.
+			for j := jlo; j <= jhi; j++ {
+				cur[3*j], cur[3*j+1], cur[3*j+2] = 0, negScore, negScore
+			}
 			continue
 		}
-		tab[o], tab[o+1], tab[o+2] = 0, negScore, negScore
-	}
-	for q := qn - 1; q >= 0; q-- {
-		row, nxt := q*w*3, (q+1)*w*3
-		for j := w - 1; j >= 0; j-- {
-			r := q + j - h
-			o := row + j*3
-			if r < 0 || r > n {
-				tab[o], tab[o+1], tab[o+2] = wideSuffixFree, wideSuffixFree, wideSuffixFree
-				continue
-			}
-			// Close: consume both, same diagonal in the next row.
-			dg := int32(negScore)
-			if r < n {
-				nm := tab[nxt+j*3]
-				if ref[r]&3 == query[q]&3 {
-					dg = nm + a
-				} else {
-					dg = nm - b
-				}
-			}
-			// Insertion entry: consume query, one diagonal down in the
-			// next row. A band exit is machine-illegal, never bounded.
+		nxt, pr := tab[q*w3+w3:q*w3+2*w3], prof[int(query[q]&3)*n:][:n]
+		udn, j := int32(negScore), jhi
+		if j >= jlo && q+j-h == n {
+			// At the reference's end nothing closes or deletes.
 			uin := int32(negScore)
 			if j > 0 {
-				uin = tab[nxt+(j-1)*3+1]
+				uin = nxt[3*j-2]
 			}
-			// Deletion entry: consume ref, within this row; computed
-			// first by the descending sweep.
-			udn := int32(negScore)
-			if r < n && j+1 < w {
-				udn = tab[row+(j+1)*3+2]
-			}
-			um := int32(0)
-			if dg > um {
-				um = dg
-			}
-			ui, ud := dg, dg
-			if v := uin - open; v > um {
-				um = v
-			}
-			if v := udn - open; v > um {
-				um = v
-			}
-			if v := uin - ext; v > ui {
-				ui = v
-			}
-			if v := udn - open; v > ui {
-				ui = v
-			}
-			if v := uin - open; v > ud {
-				ud = v
-			}
-			if v := udn - ext; v > ud {
-				ud = v
-			}
-			tab[o], tab[o+1], tab[o+2] = um, ui, ud
+			cur[3*j], cur[3*j+1], udn = wideCell(negScore, uin, udn, open, ext)
+			cur[3*j+2] = udn
+			j--
+		}
+		if lo := max(jlo, 1); j >= lo {
+			udn = wideRow(cur[3*lo:3*j+3], nxt[3*lo-2:3*j+1], pr[q+lo-h:q+j-h+1], udn, open, ext)
+		}
+		if jlo == 0 && j >= 0 {
+			// The band's lowest diagonal: no insertion entry below it (a
+			// band exit is machine-illegal, never bounded).
+			cur[0], cur[1], cur[2] = wideCell(nxt[0]+pr[q-h], negScore, udn, open, ext)
 		}
 	}
+}
+
+// wideRow fills a run of interior cells of one row with wideCell's
+// recurrence, its shared terms computed once, top down: it carries the
+// deletion entry udn from the cell above and returns the last cell's. c
+// holds the run's cells, pr their close steps, and nx the row below from
+// the insertion entry under the first cell to the closed entry under the
+// last, so cell i reads nx[3i] and nx[3i+2].
+//
+//genax:hotpath
+func wideRow(c, nx, pr []int32, udn, open, ext int32) int32 {
+	nx, i := nx[:len(c)], len(pr)
+	for o := len(c) - 3; o >= 0; o -= 3 {
+		i--
+		dg, uin := nx[o+2]+pr[i], nx[o]
+		uo, v := uin-open, max(dg, udn-open)
+		udn = max(dg, uo, udn-ext)
+		c[o], c[o+1], c[o+2] = max(0, v, uo), max(v, uin-ext), udn
+	}
+	return udn
+}
+
+// wideCell is the suffix recurrence at one cell: from the close value dg
+// (consume both: same diagonal, next row) and the insertion and deletion
+// entries it can move into, uin (consume query: one diagonal down, next
+// row) and udn (consume ref: one diagonal up, same row), the cell's
+// closed entry (floored at 0), insertion entry and deletion entry.
+//
+//genax:hotpath
+func wideCell(dg, uin, udn, open, ext int32) (int32, int32, int32) {
+	return max(0, dg, uin-open, udn-open), max(dg, uin-ext, udn-open), max(dg, uin-open, udn-ext)
 }
 
 // wideWitness walks the suffix table's best path forward from the origin
