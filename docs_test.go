@@ -90,21 +90,12 @@ func TestEveryFlagIsExercised(t *testing.T) {
 	for _, p := range []string{".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
 		corpus.WriteString(readFile(t, p))
 	}
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && skipDir(p) {
-			return filepath.SkipDir
-		}
-		if strings.HasSuffix(p, "_test.go") {
+	walkDirs(t, ".", skipDir, func(dir string) {
+		tests, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		for _, p := range tests {
 			corpus.WriteString(readFile(t, p))
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	text := corpus.String()
 	flags := commandFlags(t)
 	for _, name := range sortedKeys(flags) {
@@ -260,13 +251,7 @@ func repoPackages(t *testing.T) repoPkgs {
 	t.Helper()
 	pkgs := repoPkgs{}
 	for _, root := range []string{"internal", "benchmark"} {
-		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-			if err != nil || !d.IsDir() {
-				return err
-			}
-			if skipDir(p) {
-				return filepath.SkipDir
-			}
+		walkDirs(t, root, skipDir, func(p string) {
 			for _, f := range parseDir(t, p) {
 				if f.Name.Name != "main" {
 					pkgs.add(f)
@@ -280,11 +265,7 @@ func repoPackages(t *testing.T) repoPkgs {
 					}
 				}
 			}
-			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	return pkgs
 }
@@ -308,12 +289,8 @@ func (r repoPkgs) add(f *ast.File) {
 				pd.names[d.Name.Name] = true
 				continue
 			}
-			recv := d.Recv.List[0].Type
-			if star, ok := recv.(*ast.StarExpr); ok {
-				recv = star.X
-			}
-			if id, ok := recv.(*ast.Ident); ok {
-				member(id.Name, d.Name.Name)
+			if typ := recvType(d); typ != "" {
+				member(typ, d.Name.Name)
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
@@ -379,13 +356,7 @@ type testNames map[string]bool
 func treeTests(t *testing.T) testNames {
 	t.Helper()
 	names := testNames{}
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if skipDir(p) {
-			return filepath.SkipDir
-		}
+	walkDirs(t, ".", skipDir, func(p string) {
 		for _, f := range parseTests(t, p) {
 			for _, decl := range f.Decls {
 				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && testFunc.MatchString(fn.Name.Name) {
@@ -393,11 +364,7 @@ func treeTests(t *testing.T) testNames {
 				}
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return names
 }
 
@@ -413,6 +380,25 @@ func (n testNames) has(name string, prefix bool) bool {
 		}
 	}
 	return false
+}
+
+// walkDirs calls fn on root and on every directory below it that skip does
+// not prune.
+func walkDirs(t *testing.T, root string, skip func(dir string) bool, fn func(dir string)) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if skip(p) {
+			return filepath.SkipDir
+		}
+		fn(p)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // skipDir reports the directories no walk enters: git metadata, fixture
@@ -441,19 +427,43 @@ func parseGo(t *testing.T, dir string, tests bool) []*ast.File {
 		t.Fatal(err)
 	}
 	var files []*ast.File
-	fset := token.NewFileSet()
 	for _, e := range entries {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") != tests {
 			continue
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
+		files = append(files, parseFile(t, filepath.Join(dir, n), nil))
 	}
 	return files
+}
+
+// fset positions every file the tests in this package parse.
+var fset = token.NewFileSet()
+
+// parseFile parses one Go file, comments included: src when it is not
+// nil, else the file at path.
+func parseFile(t *testing.T, path string, src any) *ast.File {
+	t.Helper()
+	f, err := parser.ParseFile(fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// recvType names the type a method is declared on, pointer or not; it is
+// empty for a function.
+func recvType(d *ast.FuncDecl) string {
+	if d.Recv != nil {
+		recv := d.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		if id, ok := recv.(*ast.Ident); ok {
+			return id.Name
+		}
+	}
+	return ""
 }
 
 func isSelector(e ast.Expr, pkg, name string) bool {

@@ -4,20 +4,13 @@ import "sync/atomic"
 
 // StageMetrics accumulates one stage's activity. BusyNanos is wall time
 // spent inside the stage's hot call (units are whatever the injected
-// clock returns — nanoseconds with the usual wall clock); Batches and
-// Items count processed batches and candidates.
+// clock returns — nanoseconds with the usual wall clock).
 type StageMetrics struct {
 	BusyNanos atomic.Int64
-	Batches   atomic.Int64
-	Items     atomic.Int64
 }
 
-// record charges one processed batch to the stage.
-func (m *StageMetrics) record(t0, t1, batches, items int64) {
-	m.BusyNanos.Add(t1 - t0)
-	m.Batches.Add(batches)
-	m.Items.Add(items)
-}
+// record charges one processed batch, from t0 to t1, to the stage.
+func (m *StageMetrics) record(t0, t1 int64) { m.BusyNanos.Add(t1 - t0) }
 
 // AvgQueue reads 0: fused lanes hand a batch from stage to stage in
 // place, so there is no inter-stage queue to sample. It is kept only
@@ -30,10 +23,10 @@ func (m *StageMetrics) AvgQueue() float64 { return 0 }
 // list); callers inject one via Now — the repository benchmark passes its
 // tracer's clock, tests can pass a counter.
 type Instrument struct {
-	// Now returns the current time in nanoseconds. Nil disables timing
-	// but still counts batches and items. Every lane calls it
-	// concurrently, so it must be safe for concurrent use
-	// (time.Now().UnixNano is; a test counter needs an atomic).
+	// Now returns the current time in nanoseconds; nil charges every
+	// stage zero busy time. Every lane calls it concurrently, so it must
+	// be safe for concurrent use (time.Now().UnixNano is; a test counter
+	// needs an atomic).
 	Now func() int64
 
 	Seed, Filter, Extend StageMetrics

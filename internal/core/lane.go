@@ -137,7 +137,7 @@ func (l *lane) run(w *window) {
 			}
 			t1 := inst.now()
 			if inst != nil {
-				inst.Seed.record(t0, t1, 1, int64(len(b.cands)))
+				inst.Seed.record(t0, t1)
 			}
 			if len(b.cands) == 0 {
 				continue
@@ -145,14 +145,14 @@ func (l *lane) run(w *window) {
 			l.filt.filter(b)
 			t2 := inst.now()
 			if inst != nil {
-				inst.Filter.record(t1, t2, 1, int64(len(b.cands)))
+				inst.Filter.record(t1, t2)
 			}
 			if len(b.cands) == 0 {
 				continue
 			}
 			l.ext.process(b)
 			if inst != nil {
-				inst.Extend.record(t2, inst.now(), 1, int64(len(b.cands)))
+				inst.Extend.record(t2, inst.now())
 			}
 		}
 		w.bar.await()

@@ -43,6 +43,7 @@ func TestMappedParity(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	ref := randSeq(r, 9000)
 	sx := buildIndex(t, ref, 512, 128, 6) // 18 segments: set groups of 8, 8 and 2
+	codec, _ := dna.NewKmerCodec(6)       // k = 6 is in range
 	// A shard group is whole set groups: requests round up to a multiple
 	// of 8, and 0 or one covering every segment is one group.
 	for _, tc := range []struct{ groupSize, wantGS int }{
@@ -75,9 +76,9 @@ func TestMappedParity(t *testing.T) {
 			want := sx.Samples[id]
 			for trial := 0; trial < 300; trial++ {
 				pos := r.Intn(len(ref) - 6)
-				hits, ok := si.LookupAt(m.Ref(), pos)
-				wantHits, wantOK := want.LookupAt(ref, pos)
-				if ok != wantOK || len(hits) != len(wantHits) {
+				km, _ := codec.Encode(m.Ref(), pos)
+				hits, wantHits := si.Lookup(km), want.Lookup(km)
+				if len(hits) != len(wantHits) {
 					t.Fatalf("groupSize %d seg %d pos %d: lookup diverged", groupSize, id, pos)
 				}
 				for i := range hits {

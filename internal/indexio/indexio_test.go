@@ -54,6 +54,7 @@ func TestRoundTripHashIdentical(t *testing.T) {
 			t.Errorf("%+v: %d segments loaded, want %d", tc, got.NumSegments(), sx.NumSegments())
 		}
 		// The mapped index must answer lookups identically.
+		codec, _ := dna.NewKmerCodec(tc.k) // every case's k is in range
 		for id, si := range got.Samples {
 			want := sx.Samples[id]
 			if si.Offset != want.Offset || len(si.Ref) != len(want.Ref) {
@@ -64,9 +65,9 @@ func TestRoundTripHashIdentical(t *testing.T) {
 				if pos+tc.k > len(ref) {
 					continue
 				}
-				hits, ok := si.LookupAt(ref, pos)
-				wantHits, wantOK := want.LookupAt(ref, pos)
-				if ok != wantOK || len(hits) != len(wantHits) {
+				km, _ := codec.Encode(ref, pos)
+				hits, wantHits := si.Lookup(km), want.Lookup(km)
+				if len(hits) != len(wantHits) {
 					t.Fatalf("%+v seg %d pos %d: lookup diverged", tc, id, pos)
 				}
 				for i := range hits {

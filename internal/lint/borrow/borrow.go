@@ -2,8 +2,8 @@
 // //genax:borrowed lifetime contract at compile time.
 //
 // Several kernel entry points return slices that alias storage they do not
-// transfer: seed.SegmentIndex.Lookup and LookupAt hand out windows of the
-// shared position table, Seeder.Seed returns seeds carved from the lane's
+// transfer: seed.SegmentIndex.Lookup hands out windows of the shared
+// position table, Seeder.Seed returns seeds carved from the lane's
 // hit-list arena, and the Seeder probe/intersect helpers return lane
 // scratch. Such a view is valid only transiently — until the next call on
 // the owner — and must never be mutated. PR 5 pinned those rules with

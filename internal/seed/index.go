@@ -452,20 +452,6 @@ func (si *SegmentIndex) spanOf(km dna.Kmer) span {
 //genax:hotpath
 func (si *SegmentIndex) positions(s span) []int32 { return si.tab.Positions[s.lo:s.hi] }
 
-// LookupAt encodes the k-mer of read at pos and returns its hits. ok is
-// false when the window does not fit in the read. The returned slice is
-// subject to the same borrow contract as Lookup: it aliases the shared
-// position table and must not be mutated.
-//
-//genax:borrowed
-func (si *SegmentIndex) LookupAt(read dna.Seq, pos int) (hits []int32, ok bool) {
-	km, ok := si.codec.Encode(read, pos)
-	if !ok {
-		return nil, false
-	}
-	return si.Lookup(km), true
-}
-
 // IndexTableBytes returns the modelled SRAM footprint of the index table
 // (one 4-byte offset per k-mer), and PositionTableBytes that of the
 // position list — the quantities Table II charges to on-chip SRAM.

@@ -72,8 +72,9 @@ func TestSegmentIndexShortRef(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, ok := si.LookupAt(dna.MustParseSeq("ACGTAC"), 0); !ok || len(hits) != 0 {
-		t.Errorf("short ref: hits=%v ok=%v", hits, ok)
+	km, _ := si.codec.Encode(dna.MustParseSeq("ACGTAC"), 0)
+	if hits := si.Lookup(km); len(hits) != 0 {
+		t.Errorf("short ref: hits=%v", hits)
 	}
 }
 
@@ -307,10 +308,10 @@ func TestParallelBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestLookupBorrowContract is the aliasing audit: Lookup/LookupAt hand out
-// views of the shared position table, so a full seeding workload — which
-// drives every CAM intersection strategy over those views — must leave the
-// table byte-identical. A caller mutating through a borrowed slice would
+// TestLookupBorrowContract is the aliasing audit: Lookup hands out views
+// of the shared position table, so a full seeding workload — which drives
+// every CAM intersection strategy over those views — must leave the table
+// byte-identical. A caller mutating through a borrowed slice would
 // trip this.
 func TestLookupBorrowContract(t *testing.T) {
 	r := rand.New(rand.NewSource(104))

@@ -236,9 +236,6 @@ func (s *Server) StartDrain() {
 	}
 }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close stops the dispatchers and unmaps every resident genome. Callers
 // must first ensure no requests are in flight — StartDrain followed by
 // http.Server.Shutdown gives that guarantee, because every queued request
