@@ -2,6 +2,7 @@ package bitsilla
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -196,7 +197,10 @@ func TestBitsillaWideGappyRandom(t *testing.T) {
 // 100-base deletion block pushes the deletion offset through bit 63 of
 // word 0, so the d+1 transitions must cross into word 1 and be counted,
 // while the result stays byte-identical to the oracle. The count itself
-// must be deterministic across machines.
+// must be deterministic across machines. MuxCrossings counts the writes
+// that survive pruning, so it is the one output the pruning floor can move
+// without moving Score or Cigar: the counts of both inputs, and a seeded
+// batch's summed count and digest, are pinned as constants.
 func TestBitsillaWideMuxCrossings(t *testing.T) {
 	r := rand.New(rand.NewSource(91))
 	sc := align.BWAMEMDefaults()
@@ -212,8 +216,8 @@ func TestBitsillaWideMuxCrossings(t *testing.T) {
 	if got.QueryLen != 300 || got.RefLen != 400 {
 		t.Fatalf("deletion block not aligned through: q=%d r=%d cigar=%s", got.QueryLen, got.RefLen, got.Cigar)
 	}
-	if got.MuxCrossings == 0 {
-		t.Fatal("100-base deletion block crossed no word boundary: MuxCrossings = 0")
+	if got.MuxCrossings != muxDeletionBlock {
+		t.Fatalf("100-base deletion block: MuxCrossings = %d, want %d", got.MuxCrossings, muxDeletionBlock)
 	}
 	again := New(k, sc).Extend(ref, query)
 	if again.MuxCrossings != got.MuxCrossings {
@@ -227,7 +231,45 @@ func TestBitsillaWideMuxCrossings(t *testing.T) {
 	got2 := New(k, sc).Extend(ref, query2)
 	want2 := sillax.NewTracebackMachine(k, sc).Extend(ref, query2)
 	checkSame(t, k, ref, query2, got2, want2)
+	if got2.MuxCrossings != muxInsertionBlock {
+		t.Fatalf("100-base insertion block: MuxCrossings = %d, want %d", got2.MuxCrossings, muxInsertionBlock)
+	}
+
+	// A seeded batch across the multi-word bounds and the error mixes the
+	// grid meets: gap blocks, and long-read rates with 30 % and 50 % of
+	// the errors indels.
+	h := fnv.New64a()
+	var sum int64
+	for _, k := range []int{64, 80, 128} {
+		bm := New(k, sc)
+		for trial := 0; trial < 12; trial++ {
+			ref := randSeq(r, 500+r.Intn(300))
+			var query dna.Seq
+			switch trial % 3 {
+			case 0:
+				query = mutateGappy(r, ref[:400], 60, 1+r.Intn(3))
+			case 1:
+				query = mutateRate(r, ref[:400], 0.02, 0.3)
+			default:
+				query = mutateRate(r, ref[:400], 0.08, 0.5)
+			}
+			res := bm.Extend(ref, query)
+			fmt.Fprintf(h, "%d %s %d %d\n", res.Score, res.Cigar, res.Cycles, res.MuxCrossings)
+			sum += res.MuxCrossings
+		}
+	}
+	if sum != muxBatchSum || h.Sum64() != muxBatchDigest {
+		t.Fatalf("seeded batch: summed MuxCrossings %d, digest %#x; want %d, %#x", sum, h.Sum64(), muxBatchSum, uint64(muxBatchDigest))
+	}
 }
+
+// The pinned MuxCrossings of TestBitsillaWideMuxCrossings.
+const (
+	muxDeletionBlock  = 2
+	muxInsertionBlock = 0
+	muxBatchSum       = 4677
+	muxBatchDigest    = 0xa76885f4dc7d22ef
+)
 
 // TestBitsillaWideWindowReplay shrinks the checkpoint window far below the
 // walk length so the backward pass must restore checkpoints and re-execute
