@@ -138,26 +138,13 @@ func New(k int, sc align.Scoring) *Machine {
 // K returns the edit bound.
 func (m *Machine) K() int { return m.k }
 
-// futileThr is the lowest offer for a target register with remR reference
-// and remQ query bases left to consume that could still reach floor+1:
-// every remaining cycle gains at most a, so the bar is floor+1 minus the
-// maximum remaining gain, and a path at exactly floor+1-a*rem (a pure-match
-// tail) is kept. remaining is capped so the product stays far from the
-// Neg sentinel.
+// cycles is the architectural cycle count of one extension: the streaming
+// phase through cycle sillax.StreamCycles, then the 4K traceback phases of
+// §IV-C.
 //
 //genax:hotpath
-func futileThr(remR, remQ int, a, floor int32) int32 {
-	rem := remR
-	if remQ < rem {
-		rem = remQ
-	}
-	if rem < 0 {
-		rem = 0
-	}
-	if rem > 1<<20 {
-		rem = 1 << 20 // a lower threshold only prunes less; never overflows
-	}
-	return floor + 1 - a*int32(rem)
+func (m *Machine) cycles(n, qn int) int {
+	return sillax.StreamCycles(n, qn, m.k) + 1 + 4*m.k
 }
 
 // Extend runs a bit-parallel traced seed extension of query against ref,

@@ -43,7 +43,6 @@ package bitsilla
 import (
 	"genax/internal/align"
 	"genax/internal/dna"
-	"genax/internal/sillax"
 )
 
 // tryGapless runs the certified gapless step: the grid-identical result
@@ -95,6 +94,6 @@ func (m *Machine) tryGapless(ref, query dna.Seq) (Result, int32, bool) {
 		Cigar:    cig.Clone(),
 		QueryLen: bestJ,
 		RefLen:   bestJ,
-		Cycles:   sillax.StreamCycles(len(ref), qn, m.k) + 1 + 4*m.k,
+		Cycles:   m.cycles(len(ref), qn),
 	}, int32(wit), true
 }

@@ -21,7 +21,10 @@ func FuzzBitsillaScoringVsSillaX(f *testing.F) {
 	// The planted deletion of TestWideBandEdge at g = 2 under {1, 4, 6, 2},
 	// K = 16: X·Y against X·G·Y plus slack aligns through the 2-base gap
 	// exactly on the band's edge (49=2D11=); a scoring where a mismatch is
-	// free; and an exact match the gapless step certifies.
+	// free; an exact match the gapless step certifies; and two inputs whose
+	// optimal chains tie between gap offers, so that they pin the tie order
+	// of the insertion offers (M−open, D−open, I−ext: 2=1I1D1I2=) and of
+	// the deletion offers (M−open, I−open, D−ext: 1D1=1I1D1I3=).
 	x := "GGGTAGGATACGGCGGAGGGCACGTCAATACGGTTCAATGCCCTACTGC"
 	y := "GCTCTTGTGGT"
 	f.Add(uint8(16), uint8(0), uint8(4), uint8(6), uint8(1),
@@ -30,6 +33,10 @@ func FuzzBitsillaScoringVsSillaX(f *testing.F) {
 		fuzzBases("ACGTTGCAACGTTGCA"), fuzzBases("ACGATGCAACGTAGCA"))
 	f.Add(uint8(4), uint8(3), uint8(7), uint8(15), uint8(3),
 		fuzzBases("ACGTACGTACGT"), fuzzBases("ACGTACGTACGT"))
+	f.Add(uint8(4), uint8(3), uint8(7), uint8(0), uint8(1),
+		fuzzBases("AAAAC"), fuzzBases("AACCAC"))
+	f.Add(uint8(12), uint8(1), uint8(6), uint8(0), uint8(0),
+		fuzzBases("AAACAAC"), fuzzBases("ACCCAA"))
 	f.Fuzz(func(t *testing.T, kRaw, ma, mm, gOpen, gExt uint8, refB, qB []byte) {
 		k := int(kRaw) % (MaxWordK + 1)
 		sc := align.Scoring{

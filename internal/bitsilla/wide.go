@@ -202,30 +202,14 @@ func (m *Machine) ensureWide(maxCycle int) {
 //genax:hotpath
 func (m *Machine) resetWide() {
 	wd := m.wide
-	nw := wd.nw
-	for iw := 0; iw < nw; iw++ {
-		rowsAny := wd.rows[pM0*nw+iw] | wd.rows[pI0*nw+iw] | wd.rows[pD0*nw+iw] |
-			wd.rows[pM1*nw+iw] | wd.rows[pI1*nw+iw] | wd.rows[pD1*nw+iw] | wd.rows[pWT*nw+iw]
-		for rw := rowsAny; rw != 0; rw &= rw - 1 {
-			i := iw<<6 + bits.TrailingZeros64(rw)
-			lb := i * nw * planeStride
-			for x := lb; x < lb+nw*planeStride; x++ {
-				m.live[x] = 0
-			}
-		}
-	}
-	for x := range wd.rows {
-		wd.rows[x] = 0
-	}
+	clearRows(m.live, wd.rows, wd.nw)
+	clear(wd.rows)
 	for b := 0; b < dna.NumBases; b++ {
-		q := wd.qeq[b]
-		for x := range q {
-			q[x] = 0
-		}
+		clear(wd.qeq[b])
 	}
 	m.cur[0] = 0
 	m.live[0] = 1
-	wd.rows[pM0*nw] = 1
+	wd.rows[pM0*wd.nw] = 1
 }
 
 // saveSnap checkpoints the state ahead of window j's first cycle.
@@ -304,25 +288,24 @@ func (m *Machine) wideTrailCode(p, t, i, d int) int {
 // register (i, d) reachable this cycle it resolves all competing offers in
 // registers — the wait delivery from (i-1, d-1), match and substitution
 // from (i, d), the insertion gap from (i-1, d) and the deletion gap from
-// (i, d-1) — and commits each plane with one score store, accumulating
-// liveness and the 2-bit trail codes per 64-register word so the
-// per-offer read-modify-writes of a source-major scan collapse into one
-// masked store per (plane, word). Every target plane has exactly one
-// writing source except pM0, where the wait delivery lands first and the
-// match must beat it strictly — the same strict-greater race, in the same
-// (i-1, d-1) < (i-1, d) < (i, d-1) < (i, d) scan order, as the
+// (i, d-1) — with one compare-select (pick) and commits each plane with
+// one put, accumulating liveness and the 2-bit trail codes per 64-register
+// word so the per-offer read-modify-writes of a source-major scan collapse
+// into one masked store per (plane, word). Every target plane has exactly
+// one writing source except pM0, where the wait delivery lands first and
+// the match must beat it strictly — the same strict-greater race, in the
+// same (i-1, d-1) < (i-1, d) < (i, d-1) < (i, d) scan order, as the
 // source-major formulation, so every tie breaks exactly like the cycle
-// model. All consuming offers into (i, d) share one futility threshold
-// (their source rem differences cancel against the consumed base).
-// Closing offers see the same pruning floor at the same scan position as
-// a source-major scan, so the best chain and every trail word the
-// backward walk reads are byte-identical; gap and wait offers are checked
-// against a floor that may have risen since their source's scan slot,
-// which prunes strictly more — exact by the bound-pass argument, since a
-// pruned offer's completion bound is below a floor that never exceeds the
-// pass's final score. The two d+1 transitions cross into the next word
-// when the source bit is 63; each accepted crossing is one mux crossing
-// in the §IV-D composition sense.
+// model. All offers into one entry state of (i, d) share one threshold
+// from the suffix table. Closing offers see the same pruning floor at the
+// same scan position as a source-major scan, so the best chain and every
+// trail word the backward walk reads are byte-identical; gap and wait
+// offers are checked against a floor that may have risen since their
+// source's scan slot, which prunes strictly more — exact by the bound-pass
+// argument, since a pruned offer's completion bound is below a floor that
+// never exceeds the pass's final score. The two d+1 transitions cross
+// into the next word when the source bit is 63; each accepted crossing is
+// one mux crossing in the §IV-D composition sense.
 //
 //genax:hotpath
 func (m *Machine) stepWide(c int) bool {
@@ -353,30 +336,25 @@ func (m *Machine) stepWide(c int) bool {
 	live, nlive := m.live, m.nlive
 	trail := wd.trail
 	rows, nr := wd.rows, wd.nrows
-	for x := range nr {
-		nr[x] = 0
-	}
+	clear(nr)
 	best := wd.best
 	bestI, bestD, bestCycle, bestPlan := wd.bestI, wd.bestD, wd.bestCycle, wd.bestPlan
 	mux := wd.mux
 	// pb is the pruning floor: the running best, raised to the certified
-	// witness bound. futileThr(.., pb) = max(best+1, bound) - a*rem, which
-	// keeps every state able to TIE the witness (the canonical winner may
-	// be one of them) while the plain best-so-far comparison stays
-	// tie-pruning: an offer that can at most equal a best already standing
-	// can never replace it.
-	pb := best
-	if wd.bound-1 > pb {
-		pb = wd.bound - 1
-	}
-	// The suffix bound table sharpens the floor per target: an offer of
-	// value v into a position with suffix headroom U can contribute at
-	// most v + U, so v must reach pb+1 - U. The generic futileThr floor
-	// stays as the fallback for positions off the table's band.
+	// witness bound. An offer of value v into an entry state whose suffix
+	// headroom is U can contribute at most v + U, so it must reach
+	// pb+1 - U. That keeps every state able to TIE the witness (the
+	// canonical winner may be one of them) while the plain best-so-far
+	// comparison stays tie-pruning: an offer that can at most equal a
+	// best already standing can never replace it. It is the only floor.
+	// A target off the table's band lies on no chain that can reach S
+	// (widebound.go), and one past the reference's end (r > n) on no
+	// alignment at all — its cells hold wideSuffixFree, so every offer
+	// there falls below the floor.
+	pb := max(best, wd.bound-1)
 	stab := wd.stab
 	h := wd.band
 	sw := 2*h + 1
-	useU := len(stab) >= (qn+1)*sw*3
 
 	// Target rows: sources in row i write row i (match, substitution,
 	// deletion gap) and row i+1 (insertion gap, wait delivery).
@@ -443,7 +421,7 @@ func (m *Machine) stepWide(c int) bool {
 				if mrow != nil {
 					matchRow = mrow[vw]
 				}
-				var nlA, tLo, tHi [numPlanes]uint64
+				var acc wordAcc
 				dBase := vw << 6
 				for tm := T; tm != 0; tm &= tm - 1 {
 					db := bits.TrailingZeros64(tm)
@@ -452,31 +430,19 @@ func (m *Machine) stepWide(c int) bool {
 						break
 					}
 					bit := uint64(1) << uint(db)
+					if (sAll|shW)&bit != 0 {
+						any = true
+					}
+					qp, j := c+1-d, d-i+h
+					if uint(j) >= uint(sw) || uint(qp) > uint(qn) {
+						continue // off the band or past the query: no chain here reaches S
+					}
+					u := stab[(qp*sw+j)*3:][:3]
+					thrM, thrI, thrD := pb+1-u[0], pb+1-u[1], pb+1-u[2]
 					cbT := (base + d) * planeStride
 					cT := cur[cbT : cbT+planeStride]
 					nT := nxt[cbT : cbT+planeStride]
-					thr := futileThr(n-c+i-1, qn-c+d-1, a, pb)
-					thrM, thrI, thrD := thr, thr, thr
-					if useU {
-						qp := c + 1 - d
-						j := d - i + h
-						if uint(j) < uint(sw) && uint(qp) <= uint(qn) {
-							o := (qp*sw + j) * 3
-							if u := pb + 1 - stab[o]; u > thrM {
-								thrM = u
-							}
-							if u := pb + 1 - stab[o+1]; u > thrI {
-								thrI = u
-							}
-							if u := pb + 1 - stab[o+2]; u > thrD {
-								thrD = u
-							}
-						}
-					}
 					crossed := db == 0 && vw > 0
-					if sAll&bit != 0 {
-						any = true
-					}
 					isM := matchRow&bit != 0
 
 					// pM0: the wait delivery from (i-1, d-1) lands first
@@ -484,134 +450,47 @@ func (m *Machine) stepWide(c int) bool {
 					// match, which must beat it strictly. The delivery's mux
 					// crossing counts at delivery, as in the source scan,
 					// even when the match overwrites it.
-					v0, code0 := int32(negScore), uint64(3)
+					v0, code0 := int32(negScore), uint64(codeWait)
 					if shW&bit != 0 {
 						v0 = cur[cbT-(w+1)*planeStride+pWT]
-						any = true
 						if crossed {
 							mux++
 						}
 					}
-					mv0, iv0, dv0 := int32(negScore), int32(negScore), int32(negScore)
-					if s0&bit != 0 {
-						mv0 = cT[pM0]
-					}
-					if s1&bit != 0 {
-						iv0 = cT[pI0]
-					}
-					if s2&bit != 0 {
-						dv0 = cT[pD0]
-					}
-					top0, tc0 := mv0, uint64(0)
-					if iv0 > top0 {
-						top0, tc0 = iv0, 1
-					}
-					if dv0 > top0 {
-						top0, tc0 = dv0, 2
-					}
-					mv1, iv1, dv1 := int32(negScore), int32(negScore), int32(negScore)
-					if s3&bit != 0 {
-						mv1 = cT[pM1]
-					}
-					if s4&bit != 0 {
-						iv1 = cT[pI1]
-					}
-					if s5&bit != 0 {
-						dv1 = cT[pD1]
-					}
-					top1, tc1 := mv1, uint64(0)
-					if iv1 > top1 {
-						top1, tc1 = iv1, 1
-					}
-					if dv1 > top1 {
-						top1, tc1 = dv1, 2
-					}
-					if isM && top0 > negScore {
-						v := top0 + a
-						if v >= thrM && v > v0 {
-							v0, code0 = v, tc0
-							if v > best {
-								best, bestI, bestD, bestCycle, bestPlan = v, i, d, t, pM0
-								if best > pb {
-									pb = best
-								}
-							}
+					top0, tc0 := pick(liveAt(cT, pM0, s0, bit), 0, liveAt(cT, pI0, s1, bit), 1, liveAt(cT, pD0, s2, bit), 2)
+					top1, tc1 := pick(liveAt(cT, pM1, s3, bit), 0, liveAt(cT, pI1, s4, bit), 1, liveAt(cT, pD1, s5, bit), 2)
+					if v := top0 + a; isM && top0 > negScore && v >= thrM && v > v0 {
+						v0, code0 = v, tc0
+						if v > best {
+							best, bestI, bestD, bestCycle, bestPlan = v, i, d, t, pM0
+							pb = max(pb, best)
 						}
 					}
 					if v0 > negScore {
-						nT[pM0] = v0
-						nlA[pM0] |= bit
-						if code0&1 != 0 {
-							tLo[pM0] |= bit
-						}
-						if code0&2 != 0 {
-							tHi[pM0] |= bit
-						}
+						acc.put(nT, pM0, v0, code0, bit)
 					}
 					// pM1: layer-1 match or layer-0 substitution (the third
 					// dimension) — exclusive on matchRow, both sourced at
 					// (i, d). pWT: the layer-1 substitution's wait state.
-					if isM {
-						if top1 > negScore {
-							v := top1 + a
-							if v >= thrM {
-								nT[pM1] = v
-								nlA[pM1] |= bit
-								if tc1&1 != 0 {
-									tLo[pM1] |= bit
-								}
-								if tc1&2 != 0 {
-									tHi[pM1] |= bit
-								}
-								if v > best {
-									best, bestI, bestD, bestCycle, bestPlan = v, i, d, t, pM1
-									if best > pb {
-										pb = best
-									}
-								}
-							}
+					src, code, gain, legal := top1, tc1, a, true
+					if !isM {
+						src, code, gain, legal = top0, tc0, -b, i+d+1 <= k
+					}
+					if v := src + gain; legal && src > negScore && v >= thrM {
+						acc.put(nT, pM1, v, code, bit)
+						if v > best {
+							best, bestI, bestD, bestCycle, bestPlan = v, i, d, t, pM1
+							pb = max(pb, best)
 						}
-					} else {
-						if top0 > negScore && i+d+1 <= k {
-							v := top0 - b
-							if v >= thrM {
-								nT[pM1] = v
-								nlA[pM1] |= bit
-								if tc0&1 != 0 {
-									tLo[pM1] |= bit
-								}
-								if tc0&2 != 0 {
-									tHi[pM1] |= bit
-								}
-								if v > best {
-									best, bestI, bestD, bestCycle, bestPlan = v, i, d, t, pM1
-									if best > pb {
-										pb = best
-									}
-								}
-							}
-						}
-						if top1 > negScore && i+d+2 <= k {
-							v := top1 - b
-							if v >= thrM {
-								nT[pWT] = v
-								nlA[pWT] |= bit
-								if tc1&1 != 0 {
-									tLo[pWT] |= bit
-								}
-								if tc1&2 != 0 {
-									tHi[pWT] |= bit
-								}
-								if v > best {
-									// The wait value becomes a closed score at
-									// (i+1,d+1) next cycle; best points there
-									// (same score, same clip point).
-									best, bestI, bestD, bestCycle, bestPlan = v, i+1, d+1, t+1, pM0
-									if best > pb {
-										pb = best
-									}
-								}
-							}
+					}
+					if v := top1 - b; !isM && top1 > negScore && i+d+2 <= k && v >= thrM {
+						acc.put(nT, pWT, v, tc1, bit)
+						if v > best {
+							// The wait value becomes a closed score at
+							// (i+1,d+1) next cycle; best points there
+							// (same score, same clip point).
+							best, bestI, bestD, bestCycle, bestPlan = v, i+1, d+1, t+1, pM0
+							pb = max(pb, best)
 						}
 					}
 					// Gap branches fire even on a match (§IV-B), with
@@ -619,134 +498,43 @@ func (m *Machine) stepWide(c int) bool {
 					// model's compare order. Both gap targets of (i, d) share
 					// the legality bound i+d+layer <= k of their sources, and
 					// each gap plane has a single writing source, so the two
-					// layers of one source site share its subslice.
-					if i+d <= k {
-						if (u0|u1|u2|u3|u4|u5)&bit != 0 {
-							cbU := cbT - w*planeStride
-							uU := cur[cbU : cbU+planeStride]
-							if (u0|u1|u2)&bit != 0 {
-								mu, iu, du := int32(negScore), int32(negScore), int32(negScore)
-								if u0&bit != 0 {
-									mu = uU[pM0]
-								}
-								if u1&bit != 0 {
-									iu = uU[pI0]
-								}
-								if u2&bit != 0 {
-									du = uU[pD0]
-								}
-								v, code := mu-open, uint64(0)
-								if du-open > v {
-									v, code = du-open, 2
-								}
-								if iu-ext > v {
-									v, code = iu-ext, 1
-								}
-								if v > negScore && v >= thrI {
-									nT[pI0] = v
-									nlA[pI0] |= bit
-									if code&1 != 0 {
-										tLo[pI0] |= bit
-									}
-									if code&2 != 0 {
-										tHi[pI0] |= bit
-									}
-								}
+					// layers of one source site share its subslice. A gated
+					// layer has a live source, so its offer is above negScore.
+					if i+d > k {
+						continue
+					}
+					if (u0|u1|u2|u3|u4|u5)&bit != 0 {
+						uU := cur[cbT-w*planeStride : cbT-(w-1)*planeStride]
+						if (u0|u1|u2)&bit != 0 {
+							v, code := pick(liveAt(uU, pM0, u0, bit)-open, 0, liveAt(uU, pD0, u2, bit)-open, 2, liveAt(uU, pI0, u1, bit)-ext, 1)
+							if v >= thrI {
+								acc.put(nT, pI0, v, code, bit)
 							}
-							if i+d+1 <= k && (u3|u4|u5)&bit != 0 {
-								mu, iu, du := int32(negScore), int32(negScore), int32(negScore)
-								if u3&bit != 0 {
-									mu = uU[pM1]
-								}
-								if u4&bit != 0 {
-									iu = uU[pI1]
-								}
-								if u5&bit != 0 {
-									du = uU[pD1]
-								}
-								v, code := mu-open, uint64(0)
-								if du-open > v {
-									v, code = du-open, 2
-								}
-								if iu-ext > v {
-									v, code = iu-ext, 1
-								}
-								if v > negScore && v >= thrI {
-									nT[pI1] = v
-									nlA[pI1] |= bit
-									if code&1 != 0 {
-										tLo[pI1] |= bit
-									}
-									if code&2 != 0 {
-										tHi[pI1] |= bit
-									}
+						}
+						if i+d+1 <= k && (u3|u4|u5)&bit != 0 {
+							v, code := pick(liveAt(uU, pM1, u3, bit)-open, 0, liveAt(uU, pD1, u5, bit)-open, 2, liveAt(uU, pI1, u4, bit)-ext, 1)
+							if v >= thrI {
+								acc.put(nT, pI1, v, code, bit)
+							}
+						}
+					}
+					if (sh0|sh1|sh2|sh3|sh4|sh5)&bit != 0 {
+						sD := cur[cbT-planeStride : cbT]
+						if (sh0|sh1|sh2)&bit != 0 {
+							v, code := pick(liveAt(sD, pM0, sh0, bit)-open, 0, liveAt(sD, pI0, sh1, bit)-open, 1, liveAt(sD, pD0, sh2, bit)-ext, 2)
+							if v >= thrD {
+								acc.put(nT, pD0, v, code, bit)
+								if crossed {
+									mux++
 								}
 							}
 						}
-						if (sh0|sh1|sh2|sh3|sh4|sh5)&bit != 0 {
-							sD := cur[cbT-planeStride : cbT]
-							if (sh0|sh1|sh2)&bit != 0 {
-								mv, iv, dv := int32(negScore), int32(negScore), int32(negScore)
-								if sh0&bit != 0 {
-									mv = sD[pM0]
-								}
-								if sh1&bit != 0 {
-									iv = sD[pI0]
-								}
-								if sh2&bit != 0 {
-									dv = sD[pD0]
-								}
-								v, code := mv-open, uint64(0)
-								if iv-open > v {
-									v, code = iv-open, 1
-								}
-								if dv-ext > v {
-									v, code = dv-ext, 2
-								}
-								if v > negScore && v >= thrD {
-									nT[pD0] = v
-									nlA[pD0] |= bit
-									if code&1 != 0 {
-										tLo[pD0] |= bit
-									}
-									if code&2 != 0 {
-										tHi[pD0] |= bit
-									}
-									if crossed {
-										mux++
-									}
-								}
-							}
-							if i+d+1 <= k && (sh3|sh4|sh5)&bit != 0 {
-								mv, iv, dv := int32(negScore), int32(negScore), int32(negScore)
-								if sh3&bit != 0 {
-									mv = sD[pM1]
-								}
-								if sh4&bit != 0 {
-									iv = sD[pI1]
-								}
-								if sh5&bit != 0 {
-									dv = sD[pD1]
-								}
-								v, code := mv-open, uint64(0)
-								if iv-open > v {
-									v, code = iv-open, 1
-								}
-								if dv-ext > v {
-									v, code = dv-ext, 2
-								}
-								if v > negScore && v >= thrD {
-									nT[pD1] = v
-									nlA[pD1] |= bit
-									if code&1 != 0 {
-										tLo[pD1] |= bit
-									}
-									if code&2 != 0 {
-										tHi[pD1] |= bit
-									}
-									if crossed {
-										mux++
-									}
+						if i+d+1 <= k && (sh3|sh4|sh5)&bit != 0 {
+							v, code := pick(liveAt(sD, pM1, sh3, bit)-open, 0, liveAt(sD, pI1, sh4, bit)-open, 1, liveAt(sD, pD1, sh5, bit)-ext, 2)
+							if v >= thrD {
+								acc.put(nT, pD1, v, code, bit)
+								if crossed {
+									mux++
 								}
 							}
 						}
@@ -755,15 +543,15 @@ func (m *Machine) stepWide(c int) bool {
 				// Commit the word: one masked store per touched plane.
 				nlv := nlive[lb : lb+planeStride]
 				for p := 0; p < numPlanes; p++ {
-					acc := nlA[p]
-					if acc == 0 {
+					lw := acc.live[p]
+					if lw == 0 {
 						continue
 					}
-					nlv[p] |= acc
+					nlv[p] |= lw
 					tp |= uint64(1) << uint(p)
 					o := tbase + 2*p*nw + vw
-					trail[o] = trail[o]&^acc | tLo[p]
-					trail[o+nw] = trail[o+nw]&^acc | tHi[p]
+					trail[o] = trail[o]&^lw | acc.lo[p]
+					trail[o+nw] = trail[o+nw]&^lw | acc.hi[p]
 				}
 			}
 			for p := 0; p < numPlanes; p++ {
@@ -778,25 +566,75 @@ func (m *Machine) stepWide(c int) bool {
 	m.live, m.nlive = nlive, live
 	wd.rows, wd.nrows = nr, rows
 	// Clear the vacated masks (now the next side), maintaining the
-	// between-cycles invariant that the next side is all zero. One pass
-	// over the union of the old row summaries clears all planes of a row
-	// in one contiguous run.
-	for iw := 0; iw < nw; iw++ {
-		rowsAny := rows[pM0*nw+iw] | rows[pI0*nw+iw] | rows[pD0*nw+iw] |
-			rows[pM1*nw+iw] | rows[pI1*nw+iw] | rows[pD1*nw+iw] | rows[pWT*nw+iw]
-		for rw := rowsAny; rw != 0; rw &= rw - 1 {
-			i := iw<<6 + bits.TrailingZeros64(rw)
-			lb := i * nw * planeStride
-			z := live[lb : lb+nw*planeStride]
-			for x := range z {
-				z[x] = 0
-			}
-		}
-	}
+	// between-cycles invariant that the next side is all zero.
+	clearRows(live, rows, nw)
 	wd.best = best
 	wd.bestI, wd.bestD, wd.bestCycle, wd.bestPlan = bestI, bestD, bestCycle, bestPlan
 	wd.mux = mux
 	return any
+}
+
+// pick is the compare-select of every state register (§IV-B): the first
+// maximum of three offers and its trail code. A later offer must beat the
+// standing one strictly, so each offer list's order is its tie order.
+//
+//genax:hotpath
+func pick(v int32, code uint64, v1 int32, c1 uint64, v2 int32, c2 uint64) (int32, uint64) {
+	if v1 > v {
+		v, code = v1, c1
+	}
+	if v2 > v {
+		v, code = v2, c2
+	}
+	return v, code
+}
+
+// liveAt is plane p's score of site s when live has bit set, negScore
+// (the empty register) otherwise.
+//
+//genax:hotpath
+func liveAt(s []int32, p int, live, bit uint64) int32 {
+	if live&bit != 0 {
+		return s[p]
+	}
+	return negScore
+}
+
+// wordAcc gathers one step's writes into a 64-site word of one row: per
+// plane, the liveness bits and the trail code's low and high bit-planes.
+type wordAcc struct{ live, lo, hi [numPlanes]uint64 }
+
+// put writes score v with trail code code into plane p of the target
+// register nT at bit: the only place a step writes a score, a liveness
+// bit or a trail code.
+//
+//genax:hotpath
+func (acc *wordAcc) put(nT []int32, p int, v int32, code, bit uint64) {
+	nT[p] = v
+	acc.live[p] |= bit
+	if code&1 != 0 {
+		acc.lo[p] |= bit
+	}
+	if code&2 != 0 {
+		acc.hi[p] |= bit
+	}
+}
+
+// clearRows zeroes the liveness of every row that rows marks live in any
+// plane, each row's planes and words in one contiguous run.
+//
+//genax:hotpath
+func clearRows(live, rows []uint64, nw int) {
+	for iw := 0; iw < nw; iw++ {
+		var rw uint64
+		for p := 0; p < numPlanes; p++ {
+			rw |= rows[p*nw+iw]
+		}
+		for ; rw != 0; rw &= rw - 1 {
+			lb := (iw<<6 + bits.TrailingZeros64(rw)) * nw * planeStride
+			clear(live[lb : lb+nw*planeStride])
+		}
+	}
 }
 
 // extendWide runs the bound pass, banded by the witness l0 <= S, the
@@ -838,7 +676,7 @@ func (m *Machine) extendWide(ref, query dna.Seq, l0 int32) Result {
 
 	best := wd.best
 	bestI, bestD, bestCycle, bestPlane := wd.bestI, wd.bestD, wd.bestCycle, wd.bestPlan
-	res := Result{Score: int(best), Cycles: maxCycle + 1 + 4*m.k, MuxCrossings: wd.mux}
+	res := Result{Score: int(best), Cycles: m.cycles(n, qn), MuxCrossings: wd.mux}
 	rev := m.revBuf[:0]
 	if tail := qn - (bestCycle - bestD); best > 0 && tail > 0 {
 		rev = rev.Append(align.OpClip, tail)

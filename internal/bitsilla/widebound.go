@@ -10,12 +10,12 @@ package bitsilla
 // a near-optimal L collapses the live set to a narrow corridor around the
 // true alignment for the whole pass.
 //
-// Exactness: an offer of value v into a cell with min(remR, remQ) = rem
-// can contribute at most v + a·rem to the final best (every remaining
-// cycle gains at most a). Dropping offers with v + a·rem < L keeps every
-// cell of every final-score-achieving chain (those have v + a·rem >= S >=
-// L), and the value-determining ancestry of such cells is closed under the
-// same property — a predecessor's bound is never below its successor's.
+// Exactness: an offer of value v into a state that can still add at most
+// U can contribute at most v + U to the final best. Dropping offers with
+// v + U < L keeps every cell of every final-score-achieving chain (those
+// have v + U >= S >= L), and the value-determining ancestry of such cells
+// is closed under the same property — a predecessor's bound is never below
+// its successor's.
 // Offers of equal value into the same cell share coordinates and therefore
 // share prune status, so the strict-greater races that pick trail codes
 // are decided among exactly the same contenders; the reported best, its
@@ -43,10 +43,10 @@ package bitsilla
 
 import "genax/internal/dna"
 
-// wideSuffixFree marks suffix-table cells whose ref position is outside
-// the lattice; the huge value makes the suffix threshold vacuous there,
-// deferring to the generic remaining-matches floor.
-const wideSuffixFree = int32(1) << 28
+// wideSuffixFree fills suffix-table cells whose ref position is outside
+// the lattice: no alignment passes there, so they have no future, and
+// stepWide's floor drops every offer into them.
+const wideSuffixFree = negScore
 
 // wideSuffixBound fills the suffix bound table for one extension: for
 // every position (refPos, qPos) with |refPos - qPos| <= h and entry state
@@ -71,13 +71,13 @@ const wideSuffixFree = int32(1) << 28
 // L0 <= S. So no chain that can reach S ever leaves the band: for every
 // chain the pruning must keep, a move across the edge is a true -inf, and
 // U over the band still bounds what such a chain can add. Cells off the
-// band lie on no such chain; stepWide gives them the generic floor, which
-// only prunes less. At h = K the edge is machine-illegal outright (every
-// machine path keeps |d - i| <= i + d <= K). The band does not leak: a
-// narrow band with a GENEROUS exit bound would bleed that bound inward at
-// -ext per diagonal and cap the whole table near the generic floor, but
-// the score band's edge grants nothing, because nothing past it can
-// reach S. The floor in h is exact, never one less: a path at |δ| = h
+// band lie on no such chain, so stepWide drops every offer into them. At
+// h = K the edge is machine-illegal outright (every machine path keeps
+// |d - i| <= i + d <= K). The band does not leak: a narrow band with a
+// GENEROUS exit bound would bleed that bound inward at -ext per diagonal
+// and cap the whole table near a·min(remR, remQ), the bound of matching
+// every remaining base, which prunes almost nothing; the score band's
+// edge grants nothing, because nothing past it can reach S. The floor in h is exact, never one less: a path at |δ| = h
 // can still reach L0, and with GapExtend > 1 beat it (TestWideBandEdge
 // plants one). Layout: (qPos*(2h+1) + j)*3 + state, with
 // j = refPos - qPos + h and states closed/ins/del.
@@ -89,9 +89,8 @@ const wideSuffixFree = int32(1) << 28
 // fills the rest with no lattice test. It carries the deletion entry from
 // the cell above in a register, and takes each close step from the
 // reference profile prof[x*n + r] (a or -b for query base x) instead of
-// comparing bases. That cuts a cell's cost by more than half
-// (DESIGN.md). The
-// layout and every value are the plain recurrence's, cell for cell
+// comparing bases. That cuts a cell's cost by more than half (DESIGN.md).
+// The layout and every value are the plain recurrence's, cell for cell
 // (FuzzSuffixBoundVsRef), so stepWide, wideWitness and replay read the
 // table unchanged.
 func (m *Machine) wideSuffixBound(ref, query dna.Seq) {

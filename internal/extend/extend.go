@@ -1,6 +1,7 @@
 // Package extend stitches seed extensions into whole-read alignments. Both
 // pipelines share it: the BWA-MEM-like software baseline plugs in a banded
-// Smith-Waterman engine, the GenAx model plugs in a SillaX traceback lane.
+// Smith-Waterman engine, the GenAx model the bit-parallel SillaX machine
+// (bitsilla), with the cycle-level SillaX traceback lane as its oracle.
 // Given a seed (an exact match anchoring the read on the reference), the
 // stitcher extends left over reversed strings, extends right, and fuses
 // the two traces with the seed's match run — exactly how a SillaX lane

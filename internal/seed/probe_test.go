@@ -1,41 +1,12 @@
 package seed
 
 import (
-	"bytes"
 	"math/rand"
-	"os/exec"
 	"slices"
-	"strings"
 	"testing"
 
 	"genax/internal/dna"
 )
-
-// TestHotPathInlines asks the compiler whether the probe path still
-// inlines. Every seeding probe ends in Seeder.lookup or hitsAt, which read
-// the lane's probe table; the per-segment loop extracts each window's row
-// (SegmentIndex.row) and ranks each held k-mer in its column
-// (SegmentIndex.colRank). If any of them grows past the inlining budget
-// each call pays a call, and nothing else fails. The test needs the go
-// tool: without it, it fails rather than skip.
-func TestHotPathInlines(t *testing.T) {
-	out, err := exec.Command("go", "build", "-gcflags=-m=2", ".").CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build -gcflags=-m=2: %v\n%s", err, out)
-	}
-	for _, fn := range []string{"(*Seeder).lookup", "(*Seeder).hitsAt", "(*SegmentIndex).row", "(*SegmentIndex).colRank"} {
-		if bytes.Contains(out, []byte("can inline "+fn+" with cost")) {
-			continue
-		}
-		why := "no inlining decision reported"
-		for _, line := range strings.Split(string(out), "\n") {
-			if strings.Contains(line, "inline "+fn+":") {
-				why = line
-			}
-		}
-		t.Errorf("%s no longer inlines: %s", fn, why)
-	}
-}
 
 // TestProbeTableMatchesLookup holds the pre-pass to the index: after Seed,
 // every window's probe-table answer is exactly what SegmentIndex.Lookup

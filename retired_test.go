@@ -78,6 +78,10 @@ var retired = []retiredRow{
 	{change: "Tier-1 checks what CI claims", tests: true,
 		names: []string{"LookupAt", "func Server.Draining"},
 		plant: plant{"internal/seed/index.go", "// Lookup returns the sorted", "// Lookup, like LookupAt, returns the sorted", "LookupAt"}},
+	// The suffix table is stepWide's only pruning floor.
+	{change: "One offer rule and one pruning floor", tests: true,
+		names: []string{"futileThr", "useU"},
+		plant: plant{"internal/bitsilla/wide.go", "\tpb := max(best, wd.bound-1)\n", "\tpb := max(best, wd.bound-1)\n\tuseU := len(stab) > 0\n", "useU"}},
 }
 
 // TestRetiredNamesStayDeleted parses every Go file of the tree once,
