@@ -77,10 +77,11 @@ const wideSuffixFree = negScore
 // GENEROUS exit bound would bleed that bound inward at -ext per diagonal
 // and cap the whole table near a·min(remR, remQ), the bound of matching
 // every remaining base, which prunes almost nothing; the score band's
-// edge grants nothing, because nothing past it can reach S. The floor in h is exact, never one less: a path at |δ| = h
-// can still reach L0, and with GapExtend > 1 beat it (TestWideBandEdge
-// plants one). Layout: (qPos*(2h+1) + j)*3 + state, with
-// j = refPos - qPos + h and states closed/ins/del.
+// edge grants nothing, because nothing past it can reach S. The floor in
+// h is exact, never one less: a path at |δ| = h can still reach L0, and
+// with GapExtend > 1 beat it (TestWideBandEdge plants one). Layout:
+// (qPos*(2h+1) + j)*3 + state, with j = refPos - qPos + h and states
+// closed/ins/del.
 //
 // The fill runs a row at a time, up from the exhausted query. Each row's
 // lattice range [jlo, jhi] is computed once; its edge cells, at the
